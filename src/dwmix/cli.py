@@ -7,7 +7,7 @@ everything without writing artifacts.
 
 Exit codes are a stable scripting contract: 0 success, 2 configuration
 error, 3 model-validity error (localization or gap failures), 4 internal
-assertion or sweep failure.
+invariant or sweep failure.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .dynamics import (
     return_probability,
     return_series,
 )
-from .errors import ConfigError, ModelValidityError, SweepError
+from .errors import ConfigError, InvariantError, ModelValidityError, SweepError
 from .manifest import (
     build_manifest,
     write_entropy_csv,
@@ -44,7 +44,7 @@ from .manifest import (
 from .manybody import BOSONS, FERMIONS, CouplingParams
 from .model import ModelContext, build_context
 from .observables import species_entropies
-from .sweep import AxisSpec, SweepSpec, entropy_scan, fidelity_map
+from .sweep import PLANE_AXES, AxisSpec, SweepSpec, entropy_scan, fidelity_map
 
 PRESET_NAMES = ("region1", "region2", "region3", "phase_maps")
 
@@ -98,11 +98,7 @@ def _fidelity_spec(config: RunConfig) -> SweepSpec:
             "fidelity-map needs a two-axis plane; set sweep.plane to "
             "ff_bf, bb_bf, or bb_ff"
         )
-    fixed_name = {
-        "ff_bf": "lambda_bb",
-        "bb_bf": "lambda_ff",
-        "bb_ff": "lambda_bf",
-    }[s.plane]
+    (fixed_name,) = PLANE_AXES[s.plane][2]
     return SweepSpec(
         plane=s.plane,
         x_axis=AxisSpec(s.x_min, s.x_max, s.x_count),
@@ -396,7 +392,8 @@ def build_parser() -> argparse.ArgumentParser:
         )
         if workers:
             p.add_argument(
-                "--workers", type=int, default=1, help="parallel workers (default 1)"
+                "--workers", type=int, default=1,
+                help="threads solving the sweep's chunks (default 1)",
             )
 
     p = sub.add_parser("solve-modes", help="solve the doublet and write mode CSVs")
@@ -433,7 +430,7 @@ def main(argv: list[str] | None = None) -> int:
     except ModelValidityError as exc:
         print(f"model validity error: {exc}", file=sys.stderr)
         return EXIT_MODEL
-    except (SweepError, AssertionError) as exc:
+    except (SweepError, InvariantError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 

@@ -13,6 +13,7 @@ from pathlib import Path
 
 from .errors import ConfigError
 from .manybody import ANTISYMMETRIC, COUPLING_MAX, PAPER_FOUR_STATE
+from .sweep import PLANE_AXES
 
 _BOOL_WORDS = {
     "true": True, "yes": True, "on": True, "1": True,
@@ -20,7 +21,7 @@ _BOOL_WORDS = {
 }
 
 POTENTIAL_SHAPES = ("double_square_well", "quartic", "tabulated")
-SWEEP_PLANES = ("ff_bf", "bb_bf", "bb_ff", "line_ff")
+SWEEP_PLANES = tuple(PLANE_AXES)
 
 
 def _as_float(raw: str, key: str) -> float:

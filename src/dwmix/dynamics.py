@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import find_peaks
 
 from .errors import ConfigError
 from .manybody import (
@@ -289,6 +288,24 @@ def _dominant_period(times: np.ndarray, values: np.ndarray) -> float:
     return float(1.0 / f_peak)
 
 
+def _local_maxima(values: np.ndarray) -> np.ndarray:
+    """Indices of the strict local maxima of a 1-d series.
+
+    Runs of equal values count as one sample; a run is a peak when it is
+    strictly higher than both neighbouring runs, and a flat top is reported
+    at its middle, rounded down.  Runs touching either end are never peaks
+    (the convention of ``scipy.signal.find_peaks``).
+    """
+    if values.size < 3:
+        return np.zeros(0, dtype=np.intp)
+    starts = np.flatnonzero(np.r_[True, values[1:] != values[:-1]])
+    ends = np.r_[starts[1:], values.size] - 1
+    level = values[starts]
+    peak = np.zeros(starts.size, dtype=bool)
+    peak[1:-1] = (level[1:-1] > level[:-2]) & (level[1:-1] > level[2:])
+    return (starts[peak] + ends[peak]) // 2
+
+
 def _damping_rate(times: np.ndarray, values: np.ndarray) -> float:
     """Decay rate of the oscillation envelope.
 
@@ -301,7 +318,7 @@ def _damping_rate(times: np.ndarray, values: np.ndarray) -> float:
     sample counts as a peak when the series starts on a maximum (the usual
     case for return probabilities).
     """
-    idx, _ = find_peaks(values)
+    idx = _local_maxima(values)
     peak_t = times[idx]
     peak_v = values[idx]
     if values.size >= 2 and values[0] >= values[1]:

@@ -8,7 +8,14 @@ from __future__ import annotations
 
 
 class DwmixError(Exception):
-    """Base class for all package-specific errors."""
+    """Base class for all package-specific errors.
+
+    A check over a batch sets ``index`` to the position of its first failure.
+    """
+
+    def __init__(self, message: str = "", index: int | None = None) -> None:
+        super().__init__(message)
+        self.index = index
 
 
 class ConfigError(DwmixError):
@@ -31,5 +38,9 @@ class SolverError(ModelValidityError):
     """
 
 
+class InvariantError(DwmixError):
+    """An assembled object broke a structural invariant (an internal fault)."""
+
+
 class SweepError(DwmixError):
-    """A parameter-sweep worker failed; the message names the grid point."""
+    """A parameter sweep failed; the message names the grid point."""

@@ -15,12 +15,12 @@ path for all basis variants.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, InvariantError
 from .modes import DoubletModes
 from .overlaps import OverlapTensor
 
@@ -32,6 +32,7 @@ NORM_TOL = 1.0e-10
 DEGENERACY_GAP = 1.0e-12
 COUPLING_MAX = 0.1
 COUPLING_WARN = 0.01
+COUPLING_NAMES = ("lambda_bb", "lambda_ff", "lambda_bf")
 
 ANTISYMMETRIC = "antisymmetric"
 PAPER_FOUR_STATE = "paper_four_state"
@@ -279,11 +280,7 @@ class CouplingParams:
                 )
 
     def as_dict(self) -> dict[str, float]:
-        return {
-            "lambda_bb": self.lambda_bb,
-            "lambda_ff": self.lambda_ff,
-            "lambda_bf": self.lambda_bf,
-        }
+        return {name: getattr(self, name) for name in COUPLING_NAMES}
 
 
 @dataclass(frozen=True)
@@ -318,21 +315,28 @@ class HamiltonianBlocks:
     h_bb: np.ndarray
     h_ff: np.ndarray
     h_bf: np.ndarray
-    boson_onsite: float = field(default=0.0)
-    fermion_onsite: float = field(default=0.0)
 
     def compose(self, params: CouplingParams) -> ManyBodyHamiltonian:
-        h = (
-            self.h0
-            + params.lambda_bb * self.h_bb
-            + params.lambda_ff * self.h_ff
-            + params.lambda_bf * self.h_bf
-        )
-        residue = float(np.max(np.abs(h - h.T)))
-        assert residue < HERMITICITY_TOL, (
-            f"assembled Hamiltonian is not symmetric (residue {residue:.3e})"
-        )
+        h = self.compose_many(np.array([list(params.as_dict().values())]))[0]
         return ManyBodyHamiltonian(matrix=h, basis=self.basis, params=params)
+
+    def compose_many(self, couplings: np.ndarray) -> np.ndarray:
+        """H, shape (n, dim, dim), for each row of couplings (COUPLING_NAMES order).
+
+        Raises InvariantError at the first H whose residue max|H - H^T| is not
+        below HERMITICITY_TOL.
+        """
+        c = np.asarray(couplings, dtype=float)[:, :, None, None]
+        h = self.h0 + c[:, 0] * self.h_bb + c[:, 1] * self.h_ff + c[:, 2] * self.h_bf
+        residue = np.max(np.abs(h - h.swapaxes(1, 2)), axis=(1, 2))
+        bad = np.flatnonzero(~(residue < HERMITICITY_TOL))
+        if bad.size:
+            k = int(bad[0])
+            raise InvariantError(
+                f"assembled Hamiltonian is not symmetric (residue {residue[k]:.3e})",
+                index=k,
+            )
+        return h
 
 
 def _single_particle_matrix(modes: DoubletModes) -> np.ndarray:
@@ -367,15 +371,7 @@ def hamiltonian_blocks(
         "abcd,ikab,jlcd->ijkl", overlaps.cross.values, d_b, d_f
     ).reshape(basis.dim, basis.dim)
 
-    return HamiltonianBlocks(
-        basis=basis,
-        h0=h0,
-        h_bb=h_bb,
-        h_ff=h_ff,
-        h_bf=h_bf,
-        boson_onsite=overlaps.boson.on_site,
-        fermion_onsite=overlaps.fermion.on_site,
-    )
+    return HamiltonianBlocks(basis=basis, h0=h0, h_bb=h_bb, h_ff=h_ff, h_bf=h_bf)
 
 
 def assemble_hamiltonian(
@@ -404,10 +400,17 @@ class StateVector:
                 f"state has {c.shape} coefficients for a basis of dimension "
                 f"{self.basis.dim}"
             )
-        norm = float(np.linalg.norm(c))
-        if abs(norm - 1.0) > NORM_TOL:
-            raise ConfigError(f"state norm is {norm:.12f}, not 1")
+        _check_unit_norms(c[None])
         object.__setattr__(self, "coefficients", c)
+
+
+def _check_unit_norms(coefficients: np.ndarray) -> None:
+    """Raise ConfigError at the first row whose norm is not 1."""
+    norms = np.linalg.norm(coefficients, axis=-1)
+    bad = np.flatnonzero(np.abs(norms - 1.0) > NORM_TOL)
+    if bad.size:
+        k = int(bad[0])
+        raise ConfigError(f"state norm is {norms[k]:.12f}, not 1", index=k)
 
 
 @dataclass(frozen=True)
@@ -419,24 +422,31 @@ class GroundState:
 
 
 def ground_state(h: ManyBodyHamiltonian) -> GroundState:
-    """Lowest eigenpair with a deterministic global phase.
-
-    The phase is fixed by making the largest-magnitude coefficient real and
-    positive; on an exact magnitude tie the lowest basis index wins.  A gap
-    below 1e-12 is flagged as degenerate rather than raised.
-    """
-    energies, vectors = np.linalg.eigh(h.matrix)
-    v = vectors[:, 0]
-    k = int(np.argmax(np.abs(v)))
-    if v[k] < 0.0:
-        v = -v
-    gap = float(energies[1] - energies[0])
+    """Lowest eigenpair of one Hamiltonian; see :func:`ground_states`."""
+    energy, gap, degenerate, vectors = ground_states(h.matrix[None])
     return GroundState(
-        energy=float(energies[0]),
-        state=StateVector(coefficients=v.astype(complex), basis=h.basis),
-        gap=gap,
-        degenerate=gap < DEGENERACY_GAP,
+        energy=float(energy[0]),
+        state=StateVector(coefficients=vectors[0].astype(complex), basis=h.basis),
+        gap=float(gap[0]),
+        degenerate=bool(degenerate[0]),
     )
+
+
+def ground_states(h: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Lowest eigenpairs of a stack of symmetric matrices, shape (n, dim, dim).
+
+    Returns the energies, the gaps, the degenerate flags (gap below
+    DEGENERACY_GAP, flagged rather than raised) and the ground vectors,
+    shape (n, dim).  A vector's phase is fixed by making its largest-magnitude
+    coefficient positive; on an exact magnitude tie the lowest index wins.
+    """
+    energies, vectors = np.linalg.eigh(h)
+    v = vectors[:, :, 0]
+    k = np.argmax(np.abs(v), axis=1)
+    v = np.where(v[np.arange(v.shape[0]), k][:, None] < 0.0, -v, v)
+    _check_unit_norms(v)
+    gap = energies[:, 1] - energies[:, 0]
+    return energies[:, 0], gap, gap < DEGENERACY_GAP, v
 
 
 def mirror_operator(basis: CompositeBasis) -> np.ndarray:

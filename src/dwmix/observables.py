@@ -7,7 +7,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .manybody import BOSONS, FERMIONS, StateVector, one_body_transition_matrix
+from .manybody import (
+    BOSONS,
+    FERMIONS,
+    CompositeBasis,
+    StateVector,
+    one_body_transition_matrix,
+)
 
 TRACE_TOL = 1.0e-9
 EIGENVALUE_FLOOR = -1.0e-12
@@ -40,28 +46,43 @@ class DensityMatrix:
         object.__setattr__(self, "matrix", m)
 
 
+def _reduced(coefficients: np.ndarray, basis: CompositeBasis, keep: str) -> np.ndarray:
+    """Partial traces of |psi><psi| over the species not kept, one per row."""
+    m = coefficients.reshape(-1, basis.boson_dim, basis.fermion_dim)
+    if keep == BOSONS:
+        return m @ m.conj().swapaxes(1, 2)
+    if keep == FERMIONS:
+        return m.swapaxes(1, 2) @ m.conj()
+    raise ConfigError(f"keep must be {BOSONS!r} or {FERMIONS!r}, got {keep!r}")
+
+
+def _entropies(eigenvalues: np.ndarray) -> np.ndarray:
+    """S = -sum lambda_i log2 lambda_i of each row, with 0 log 0 := 0.
+
+    Raises ConfigError at the first row with an eigenvalue below the floor.
+    """
+    lowest = eigenvalues.min(axis=1)
+    bad = np.flatnonzero(lowest < EIGENVALUE_FLOOR)
+    if bad.size:
+        k = int(bad[0])
+        raise ConfigError(
+            f"density matrix has eigenvalue {lowest[k]:.3e} below the "
+            "positivity floor",
+            index=k,
+        )
+    lam = np.where(eigenvalues > ENTROPY_CLIP, eigenvalues, 1.0)
+    return -np.sum(lam * np.log2(lam), axis=1)
+
+
 def reduce(psi: StateVector, keep: str) -> DensityMatrix:
     """Partial trace of |psi><psi| over the species not kept."""
-    m = psi.coefficients.reshape(psi.basis.boson_dim, psi.basis.fermion_dim)
-    if keep == BOSONS:
-        rho = m @ m.conj().T
-    elif keep == FERMIONS:
-        rho = m.T @ m.conj()
-    else:
-        raise ConfigError(f"keep must be {BOSONS!r} or {FERMIONS!r}, got {keep!r}")
+    rho = _reduced(psi.coefficients, psi.basis, keep)[0]
     return DensityMatrix(matrix=rho, subsystem_tag=keep)
 
 
 def vn_entropy(rho: DensityMatrix) -> float:
     """S = -sum lambda_i log2 lambda_i with the 0 log 0 := 0 convention."""
-    eigenvalues = np.linalg.eigvalsh(rho.matrix)
-    if float(eigenvalues.min()) < EIGENVALUE_FLOOR:
-        raise ConfigError(
-            f"density matrix has eigenvalue {eigenvalues.min():.3e} below the "
-            "positivity floor"
-        )
-    lam = eigenvalues[eigenvalues > ENTROPY_CLIP]
-    return float(-np.sum(lam * np.log2(lam)))
+    return float(_entropies(np.linalg.eigvalsh(rho.matrix)[None])[0])
 
 
 @dataclass(frozen=True)
@@ -76,9 +97,15 @@ def species_entropies(psi: StateVector) -> SpeciesEntropies:
     For a pure composite state the two values agree (same Schmidt spectrum);
     both are computed anyway as a numerical cross-check.
     """
-    return SpeciesEntropies(
-        s_bosons=vn_entropy(reduce(psi, BOSONS)),
-        s_fermions=vn_entropy(reduce(psi, FERMIONS)),
+    s_bosons, s_fermions = entropy_arrays(psi.coefficients[None], psi.basis)
+    return SpeciesEntropies(s_bosons=float(s_bosons[0]), s_fermions=float(s_fermions[0]))
+
+
+def entropy_arrays(coefficients: np.ndarray, basis: CompositeBasis) -> tuple:
+    """Boson and fermion entropies of each normalized state (row) over ``basis``."""
+    return tuple(
+        _entropies(np.linalg.eigvalsh(_reduced(coefficients, basis, keep)))
+        for keep in (BOSONS, FERMIONS)
     )
 
 

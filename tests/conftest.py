@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import dwmix
 from dwmix.config import RunConfig
 from dwmix.model import build_context
 
@@ -34,3 +40,16 @@ def coarse_context(config_factory):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260822)
+
+
+@pytest.fixture(scope="session")
+def run_python():
+    """Run a fresh interpreter that imports this dwmix and the test modules."""
+    paths = [str(Path(dwmix.__file__).parents[1]), str(Path(__file__).parent)]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+
+    def run(*args):
+        return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                              text=True, timeout=120)
+
+    return run

@@ -170,3 +170,9 @@ class TestEntropyScan:
         results = json.loads((out / "manifest.json").read_text())["results"]
         k = int(np.argmax(data[:, 1]))
         assert results["argmax_lambda_ff"] == data[k, 0]
+
+
+def test_import_leaves_out_scipy_signal(run_python):
+    proc = run_python("-c", "import sys, dwmix.cli; print('scipy.signal' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

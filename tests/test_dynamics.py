@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from scipy.signal import find_peaks
 
 from dwmix.errors import ConfigError
 from dwmix.dynamics import (
     SpectralPropagator,
     TimeSeries,
+    _local_maxima,
     default_time_grid,
     density_profile,
     evolve,
@@ -80,6 +82,29 @@ def test_times_must_be_ascending_and_finite(free_run):
         evolve(h, psi0, np.array([0.0, np.inf]))
     with pytest.raises(ConfigError):
         evolve(h, psi0, np.array([]))
+
+
+@pytest.mark.parametrize("values", [
+    [],
+    [1.0],
+    [1.0, 2.0],
+    [3.0, 1.0, 2.0],
+    [0.0, 2.0, 2.0, 2.0, 2.0, 1.0],
+    [0.0, 2.0, 2.0, 1.0, 3.0, 3.0, 3.0, 0.0],
+    [0.0, 1.0, 1.0],
+    [2.0, 2.0, 1.0, 2.0, 2.0],
+    [0.0, 2.0, 2.0, 3.0, 1.0],
+    [5.0, 5.0, 5.0],
+])
+def test_local_maxima_match_find_peaks(values):
+    values = np.array(values)
+    np.testing.assert_array_equal(_local_maxima(values), find_peaks(values)[0])
+
+
+def test_local_maxima_match_find_peaks_on_random_plateaus(rng):
+    for _ in range(2000):
+        values = rng.integers(0, 4, size=rng.integers(0, 30)).astype(float)
+        np.testing.assert_array_equal(_local_maxima(values), find_peaks(values)[0])
 
 
 class TestRegimeMetrics:

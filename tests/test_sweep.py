@@ -5,15 +5,7 @@ import pytest
 
 from dwmix.errors import ConfigError, SweepError
 from dwmix.manybody import CouplingParams, HamiltonianBlocks, enumerate_bases, ground_state
-from dwmix.sweep import (
-    AxisSpec,
-    EntropyCurve,
-    FidelitySurface,
-    SweepSpec,
-    entropy_scan,
-    fidelity_map,
-    run_parallel,
-)
+from dwmix.sweep import CHUNK_CELLS, AxisSpec, SweepSpec, entropy_scan, fidelity_map
 
 REF = CouplingParams(lambda_bb=5.0e-4, lambda_ff=5.0e-4, lambda_bf=5.0e-4)
 
@@ -208,15 +200,51 @@ class TestEntropyScan:
             entropy_scan(_broken_blocks(), spec)
 
 
-class TestRouting:
-    def test_line_spec_routes_to_entropy(self, coarse_context):
+def _lowest_eigenpair(blocks, lambda_bb, lambda_ff, lambda_bf):
+    h = (blocks.h0 + lambda_bb * blocks.h_bb + lambda_ff * blocks.h_ff
+         + lambda_bf * blocks.h_bf)
+    energies, vectors = np.linalg.eigh(h)
+    return energies[1] - energies[0] < 1.0e-12, vectors[:, 0]
+
+
+class TestAgainstPerCellOracle:
+    """The batched kernel against a plain per-cell loop, over several chunks."""
+
+    def test_fidelity_plane(self, coarse_context):
+        blocks = coarse_context.blocks
+        spec = plane_spec(AxisSpec(0.0, 2.0e-3, 41), AxisSpec(0.0, 3.0e-3, 29))
+        assert 41 * 29 > CHUNK_CELLS
+        surface = fidelity_map(blocks, spec)
+        _, ref = _lowest_eigenpair(blocks, REF.lambda_bb, REF.lambda_ff, REF.lambda_bf)
+        for i, x in enumerate(surface.x_values):
+            for j, y in enumerate(surface.y_values):
+                degenerate, v = _lowest_eigenpair(blocks, 5.0e-4, x, y)
+                assert surface.fidelity[i, j] == pytest.approx(
+                    min(abs(v @ ref), 1.0), abs=1.0e-12)
+                assert surface.degenerate[i, j] == degenerate
+
+    def test_entropy_line(self, coarse_context):
+        blocks = coarse_context.blocks
+        basis = blocks.basis
         spec = SweepSpec(
             plane="line_ff",
-            x_axis=AxisSpec(0.0, 1.0e-3, 3),
-            fixed={"lambda_bb": 0.0, "lambda_bf": 0.0},
+            x_axis=AxisSpec(0.0, 1.0e-2, CHUNK_CELLS + 77),
+            fixed={"lambda_bb": 1.0e-3, "lambda_bf": 9.0e-3},
         )
-        assert isinstance(run_parallel(coarse_context.blocks, spec), EntropyCurve)
+        curve = entropy_scan(blocks, spec)
+        for k, x in enumerate(curve.lambda_ff):
+            degenerate, v = _lowest_eigenpair(blocks, 1.0e-3, x, 9.0e-3)
+            schmidt = np.linalg.svd(v.reshape(basis.boson_dim, basis.fermion_dim),
+                                    compute_uv=False) ** 2
+            schmidt = schmidt[schmidt > 1.0e-14]
+            expected = float(-np.sum(schmidt * np.log2(schmidt)))
+            assert curve.s_bosons[k] == pytest.approx(expected, abs=1.0e-12)
+            assert curve.s_fermions[k] == pytest.approx(expected, abs=1.0e-12)
+            assert curve.degenerate[k] == degenerate
 
-    def test_plane_spec_routes_to_fidelity(self, coarse_context):
-        spec = plane_spec(AxisSpec(0.0, 1.0e-3, 2), AxisSpec(0.0, 1.0e-3, 2))
-        assert isinstance(run_parallel(coarse_context.blocks, spec), FidelitySurface)
+
+def test_failing_cell_is_named_under_optimize(run_python):
+    # python -O strips assert statements; the symmetry check must not be one.
+    proc = run_python("-O", "-c", "from test_sweep import TestFidelityMap; "
+                      "TestFidelityMap().test_failing_cell_is_named()")
+    assert proc.returncode == 0, proc.stderr
