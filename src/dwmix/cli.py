@@ -93,10 +93,11 @@ def _out_dir(config: RunConfig) -> Path:
 
 def _fidelity_spec(config: RunConfig) -> SweepSpec:
     s = config.sweep
-    if s.plane == "line_ff":
+    planes = [name for name, (_, y_name, _) in PLANE_AXES.items() if y_name is not None]
+    if s.plane not in planes:
         raise ConfigError(
-            "fidelity-map needs a two-axis plane; set sweep.plane to "
-            "ff_bf, bb_bf, or bb_ff"
+            "fidelity-map needs a two-axis plane; set sweep.plane to one of "
+            + ", ".join(planes)
         )
     (fixed_name,) = PLANE_AXES[s.plane][2]
     return SweepSpec(
@@ -218,10 +219,13 @@ def _cmd_fidelity_map(args: argparse.Namespace) -> int:
     }
     if args.plot:
         outputs["plot_script"] = _write_plot_script(directory, "fidelity")
+    cell = np.unravel_index(int(np.argmin(surface.gap)), surface.gap.shape)
     results = {
         "reference_energy": surface.reference_energy,
         "degenerate_cells": int(surface.degenerate.sum()),
         "min_fidelity": float(surface.fidelity.min()),
+        "min_gap": float(surface.gap[cell]),
+        "min_gap_cell": [int(k) for k in cell],
     }
     _finish(
         context,
@@ -246,10 +250,13 @@ def _cmd_entropy_scan(args: argparse.Namespace) -> int:
     }
     if args.plot:
         outputs["plot_script"] = _write_plot_script(directory, "entropy")
+    point = int(np.argmin(curve.gap))
     results = {
         "argmax_lambda_ff": curve.argmax_lambda,
         "max_s_bosons": float(curve.s_bosons.max()),
         "degenerate_cells": int(curve.degenerate.sum()),
+        "min_gap": float(curve.gap[point]),
+        "min_gap_point": point,
     }
     _finish(
         context,

@@ -29,69 +29,65 @@ ENTROPY_HEADER = "lambda_ff,s_bosons,s_fermions,degenerate_flag"
 ENTROPY_T_HEADER = "tau,s_bosons,s_fermions"
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
+def _floats(values) -> list[str]:
+    """repr of each value as a Python float, in row-major order."""
+    return list(map(repr, np.asarray(values, dtype=float).ravel().tolist()))
 
 
-def _write_rows(path: Path, header: str, rows) -> None:
-    lines = [header]
-    lines.extend(",".join(row) for row in rows)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+def _flags(values) -> list[str]:
+    return ["1" if flag else "0" for flag in np.asarray(values, dtype=bool).ravel().tolist()]
+
+
+def _write_blocks(path: str | Path, header: str, blocks) -> Path:
+    """Write a CSV whose rows come in blocks, each a tuple of formatted columns.
+
+    Only one block's strings are alive at a time, which bounds the memory a
+    large sweep's CSV takes.
+    """
+    path = Path(path)
+    with path.open("w", encoding="utf-8") as fh:
+        fh.write(header + "\n")
+        for columns in blocks:
+            fh.write("".join(f"{','.join(row)}\n" for row in zip(*columns, strict=True)))
+    return path
 
 
 def write_modes_csv(path: str | Path, modes, grid) -> Path:
-    path = Path(path)
-    x = grid.points()
-    rows = (
-        (_fmt(x[k]), _fmt(modes.psi_s[k]), _fmt(modes.psi_a[k]),
-         _fmt(modes.psi_left[k]), _fmt(modes.psi_right[k]))
-        for k in range(x.size)
-    )
-    _write_rows(path, MODES_HEADER, rows)
-    return path
+    return _write_blocks(path, MODES_HEADER, [(
+        _floats(grid.points()), _floats(modes.psi_s), _floats(modes.psi_a),
+        _floats(modes.psi_left), _floats(modes.psi_right),
+    )])
 
 
 def write_timeseries_csv(path: str | Path, series: TimeSeries) -> Path:
-    path = Path(path)
-    rows = (
-        (_fmt(series.times[k]), _fmt(series.p_rr_bosons[k]), _fmt(series.p_rr_fermions[k]))
-        for k in range(series.times.size)
-    )
-    _write_rows(path, TIMESERIES_HEADER, rows)
-    return path
+    return _write_blocks(path, TIMESERIES_HEADER, [(
+        _floats(series.times), _floats(series.p_rr_bosons), _floats(series.p_rr_fermions),
+    )])
 
 
 def write_fidelity_csv(path: str | Path, surface: FidelitySurface) -> Path:
-    path = Path(path)
-    rows = (
-        (_fmt(surface.x_values[i]), _fmt(surface.y_values[j]),
-         _fmt(surface.fidelity[i, j]), str(int(surface.degenerate[i, j])))
-        for i in range(surface.x_values.size)
-        for j in range(surface.y_values.size)
+    # One block per x value; each axis value is formatted once.
+    ys = _floats(surface.y_values)
+    blocks = (
+        ([x] * len(ys), ys, _floats(fidelity), _flags(degenerate))
+        for x, fidelity, degenerate in zip(
+            _floats(surface.x_values), surface.fidelity, surface.degenerate, strict=True
+        )
     )
-    _write_rows(path, FIDELITY_HEADER, rows)
-    return path
+    return _write_blocks(path, FIDELITY_HEADER, blocks)
 
 
 def write_entropy_csv(path: str | Path, curve: EntropyCurve) -> Path:
-    path = Path(path)
-    rows = (
-        (_fmt(curve.lambda_ff[k]), _fmt(curve.s_bosons[k]),
-         _fmt(curve.s_fermions[k]), str(int(curve.degenerate[k])))
-        for k in range(curve.lambda_ff.size)
-    )
-    _write_rows(path, ENTROPY_HEADER, rows)
-    return path
+    return _write_blocks(path, ENTROPY_HEADER, [(
+        _floats(curve.lambda_ff), _floats(curve.s_bosons),
+        _floats(curve.s_fermions), _flags(curve.degenerate),
+    )])
 
 
 def write_entropy_timeseries_csv(path: str | Path, times, s_bosons, s_fermions) -> Path:
-    path = Path(path)
-    rows = (
-        (_fmt(times[k]), _fmt(s_bosons[k]), _fmt(s_fermions[k]))
-        for k in range(len(times))
-    )
-    _write_rows(path, ENTROPY_T_HEADER, rows)
-    return path
+    return _write_blocks(path, ENTROPY_T_HEADER, [(
+        _floats(times), _floats(s_bosons), _floats(s_fermions),
+    )])
 
 
 def write_regimes_json(path: str | Path, report: RegimeReport) -> Path:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 
 import numpy as np
@@ -50,6 +51,16 @@ _SPIN_DD = np.array([[0.0, 0.0], [0.0, 1.0]])
 _SPIN_T0 = np.array([[0.0, _SQRT_HALF], [_SQRT_HALF, 0.0]])
 _SPIN_SINGLET = np.array([[0.0, _SQRT_HALF], [-_SQRT_HALF, 0.0]])
 _SPACE_ANTI = np.array([[0.0, _SQRT_HALF], [-_SQRT_HALF, 0.0]])
+
+# Involutions of the boson (m1, m2) and fermion (m1, s1, m2, s2) product
+# spaces: the left-right mirror of every particle, and the exchange of the
+# two fermions' spins, (m1, s1, m2, s2) -> (m1, s2, m2, s1).
+_SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
+_MIRROR = (np.kron(_SWAP, _SWAP), np.kron(np.kron(_SWAP, np.eye(2)), np.kron(_SWAP, np.eye(2))))
+_SPIN_EXCHANGE = (
+    np.eye(4),
+    np.eye(16).reshape(2, 2, 2, 2, 16).transpose(0, 3, 2, 1, 4).reshape(16, 16),
+)
 
 
 def _product_vector(spatial: np.ndarray, spin: np.ndarray) -> np.ndarray:
@@ -157,6 +168,29 @@ class CompositeBasis:
                 f"available: bosons {self.boson_labels}, fermions {self.fermion_labels}"
             ) from exc
         return i * self.fermion_dim + j
+
+    @cached_property
+    def symmetries(self) -> tuple[np.ndarray, ...]:
+        """The fermion spin exchange and, where the basis span is closed under
+        it, the left-right mirror, as matrices over this basis."""
+        try:
+            return (spin_exchange_operator(self), mirror_operator(self))
+        except ConfigError:  # the literal four-state basis is not mirror-closed
+            return (spin_exchange_operator(self),)
+
+    def sectors(self, h: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Orthonormal column blocks, shape (dim, d_k), one per symmetry sector of h.
+
+        The sectors are the joint eigenspaces of those of ``symmetries`` that
+        commute with h, so h is block-diagonal over them.  Largest first.
+        """
+        operators = [o for o in self.symmetries if np.max(np.abs(o @ h - h @ o)) < HERMITICITY_TOL]
+        # The eigenvalues of sum_k 2^k O_k, each O_k being +-1, label the sectors.
+        key = sum((2.0**k * o for k, o in enumerate(operators)), np.zeros_like(h))
+        weights, vectors = np.linalg.eigh(key)
+        labels = np.rint(weights)
+        sectors = [vectors[:, labels == label] for label in np.unique(labels)]
+        return tuple(sorted(sectors, key=lambda q: -q.shape[1]))
 
 
 def enumerate_bases(sector: int = 0, fermion_variant: str = ANTISYMMETRIC) -> CompositeBasis:
@@ -317,26 +351,107 @@ class HamiltonianBlocks:
     h_bf: np.ndarray
 
     def compose(self, params: CouplingParams) -> ManyBodyHamiltonian:
-        h = self.compose_many(np.array([list(params.as_dict().values())]))[0]
+        """H at one coupling point; raises InvariantError unless max|H - H^T|
+        is below HERMITICITY_TOL."""
+        h = (self.h0 + params.lambda_bb * self.h_bb + params.lambda_ff * self.h_ff
+             + params.lambda_bf * self.h_bf)
+        residue = np.max(np.abs(h - h.T))
+        if not residue < HERMITICITY_TOL:
+            raise InvariantError(
+                f"assembled Hamiltonian is not symmetric (residue {residue:.3e})"
+            )
         return ManyBodyHamiltonian(matrix=h, basis=self.basis, params=params)
 
-    def compose_many(self, couplings: np.ndarray) -> np.ndarray:
-        """H, shape (n, dim, dim), for each row of couplings (COUPLING_NAMES order).
+    def sector_blocks(self) -> SectorBlocks:
+        """The blocks projected onto the basis's symmetry sectors, for sweeps."""
+        return SectorBlocks.project(self.basis, self.h0, (self.h_bb, self.h_ff, self.h_bf))
 
-        Raises InvariantError at the first H whose residue max|H - H^T| is not
-        below HERMITICITY_TOL.
+
+@dataclass(frozen=True)
+class SectorBlocks:
+    """H(c) = h0 + sum_k c_k h_k, projected once onto the symmetry sectors.
+
+    ``base + c @ terms`` is one flat row per coupling point c.  It starts
+    with the n_defect entries that vanish when H is symmetric and does not
+    couple sectors: those of H - H^T, and those of R^T H R outside the
+    diagonal sector blocks, R = [Q_1 ... Q_m].  Then come the sector blocks
+    Q_k^T H Q_k, row-major.  Every entry is linear in c, so a sweep never
+    builds a cell's full H.  The blocks hold H - shift * I, shift being the
+    mean diagonal of h0, so that their rounding scales with the spread of
+    the spectrum, not its offset.
+    """
+
+    sectors: tuple[np.ndarray, ...]
+    base: np.ndarray
+    terms: np.ndarray
+    n_defect: int
+    shift: float
+
+    @classmethod
+    def project(cls, basis: CompositeBasis, h0: np.ndarray, terms=()) -> SectorBlocks:
+        """Project h0 and each coupling term onto the symmetry sectors of h0."""
+        sectors = basis.sectors(h0)
+        r = np.hstack(sectors)
+        label = np.repeat(np.arange(len(sectors)), [q.shape[1] for q in sectors])
+        upper = np.triu(np.ones((basis.dim, basis.dim), dtype=bool), 1)
+        leak = upper & (label[:, None] != label[None, :])
+
+        def flatten(h: np.ndarray) -> np.ndarray:
+            blocks = [(q.T @ h @ q).ravel() for q in sectors]
+            return np.concatenate([(h - h.T)[upper], (r.T @ h @ r)[leak], *blocks])
+
+        shift = float(np.mean(np.diag(h0)))
+        base = flatten(h0 - shift * np.eye(basis.dim))
+        return cls(
+            sectors=sectors,
+            base=base,
+            terms=np.array([flatten(h) for h in terms]).reshape(len(terms), base.size),
+            n_defect=int(upper.sum() + leak.sum()),
+            shift=shift,
+        )
+
+    def ground_states(self, couplings: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Lowest eigenpairs of H at each row of couplings (ordered as ``terms``).
+
+        Returns the energies, the gaps, the degenerate flags (gap below
+        DEGENERACY_GAP, flagged rather than raised) and the ground vectors in
+        the full basis, shape (n, dim).  Each sector gets one batched
+        ``eigh``.  The ground vector comes from the sector with the lowest
+        energy (the first such sector on a tie), the gap from the eigenvalues
+        of all sectors.  A vector's phase is fixed by making its
+        largest-magnitude coefficient positive; on an exact magnitude tie the
+        lowest index wins.  Raises InvariantError at the first row whose
+        residue, the largest defect entry, is not below HERMITICITY_TOL.
         """
-        c = np.asarray(couplings, dtype=float)[:, :, None, None]
-        h = self.h0 + c[:, 0] * self.h_bb + c[:, 1] * self.h_ff + c[:, 2] * self.h_bf
-        residue = np.max(np.abs(h - h.swapaxes(1, 2)), axis=(1, 2))
+        flat = self.base + np.asarray(couplings, dtype=float) @ self.terms
+        residue = np.max(np.abs(flat[:, : self.n_defect]), axis=1)
         bad = np.flatnonzero(~(residue < HERMITICITY_TOL))
         if bad.size:
             k = int(bad[0])
             raise InvariantError(
-                f"assembled Hamiltonian is not symmetric (residue {residue[k]:.3e})",
+                "Hamiltonian is not symmetric or couples symmetry sectors "
+                f"(residue {residue[k]:.3e})",
                 index=k,
             )
-        return h
+        energies, lowest = [], []
+        start = self.n_defect
+        for q in self.sectors:
+            d = q.shape[1]
+            e, u = np.linalg.eigh(flat[:, start : start + d * d].reshape(-1, d, d))
+            energies.append(e)
+            lowest.append(u[:, :, 0])
+            start += d * d
+        winner = np.argmin(np.column_stack([e[:, 0] for e in energies]), axis=1)
+        v = np.empty((flat.shape[0], self.sectors[0].shape[0]))
+        for k, (q, u) in enumerate(zip(self.sectors, lowest)):
+            rows = winner == k
+            v[rows] = u[rows] @ q.T
+        k = np.argmax(np.abs(v), axis=1)
+        v = np.where(v[np.arange(v.shape[0]), k][:, None] < 0.0, -v, v)
+        _check_unit_norms(v)
+        pair = np.partition(np.concatenate(energies, axis=1), 1, axis=1)
+        gap = pair[:, 1] - pair[:, 0]
+        return pair[:, 0] + self.shift, gap, gap < DEGENERACY_GAP, v
 
 
 def _single_particle_matrix(modes: DoubletModes) -> np.ndarray:
@@ -422,8 +537,10 @@ class GroundState:
 
 
 def ground_state(h: ManyBodyHamiltonian) -> GroundState:
-    """Lowest eigenpair of one Hamiltonian; see :func:`ground_states`."""
-    energy, gap, degenerate, vectors = ground_states(h.matrix[None])
+    """Lowest eigenpair of one Hamiltonian; see :meth:`SectorBlocks.ground_states`."""
+    energy, gap, degenerate, vectors = SectorBlocks.project(h.basis, h.matrix).ground_states(
+        np.zeros((1, 0))
+    )
     return GroundState(
         energy=float(energy[0]),
         state=StateVector(coefficients=vectors[0].astype(complex), basis=h.basis),
@@ -432,21 +549,18 @@ def ground_state(h: ManyBodyHamiltonian) -> GroundState:
     )
 
 
-def ground_states(h: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Lowest eigenpairs of a stack of symmetric matrices, shape (n, dim, dim).
-
-    Returns the energies, the gaps, the degenerate flags (gap below
-    DEGENERACY_GAP, flagged rather than raised) and the ground vectors,
-    shape (n, dim).  A vector's phase is fixed by making its largest-magnitude
-    coefficient positive; on an exact magnitude tie the lowest index wins.
-    """
-    energies, vectors = np.linalg.eigh(h)
-    v = vectors[:, :, 0]
-    k = np.argmax(np.abs(v), axis=1)
-    v = np.where(v[np.arange(v.shape[0]), k][:, None] < 0.0, -v, v)
-    _check_unit_norms(v)
-    gap = energies[:, 1] - energies[:, 0]
-    return energies[:, 0], gap, gap < DEGENERACY_GAP, v
+def _involution(
+    basis: CompositeBasis, p_boson: np.ndarray, p_fermion: np.ndarray
+) -> np.ndarray | None:
+    """p_boson x p_fermion in the composite basis, or None if the basis span
+    is not closed under it."""
+    m = np.kron(
+        basis.boson_vectors.T @ p_boson @ basis.boson_vectors,
+        basis.fermion_vectors.T @ p_fermion @ basis.fermion_vectors,
+    )
+    if np.max(np.abs(m @ m.T - np.eye(basis.dim))) > 1.0e-10:
+        return None
+    return m
 
 
 def mirror_operator(basis: CompositeBasis) -> np.ndarray:
@@ -455,16 +569,22 @@ def mirror_operator(basis: CompositeBasis) -> np.ndarray:
     Raises if the basis span is not closed under the mirror (the literal
     four-state variant is not: it mixes spin sectors asymmetrically).
     """
-    swap = np.array([[0.0, 1.0], [1.0, 0.0]])
-    p_b = np.kron(swap, swap)
-    swap_orb = np.kron(swap, np.eye(2))
-    p_f = np.kron(swap_orb, swap_orb)
-    m_b = basis.boson_vectors.T @ p_b @ basis.boson_vectors
-    m_f = basis.fermion_vectors.T @ p_f @ basis.fermion_vectors
-    m = np.kron(m_b, m_f)
-    if np.max(np.abs(m @ m.T - np.eye(basis.dim))) > 1.0e-10:
+    m = _involution(basis, *_MIRROR)
+    if m is None:
         raise ConfigError(
             "basis span is not closed under the left-right mirror; "
             "parity checks are only meaningful in the antisymmetric basis"
         )
+    return m
+
+
+def spin_exchange_operator(basis: CompositeBasis) -> np.ndarray:
+    """Exchange of the two fermions' spins in the composite basis.
+
+    It is -1 on fermion spin singlets and +1 on triplets, and commutes with
+    every spin-independent Hamiltonian.
+    """
+    m = _involution(basis, *_SPIN_EXCHANGE)
+    if m is None:
+        raise ConfigError("basis span is not closed under the fermion spin exchange")
     return m

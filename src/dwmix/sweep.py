@@ -2,9 +2,11 @@
 
 A sweep evaluates the interacting ground state over a coupling grid, against
 fixed single-particle inputs (modes and overlap tensors are computed once and
-shared read-only).  Cells are solved in chunks of CHUNK_CELLS: one broadcast
-composes a chunk's Hamiltonians and one batched ``eigh`` diagonalizes them.
-Chunks run on a thread pool, since the batched eigensolver releases the GIL.
+shared read-only).  The Hamiltonian blocks are projected once onto the
+basis's symmetry sectors.  Cells are solved in chunks of CHUNK_CELLS: one
+broadcast composes a chunk's sector blocks and one batched ``eigh`` per
+sector diagonalizes them.  Chunks run on a thread pool, since the batched
+eigensolver releases the GIL.
 Chunk boundaries do not depend on the worker count and output order is
 row-major over the grid, so CSV bytes do not depend on the schedule.
 """
@@ -19,13 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DwmixError, SweepError
-from .manybody import (
-    COUPLING_NAMES,
-    CouplingParams,
-    HamiltonianBlocks,
-    ground_state,
-    ground_states,
-)
+from .manybody import COUPLING_NAMES, CouplingParams, HamiltonianBlocks, ground_state
 from .observables import entropy_arrays
 
 # plane tag -> (x axis coupling, y axis coupling, fixed couplings)
@@ -128,6 +124,7 @@ class FidelitySurface:
     y_values: np.ndarray
     fidelity: np.ndarray  # shape (len(x), len(y))
     degenerate: np.ndarray  # bool, same shape
+    gap: np.ndarray  # E1 - E0, same shape
     reference: CouplingParams
     reference_energy: float
     wall_time_s: float
@@ -139,6 +136,7 @@ class EntropyCurve:
     s_bosons: np.ndarray
     s_fermions: np.ndarray
     degenerate: np.ndarray
+    gap: np.ndarray
     wall_time_s: float
 
     @property
@@ -155,21 +153,23 @@ def _solve_chunks(
 ) -> list[np.ndarray]:
     """Ground states of every coupling row, solved in fixed-size chunks.
 
-    Each chunk is composed with one broadcast and diagonalized with one
-    batched ``eigh``; ``kernel`` maps its ground vectors to a tuple of
-    per-cell arrays.  Returns the degenerate flags followed by the kernel's
-    arrays, each over all rows in order.  A batched check that fails is
-    raised as a SweepError that ``where`` words for the first failing row.
+    Each chunk is solved per symmetry sector (see
+    ``SectorBlocks.ground_states``); ``kernel`` maps its ground vectors to a
+    tuple of per-cell arrays.  Returns the gaps and the degenerate flags
+    followed by the kernel's arrays, each over all rows in order.  A batched
+    check that fails is raised as a SweepError that ``where`` words for the
+    first failing row.
     """
     if workers < 1:
         raise ConfigError("workers must be at least 1")
+    sectors = blocks.sector_blocks()  # built before the pool: threads only read it
 
     def solve(start: int) -> tuple[np.ndarray, ...]:
         try:
-            _, _, degenerate, vectors = ground_states(
-                blocks.compose_many(couplings[start : start + CHUNK_CELLS])
+            _, gap, degenerate, vectors = sectors.ground_states(
+                couplings[start : start + CHUNK_CELLS]
             )
-            return (degenerate, *kernel(vectors))
+            return (gap, degenerate, *kernel(vectors))
         except DwmixError as exc:
             if exc.index is None:
                 raise
@@ -199,7 +199,7 @@ def fidelity_map(
         return (f"fidelity sweep failed at cell ({i}, {j}), "
                 f"x={float(xs[i])!r}, y={float(ys[j])!r}")
 
-    degen, fid = _solve_chunks(
+    gap, degen, fid = _solve_chunks(
         blocks, spec.coupling_rows(), workers, where,
         lambda vectors: (np.minimum(np.abs(vectors @ ref), 1.0),),
     )
@@ -208,6 +208,7 @@ def fidelity_map(
         y_values=ys,
         fidelity=fid.reshape(len(xs), len(ys)),
         degenerate=degen.reshape(len(xs), len(ys)),
+        gap=gap.reshape(len(xs), len(ys)),
         reference=spec.reference,
         reference_energy=ref_gs.energy,
         wall_time_s=time.perf_counter() - started,
@@ -226,7 +227,7 @@ def entropy_scan(
     def where(index: int) -> str:
         return f"entropy scan failed at point {index}, lambda_ff={float(xs[index])!r}"
 
-    degen, sb, sf = _solve_chunks(
+    gap, degen, sb, sf = _solve_chunks(
         blocks, spec.coupling_rows(), workers, where,
         lambda vectors: entropy_arrays(vectors, blocks.basis),
     )
@@ -235,5 +236,6 @@ def entropy_scan(
         s_bosons=sb,
         s_fermions=sf,
         degenerate=degen,
+        gap=gap,
         wall_time_s=time.perf_counter() - started,
     )

@@ -14,6 +14,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
+from dwmix.cli import _fidelity_spec
 from dwmix.config import parse_config
 from dwmix.dynamics import (
     default_time_grid,
@@ -51,17 +52,6 @@ def preset_config(name):
     return parse_config(text)
 
 
-def fidelity_spec(config):
-    s = config.sweep
-    return SweepSpec(
-        plane=s.plane,
-        x_axis=AxisSpec(s.x_min, s.x_max, s.x_count),
-        y_axis=AxisSpec(s.y_min, s.y_max, s.y_count),
-        fixed={"lambda_bb": config.couplings.lambda_bb},
-        reference=CouplingParams(s.reference_bb, s.reference_ff, s.reference_bf),
-    )
-
-
 ENTROPY_LINE = SweepSpec(
     plane="line_ff",
     x_axis=AxisSpec(0.0, 1.0e-2, 101),
@@ -74,7 +64,7 @@ def phase_map(tmp_path_factory):
     """64x64 fidelity surface for the shipped phase-map preset, timed."""
     config = preset_config("phase_maps")
     context = build_context(config)
-    spec = fidelity_spec(config)
+    spec = _fidelity_spec(config)  # the CLI's spec, so any plane's fixed coupling is right
     started = time.perf_counter()
     surface = fidelity_map(context.blocks, spec, workers=4)
     wall = time.perf_counter() - started

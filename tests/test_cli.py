@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from dwmix.cli import EXIT_CONFIG, EXIT_MODEL, EXIT_OK, PRESET_NAMES, main
+from dwmix.sweep import PLANE_AXES
 
 COARSE = "grid.n_points = 801\n"
 
@@ -152,6 +153,32 @@ class TestFidelityMap:
         assert 0.0 < results["min_fidelity"] <= 1.0
         assert results["degenerate_cells"] == 0
 
+    def test_min_gap_matches_oracle(self, tmp_path, coarse_context):
+        cfg = write_cfg(tmp_path, self.SWEEP)
+        out = tmp_path / "out"
+        assert main(["fidelity-map", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        results = json.loads((out / "manifest.json").read_text())["results"]
+        data = read_csv(out / "fidelity_map.csv")
+        blocks = coarse_context.blocks
+        gaps = []
+        for x, y in data[:, :2]:
+            h = blocks.h0 + 5.0e-4 * blocks.h_bb + x * blocks.h_ff + y * blocks.h_bf
+            energies = np.linalg.eigvalsh(h)
+            gaps.append(energies[1] - energies[0])
+        k = int(np.argmin(gaps))
+        assert results["min_gap"] == pytest.approx(gaps[k], abs=1.0e-12)
+        assert results["min_gap_cell"] == [k // 3, k % 3]
+
+    def test_line_plane_error_names_every_two_axis_plane(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, COARSE + "sweep.plane = line_ff\n")
+        out = tmp_path / "out"
+        assert main(["fidelity-map", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        planes = [name for name, axes in PLANE_AXES.items() if axes[1] is not None]
+        assert planes
+        for name in planes:
+            assert name in err
+
 
 class TestEntropyScan:
     def test_species_symmetry_and_results(self, tmp_path):
@@ -170,6 +197,8 @@ class TestEntropyScan:
         results = json.loads((out / "manifest.json").read_text())["results"]
         k = int(np.argmax(data[:, 1]))
         assert results["argmax_lambda_ff"] == data[k, 0]
+        assert results["min_gap"] > 0.0
+        assert 0 <= results["min_gap_point"] < 9
 
 
 def test_import_leaves_out_scipy_signal(run_python):

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from dwmix.manifest import (
     build_manifest,
     sha256_of,
     write_entropy_csv,
+    write_entropy_timeseries_csv,
     write_fidelity_csv,
     write_manifest,
     write_modes_csv,
@@ -123,6 +125,81 @@ class TestCsvLayout:
 
     def test_entropy_timeseries_header(self):
         assert ENTROPY_T_HEADER.split(",") == ["tau", "s_bosons", "s_fermions"]
+
+
+# Values whose repr is easy to get wrong: signed zero, the smallest subnormal,
+# huge and integral floats, nan and inf.
+SPECIAL = np.array([-0.0, 5e-324, 1e300, 3.0, np.nan, 0.1, -2.5e-17, np.inf])
+FLAGS = np.array([True, False, False, True, True, False, True, False])
+
+
+def _reference_csv(header, rows):
+    """The CSV text of the per-value formatting: repr(float(x)), str(int(flag))."""
+    lines = [header]
+    lines.extend(",".join(row) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
+def _fmt(x):
+    return repr(float(x))
+
+
+class TestCsvBytes:
+    """The column writers against per-value formatting, byte for byte."""
+
+    def test_modes(self, tmp_path):
+        grid = SimpleNamespace(points=lambda: SPECIAL[::-1].copy())
+        modes = SimpleNamespace(psi_s=SPECIAL, psi_a=-SPECIAL, psi_left=SPECIAL * 3.0,
+                                psi_right=np.arange(8))
+        x = grid.points()
+        expected = _reference_csv(MODES_HEADER, (
+            (_fmt(x[k]), _fmt(modes.psi_s[k]), _fmt(modes.psi_a[k]),
+             _fmt(modes.psi_left[k]), _fmt(modes.psi_right[k])) for k in range(8)))
+        path = write_modes_csv(tmp_path / "m.csv", modes, grid)
+        assert path.read_text(encoding="utf-8") == expected
+
+    def test_timeseries(self, tmp_path):
+        series = SimpleNamespace(times=SPECIAL, p_rr_bosons=SPECIAL[::-1],
+                                 p_rr_fermions=np.linspace(0.0, 1.0, 8, dtype=np.float32))
+        expected = _reference_csv(TIMESERIES_HEADER, (
+            (_fmt(series.times[k]), _fmt(series.p_rr_bosons[k]),
+             _fmt(series.p_rr_fermions[k])) for k in range(8)))
+        path = write_timeseries_csv(tmp_path / "t.csv", series)
+        assert path.read_text(encoding="utf-8") == expected
+
+    def test_fidelity(self, tmp_path):
+        surface = SimpleNamespace(x_values=SPECIAL[:4], y_values=SPECIAL[4:7],
+                                  fidelity=np.resize(SPECIAL, (4, 3)),
+                                  degenerate=np.resize(FLAGS, (4, 3)))
+        expected = _reference_csv(FIDELITY_HEADER, (
+            (_fmt(surface.x_values[i]), _fmt(surface.y_values[j]),
+             _fmt(surface.fidelity[i, j]), str(int(surface.degenerate[i, j])))
+            for i in range(4) for j in range(3)))
+        path = write_fidelity_csv(tmp_path / "f.csv", surface)
+        assert path.read_text(encoding="utf-8") == expected
+
+    def test_entropy(self, tmp_path):
+        curve = SimpleNamespace(lambda_ff=SPECIAL, s_bosons=SPECIAL[::-1],
+                                s_fermions=-SPECIAL, degenerate=FLAGS)
+        expected = _reference_csv(ENTROPY_HEADER, (
+            (_fmt(curve.lambda_ff[k]), _fmt(curve.s_bosons[k]),
+             _fmt(curve.s_fermions[k]), str(int(curve.degenerate[k]))) for k in range(8)))
+        path = write_entropy_csv(tmp_path / "e.csv", curve)
+        assert path.read_text(encoding="utf-8") == expected
+
+    def test_entropy_timeseries_from_lists(self, tmp_path):
+        values = SPECIAL.tolist()
+        expected = _reference_csv(ENTROPY_T_HEADER, (
+            (_fmt(values[k]), _fmt(values[-1 - k]), _fmt(values[k])) for k in range(8)))
+        path = write_entropy_timeseries_csv(tmp_path / "s.csv", values, values[::-1],
+                                            values)
+        assert path.read_text(encoding="utf-8") == expected
+
+    def test_column_lengths_must_agree(self, tmp_path):
+        curve = SimpleNamespace(lambda_ff=SPECIAL, s_bosons=SPECIAL[:-1],
+                                s_fermions=SPECIAL, degenerate=FLAGS)
+        with pytest.raises(ValueError):
+            write_entropy_csv(tmp_path / "e.csv", curve)
 
 
 class TestHashing:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dwmix.errors import ConfigError
+from dwmix.errors import ConfigError, InvariantError
 from dwmix.manybody import (
     ANTISYMMETRIC,
     BOSONS,
@@ -9,6 +9,7 @@ from dwmix.manybody import (
     PAPER_FOUR_STATE,
     CouplingParams,
     ManyBodyHamiltonian,
+    SectorBlocks,
     StateVector,
     assemble_hamiltonian,
     enumerate_bases,
@@ -16,7 +17,9 @@ from dwmix.manybody import (
     hamiltonian_blocks,
     mirror_operator,
     one_body_transition_matrix,
+    spin_exchange_operator,
 )
+from dwmix.model import build_context
 
 SQRT2 = np.sqrt(2.0)
 
@@ -215,6 +218,77 @@ class TestMirror:
         basis = enumerate_bases(fermion_variant=PAPER_FOUR_STATE)
         with pytest.raises(ConfigError, match="mirror"):
             mirror_operator(basis)
+
+
+def _assert_orthonormal_cover(sectors, dim):
+    r = np.hstack(sectors)
+    assert r.shape == (dim, dim)
+    assert np.allclose(r.T @ r, np.eye(dim), atol=1e-14)
+
+
+class TestSymmetrySectors:
+    def test_antisymmetric_sectors(self, coarse_context):
+        basis = coarse_context.basis
+        sectors = basis.sectors(coarse_context.blocks.h0)
+        assert [q.shape[1] for q in sectors] == [5, 4, 2, 1]
+        _assert_orthonormal_cover(sectors, basis.dim)
+        assert [q.shape[1] for q in basis.sectors(np.zeros((12, 12)))] == [5, 4, 2, 1]
+
+    def test_sectors_are_joint_eigenspaces(self, coarse_context):
+        basis = coarse_context.basis
+        for q in basis.sectors(coarse_context.blocks.h0):
+            for op in (mirror_operator(basis), spin_exchange_operator(basis)):
+                image = op @ q
+                assert (np.allclose(image, q, atol=1e-14)
+                        or np.allclose(image, -q, atol=1e-14))
+
+    def test_spin_exchange_separates_singlets_from_t0(self):
+        basis = enumerate_bases()
+        signs = np.diag(spin_exchange_operator(basis)).reshape(3, 4)
+        assert np.allclose(signs, [[-1.0, -1.0, -1.0, 1.0]] * 3, atol=1e-14)
+
+    def test_hamiltonian_is_block_diagonal(self, coarse_context):
+        h = coarse_context.blocks.compose(
+            CouplingParams(lambda_bb=1e-3, lambda_ff=5e-4, lambda_bf=9e-3)
+        ).matrix
+        sectors = coarse_context.basis.sectors(coarse_context.blocks.h0)
+        for a, qa in enumerate(sectors):
+            for b, qb in enumerate(sectors):
+                if a != b:
+                    assert np.max(np.abs(qa.T @ h @ qb)) < 1e-12
+
+    def test_four_state_sectors_come_from_spin_exchange_alone(self, config_factory):
+        context = build_context(config_factory(**{
+            "grid.n_points": 801, "model.fermion_basis": PAPER_FOUR_STATE}))
+        sectors = context.basis.sectors(context.blocks.h0)
+        assert [q.shape[1] for q in sectors] == [9, 3]
+        _assert_orthonormal_cover(sectors, 12)
+
+    def test_symmetry_h_breaks_is_left_out(self):
+        # A diagonal h commutes with the (diagonal) spin exchange but not the mirror.
+        basis = enumerate_bases()
+        sectors = basis.sectors(np.diag(np.arange(12.0)))
+        assert [q.shape[1] for q in sectors] == [9, 3]
+
+    def test_ground_state_matches_full_diagonalization(self, coarse_context):
+        h = coarse_context.blocks.compose(
+            CouplingParams(lambda_bb=1e-3, lambda_ff=5e-4, lambda_bf=9e-3))
+        energies, vectors = np.linalg.eigh(h.matrix)
+        gs = ground_state(h)
+        assert gs.energy == pytest.approx(energies[0], abs=1e-12)
+        assert gs.gap == pytest.approx(energies[1] - energies[0], abs=1e-12)
+        assert abs(np.vdot(gs.state.coefficients, vectors[:, 0])) == pytest.approx(
+            1.0, abs=1e-12)
+
+    def test_sector_leak_names_the_row(self, coarse_context):
+        blocks = coarse_context.blocks
+        mirror_breaking = np.zeros((12, 12))
+        mirror_breaking[0, 1] = mirror_breaking[1, 0] = 1.0
+        sectors = SectorBlocks.project(blocks.basis, blocks.h0, (mirror_breaking,))
+        sectors.ground_states(np.zeros((2, 1)))
+        with pytest.raises(InvariantError, match="symmetry sectors") as info:
+            sectors.ground_states(np.array([[0.0], [0.0], [1e-3]]))
+        assert info.value.index == 2
 
 
 class TestStateVector:

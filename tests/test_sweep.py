@@ -5,6 +5,7 @@ import pytest
 
 from dwmix.errors import ConfigError, SweepError
 from dwmix.manybody import CouplingParams, HamiltonianBlocks, enumerate_bases, ground_state
+from dwmix.model import build_context
 from dwmix.sweep import CHUNK_CELLS, AxisSpec, SweepSpec, entropy_scan, fidelity_map
 
 REF = CouplingParams(lambda_bb=5.0e-4, lambda_ff=5.0e-4, lambda_bf=5.0e-4)
@@ -200,11 +201,31 @@ class TestEntropyScan:
             entropy_scan(_broken_blocks(), spec)
 
 
-def _lowest_eigenpair(blocks, lambda_bb, lambda_ff, lambda_bf):
+def _spectrum(blocks, lambda_bb, lambda_ff, lambda_bf):
     h = (blocks.h0 + lambda_bb * blocks.h_bb + lambda_ff * blocks.h_ff
          + lambda_bf * blocks.h_bf)
-    energies, vectors = np.linalg.eigh(h)
+    return np.linalg.eigh(h)
+
+
+def _lowest_eigenpair(blocks, lambda_bb, lambda_ff, lambda_bf):
+    energies, vectors = _spectrum(blocks, lambda_bb, lambda_ff, lambda_bf)
     return energies[1] - energies[0] < 1.0e-12, vectors[:, 0]
+
+
+def _assert_plane_matches_oracle(blocks, spec):
+    """Fidelity, flags and gaps of every cell against a per-cell full eigh."""
+    surface = fidelity_map(blocks, spec)
+    _, ref = _lowest_eigenpair(blocks, *spec.reference.as_dict().values())
+    for i, x in enumerate(surface.x_values):
+        for j, y in enumerate(surface.y_values):
+            p = spec.couplings_at(x, y)
+            energies, vectors = _spectrum(blocks, p.lambda_bb, p.lambda_ff, p.lambda_bf)
+            gap = energies[1] - energies[0]
+            assert surface.degenerate[i, j] == (gap < 1.0e-12)
+            if gap >= 1.0e-12:  # a degenerate cell has no one ground vector
+                assert surface.fidelity[i, j] == pytest.approx(
+                    min(abs(vectors[:, 0] @ ref), 1.0), abs=1.0e-12)
+            assert surface.gap[i, j] == pytest.approx(gap, abs=1.0e-12)
 
 
 class TestAgainstPerCellOracle:
@@ -241,6 +262,64 @@ class TestAgainstPerCellOracle:
             assert curve.s_bosons[k] == pytest.approx(expected, abs=1.0e-12)
             assert curve.s_fermions[k] == pytest.approx(expected, abs=1.0e-12)
             assert curve.degenerate[k] == degenerate
+
+
+class TestSymmetrySectors:
+    """Sweeps solve per symmetry sector; these pin what that must not change."""
+
+    def test_ground_state_in_a_t0_sector(self, coarse_context):
+        # Lowering every fermion-T0 state puts the ground state in a T0 sector,
+        # not in the largest (even singlet) one.
+        blocks = coarse_context.blocks
+        basis = blocks.basis
+        t0 = [basis.index_of(b, "T0") for b in basis.boson_labels]
+        p_t0 = np.zeros((basis.dim, basis.dim))
+        p_t0[t0, t0] = 1.0
+        lowered = HamiltonianBlocks(basis=basis, h0=blocks.h0 - 1.0e-2 * p_t0,
+                                    h_bb=blocks.h_bb, h_ff=blocks.h_ff, h_bf=blocks.h_bf)
+        spec = plane_spec(AxisSpec(0.0, 2.0e-3, 9), AxisSpec(0.0, 3.0e-3, 7))
+        _assert_plane_matches_oracle(lowered, spec)
+
+        gs = ground_state(lowered.compose(CouplingParams(1.0e-3, 1.0e-3, 2.0e-3)))
+        others = np.setdiff1d(np.arange(basis.dim), t0)
+        assert np.all(gs.state.coefficients[others] == 0.0)
+        energies, vectors = _spectrum(lowered, 1.0e-3, 1.0e-3, 2.0e-3)
+        assert gs.energy == pytest.approx(energies[0], abs=1.0e-12)
+        assert gs.gap == pytest.approx(energies[1] - energies[0], abs=1.0e-12)
+        assert abs(gs.state.coefficients @ vectors[:, 0]) == pytest.approx(1.0, abs=1.0e-12)
+
+    def test_mirror_breaking_coupling_names_the_first_cell(self, coarse_context):
+        blocks = coarse_context.blocks
+        lopsided = blocks.h_bf.copy()
+        lopsided[0, 1] += 1.0
+        lopsided[1, 0] += 1.0
+        broken = HamiltonianBlocks(basis=blocks.basis, h0=blocks.h0, h_bb=blocks.h_bb,
+                                   h_ff=blocks.h_ff, h_bf=lopsided)
+        spec = plane_spec(AxisSpec(0.0, 1.0e-3, 2), AxisSpec(0.0, 1.0e-3, 3))
+        with pytest.raises(SweepError, match=r"cell \(0, 1\), x=0\.0, y=0\.0005"):
+            fidelity_map(broken, spec)
+
+    def test_four_state_plane_matches_oracle(self, config_factory):
+        context = build_context(config_factory(**{
+            "grid.n_points": 801, "model.fermion_basis": "paper_four_state"}))
+        spec = plane_spec(AxisSpec(0.0, 2.0e-3, 11), AxisSpec(0.0, 3.0e-3, 9))
+        _assert_plane_matches_oracle(context.blocks, spec)
+
+
+    def test_entropies_match_an_extended_precision_solve(self, config_factory):
+        # The phase_maps geometry and line (bb = bf = 5e-4) at lambda_ff = 0,
+        # 1e-4, 2e-4, 3e-4.  The expected values come from a 40-digit mpmath
+        # diagonalization of the same float64 blocks.  A full 12x12 eigh misses
+        # the third by 1.2e-12, because its rounding scales with the spectrum's
+        # offset (about 4.35) rather than its spread (about 0.02).
+        context = build_context(config_factory(**{
+            "potential.separation": 1.65, "potential.smoothing": 0.12}))
+        spec = SweepSpec(plane="line_ff", x_axis=AxisSpec(0.0, 3.0e-4, 4),
+                         fixed={"lambda_bb": 5.0e-4, "lambda_bf": 5.0e-4})
+        curve = entropy_scan(context.blocks, spec)
+        exact = [0.16428591012067475, 0.15595815149237976,
+                 0.14776221310748299, 0.13973059976420869]
+        np.testing.assert_allclose(curve.s_bosons, exact, rtol=0.0, atol=1.0e-13)
 
 
 def test_failing_cell_is_named_under_optimize(run_python):
