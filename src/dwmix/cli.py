@@ -41,7 +41,7 @@ from .manifest import (
     write_regimes_json,
     write_timeseries_csv,
 )
-from .manybody import BOSONS, FERMIONS, CouplingParams
+from .manybody import BOSONS, FERMION_VARIANTS, FERMIONS, CouplingParams
 from .model import ModelContext, build_context
 from .observables import species_entropies
 from .sweep import PLANE_AXES, AxisSpec, SweepSpec, entropy_scan, fidelity_map
@@ -81,7 +81,6 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
         overrides["model.fermion_basis"] = args.fermion_basis
     if overrides:
         config = config.replace_values(**overrides)
-        config.validate()
     return config
 
 
@@ -270,7 +269,6 @@ def _cmd_entropy_scan(args: argparse.Namespace) -> int:
 
 def _cmd_validate_config(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
-    config.validate()
     context = build_context(config)
     mb, mf = context.boson_modes, context.fermion_modes
     print("config OK")
@@ -389,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="output directory (overrides output.directory)")
         p.add_argument(
             "--fermion-basis",
-            choices=("antisymmetric", "paper_four_state"),
+            choices=FERMION_VARIANTS,
             help="override model.fermion_basis",
         )
         p.add_argument(

@@ -8,11 +8,11 @@ with ``#`` or ``;``, no interpolation, no nesting.  Unknown keys are errors
 from __future__ import annotations
 
 import difflib
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 from .errors import ConfigError
-from .manybody import ANTISYMMETRIC, COUPLING_MAX, PAPER_FOUR_STATE
+from .manybody import ANTISYMMETRIC, FERMION_VARIANTS, check_couplings
 from .sweep import PLANE_AXES
 
 _BOOL_WORDS = {
@@ -198,24 +198,14 @@ class RunConfig:
             raise ConfigError(
                 f"sweep.plane must be one of {SWEEP_PLANES}, got {self.sweep.plane!r}"
             )
-        if self.model.fermion_basis not in (ANTISYMMETRIC, PAPER_FOUR_STATE):
+        if self.model.fermion_basis not in FERMION_VARIANTS:
             raise ConfigError(
-                "model.fermion_basis must be "
-                f"'{ANTISYMMETRIC}' or '{PAPER_FOUR_STATE}', "
+                f"model.fermion_basis must be one of {FERMION_VARIANTS}, "
                 f"got {self.model.fermion_basis!r}"
             )
         if self.model.spin_sector not in (-1, 0, 1):
             raise ConfigError("model.spin_sector must be -1, 0, or +1")
-        for name in ("lambda_bb", "lambda_ff", "lambda_bf"):
-            value = getattr(self.couplings, name)
-            if not value >= 0.0:
-                raise ConfigError(
-                    f"couplings.{name} must be non-negative (got {value})"
-                )
-            if value > COUPLING_MAX:
-                raise ConfigError(
-                    f"couplings.{name} = {value} exceeds {COUPLING_MAX}"
-                )
+        check_couplings(asdict(self.couplings), prefix="couplings.")
         if self.model.min_gap_ratio <= 0.0:
             raise ConfigError("model.min_gap_ratio must be positive")
         if self.dynamics.periods <= 0.0:
@@ -268,13 +258,3 @@ def load_config(path: str | Path) -> RunConfig:
     except OSError as exc:
         raise ConfigError(f"cannot read config file {p}: {exc}") from exc
     return parse_config(text)
-
-
-def dump_config(config: RunConfig) -> str:
-    """Flat text that parses back to the same RunConfig."""
-    lines = []
-    for key, value in config.to_flat_dict().items():
-        if isinstance(value, bool):
-            value = "true" if value else "false"
-        lines.append(f"{key} = {value}")
-    return "\n".join(lines) + "\n"

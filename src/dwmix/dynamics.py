@@ -40,7 +40,7 @@ def initial_state_rr(basis: CompositeBasis) -> StateVector:
     idx = basis.index_of("RR", "RRs")
     c = np.zeros(basis.dim, dtype=complex)
     c[idx] = 1.0
-    return StateVector(coefficients=c, basis=basis, time_tag=0.0)
+    return StateVector(coefficients=c, basis=basis)
 
 
 def _species_mask(basis: CompositeBasis, species: str) -> np.ndarray:
@@ -79,7 +79,6 @@ class SpectralPropagator:
     """Eigendecompose once, then evolve to any time in O(dim^2)."""
 
     def __init__(self, h: ManyBodyHamiltonian):
-        self.basis = h.basis
         self.energies, self.vectors = np.linalg.eigh(h.matrix)
 
     def coefficients_at(self, psi0: StateVector, times: np.ndarray) -> np.ndarray:
@@ -87,12 +86,6 @@ class SpectralPropagator:
         a = self.vectors.T @ psi0.coefficients
         phases = np.exp(-1j * np.outer(self.energies, np.asarray(times, dtype=float)))
         return self.vectors @ (a[:, None] * phases)
-
-    def advance(self, psi0: StateVector, tau: float) -> StateVector:
-        c = self.coefficients_at(psi0, np.array([tau]))[:, 0]
-        return StateVector(
-            coefficients=c, basis=self.basis, time_tag=psi0.time_tag + tau
-        )
 
 
 def _validate_times(times: np.ndarray) -> np.ndarray:
@@ -111,10 +104,7 @@ def evolve(h: ManyBodyHamiltonian, psi0: StateVector, times) -> list[StateVector
     t = _validate_times(times)
     prop = SpectralPropagator(h)
     coeffs = prop.coefficients_at(psi0, t)
-    return [
-        StateVector(coefficients=coeffs[:, k], basis=h.basis, time_tag=float(t[k]))
-        for k in range(t.size)
-    ]
+    return [StateVector(coefficients=coeffs[:, k], basis=h.basis) for k in range(t.size)]
 
 
 @dataclass(frozen=True)

@@ -287,6 +287,23 @@ def one_body_transition_matrix(basis: CompositeBasis, species: str) -> np.ndarra
     return d
 
 
+def check_couplings(values: dict[str, float], prefix: str = "") -> None:
+    """Raise ConfigError unless every coupling is finite and in [0, COUPLING_MAX].
+
+    Messages name each coupling as ``prefix + name``.
+    """
+    for name, value in values.items():
+        if not np.isfinite(value):
+            raise ConfigError(f"{prefix}{name} must be finite")
+        if value < 0.0:
+            raise ConfigError(f"{prefix}{name} must be non-negative (got {value})")
+        if value > COUPLING_MAX:
+            raise ConfigError(
+                f"{prefix}{name} = {value} exceeds {COUPLING_MAX}, beyond any "
+                "defensible two-mode regime"
+            )
+
+
 @dataclass(frozen=True)
 class CouplingParams:
     """Contact coupling strengths, all repulsive (non-negative)."""
@@ -296,16 +313,9 @@ class CouplingParams:
     lambda_bf: float = 0.0
 
     def __post_init__(self) -> None:
-        for name, value in self.as_dict().items():
-            if not np.isfinite(value):
-                raise ConfigError(f"{name} must be finite")
-            if value < 0.0:
-                raise ConfigError(f"{name} must be non-negative (got {value})")
-            if value > COUPLING_MAX:
-                raise ConfigError(
-                    f"{name} = {value} exceeds {COUPLING_MAX}, beyond any "
-                    "defensible two-mode regime"
-                )
+        values = self.as_dict()
+        check_couplings(values)
+        for name, value in values.items():
             if value > COUPLING_WARN:
                 warnings.warn(
                     f"{name} = {value} is above {COUPLING_WARN}; two-mode "
@@ -489,24 +499,12 @@ def hamiltonian_blocks(
     return HamiltonianBlocks(basis=basis, h0=h0, h_bb=h_bb, h_ff=h_ff, h_bf=h_bf)
 
 
-def assemble_hamiltonian(
-    modes_b: DoubletModes,
-    modes_f: DoubletModes,
-    overlaps: OverlapSet,
-    params: CouplingParams,
-    basis: CompositeBasis,
-) -> ManyBodyHamiltonian:
-    """One-shot assembly; sweeps should build blocks once instead."""
-    return hamiltonian_blocks(modes_b, modes_f, overlaps, basis).compose(params)
-
-
 @dataclass(frozen=True)
 class StateVector:
     """Normalized complex state over a composite basis."""
 
     coefficients: np.ndarray
     basis: CompositeBasis
-    time_tag: float = 0.0
 
     def __post_init__(self) -> None:
         c = np.asarray(self.coefficients, dtype=complex)

@@ -40,11 +40,6 @@ class OverlapTensor:
     def __getitem__(self, idx: tuple[int, int, int, int]) -> float:
         return float(self.values[idx])
 
-    @property
-    def on_site(self) -> float:
-        """Same-site element U[1,1,1,1] (equals U[0,0,0,0] by mirror symmetry)."""
-        return float(self.values[1, 1, 1, 1])
-
 
 def _check_normalized(mode: np.ndarray, grid: Grid, name: str) -> None:
     norm = grid.inner(mode, mode)

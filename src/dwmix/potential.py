@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Protocol
+from typing import Callable
 
 import numpy as np
 
@@ -65,12 +65,6 @@ class Grid:
         discrete form is what normalization and orthogonality tests rely on.
         """
         return float(np.dot(self.trapezoid_weights(), np.asarray(f) * np.asarray(g)))
-
-
-class Potential(Protocol):
-    """Anything that evaluates an even trap profile V(x)."""
-
-    def __call__(self, x: np.ndarray) -> np.ndarray: ...
 
 
 def _require_even(v: np.ndarray, x: np.ndarray) -> None:

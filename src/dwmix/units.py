@@ -48,10 +48,6 @@ class UnitSystem:
         """Reference time tau = hbar / xi in seconds."""
         return HBAR_JS / self.energy_j
 
-    def energy_from_hz(self, nu_hz: float) -> float:
-        """Convert a frequency quoted in Hz to dimensionless energy h*nu/xi."""
-        return PLANCK_H_JS * nu_hz / self.energy_j
-
     def kinetic_prefactor(self, mass_kg: float) -> float:
         """Dimensionless kappa = hbar^2 / (2 m l^2 xi)."""
         if mass_kg <= 0.0:

@@ -7,7 +7,8 @@ import math
 import numpy as np
 import pytest
 
-from dwmix.cli import EXIT_CONFIG, EXIT_MODEL, EXIT_OK, PRESET_NAMES, main
+from dwmix.cli import EXIT_CONFIG, EXIT_MODEL, EXIT_OK, PRESET_NAMES, build_parser, main
+from dwmix.manybody import FERMION_VARIANTS
 from dwmix.sweep import PLANE_AXES
 
 COARSE = "grid.n_points = 801\n"
@@ -199,6 +200,23 @@ class TestEntropyScan:
         assert results["argmax_lambda_ff"] == data[k, 0]
         assert results["min_gap"] > 0.0
         assert 0 <= results["min_gap_point"] < 9
+
+    def test_criterion_7_line_peaks_inside(self, tmp_path):
+        # The default geometry with these two couplings is the criterion-7
+        # line; phase_maps (bb = bf = 5e-4) peaks at the lambda_ff = 0 edge.
+        cfg = write_cfg(tmp_path, "couplings.lambda_bb = 1.0e-3\n"
+                                  "couplings.lambda_bf = 9.0e-3\n")
+        out = tmp_path / "out"
+        assert main(["entropy-scan", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        results = json.loads((out / "manifest.json").read_text())["results"]
+        assert results["argmax_lambda_ff"] == 2.8e-3
+
+
+def test_fermion_basis_choices_are_the_variant_table():
+    commands = build_parser()._subparsers._group_actions[0].choices
+    for command in commands.values():
+        (option,) = [a for a in command._actions if a.dest == "fermion_basis"]
+        assert tuple(option.choices) == FERMION_VARIANTS
 
 
 def test_import_leaves_out_scipy_signal(run_python):

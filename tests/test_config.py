@@ -1,9 +1,14 @@
 """Parsing, validation, and round-tripping of run configuration text."""
 
+import json
+import warnings
+
 import pytest
 
-from dwmix.config import RunConfig, dump_config, load_config, parse_config
+from dwmix.config import RunConfig, load_config, parse_config
 from dwmix.errors import ConfigError
+from dwmix.manifest import build_manifest, write_manifest
+from dwmix.model import build_context
 
 
 class TestDefaults:
@@ -45,11 +50,19 @@ class TestDefaults:
 
 
 class TestRoundTrip:
-    def test_default_round_trips(self):
-        cfg = RunConfig.default()
-        assert parse_config(dump_config(cfg)) == cfg
+    """A manifest's config block, as flat text, parses back to the run's config."""
 
-    def test_modified_round_trips(self):
+    @staticmethod
+    def manifest_config_text(context, tmp_path):
+        path = write_manifest(tmp_path / "manifest.json", build_manifest(context, {}))
+        flat = json.loads(path.read_text())["config"]
+        return "".join(f"{key} = {value}\n" for key, value in flat.items())
+
+    def test_default_round_trips(self, default_context, tmp_path):
+        text = self.manifest_config_text(default_context, tmp_path)
+        assert parse_config(text) == default_context.config == RunConfig.default()
+
+    def test_modified_round_trips(self, tmp_path):
         cfg = RunConfig.default().replace_values(
             **{
                 "potential.separation": 1.62,
@@ -60,7 +73,8 @@ class TestRoundTrip:
                 "output.directory": "scratch",
             }
         )
-        assert parse_config(dump_config(cfg)) == cfg
+        text = self.manifest_config_text(build_context(cfg), tmp_path)
+        assert parse_config(text) == cfg
 
     def test_flat_dict_covers_every_key(self):
         flat = RunConfig.default().to_flat_dict()
@@ -130,6 +144,7 @@ class TestValidate:
             ("sweep.line_count", 0, "sweep.line_count must be at least 1"),
             ("couplings.lambda_bb", -1.0e-4, "must be non-negative"),
             ("couplings.lambda_bf", 0.2, "exceeds"),
+            ("couplings.lambda_ff", float("nan"), "couplings.lambda_ff must be finite"),
         ],
     )
     def test_rejections(self, key, value, fragment):
@@ -144,6 +159,14 @@ class TestValidate:
 
     def test_default_validates(self):
         RunConfig.default().validate()
+
+    def test_strong_coupling_validates_without_warning(self):
+        # The strong-coupling warning belongs to CouplingParams, raised once
+        # per model, not to every validation of the config.
+        cfg = RunConfig.default().replace_values(**{"couplings.lambda_ff": 0.05})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cfg.validate()
 
 
 class TestLoad:

@@ -4,7 +4,6 @@ from scipy.signal import find_peaks
 
 from dwmix.errors import ConfigError
 from dwmix.dynamics import (
-    SpectralPropagator,
     TimeSeries,
     _local_maxima,
     default_time_grid,
@@ -55,16 +54,6 @@ def test_norm_and_energy_are_conserved(free_run):
         assert abs(np.linalg.norm(s.coefficients) - 1.0) < 1e-10
         e = np.real(np.vdot(s.coefficients, h.matrix @ s.coefficients))
         assert abs(e - e0) < 1e-10
-
-
-def test_propagator_advance_matches_evolve(free_run):
-    _, h, psi0, times = free_run
-    prop = SpectralPropagator(h)
-    tau = float(times[100])
-    one = prop.advance(psi0, tau)
-    many = evolve(h, psi0, np.array([0.0, tau]))[-1]
-    assert np.allclose(one.coefficients, many.coefficients, atol=1e-14)
-    assert one.time_tag == tau
 
 
 def test_time_grid_validation():

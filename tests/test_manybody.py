@@ -11,7 +11,6 @@ from dwmix.manybody import (
     ManyBodyHamiltonian,
     SectorBlocks,
     StateVector,
-    assemble_hamiltonian,
     enumerate_bases,
     ground_state,
     hamiltonian_blocks,
@@ -158,15 +157,6 @@ class TestAssembly:
             ctx.boson_modes, ctx.fermion_modes, ctx.overlaps, basis_up
         )
         assert np.max(np.abs(blocks.h_ff)) == 0.0
-
-    def test_compose_matches_one_shot_assembly(self, coarse_context):
-        ctx = coarse_context
-        params = CouplingParams(lambda_bb=2e-4, lambda_ff=3e-4, lambda_bf=4e-4)
-        via_blocks = ctx.blocks.compose(params).matrix
-        one_shot = assemble_hamiltonian(
-            ctx.boson_modes, ctx.fermion_modes, ctx.overlaps, params, ctx.basis
-        ).matrix
-        assert np.array_equal(via_blocks, one_shot)
 
     def test_noninteracting_spectrum_is_sum_of_pairs(self, coarse_context):
         """Independent-particle oracle: at zero coupling the 12 eigenvalues

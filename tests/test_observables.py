@@ -2,15 +2,8 @@ import numpy as np
 import pytest
 
 from dwmix.errors import ConfigError
-from dwmix.manybody import BOSONS, FERMIONS, StateVector, enumerate_bases
-from dwmix.observables import (
-    DensityMatrix,
-    fidelity,
-    reduce,
-    single_particle_mode_entropy,
-    species_entropies,
-    vn_entropy,
-)
+from dwmix.manybody import StateVector, enumerate_bases
+from dwmix.observables import _entropies, entropy_arrays, species_entropies
 
 
 def random_state(basis, rng):
@@ -24,82 +17,57 @@ def basis_state(basis, boson_label, fermion_label):
     return StateVector(coefficients=c, basis=basis)
 
 
+def equal_weights(basis, pairs):
+    """State with equal Schmidt weights on the given (boson, fermion) labels."""
+    c = np.zeros(basis.dim, dtype=complex)
+    c[[basis.index_of(b, f) for b, f in pairs]] = np.sqrt(1.0 / len(pairs))
+    return c
+
+
 @pytest.fixture(scope="module")
 def basis():
     return enumerate_bases()
 
 
-class TestFidelity:
-    def test_self_fidelity(self, basis, rng):
-        psi = random_state(basis, rng)
-        assert fidelity(psi, psi) == pytest.approx(1.0, abs=1e-14)
-
-    def test_symmetric_and_phase_free(self, basis, rng):
-        psi = random_state(basis, rng)
-        phi = random_state(basis, rng)
-        assert fidelity(psi, phi) == pytest.approx(fidelity(phi, psi), abs=1e-15)
-        rotated = StateVector(
-            coefficients=np.exp(1j * 0.7) * psi.coefficients, basis=basis
-        )
-        assert fidelity(rotated, phi) == pytest.approx(fidelity(psi, phi), abs=1e-14)
-
-    def test_orthogonal_states(self, basis):
-        a = basis_state(basis, "LL", "LLs")
-        b = basis_state(basis, "RR", "RRs")
-        assert fidelity(a, b) == 0.0
-
-    def test_mismatched_bases_rejected(self, basis, rng):
-        psi = random_state(basis, rng)
-        other = enumerate_bases(sector=1)
-        c = np.zeros(other.dim, dtype=complex)
-        c[0] = 1.0
-        phi = StateVector(coefficients=c, basis=other)
-        with pytest.raises(ConfigError):
-            fidelity(psi, phi)
-
-
 class TestReduce:
+    """Batched species reductions, seen through the entropies they give."""
+
     def test_reduced_shapes(self, basis, rng):
-        psi = random_state(basis, rng)
-        assert reduce(psi, BOSONS).matrix.shape == (3, 3)
-        assert reduce(psi, FERMIONS).matrix.shape == (4, 4)
+        # One value per row for each species; three equal Schmidt weights mix
+        # the 3x3 boson reduction fully.
+        three = equal_weights(basis, [("LL", "LLs"), ("S", "Ss"), ("RR", "RRs")])
+        rows = np.array([three, random_state(basis, rng).coefficients])
+        s_bosons, s_fermions = entropy_arrays(rows, basis)
+        assert s_bosons.shape == s_fermions.shape == (2,)
+        assert s_bosons[0] == pytest.approx(np.log2(3.0), abs=1e-12)
+        assert s_fermions[0] == pytest.approx(np.log2(3.0), abs=1e-12)
 
     def test_product_state_is_pure_after_reduction(self, basis):
-        psi = basis_state(basis, "RR", "RRs")
-        rho = reduce(psi, BOSONS).matrix
-        assert np.allclose(rho @ rho, rho, atol=1e-14)
-
-    def test_unknown_subsystem_rejected(self, basis, rng):
-        with pytest.raises(ConfigError):
-            reduce(random_state(basis, rng), "spins")
+        rows = basis_state(basis, "RR", "RRs").coefficients[None]
+        s_bosons, s_fermions = entropy_arrays(rows, basis)
+        assert s_bosons.tolist() == s_fermions.tolist() == [0.0]
 
 
 class TestVnEntropy:
-    def test_pure_state_has_zero_entropy(self):
-        rho = DensityMatrix(
-            matrix=np.diag([1.0, 0.0, 0.0]).astype(complex), subsystem_tag="t"
-        )
-        assert vn_entropy(rho) == 0.0
+    def test_pure_state_has_zero_entropy(self, basis):
+        rows = np.array([basis_state(basis, b, f).coefficients
+                         for b, f in (("LL", "LLs"), ("S", "T0"), ("RR", "RRs"))])
+        for values in entropy_arrays(rows, basis):
+            assert values.tolist() == [0.0, 0.0, 0.0]
 
-    def test_maximally_mixed_qubit(self):
-        rho = DensityMatrix(matrix=np.eye(2, dtype=complex) / 2.0, subsystem_tag="t")
-        assert vn_entropy(rho) == pytest.approx(1.0, abs=1e-14)
+    def test_maximally_mixed_qubit(self, basis):
+        # Two equal Schmidt weights: one bit, the same from either species.
+        two = equal_weights(basis, [("LL", "LLs"), ("RR", "RRs")])
+        rows = np.array([two, basis_state(basis, "S", "Ss").coefficients])
+        s_bosons, s_fermions = entropy_arrays(rows, basis)
+        np.testing.assert_allclose(s_bosons, [1.0, 0.0], rtol=0.0, atol=1e-14)
+        np.testing.assert_allclose(s_fermions, [1.0, 0.0], rtol=0.0, atol=1e-14)
 
     def test_negative_eigenvalue_rejected(self):
-        bad = np.diag([1.5, -0.5]).astype(complex)
-        with pytest.raises(ConfigError, match="positivity"):
-            vn_entropy(DensityMatrix(matrix=bad, subsystem_tag="t"))
-
-
-class TestDensityMatrixValidation:
-    def test_trace_enforced(self):
-        with pytest.raises(ConfigError, match="trace"):
-            DensityMatrix(matrix=np.eye(2, dtype=complex), subsystem_tag="t")
-
-    def test_hermiticity_enforced(self):
-        m = np.array([[0.5, 0.5], [0.0, 0.5]], dtype=complex)
-        with pytest.raises(ConfigError, match="Hermitian"):
-            DensityMatrix(matrix=m, subsystem_tag="t")
+        eigenvalues = np.array([[1.0, 0.0], [0.5, 0.5], [1.5, -0.5]])
+        with pytest.raises(ConfigError, match="positivity") as info:
+            _entropies(eigenvalues)
+        assert info.value.index == 2
 
 
 class TestSpeciesEntropies:
@@ -109,9 +77,7 @@ class TestSpeciesEntropies:
         assert ent.s_fermions == 0.0
 
     def test_bell_like_state_has_one_bit(self, basis):
-        c = np.zeros(basis.dim, dtype=complex)
-        c[basis.index_of("LL", "LLs")] = np.sqrt(0.5)
-        c[basis.index_of("RR", "RRs")] = np.sqrt(0.5)
+        c = equal_weights(basis, [("LL", "LLs"), ("RR", "RRs")])
         ent = species_entropies(StateVector(coefficients=c, basis=basis))
         assert ent.s_bosons == pytest.approx(1.0, abs=1e-12)
         assert ent.s_fermions == pytest.approx(1.0, abs=1e-12)
@@ -123,17 +89,3 @@ class TestSpeciesEntropies:
             assert abs(ent.s_bosons - ent.s_fermions) < 1e-10
             assert 0.0 <= ent.s_bosons <= np.log2(3.0) + 1e-12
 
-
-class TestSingleParticleModeEntropy:
-    def test_localized_product_state(self, basis):
-        # Both bosons on the right: the one-particle mode state is pure.
-        psi = basis_state(basis, "RR", "RRs")
-        assert single_particle_mode_entropy(psi, BOSONS) == pytest.approx(
-            0.0, abs=1e-12
-        )
-
-    def test_shared_state_is_maximally_spread(self, basis):
-        psi = basis_state(basis, "S", "RRs")
-        assert single_particle_mode_entropy(psi, BOSONS) == pytest.approx(
-            1.0, abs=1e-12
-        )

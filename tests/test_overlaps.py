@@ -27,7 +27,6 @@ def test_gaussian_oracle(gaussian_pair):
     grid, left, right = gaussian_pair
     tensor = overlap_tensor(left, right, grid)
     assert tensor[1, 1, 1, 1] == pytest.approx(GAUSSIAN_SELF_OVERLAP, rel=1e-9)
-    assert tensor.on_site == tensor[1, 1, 1, 1]
     # Same-site elements of the two wells agree for a mirror-symmetric pair.
     assert tensor[0, 0, 0, 0] == pytest.approx(tensor[1, 1, 1, 1], rel=1e-12)
 
@@ -70,7 +69,7 @@ def test_distinct_element_counts(gaussian_pair):
     assert len(intra_keys) == 5
     assert len(cross_keys) == 9
     assert list(intra_keys) == sorted(intra_keys)
-    assert intra_keys["RRRR"] == intra.on_site
+    assert intra_keys["RRRR"] == intra[1, 1, 1, 1]
 
 
 def test_quadrature_error_estimate_is_small(gaussian_pair):
@@ -90,8 +89,8 @@ def test_unnormalized_modes_rejected(gaussian_pair):
 def test_localized_trap_modes_overlap_structure(coarse_context):
     # The real trap modes obey the same structure as the synthetic Gaussians.
     tensors = coarse_context.overlaps
-    assert tensors.boson.on_site > 0.0
-    assert tensors.fermion.on_site > 0.0
+    assert tensors.boson[1, 1, 1, 1] > 0.0
+    assert tensors.fermion[1, 1, 1, 1] > 0.0
     same_site = tensors.boson[1, 1, 1, 1]
     mixed = abs(tensors.boson[0, 0, 1, 1])
     assert mixed < 1e-4 * same_site

@@ -202,9 +202,13 @@ class TestEntropyScan:
 
 
 def _spectrum(blocks, lambda_bb, lambda_ff, lambda_bf):
-    h = (blocks.h0 + lambda_bb * blocks.h_bb + lambda_ff * blocks.h_ff
-         + lambda_bf * blocks.h_bf)
-    return np.linalg.eigh(h)
+    """Full eigh of H, taken on H - shift * I (shift = mean diagonal of h0) so
+    that its rounding scales with the spread of the spectrum, not its offset."""
+    shift = np.mean(np.diag(blocks.h0))
+    h = (blocks.h0 - shift * np.eye(blocks.basis.dim) + lambda_bb * blocks.h_bb
+         + lambda_ff * blocks.h_ff + lambda_bf * blocks.h_bf)
+    energies, vectors = np.linalg.eigh(h)
+    return energies + shift, vectors
 
 
 def _lowest_eigenpair(blocks, lambda_bb, lambda_ff, lambda_bf):
@@ -232,17 +236,9 @@ class TestAgainstPerCellOracle:
     """The batched kernel against a plain per-cell loop, over several chunks."""
 
     def test_fidelity_plane(self, coarse_context):
-        blocks = coarse_context.blocks
         spec = plane_spec(AxisSpec(0.0, 2.0e-3, 41), AxisSpec(0.0, 3.0e-3, 29))
         assert 41 * 29 > CHUNK_CELLS
-        surface = fidelity_map(blocks, spec)
-        _, ref = _lowest_eigenpair(blocks, REF.lambda_bb, REF.lambda_ff, REF.lambda_bf)
-        for i, x in enumerate(surface.x_values):
-            for j, y in enumerate(surface.y_values):
-                degenerate, v = _lowest_eigenpair(blocks, 5.0e-4, x, y)
-                assert surface.fidelity[i, j] == pytest.approx(
-                    min(abs(v @ ref), 1.0), abs=1.0e-12)
-                assert surface.degenerate[i, j] == degenerate
+        _assert_plane_matches_oracle(coarse_context.blocks, spec)
 
     def test_entropy_line(self, coarse_context):
         blocks = coarse_context.blocks
@@ -320,6 +316,34 @@ class TestSymmetrySectors:
         exact = [0.16428591012067475, 0.15595815149237976,
                  0.14776221310748299, 0.13973059976420869]
         np.testing.assert_allclose(curve.s_bosons, exact, rtol=0.0, atol=1.0e-13)
+
+
+class TestFidelitySusceptibility:
+    """Near the reference, 1 - F = chi_F * delta^2 / 2 to leading order, with
+    chi_F = sum_{n != 0} |<n| dH/dlambda |0>|^2 / (E_n - E_0)^2 taken from the
+    reference eigendecomposition alone (Zanardi & Paunkovic, PRE 74, 031123)."""
+
+    @pytest.fixture(scope="class")
+    def phase_maps_blocks(self, config_factory):
+        return build_context(config_factory(**{
+            "potential.separation": 1.65, "potential.smoothing": 0.12})).blocks
+
+    @pytest.mark.parametrize("axis", ["lambda_ff", "lambda_bf"])
+    def test_one_minus_fidelity_matches_susceptibility(self, phase_maps_blocks, axis):
+        blocks = phase_maps_blocks
+        energies, vectors = _spectrum(blocks, REF.lambda_bb, REF.lambda_ff, REF.lambda_bf)
+        dh = {"lambda_ff": blocks.h_ff, "lambda_bf": blocks.h_bf}[axis]
+        elements = vectors.T @ dh @ vectors[:, 0]
+        chi = float(np.sum(elements[1:] ** 2 / (energies[1:] - energies[0]) ** 2))
+        errors = []
+        for delta in (1.0e-5, 3.0e-5):
+            x = REF.lambda_ff + (delta if axis == "lambda_ff" else 0.0)
+            y = REF.lambda_bf + (delta if axis == "lambda_bf" else 0.0)
+            surface = fidelity_map(blocks, plane_spec(AxisSpec(x, x, 1), AxisSpec(y, y, 1)))
+            predicted = 0.5 * chi * delta**2
+            errors.append(abs((1.0 - surface.fidelity[0, 0]) - predicted) / predicted)
+        assert errors[0] < 0.02
+        assert errors[0] < errors[1]
 
 
 def test_failing_cell_is_named_under_optimize(run_python):
