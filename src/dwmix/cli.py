@@ -174,18 +174,14 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
     directory = _out_dir(config)
     outputs: dict[str, Path] = {}
     if config.dynamics.with_entropy:
-        states = evolve(h, psi0, times)
+        coefficients = evolve(h, psi0, times)
         series = TimeSeries(
             times=times,
-            p_rr_bosons=np.array([return_probability(s, BOSONS) for s in states]),
-            p_rr_fermions=np.array([return_probability(s, FERMIONS) for s in states]),
+            p_rr_bosons=return_probability(coefficients, h.basis, BOSONS),
+            p_rr_fermions=return_probability(coefficients, h.basis, FERMIONS),
         )
-        entropies = [species_entropies(s) for s in states]
         outputs["entropy_t"] = write_entropy_timeseries_csv(
-            directory / "entropy_t.csv",
-            times,
-            [e.s_bosons for e in entropies],
-            [e.s_fermions for e in entropies],
+            directory / "entropy_t.csv", times, *species_entropies(coefficients, h.basis)
         )
     else:
         series = return_series(h, psi0, times)

@@ -8,12 +8,14 @@ with ``#`` or ``;``, no interpolation, no nesting.  Unknown keys are errors
 from __future__ import annotations
 
 import difflib
+import math
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 from .errors import ConfigError
 from .manybody import ANTISYMMETRIC, FERMION_VARIANTS, check_couplings
 from .sweep import PLANE_AXES
+from .units import check_masses
 
 _BOOL_WORDS = {
     "true": True, "yes": True, "on": True, "1": True,
@@ -185,6 +187,9 @@ class RunConfig:
 
     def validate(self) -> None:
         """Cheap cross-field checks that do not need a solver run."""
+        for key, value in self.to_flat_dict().items():
+            if _SCHEMA[key][2] is _as_float and not math.isfinite(value):
+                raise ConfigError(f"{key} must be finite")
         if self.potential.shape not in POTENTIAL_SHAPES:
             raise ConfigError(
                 f"potential.shape must be one of {POTENTIAL_SHAPES}, "
@@ -205,6 +210,7 @@ class RunConfig:
             )
         if self.model.spin_sector not in (-1, 0, 1):
             raise ConfigError("model.spin_sector must be -1, 0, or +1")
+        check_masses(asdict(self.species), prefix="species.")
         check_couplings(asdict(self.couplings), prefix="couplings.")
         if self.model.min_gap_ratio <= 0.0:
             raise ConfigError("model.min_gap_ratio must be positive")

@@ -1,12 +1,14 @@
 """Time evolution and the return-probability observables.
 
 Evolution is spectral: one dense eigendecomposition of the assembled
-Hamiltonian, then phases e^{-i E tau} (hbar = 1 in these units).  The
-return probability P_RR is a mode projection: the total weight of composite
-basis states whose species component is the both-right state.  A brute-force
-spatial alternative (integrating the reconstructed two-particle density over
-the right-right quadrant) is provided for oracle comparisons; the difference
-between the two is mode leakage, not error.
+Hamiltonian, then phases e^{-i E tau} (hbar = 1 in these units).  An evolved
+trajectory is a (T, dim) complex array of coefficients over the composite
+basis, one row per time.  The return probability P_RR is a mode projection:
+the total weight of composite basis states whose species component is the
+both-right state.  A brute-force spatial alternative (integrating the
+reconstructed two-particle density over the right-right quadrant) is
+provided for oracle comparisons; the difference between the two is mode
+leakage, not error.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from .manybody import (
     FERMIONS,
     CompositeBasis,
     ManyBodyHamiltonian,
-    StateVector,
+    _check_unit_norms,
 )
 from .modes import DoubletModes
 
@@ -35,12 +37,11 @@ PROBABILITY_SLACK = 1.0e-10
 _RETURN_LABEL = {BOSONS: "RR", FERMIONS: "RRs"}
 
 
-def initial_state_rr(basis: CompositeBasis) -> StateVector:
-    """Both species start on the right: |RR> x |RR singlet>."""
-    idx = basis.index_of("RR", "RRs")
+def initial_state_rr(basis: CompositeBasis) -> np.ndarray:
+    """Coefficients of |RR> x |RR singlet>: both species start on the right."""
     c = np.zeros(basis.dim, dtype=complex)
-    c[idx] = 1.0
-    return StateVector(coefficients=c, basis=basis)
+    c[basis.index_of("RR", "RRs")] = 1.0
+    return c
 
 
 def _species_mask(basis: CompositeBasis, species: str) -> np.ndarray:
@@ -69,23 +70,12 @@ def _species_mask(basis: CompositeBasis, species: str) -> np.ndarray:
     return mask
 
 
-def return_probability(psi: StateVector, species: str) -> float:
-    """Weight of the both-right mode configuration for one species."""
-    mask = _species_mask(psi.basis, species)
-    return float(np.sum(np.abs(psi.coefficients[mask]) ** 2))
-
-
-class SpectralPropagator:
-    """Eigendecompose once, then evolve to any time in O(dim^2)."""
-
-    def __init__(self, h: ManyBodyHamiltonian):
-        self.energies, self.vectors = np.linalg.eigh(h.matrix)
-
-    def coefficients_at(self, psi0: StateVector, times: np.ndarray) -> np.ndarray:
-        """Columns of evolved coefficients, one per time (any real times)."""
-        a = self.vectors.T @ psi0.coefficients
-        phases = np.exp(-1j * np.outer(self.energies, np.asarray(times, dtype=float)))
-        return self.vectors @ (a[:, None] * phases)
+def return_probability(
+    coefficients: np.ndarray, basis: CompositeBasis, species: str
+) -> np.ndarray:
+    """Weight of the both-right mode configuration for one species, per row."""
+    mask = _species_mask(basis, species)
+    return np.sum(np.abs(coefficients[..., mask]) ** 2, axis=-1)
 
 
 def _validate_times(times: np.ndarray) -> np.ndarray:
@@ -99,12 +89,22 @@ def _validate_times(times: np.ndarray) -> np.ndarray:
     return t
 
 
-def evolve(h: ManyBodyHamiltonian, psi0: StateVector, times) -> list[StateVector]:
-    """Evolved states at each requested time."""
+def evolve(h: ManyBodyHamiltonian, psi0: np.ndarray, times) -> np.ndarray:
+    """Coefficients of psi0 evolved under h, shape (T, dim), one row per time.
+
+    psi0 is a unit-norm coefficient vector over ``h.basis``.  One
+    eigendecomposition serves every time.
+    """
+    c0 = np.asarray(psi0, dtype=complex)
+    if c0.shape != (h.basis.dim,):
+        raise ConfigError(
+            f"state has {c0.shape} coefficients for a basis of dimension {h.basis.dim}"
+        )
+    _check_unit_norms(c0[None])
     t = _validate_times(times)
-    prop = SpectralPropagator(h)
-    coeffs = prop.coefficients_at(psi0, t)
-    return [StateVector(coefficients=coeffs[:, k], basis=h.basis) for k in range(t.size)]
+    energies, vectors = np.linalg.eigh(h.matrix)
+    phases = np.exp(-1j * np.outer(energies, t))
+    return (vectors @ ((vectors.T @ c0)[:, None] * phases)).T
 
 
 @dataclass(frozen=True)
@@ -124,18 +124,13 @@ class TimeSeries:
                 raise ConfigError(f"{name} leaves [0, 1] beyond tolerance")
 
 
-def return_series(h: ManyBodyHamiltonian, psi0: StateVector, times) -> TimeSeries:
-    """P_RR(tau) for both species, computed in one spectral pass."""
-    t = _validate_times(times)
-    prop = SpectralPropagator(h)
-    coeffs = prop.coefficients_at(psi0, t)
-    weights = np.abs(coeffs) ** 2
-    mask_b = _species_mask(h.basis, BOSONS)
-    mask_f = _species_mask(h.basis, FERMIONS)
+def return_series(h: ManyBodyHamiltonian, psi0: np.ndarray, times) -> TimeSeries:
+    """P_RR(tau) for both species from one :func:`evolve` pass."""
+    coefficients = evolve(h, psi0, times)
     return TimeSeries(
-        times=t,
-        p_rr_bosons=weights[mask_b, :].sum(axis=0),
-        p_rr_fermions=weights[mask_f, :].sum(axis=0),
+        times=np.asarray(times, dtype=float),
+        p_rr_bosons=return_probability(coefficients, h.basis, BOSONS),
+        p_rr_fermions=return_probability(coefficients, h.basis, FERMIONS),
     )
 
 
@@ -182,16 +177,19 @@ class DensityProfiles:
 
 
 def density_profile(
-    psi: StateVector,
+    coefficients: np.ndarray,
+    basis: CompositeBasis,
     modes_b: DoubletModes,
     modes_f: DoubletModes,
     stride: int = 1,
 ) -> DensityProfiles:
     """Reconstruct |Psi(x1, x2)|^2 per species from mode functions.
 
-    The fermion density is traced over both spins; the boson density over
-    the fermion state (and vice versa).  ``stride`` subsamples the grid for
-    cheaper quadrant oracles; it must divide the grid's interval count.
+    ``coefficients`` is one state over ``basis``, such as a row of
+    :func:`evolve`.  The fermion density is traced over both spins; the
+    boson density over the fermion state (and vice versa).  ``stride``
+    subsamples the grid for cheaper quadrant oracles; it must divide the
+    grid's interval count.
     """
     if modes_b.grid != modes_f.grid:
         raise ConfigError("species modes live on different grids")
@@ -205,8 +203,7 @@ def density_profile(
     phi_b = np.column_stack([modes_b.psi_left[sl], modes_b.psi_right[sl]])
     phi_f = np.column_stack([modes_f.psi_left[sl], modes_f.psi_right[sl]])
 
-    basis = psi.basis
-    m = psi.coefficients.reshape(basis.boson_dim, basis.fermion_dim)
+    m = np.reshape(coefficients, (basis.boson_dim, basis.fermion_dim))
     n = x.size
 
     rho_b = np.zeros((n, n))

@@ -127,8 +127,6 @@ class CompositeBasis:
     Composite ordering is boson-major; ``labels`` are "<boson>|<fermion>".
     """
 
-    sector: int
-    fermion_variant: str
     boson_labels: list[str]
     fermion_labels: list[str]
     boson_vectors: np.ndarray
@@ -203,8 +201,6 @@ def enumerate_bases(sector: int = 0, fermion_variant: str = ANTISYMMETRIC) -> Co
     b_labels, b_vecs = _boson_basis()
     f_labels, f_vecs = _fermion_basis(sector, fermion_variant)
     return CompositeBasis(
-        sector=sector,
-        fermion_variant=fermion_variant,
         boson_labels=b_labels,
         fermion_labels=f_labels,
         boson_vectors=b_vecs,
@@ -338,11 +334,10 @@ class OverlapSet:
 
 @dataclass(frozen=True)
 class ManyBodyHamiltonian:
-    """Assembled real symmetric Hamiltonian with provenance."""
+    """Assembled real symmetric Hamiltonian over its composite basis."""
 
     matrix: np.ndarray
     basis: CompositeBasis
-    params: CouplingParams
 
 
 @dataclass(frozen=True)
@@ -370,7 +365,7 @@ class HamiltonianBlocks:
             raise InvariantError(
                 f"assembled Hamiltonian is not symmetric (residue {residue:.3e})"
             )
-        return ManyBodyHamiltonian(matrix=h, basis=self.basis, params=params)
+        return ManyBodyHamiltonian(matrix=h, basis=self.basis)
 
     def sector_blocks(self) -> SectorBlocks:
         """The blocks projected onto the basis's symmetry sectors, for sweeps."""
@@ -499,24 +494,6 @@ def hamiltonian_blocks(
     return HamiltonianBlocks(basis=basis, h0=h0, h_bb=h_bb, h_ff=h_ff, h_bf=h_bf)
 
 
-@dataclass(frozen=True)
-class StateVector:
-    """Normalized complex state over a composite basis."""
-
-    coefficients: np.ndarray
-    basis: CompositeBasis
-
-    def __post_init__(self) -> None:
-        c = np.asarray(self.coefficients, dtype=complex)
-        if c.shape != (self.basis.dim,):
-            raise ConfigError(
-                f"state has {c.shape} coefficients for a basis of dimension "
-                f"{self.basis.dim}"
-            )
-        _check_unit_norms(c[None])
-        object.__setattr__(self, "coefficients", c)
-
-
 def _check_unit_norms(coefficients: np.ndarray) -> None:
     """Raise ConfigError at the first row whose norm is not 1."""
     norms = np.linalg.norm(coefficients, axis=-1)
@@ -528,8 +505,10 @@ def _check_unit_norms(coefficients: np.ndarray) -> None:
 
 @dataclass(frozen=True)
 class GroundState:
+    """``vector`` holds the real ground-state coefficients over the basis."""
+
     energy: float
-    state: StateVector
+    vector: np.ndarray
     gap: float
     degenerate: bool
 
@@ -541,7 +520,7 @@ def ground_state(h: ManyBodyHamiltonian) -> GroundState:
     )
     return GroundState(
         energy=float(energy[0]),
-        state=StateVector(coefficients=vectors[0].astype(complex), basis=h.basis),
+        vector=vectors[0],
         gap=float(gap[0]),
         degenerate=bool(degenerate[0]),
     )

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .config import RunConfig
 from .errors import ConfigError
 from .manybody import (
@@ -76,7 +74,6 @@ class ModelContext:
     units: UnitSystem
     species: SpeciesConstants
     grid: Grid
-    potential_values: np.ndarray
     boson_modes: DoubletModes
     fermion_modes: DoubletModes
     overlaps: OverlapSet
@@ -100,8 +97,8 @@ class ModelContext:
 def build_context(config: RunConfig, units: UnitSystem = DEFAULT_UNITS) -> ModelContext:
     config.validate()
     species = SpeciesConstants.from_amu(
-        boson_amu=config.species.boson_mass_amu,
-        fermion_amu=config.species.fermion_mass_amu,
+        boson_mass_amu=config.species.boson_mass_amu,
+        fermion_mass_amu=config.species.fermion_mass_amu,
         units=units,
     )
     potential = build_potential(config)
@@ -134,7 +131,6 @@ def build_context(config: RunConfig, units: UnitSystem = DEFAULT_UNITS) -> Model
         units=units,
         species=species,
         grid=grid,
-        potential_values=v,
         boson_modes=boson_modes,
         fermion_modes=fermion_modes,
         overlaps=overlaps,

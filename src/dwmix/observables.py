@@ -1,13 +1,12 @@
-"""Species entanglement entropies from reduced density matrices."""
+"""Species entanglement entropies of batches of states, from their reduced
+density matrices."""
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError
-from .manybody import CompositeBasis, StateVector
+from .manybody import CompositeBasis
 
 EIGENVALUE_FLOOR = -1.0e-12
 ENTROPY_CLIP = 1.0e-14
@@ -31,29 +30,14 @@ def _entropies(eigenvalues: np.ndarray) -> np.ndarray:
     return -np.sum(lam * np.log2(lam), axis=1)
 
 
-@dataclass(frozen=True)
-class SpeciesEntropies:
-    s_bosons: float
-    s_fermions: float
-
-
-def species_entropies(psi: StateVector) -> SpeciesEntropies:
-    """Entanglement entropy of each species' reduction.
-
-    For a pure composite state the two values agree (same Schmidt spectrum);
-    both are computed anyway as a numerical cross-check.
-    """
-    s_bosons, s_fermions = entropy_arrays(psi.coefficients[None], psi.basis)
-    return SpeciesEntropies(s_bosons=float(s_bosons[0]), s_fermions=float(s_fermions[0]))
-
-
-def entropy_arrays(coefficients: np.ndarray, basis: CompositeBasis) -> tuple:
+def species_entropies(coefficients: np.ndarray, basis: CompositeBasis) -> tuple:
     """Boson and fermion entropies of each normalized state (row) over ``basis``.
 
     Each comes from the eigenvalues of that species' reduced density matrix,
-    the partial trace of |psi><psi| over the other species.
+    the partial trace of |psi><psi| over the other species.  For a pure
+    state the two agree (same Schmidt spectrum); both are computed anyway as
+    a numerical cross-check.
     """
     m = coefficients.reshape(-1, basis.boson_dim, basis.fermion_dim)
     reduced = (m @ m.conj().swapaxes(1, 2), m.swapaxes(1, 2) @ m.conj())
     return tuple(_entropies(np.linalg.eigvalsh(rho)) for rho in reduced)
-

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import ConfigError, DwmixError, SweepError
 from .manybody import COUPLING_NAMES, CouplingParams, HamiltonianBlocks, ground_state
-from .observables import entropy_arrays
+from .observables import species_entropies
 
 # plane tag -> (x axis coupling, y axis coupling, fixed couplings)
 PLANE_AXES: dict[str, tuple[str, str | None, tuple[str, ...]]] = {
@@ -190,7 +190,6 @@ def fidelity_map(
         raise ConfigError("fidelity sweeps need reference couplings")
     started = time.perf_counter()
     ref_gs = ground_state(blocks.compose(spec.reference))
-    ref = ref_gs.state.coefficients.real
     xs = spec.x_axis.values()
     ys = spec.y_axis.values() if spec.y_axis is not None else np.array([0.0])
 
@@ -201,7 +200,7 @@ def fidelity_map(
 
     gap, degen, fid = _solve_chunks(
         blocks, spec.coupling_rows(), workers, where,
-        lambda vectors: (np.minimum(np.abs(vectors @ ref), 1.0),),
+        lambda vectors: (np.minimum(np.abs(vectors @ ref_gs.vector), 1.0),),
     )
     return FidelitySurface(
         x_values=xs,
@@ -229,7 +228,7 @@ def entropy_scan(
 
     gap, degen, sb, sf = _solve_chunks(
         blocks, spec.coupling_rows(), workers, where,
-        lambda vectors: entropy_arrays(vectors, blocks.basis),
+        lambda vectors: species_entropies(vectors, blocks.basis),
     )
     return EntropyCurve(
         lambda_ff=xs,

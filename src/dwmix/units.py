@@ -15,6 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .errors import ConfigError
+
 # CODATA 2018 values, pinned so results are reproducible across environments.
 HBAR_JS = 1.054571817e-34
 PLANCK_H_JS = 6.62607015e-34  # exact by SI definition
@@ -58,39 +60,42 @@ class UnitSystem:
 DEFAULT_UNITS = UnitSystem()
 
 
+def check_masses(values: dict[str, float], prefix: str = "") -> None:
+    """Raise ConfigError unless ``boson_mass_amu`` and ``fermion_mass_amu`` are
+    positive and the fermion is at least as heavy as the boson, the isotope
+    ordering the modelling assumes.
+
+    Messages name each mass as ``prefix + name``.
+    """
+    for name, value in values.items():
+        if not value > 0.0:
+            raise ConfigError(f"{prefix}{name} must be positive (got {value})")
+    if values["fermion_mass_amu"] < values["boson_mass_amu"]:
+        raise ConfigError(
+            f"{prefix}fermion_mass_amu = {values['fermion_mass_amu']} is below "
+            f"{prefix}boson_mass_amu = {values['boson_mass_amu']}; the fermion "
+            "species must not be lighter than the boson"
+        )
+
+
 @dataclass(frozen=True)
 class SpeciesConstants:
-    """Masses and kinetic prefactors for the boson/fermion pair."""
+    """Kinetic prefactors for the boson/fermion pair."""
 
-    boson_mass_kg: float
-    fermion_mass_kg: float
     kappa_boson: float
     kappa_fermion: float
 
     @classmethod
     def from_amu(
         cls,
-        boson_amu: float = 170.0,
-        fermion_amu: float = 171.0,
+        boson_mass_amu: float = 170.0,
+        fermion_mass_amu: float = 171.0,
         units: UnitSystem = DEFAULT_UNITS,
     ) -> "SpeciesConstants":
-        """Build constants from mass numbers (defaults: Yb-170 and Yb-171).
-
-        The fermion is required to be at least as heavy as the boson; the
-        modelling throughout assumes the isotope pair ordering.
-        """
-        if boson_amu <= 0.0 or fermion_amu <= 0.0:
-            raise ValueError("mass numbers must be positive")
-        if fermion_amu < boson_amu:
-            raise ValueError("fermion species must not be lighter than the boson")
-        mb = boson_amu * ATOMIC_MASS_KG
-        mf = fermion_amu * ATOMIC_MASS_KG
+        """Build constants from mass numbers (defaults: Yb-170 and Yb-171),
+        checked by :func:`check_masses`."""
+        check_masses({"boson_mass_amu": boson_mass_amu, "fermion_mass_amu": fermion_mass_amu})
         return cls(
-            boson_mass_kg=mb,
-            fermion_mass_kg=mf,
-            kappa_boson=units.kinetic_prefactor(mb),
-            kappa_fermion=units.kinetic_prefactor(mf),
+            kappa_boson=units.kinetic_prefactor(boson_mass_amu * ATOMIC_MASS_KG),
+            kappa_fermion=units.kinetic_prefactor(fermion_mass_amu * ATOMIC_MASS_KG),
         )
-
-
-DEFAULT_SPECIES = SpeciesConstants.from_amu()

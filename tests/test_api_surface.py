@@ -1,9 +1,14 @@
-"""Every public function, class and method in src/dwmix has a caller outside tests.
+"""Every public function, class and method in src/dwmix has a caller outside
+tests, and every dataclass field a reader.
 
 A name counts as used when it appears elsewhere in src/ or perfbench/ as an
 identifier, or as a string literal that is exactly that identifier (the
-benchmark's tracer looks layer functions up by name).  Comments and
-docstrings do not count.  API that only the tests call is deleted, not kept.
+benchmark's tracer looks layer functions up by name).  A field counts as
+read when src/ or perfbench/ reads an attribute of that name, directly or
+through ``getattr`` with a literal name; the config sections, which are read
+field by field through ``dataclasses.fields``, count as read throughout.
+Comments and docstrings do not count.  API that only the tests call is
+deleted, not kept, and so is a field that is written but never read.
 """
 
 import ast
@@ -11,6 +16,8 @@ import io
 import tokenize
 from collections import Counter
 from pathlib import Path
+
+from dwmix.config import _SECTIONS
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "dwmix"
@@ -32,6 +39,35 @@ def _public_definitions(path):
             yield node.name, node.lineno
 
 
+def _dataclass_fields(path):
+    """(class, field, line) of each field of the module's dataclasses."""
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.ClassDef) and any(
+            getattr(d.func if isinstance(d, ast.Call) else d, "id", None) == "dataclass"
+            for d in node.decorator_list
+        ):
+            for item in node.body:
+                if isinstance(item, ast.AnnAssign):
+                    yield node.name, item.target.id, item.lineno
+
+
+def _attribute_reads(paths):
+    """Attribute names read anywhere in the given files."""
+    reads = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                reads.add(node.attr)
+            elif (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "getattr"
+                  and isinstance(node.args[1], ast.Constant)):
+                reads.add(node.args[1].value)
+    return reads
+
+
+def _sources():
+    return sorted(PACKAGE.rglob("*.py")), sorted((ROOT / "perfbench").rglob("*.py"))
+
+
 def _identifier_counts(paths):
     counts = Counter()
     for path in paths:
@@ -50,8 +86,8 @@ def _identifier_counts(paths):
 
 
 def test_every_public_name_has_a_caller():
-    sources = sorted(PACKAGE.rglob("*.py"))
-    counts = _identifier_counts(sources + sorted((ROOT / "perfbench").rglob("*.py")))
+    sources, bench = _sources()
+    counts = _identifier_counts(sources + bench)
     definitions = [
         (name, f"{path.relative_to(ROOT)}:{line}")
         for path in sources
@@ -62,3 +98,14 @@ def test_every_public_name_has_a_caller():
     unused = [f"{name} ({where})" for name, where in definitions
               if counts[name] <= defined[name] and name not in ALLOWED]
     assert not unused, "public names with no caller in src/ or perfbench/: " + ", ".join(unused)
+
+
+def test_every_dataclass_field_is_read():
+    sources, bench = _sources()
+    reads = _attribute_reads(sources + bench)
+    generic = {cls.__name__ for cls in _SECTIONS.values()}
+    unread = [f"{cls}.{name} ({path.relative_to(ROOT)}:{line})"
+              for path in sources
+              for cls, name, line in _dataclass_fields(path)
+              if name not in reads and cls not in generic]
+    assert not unread, "dataclass fields nothing reads: " + ", ".join(unread)

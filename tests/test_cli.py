@@ -67,6 +67,22 @@ class TestExitCodes:
         assert main(["validate-config", "--config", cfg]) == EXIT_CONFIG
         assert "non-negative" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, line, message", [
+        ("validate-config", "species.boson_mass_amu = 172.0",
+         "species.fermion_mass_amu = 171.0 is below species.boson_mass_amu = 172.0"),
+        ("validate-config", "species.boson_mass_amu = -1.0",
+         "species.boson_mass_amu must be positive"),
+        ("evolve", "model.min_gap_ratio = nan", "model.min_gap_ratio must be finite"),
+        ("validate-config", "grid.x_max = nan", "grid.x_max must be finite"),
+        ("evolve", "dynamics.periods = nan", "dynamics.periods must be finite"),
+    ])
+    def test_bad_value_names_its_key(self, tmp_path, capsys, command, line, message):
+        cfg = write_cfg(tmp_path, COARSE + "dynamics.n_samples = 64\n" + line + "\n")
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_preset_name(self, tmp_path, capsys):
         out = tmp_path / "out"
         code = main(["solve-modes", "--config", "nosuch", "--out", str(out)])
@@ -118,6 +134,19 @@ class TestEvolve:
         np.testing.assert_allclose(data[:, 1], data[:, 2], atol=1.0e-10)
         assert data[0, 1] == pytest.approx(0.0, abs=1.0e-12)
         assert data[:, 1].max() > 0.0
+
+    def test_entropy_track_leaves_p_rr_unchanged(self, tmp_path):
+        # Both evolve branches compute P_RR from the same coefficients.
+        text = COARSE + "dynamics.n_samples = 256\n" + "couplings.lambda_bf = 2.0e-3\n"
+        digests = []
+        for run, extra in (("off", ""), ("on", "dynamics.with_entropy = true\n")):
+            cfg = write_cfg(tmp_path, text + extra, name=f"{run}.cfg")
+            out = tmp_path / run
+            assert main(["evolve", "--config", cfg, "--out", str(out)]) == EXIT_OK
+            digests.append([(out / name).read_bytes() for name in ("p_rr.csv", "regimes.json")])
+        assert (tmp_path / "on" / "entropy_t.csv").exists()
+        assert not (tmp_path / "off" / "entropy_t.csv").exists()
+        assert digests[0] == digests[1]
 
 
 class TestFidelityMap:

@@ -28,8 +28,22 @@ def free_run(coarse_context):
 
 def test_initial_state(coarse_context):
     psi0 = initial_state_rr(coarse_context.basis)
-    assert return_probability(psi0, BOSONS) == 1.0
-    assert return_probability(psi0, FERMIONS) == 1.0
+    assert return_probability(psi0, coarse_context.basis, BOSONS) == 1.0
+    assert return_probability(psi0, coarse_context.basis, FERMIONS) == 1.0
+
+
+def test_return_probability_reduces_each_row(coarse_context, rng):
+    basis = coarse_context.basis
+    rows = rng.normal(size=(5, basis.dim)) + 1j * rng.normal(size=(5, basis.dim))
+    both_right = {
+        BOSONS: [basis.index_of("RR", f) for f in basis.fermion_labels],
+        FERMIONS: [basis.index_of(b, "RRs") for b in basis.boson_labels],
+    }
+    for species, index in both_right.items():
+        batch = return_probability(rows, basis, species)
+        np.testing.assert_allclose(batch, np.sum(np.abs(rows[:, index]) ** 2, axis=1),
+                                   rtol=1e-15, atol=0.0)
+        assert return_probability(rows[2], basis, species) == batch[2]
 
 
 def test_noninteracting_return_is_cos4(free_run):
@@ -49,10 +63,11 @@ def test_norm_and_energy_are_conserved(free_run):
     ctx, _, psi0, times = free_run
     h = ctx.blocks.compose(CouplingParams(lambda_bb=9e-4, lambda_ff=3.2e-4, lambda_bf=9e-4))
     states = evolve(h, psi0, times[::64])
-    e0 = np.real(np.vdot(psi0.coefficients, h.matrix @ psi0.coefficients))
+    assert states.shape == (times[::64].size, ctx.basis.dim)
+    e0 = np.real(np.vdot(psi0, h.matrix @ psi0))
     for s in states:
-        assert abs(np.linalg.norm(s.coefficients) - 1.0) < 1e-10
-        e = np.real(np.vdot(s.coefficients, h.matrix @ s.coefficients))
+        assert abs(np.linalg.norm(s) - 1.0) < 1e-10
+        e = np.real(np.vdot(s, h.matrix @ s))
         assert abs(e - e0) < 1e-10
 
 
@@ -71,6 +86,20 @@ def test_times_must_be_ascending_and_finite(free_run):
         evolve(h, psi0, np.array([0.0, np.inf]))
     with pytest.raises(ConfigError):
         evolve(h, psi0, np.array([]))
+
+
+class TestEvolveInput:
+    """evolve takes psi0 as a unit-norm coefficient vector over h.basis."""
+
+    def test_norm_enforced(self, free_run):
+        _, h, _, times = free_run
+        with pytest.raises(ConfigError, match="norm"):
+            evolve(h, np.ones(12), times)
+
+    def test_shape_enforced(self, free_run):
+        _, h, _, times = free_run
+        with pytest.raises(ConfigError):
+            evolve(h, np.ones(5) / np.sqrt(5.0), times)
 
 
 @pytest.mark.parametrize("values", [
@@ -167,23 +196,25 @@ class TestRegimeMetrics:
 class TestDensityProfile:
     def test_total_mass_is_one(self, free_run):
         ctx, _, psi0, _ = free_run
-        profiles = density_profile(psi0, ctx.boson_modes, ctx.fermion_modes, stride=2)
+        profiles = density_profile(psi0, ctx.basis, ctx.boson_modes, ctx.fermion_modes,
+                                   stride=2)
         assert profiles.integral(BOSONS) == pytest.approx(1.0, abs=1e-6)
         assert profiles.integral(FERMIONS) == pytest.approx(1.0, abs=1e-6)
 
     def test_quadrant_mass_tracks_mode_projection(self, free_run):
         ctx, h, psi0, times = free_run
         psi = evolve(h, psi0, times[:200:100])[-1]
-        profiles = density_profile(psi, ctx.boson_modes, ctx.fermion_modes, stride=2)
+        profiles = density_profile(psi, ctx.basis, ctx.boson_modes, ctx.fermion_modes,
+                                   stride=2)
         for species in (BOSONS, FERMIONS):
             spatial = profiles.quadrant_probability(species)
-            modal = return_probability(psi, species)
+            modal = return_probability(psi, ctx.basis, species)
             assert abs(spatial - modal) < 2e-2
 
     def test_stride_must_divide_grid(self, free_run):
         ctx, _, psi0, _ = free_run
         with pytest.raises(ConfigError, match="stride"):
-            density_profile(psi0, ctx.boson_modes, ctx.fermion_modes, stride=3)
+            density_profile(psi0, ctx.basis, ctx.boson_modes, ctx.fermion_modes, stride=3)
 
 
 def test_series_probability_bounds():

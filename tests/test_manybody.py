@@ -10,7 +10,6 @@ from dwmix.manybody import (
     CouplingParams,
     ManyBodyHamiltonian,
     SectorBlocks,
-    StateVector,
     enumerate_bases,
     ground_state,
     hamiltonian_blocks,
@@ -177,18 +176,15 @@ class TestGroundState:
     def test_phase_convention(self, coarse_context):
         h = coarse_context.blocks.compose(CouplingParams(lambda_bb=5e-4))
         gs = ground_state(h)
-        c = gs.state.coefficients
-        k = int(np.argmax(np.abs(c)))
-        assert c[k].real > 0.0
-        assert abs(c[k].imag) == 0.0
+        c = gs.vector
+        assert c.dtype == np.float64
+        assert c[int(np.argmax(np.abs(c)))] > 0.0
         assert not gs.degenerate
         assert gs.gap > 0.0
 
     def test_degenerate_flag(self, coarse_context):
         basis = coarse_context.basis
-        h = ManyBodyHamiltonian(
-            matrix=np.zeros((12, 12)), basis=basis, params=CouplingParams()
-        )
+        h = ManyBodyHamiltonian(matrix=np.zeros((12, 12)), basis=basis)
         assert ground_state(h).degenerate
 
 
@@ -267,7 +263,7 @@ class TestSymmetrySectors:
         gs = ground_state(h)
         assert gs.energy == pytest.approx(energies[0], abs=1e-12)
         assert gs.gap == pytest.approx(energies[1] - energies[0], abs=1e-12)
-        assert abs(np.vdot(gs.state.coefficients, vectors[:, 0])) == pytest.approx(
+        assert abs(np.vdot(gs.vector, vectors[:, 0])) == pytest.approx(
             1.0, abs=1e-12)
 
     def test_sector_leak_names_the_row(self, coarse_context):
@@ -279,18 +275,6 @@ class TestSymmetrySectors:
         with pytest.raises(InvariantError, match="symmetry sectors") as info:
             sectors.ground_states(np.array([[0.0], [0.0], [1e-3]]))
         assert info.value.index == 2
-
-
-class TestStateVector:
-    def test_norm_enforced(self):
-        basis = enumerate_bases()
-        with pytest.raises(ConfigError, match="norm"):
-            StateVector(coefficients=np.ones(12), basis=basis)
-
-    def test_shape_enforced(self):
-        basis = enumerate_bases()
-        with pytest.raises(ConfigError):
-            StateVector(coefficients=np.ones(5) / np.sqrt(5.0), basis=basis)
 
 
 def test_variant_constants():

@@ -2,19 +2,19 @@ import numpy as np
 import pytest
 
 from dwmix.errors import ConfigError
-from dwmix.manybody import StateVector, enumerate_bases
-from dwmix.observables import _entropies, entropy_arrays, species_entropies
+from dwmix.manybody import enumerate_bases
+from dwmix.observables import _entropies, species_entropies
 
 
-def random_state(basis, rng):
-    c = rng.normal(size=basis.dim) + 1j * rng.normal(size=basis.dim)
-    return StateVector(coefficients=c / np.linalg.norm(c), basis=basis)
+def random_states(basis, rng, count=1):
+    c = rng.normal(size=(count, basis.dim)) + 1j * rng.normal(size=(count, basis.dim))
+    return c / np.linalg.norm(c, axis=1, keepdims=True)
 
 
 def basis_state(basis, boson_label, fermion_label):
     c = np.zeros(basis.dim, dtype=complex)
     c[basis.index_of(boson_label, fermion_label)] = 1.0
-    return StateVector(coefficients=c, basis=basis)
+    return c
 
 
 def equal_weights(basis, pairs):
@@ -36,30 +36,30 @@ class TestReduce:
         # One value per row for each species; three equal Schmidt weights mix
         # the 3x3 boson reduction fully.
         three = equal_weights(basis, [("LL", "LLs"), ("S", "Ss"), ("RR", "RRs")])
-        rows = np.array([three, random_state(basis, rng).coefficients])
-        s_bosons, s_fermions = entropy_arrays(rows, basis)
+        rows = np.array([three, random_states(basis, rng)[0]])
+        s_bosons, s_fermions = species_entropies(rows, basis)
         assert s_bosons.shape == s_fermions.shape == (2,)
         assert s_bosons[0] == pytest.approx(np.log2(3.0), abs=1e-12)
         assert s_fermions[0] == pytest.approx(np.log2(3.0), abs=1e-12)
 
     def test_product_state_is_pure_after_reduction(self, basis):
-        rows = basis_state(basis, "RR", "RRs").coefficients[None]
-        s_bosons, s_fermions = entropy_arrays(rows, basis)
+        rows = basis_state(basis, "RR", "RRs")[None]
+        s_bosons, s_fermions = species_entropies(rows, basis)
         assert s_bosons.tolist() == s_fermions.tolist() == [0.0]
 
 
 class TestVnEntropy:
     def test_pure_state_has_zero_entropy(self, basis):
-        rows = np.array([basis_state(basis, b, f).coefficients
+        rows = np.array([basis_state(basis, b, f)
                          for b, f in (("LL", "LLs"), ("S", "T0"), ("RR", "RRs"))])
-        for values in entropy_arrays(rows, basis):
+        for values in species_entropies(rows, basis):
             assert values.tolist() == [0.0, 0.0, 0.0]
 
     def test_maximally_mixed_qubit(self, basis):
         # Two equal Schmidt weights: one bit, the same from either species.
         two = equal_weights(basis, [("LL", "LLs"), ("RR", "RRs")])
-        rows = np.array([two, basis_state(basis, "S", "Ss").coefficients])
-        s_bosons, s_fermions = entropy_arrays(rows, basis)
+        rows = np.array([two, basis_state(basis, "S", "Ss")])
+        s_bosons, s_fermions = species_entropies(rows, basis)
         np.testing.assert_allclose(s_bosons, [1.0, 0.0], rtol=0.0, atol=1e-14)
         np.testing.assert_allclose(s_fermions, [1.0, 0.0], rtol=0.0, atol=1e-14)
 
@@ -72,20 +72,25 @@ class TestVnEntropy:
 
 class TestSpeciesEntropies:
     def test_product_state_is_unentangled(self, basis):
-        ent = species_entropies(basis_state(basis, "RR", "RRs"))
-        assert ent.s_bosons == 0.0
-        assert ent.s_fermions == 0.0
+        s_bosons, s_fermions = species_entropies(basis_state(basis, "RR", "RRs"), basis)
+        assert s_bosons.tolist() == s_fermions.tolist() == [0.0]
 
     def test_bell_like_state_has_one_bit(self, basis):
         c = equal_weights(basis, [("LL", "LLs"), ("RR", "RRs")])
-        ent = species_entropies(StateVector(coefficients=c, basis=basis))
-        assert ent.s_bosons == pytest.approx(1.0, abs=1e-12)
-        assert ent.s_fermions == pytest.approx(1.0, abs=1e-12)
+        s_bosons, s_fermions = species_entropies(c, basis)
+        assert s_bosons[0] == pytest.approx(1.0, abs=1e-12)
+        assert s_fermions[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_schmidt_symmetry_for_random_states(self, basis, rng):
         # Both reductions of a pure state share a Schmidt spectrum.
-        for _ in range(25):
-            ent = species_entropies(random_state(basis, rng))
-            assert abs(ent.s_bosons - ent.s_fermions) < 1e-10
-            assert 0.0 <= ent.s_bosons <= np.log2(3.0) + 1e-12
+        s_bosons, s_fermions = species_entropies(random_states(basis, rng, 25), basis)
+        assert np.max(np.abs(s_bosons - s_fermions)) < 1e-10
+        assert np.all((0.0 <= s_bosons) & (s_bosons <= np.log2(3.0) + 1e-12))
+
+    def test_batch_matches_single_rows(self, basis, rng):
+        rows = random_states(basis, rng, 7)
+        batch = species_entropies(rows, basis)
+        for k, row in enumerate(rows):
+            single = species_entropies(row, basis)
+            assert [s[0] for s in single] == [s[k] for s in batch]
 

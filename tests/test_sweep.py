@@ -278,11 +278,11 @@ class TestSymmetrySectors:
 
         gs = ground_state(lowered.compose(CouplingParams(1.0e-3, 1.0e-3, 2.0e-3)))
         others = np.setdiff1d(np.arange(basis.dim), t0)
-        assert np.all(gs.state.coefficients[others] == 0.0)
+        assert np.all(gs.vector[others] == 0.0)
         energies, vectors = _spectrum(lowered, 1.0e-3, 1.0e-3, 2.0e-3)
         assert gs.energy == pytest.approx(energies[0], abs=1.0e-12)
         assert gs.gap == pytest.approx(energies[1] - energies[0], abs=1.0e-12)
-        assert abs(gs.state.coefficients @ vectors[:, 0]) == pytest.approx(1.0, abs=1.0e-12)
+        assert abs(gs.vector @ vectors[:, 0]) == pytest.approx(1.0, abs=1.0e-12)
 
     def test_mirror_breaking_coupling_names_the_first_cell(self, coarse_context):
         blocks = coarse_context.blocks

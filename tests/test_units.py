@@ -1,5 +1,6 @@
 import pytest
 
+from dwmix.errors import ConfigError
 from dwmix.units import (
     ATOMIC_MASS_KG,
     DEFAULT_UNITS,
@@ -63,7 +64,7 @@ def test_invalid_scales_rejected():
 
 
 def test_species_ordering_enforced():
-    with pytest.raises(ValueError):
-        SpeciesConstants.from_amu(boson_amu=171.0, fermion_amu=170.0)
-    with pytest.raises(ValueError):
-        SpeciesConstants.from_amu(boson_amu=-1.0)
+    with pytest.raises(ConfigError, match="fermion_mass_amu = 170.0 is below"):
+        SpeciesConstants.from_amu(boson_mass_amu=171.0, fermion_mass_amu=170.0)
+    with pytest.raises(ConfigError, match="boson_mass_amu must be positive"):
+        SpeciesConstants.from_amu(boson_mass_amu=-1.0)
