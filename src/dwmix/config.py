@@ -212,6 +212,9 @@ class RunConfig:
             raise ConfigError("model.spin_sector must be -1, 0, or +1")
         check_masses(asdict(self.species), prefix="species.")
         check_couplings(asdict(self.couplings), prefix="couplings.")
+        check_couplings({name: getattr(self.sweep, name)
+                         for name in ("reference_bb", "reference_ff", "reference_bf")},
+                        prefix="sweep.")
         if self.model.min_gap_ratio <= 0.0:
             raise ConfigError("model.min_gap_ratio must be positive")
         if self.dynamics.periods <= 0.0:

@@ -376,14 +376,16 @@ class HamiltonianBlocks:
 class SectorBlocks:
     """H(c) = h0 + sum_k c_k h_k, projected once onto the symmetry sectors.
 
-    ``base + c @ terms`` is one flat row per coupling point c.  It starts
-    with the n_defect entries that vanish when H is symmetric and does not
-    couple sectors: those of H - H^T, and those of R^T H R outside the
-    diagonal sector blocks, R = [Q_1 ... Q_m].  Then come the sector blocks
-    Q_k^T H Q_k, row-major.  Every entry is linear in c, so a sweep never
-    builds a cell's full H.  The blocks hold H - shift * I, shift being the
-    mean diagonal of h0, so that their rounding scales with the spread of
-    the spectrum, not its offset.
+    ``base`` and each row of ``terms`` are flat rows, so H(c) is
+    ``base + c @ terms``.  A flat row starts with the n_defect entries that
+    vanish when H is symmetric and does not couple sectors: those of
+    H - H^T, and those of R^T H R outside the diagonal sector blocks,
+    R = [Q_1 ... Q_m].  Then come the sector blocks Q_k^T H Q_k, row-major,
+    largest sector first.  Every entry is linear in c, so a sweep never
+    builds a cell's full H, and it composes only the sector-block columns
+    once one bound clears the defect columns of a whole chunk.  The blocks
+    hold H - shift * I, shift being the mean diagonal of h0, so that their
+    rounding scales with the spread of the spectrum, not its offset.
     """
 
     sectors: tuple[np.ndarray, ...]
@@ -420,43 +422,67 @@ class SectorBlocks:
 
         Returns the energies, the gaps, the degenerate flags (gap below
         DEGENERACY_GAP, flagged rather than raised) and the ground vectors in
-        the full basis, shape (n, dim).  Each sector gets one batched
-        ``eigh``.  The ground vector comes from the sector with the lowest
-        energy (the first such sector on a tie), the gap from the eigenvalues
-        of all sectors.  A vector's phase is fixed by making its
+        the full basis, shape (n, dim).  The ground vector comes from the
+        sector with the lowest energy (the first such sector on a tie), the
+        gap from the eigenvalues of all sectors.  Only the first sector gets
+        a batched ``eigh`` over every row; the others get eigenvalues alone
+        (see ``_ascending_eigenvalues``) and an ``eigh`` only on the rows
+        where they win.  A vector's phase is fixed by making its
         largest-magnitude coefficient positive; on an exact magnitude tie the
         lowest index wins.  Raises InvariantError at the first row whose
         residue, the largest defect entry, is not below HERMITICITY_TOL.
         """
-        flat = self.base + np.asarray(couplings, dtype=float) @ self.terms
-        residue = np.max(np.abs(flat[:, : self.n_defect]), axis=1)
-        bad = np.flatnonzero(~(residue < HERMITICITY_TOL))
-        if bad.size:
-            k = int(bad[0])
-            raise InvariantError(
-                "Hamiltonian is not symmetric or couples symmetry sectors "
-                f"(residue {residue[k]:.3e})",
-                index=k,
-            )
-        energies, lowest = [], []
-        start = self.n_defect
+        couplings = np.asarray(couplings, dtype=float)
+        nd = self.n_defect
+        # Each defect entry is linear in c, so this bounds every row's residue.
+        bound = np.abs(self.base[:nd]) + np.max(
+            np.abs(couplings), axis=0, initial=0.0) @ np.abs(self.terms[:, :nd])
+        if not np.max(bound, initial=0.0) < HERMITICITY_TOL:
+            residue = np.max(np.abs(self.base[:nd] + couplings @ self.terms[:, :nd]), axis=1)
+            bad = np.flatnonzero(~(residue < HERMITICITY_TOL))
+            if bad.size:
+                k = int(bad[0])
+                raise InvariantError(
+                    "Hamiltonian is not symmetric or couples symmetry sectors "
+                    f"(residue {residue[k]:.3e})",
+                    index=k,
+                )
+        flat = couplings @ self.terms[:, nd:]
+        flat += self.base[nd:]
+        stacks, start = [], 0
         for q in self.sectors:
             d = q.shape[1]
-            e, u = np.linalg.eigh(flat[:, start : start + d * d].reshape(-1, d, d))
-            energies.append(e)
-            lowest.append(u[:, :, 0])
+            stacks.append(flat[:, start : start + d * d].reshape(-1, d, d))
             start += d * d
+        first, u = np.linalg.eigh(stacks[0])
+        energies = [first, *map(_ascending_eigenvalues, stacks[1:])]
         winner = np.argmin(np.column_stack([e[:, 0] for e in energies]), axis=1)
-        v = np.empty((flat.shape[0], self.sectors[0].shape[0]))
-        for k, (q, u) in enumerate(zip(self.sectors, lowest)):
-            rows = winner == k
-            v[rows] = u[rows] @ q.T
+        v = u[:, :, 0] @ self.sectors[0].T
+        for k in range(1, len(stacks)):
+            rows = np.flatnonzero(winner == k)
+            if rows.size:
+                v[rows] = np.linalg.eigh(stacks[k][rows])[1][:, :, 0] @ self.sectors[k].T
         k = np.argmax(np.abs(v), axis=1)
         v = np.where(v[np.arange(v.shape[0]), k][:, None] < 0.0, -v, v)
         _check_unit_norms(v)
         pair = np.partition(np.concatenate(energies, axis=1), 1, axis=1)
         gap = pair[:, 1] - pair[:, 0]
         return pair[:, 0] + self.shift, gap, gap < DEGENERACY_GAP, v
+
+
+def _ascending_eigenvalues(stack: np.ndarray) -> np.ndarray:
+    """Eigenvalues in ascending order of each symmetric matrix in a (n, d, d)
+    stack, read from the lower triangle as ``eigvalsh`` reads it.  A 2x2 is
+    mean -+ hypot(half-difference, off-diagonal); a 1x1 is its entry."""
+    d = stack.shape[-1]
+    if d == 1:
+        return stack[:, :, 0]
+    if d == 2:
+        a, b, c = stack[:, 0, 0], stack[:, 1, 0], stack[:, 1, 1]
+        mean = 0.5 * (a + c)
+        radius = np.hypot(0.5 * (a - c), b)
+        return np.column_stack([mean - radius, mean + radius])
+    return np.linalg.eigvalsh(stack)
 
 
 def _single_particle_matrix(modes: DoubletModes) -> np.ndarray:
@@ -509,21 +535,14 @@ class GroundState:
 
     energy: float
     vector: np.ndarray
-    gap: float
-    degenerate: bool
 
 
 def ground_state(h: ManyBodyHamiltonian) -> GroundState:
     """Lowest eigenpair of one Hamiltonian; see :meth:`SectorBlocks.ground_states`."""
-    energy, gap, degenerate, vectors = SectorBlocks.project(h.basis, h.matrix).ground_states(
+    energy, _, _, vectors = SectorBlocks.project(h.basis, h.matrix).ground_states(
         np.zeros((1, 0))
     )
-    return GroundState(
-        energy=float(energy[0]),
-        vector=vectors[0],
-        gap=float(gap[0]),
-        degenerate=bool(degenerate[0]),
-    )
+    return GroundState(energy=float(energy[0]), vector=vectors[0])
 
 
 def _involution(

@@ -53,17 +53,36 @@ def build_potential(config: RunConfig):
 
 
 def resolve_x_max(config: RunConfig, potential) -> float:
-    """Explicit box size, or one derived from the potential's own extent."""
-    if config.grid.x_max > 0.0:
-        return config.grid.x_max
+    """Explicit box size, or one derived from the potential's own extent.
+
+    An explicit box must reach past the outer edge of a square well or the
+    minimum of a quartic one; a smaller box would set the tunneling by its
+    walls instead of the barrier.
+    """
+    x_max = config.grid.x_max
     if isinstance(potential, DoubleSquareWell):
         outer_edge = (potential.separation + potential.well_width) / 2.0
-        return outer_edge + X_MARGIN
+        return _box(x_max, outer_edge, outer_edge + X_MARGIN, "outer well edge")
     if isinstance(potential, QuarticDoubleWell):
-        return potential.minimum_pos * 2.0 + X_MARGIN
+        minimum = potential.minimum_pos
+        return _box(x_max, minimum, minimum * 2.0 + X_MARGIN, "quartic minimum")
+    if x_max > 0.0:
+        return x_max
     if isinstance(potential, TabulatedPotential):
         return float(min(abs(potential.x_table[0]), potential.x_table[-1]))
     raise ConfigError("grid.x_max must be set for this potential")
+
+
+def _box(x_max: float, extent: float, derived: float, what: str) -> float:
+    """``derived`` when x_max is 0 (unset), else x_max if it exceeds ``extent``."""
+    if x_max == 0.0:
+        return derived
+    if x_max <= extent:
+        raise ConfigError(
+            f"grid.x_max = {x_max} does not contain the wells: it must exceed "
+            f"the {what} at {extent}"
+        )
+    return x_max
 
 
 @dataclass(frozen=True)

@@ -4,9 +4,10 @@ A sweep evaluates the interacting ground state over a coupling grid, against
 fixed single-particle inputs (modes and overlap tensors are computed once and
 shared read-only).  The Hamiltonian blocks are projected once onto the
 basis's symmetry sectors.  Cells are solved in chunks of CHUNK_CELLS: one
-broadcast composes a chunk's sector blocks and one batched ``eigh`` per
-sector diagonalizes them.  Chunks run on a thread pool, since the batched
-eigensolver releases the GIL.
+broadcast composes a chunk's sector blocks, one batched ``eigh`` solves the
+largest sector, and the other sectors get eigenvalues only, plus an ``eigh``
+on the cells where one of them holds the ground state.  Chunks run on a
+thread pool, since the batched eigensolver releases the GIL.
 Chunk boundaries do not depend on the worker count and output order is
 row-major over the grid, so CSV bytes do not depend on the schedule.
 """
@@ -32,8 +33,9 @@ PLANE_AXES: dict[str, tuple[str, str | None, tuple[str, ...]]] = {
     "line_ff": ("lambda_ff", None, ("lambda_bb", "lambda_bf")),
 }
 
-# Cells per batched solve.  A 1024-cell chunk adds about 5.5 MB of RSS and
-# a 4096-cell one about 24 MB, at the same speed.
+# Cells per batched solve.  On a 256x256 map (2-core Xeon, numpy 2.4) a
+# 1024-cell chunk adds about 5 MB of peak RSS with one worker and 6 MB with
+# two; a 4096-cell one adds about 8 and 12 MB, with no clear gain in speed.
 CHUNK_CELLS = 1024
 
 

@@ -75,6 +75,9 @@ class TestExitCodes:
         ("evolve", "model.min_gap_ratio = nan", "model.min_gap_ratio must be finite"),
         ("validate-config", "grid.x_max = nan", "grid.x_max must be finite"),
         ("evolve", "dynamics.periods = nan", "dynamics.periods must be finite"),
+        ("validate-config", "sweep.reference_bb = -1.0",
+         "sweep.reference_bb must be non-negative"),
+        ("validate-config", "grid.x_max = 0.5", "grid.x_max = 0.5 does not contain the wells"),
     ])
     def test_bad_value_names_its_key(self, tmp_path, capsys, command, line, message):
         cfg = write_cfg(tmp_path, COARSE + "dynamics.n_samples = 64\n" + line + "\n")
@@ -82,6 +85,17 @@ class TestExitCodes:
         assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("lines, message", [
+        ("grid.x_max = 1.375\n", "must exceed the outer well edge at 1.375"),
+        ("potential.shape = quartic\ngrid.x_max = 1.0\n",
+         "must exceed the quartic minimum at 1.0"),
+    ])
+    def test_box_must_contain_the_wells(self, tmp_path, capsys, lines, message):
+        cfg = write_cfg(tmp_path, COARSE + lines)
+        assert main(["validate-config", "--config", cfg]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "grid.x_max" in err and message in err
 
     def test_unknown_preset_name(self, tmp_path, capsys):
         out = tmp_path / "out"

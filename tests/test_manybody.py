@@ -10,6 +10,7 @@ from dwmix.manybody import (
     CouplingParams,
     ManyBodyHamiltonian,
     SectorBlocks,
+    _ascending_eigenvalues,
     enumerate_bases,
     ground_state,
     hamiltonian_blocks,
@@ -172,20 +173,27 @@ class TestAssembly:
         assert np.allclose(actual, expected, atol=1e-10)
 
 
+def _gap_and_flag(h):
+    """Gap and degenerate flag of one Hamiltonian from the sector kernel."""
+    _, gap, degenerate, _ = SectorBlocks.project(h.basis, h.matrix).ground_states(
+        np.zeros((1, 0)))
+    return gap[0], degenerate[0]
+
+
 class TestGroundState:
     def test_phase_convention(self, coarse_context):
         h = coarse_context.blocks.compose(CouplingParams(lambda_bb=5e-4))
-        gs = ground_state(h)
-        c = gs.vector
+        c = ground_state(h).vector
         assert c.dtype == np.float64
         assert c[int(np.argmax(np.abs(c)))] > 0.0
-        assert not gs.degenerate
-        assert gs.gap > 0.0
+        gap, degenerate = _gap_and_flag(h)
+        assert not degenerate
+        assert gap > 0.0
 
     def test_degenerate_flag(self, coarse_context):
         basis = coarse_context.basis
         h = ManyBodyHamiltonian(matrix=np.zeros((12, 12)), basis=basis)
-        assert ground_state(h).degenerate
+        assert _gap_and_flag(h)[1]
 
 
 class TestMirror:
@@ -262,7 +270,7 @@ class TestSymmetrySectors:
         energies, vectors = np.linalg.eigh(h.matrix)
         gs = ground_state(h)
         assert gs.energy == pytest.approx(energies[0], abs=1e-12)
-        assert gs.gap == pytest.approx(energies[1] - energies[0], abs=1e-12)
+        assert _gap_and_flag(h)[0] == pytest.approx(energies[1] - energies[0], abs=1e-12)
         assert abs(np.vdot(gs.vector, vectors[:, 0])) == pytest.approx(
             1.0, abs=1e-12)
 
@@ -275,6 +283,55 @@ class TestSymmetrySectors:
         with pytest.raises(InvariantError, match="symmetry sectors") as info:
             sectors.ground_states(np.array([[0.0], [0.0], [1e-3]]))
         assert info.value.index == 2
+
+
+class TestSectorKernel:
+    def test_closed_forms_match_eigvalsh(self, rng):
+        for d in (1, 2):
+            a = rng.standard_normal((256, d, d))
+            stack = a + a.transpose(0, 2, 1)
+            if d == 2:
+                stack[0] = [[0.7, 0.0], [0.0, 0.7]]
+            values = _ascending_eigenvalues(stack)
+            assert values.shape == (256, d)
+            assert np.all(np.diff(values, axis=1) >= 0.0)
+            assert np.allclose(values, np.linalg.eigvalsh(stack), rtol=0.0, atol=1e-14)
+            if d == 2:
+                assert values[0].tolist() == [0.7, 0.7]
+
+    def test_mixed_winners_match_per_cell_oracle(self, coarse_context):
+        # Lowering every fermion-T0 state by c moves the ground state from the
+        # largest (even singlet) sector into a T0 sector as c grows.
+        blocks = coarse_context.blocks
+        basis = blocks.basis
+        t0 = [basis.index_of(b, "T0") for b in basis.boson_labels]
+        p_t0 = np.zeros((basis.dim, basis.dim))
+        p_t0[t0, t0] = -1.0
+        couplings = np.column_stack([np.full(16, 1.0e-3), np.linspace(0.0, 3.0e-2, 16)])
+        sectors = SectorBlocks.project(basis, blocks.h0, (blocks.h_bf, p_t0))
+        energy, gap, degenerate, vectors = sectors.ground_states(couplings)
+        in_t0 = np.abs(vectors[:, t0]).sum(axis=1) > 0.5
+        assert in_t0.any() and not in_t0.all()
+        for row, (bf, lowering) in enumerate(couplings):
+            h = blocks.h0 - sectors.shift * np.eye(basis.dim) + bf * blocks.h_bf + lowering * p_t0
+            values, oracle = np.linalg.eigh(h)
+            assert energy[row] == pytest.approx(values[0] + sectors.shift, abs=1e-12)
+            assert gap[row] == pytest.approx(values[1] - values[0], abs=1e-12)
+            assert not degenerate[row]
+            assert abs(vectors[row] @ oracle[:, 0]) == pytest.approx(1.0, abs=1e-12)
+
+    def test_loose_defect_bound_alone_does_not_raise(self, coarse_context):
+        # Opposite mirror-breaking terms: the bound on the defect is 2 at
+        # c = (1, 1), yet every defect entry cancels exactly.
+        blocks = coarse_context.blocks
+        mirror_breaking = np.zeros((12, 12))
+        mirror_breaking[0, 1] = mirror_breaking[1, 0] = 1.0
+        sectors = SectorBlocks.project(
+            blocks.basis, blocks.h0, (mirror_breaking, -mirror_breaking))
+        cancelled = sectors.ground_states(np.ones((3, 2)))
+        plain = SectorBlocks.project(blocks.basis, blocks.h0).ground_states(np.zeros((3, 0)))
+        for got, expected in zip(cancelled, plain):
+            assert np.array_equal(got, expected)
 
 
 def test_variant_constants():

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from dwmix.errors import ConfigError, SweepError
-from dwmix.manybody import CouplingParams, HamiltonianBlocks, enumerate_bases, ground_state
+from dwmix.manybody import (
+    CouplingParams,
+    HamiltonianBlocks,
+    SectorBlocks,
+    enumerate_bases,
+    ground_state,
+)
 from dwmix.model import build_context
 from dwmix.sweep import CHUNK_CELLS, AxisSpec, SweepSpec, entropy_scan, fidelity_map
 
@@ -276,12 +282,14 @@ class TestSymmetrySectors:
         spec = plane_spec(AxisSpec(0.0, 2.0e-3, 9), AxisSpec(0.0, 3.0e-3, 7))
         _assert_plane_matches_oracle(lowered, spec)
 
-        gs = ground_state(lowered.compose(CouplingParams(1.0e-3, 1.0e-3, 2.0e-3)))
+        h = lowered.compose(CouplingParams(1.0e-3, 1.0e-3, 2.0e-3))
+        gs = ground_state(h)
+        _, gap, _, _ = SectorBlocks.project(basis, h.matrix).ground_states(np.zeros((1, 0)))
         others = np.setdiff1d(np.arange(basis.dim), t0)
         assert np.all(gs.vector[others] == 0.0)
         energies, vectors = _spectrum(lowered, 1.0e-3, 1.0e-3, 2.0e-3)
         assert gs.energy == pytest.approx(energies[0], abs=1.0e-12)
-        assert gs.gap == pytest.approx(energies[1] - energies[0], abs=1.0e-12)
+        assert gap[0] == pytest.approx(energies[1] - energies[0], abs=1.0e-12)
         assert abs(gs.vector @ vectors[:, 0]) == pytest.approx(1.0, abs=1.0e-12)
 
     def test_mirror_breaking_coupling_names_the_first_cell(self, coarse_context):
