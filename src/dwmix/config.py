@@ -199,6 +199,12 @@ class RunConfig:
             raise ConfigError("potential.table_path is required for a tabulated potential")
         if self.grid.x_max < 0.0:
             raise ConfigError("grid.x_max must be positive (or 0 to derive it)")
+        if self.grid.n_points < 7 or self.grid.n_points % 2 == 0:
+            raise ConfigError(
+                f"grid.n_points must be odd and at least 7, got {self.grid.n_points}: "
+                "x = 0 must be a node, and the four lowest states need at least "
+                "four interior nodes"
+            )
         if self.sweep.plane not in SWEEP_PLANES:
             raise ConfigError(
                 f"sweep.plane must be one of {SWEEP_PLANES}, got {self.sweep.plane!r}"

@@ -1,11 +1,21 @@
 """Single-particle doublet solver and localized-mode construction.
 
 The stationary problem ``-kappa u'' + V u = E u`` on a hard-wall box is
-discretized with second-order central differences on the interior nodes and
-solved with a banded symmetric eigensolver.  Only the lowest few states are
-requested; the two lowest must form an even/odd tunneling doublet well
-separated from the rest of the spectrum, otherwise the two-mode truncation
-used everywhere downstream is invalid and we refuse to continue.
+discretized with second-order central differences on the interior nodes.
+The four lowest energies come from LAPACK bisection (``stebz``) on the full
+grid.  The sampled potential is even, so the matrix splits into an even and
+an odd sector on the half grid x >= 0: the even one couples the centre node
+with sqrt(2) * e and stores u(0) / sqrt(2); the odd one has u(0) = 0.  Each
+doublet state is the ground state of its own sector, found by inverse
+iteration (``gtsv``) at the bisected energy and mirrored onto the full grid,
+so its parity holds by construction.
+
+Two precision guards raise :class:`SolverError`: the splitting must exceed
+the bisection error bound 2 eps max_i(|d_i| + 2|e|) by 1 / SPLITTING_RTOL,
+and each sector state's Rayleigh quotient must lie within half the
+splitting of its energy.  The doublet must also be well separated from the
+rest of the spectrum, otherwise the two-mode truncation used everywhere
+downstream is invalid and we refuse to continue.
 """
 
 from __future__ import annotations
@@ -13,16 +23,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg.lapack import dgtsv, dstebz
 
 from .errors import SolverError
 from .potential import Grid
 
-PARITY_TOL = 1.0e-6
+# The doublet splitting must exceed the bisection error bound by this factor.
+SPLITTING_RTOL = 1.0e-5
 RIGHT_MASS_MIN = 0.9
 DEFAULT_MIN_GAP_RATIO = 10.0
 _N_LOW_STATES = 4
+_INVERSE_STEPS = 2
 
+_EPS = float(np.finfo(float).eps)
+_SQRT2 = np.sqrt(2.0)
 _SQRT_HALF = np.sqrt(0.5)
 
 
@@ -73,11 +87,7 @@ class DoubletModes:
 
     def right_mass(self) -> float:
         """Probability weight of psi_right on x > 0 (half the node at 0)."""
-        w = self.grid.trapezoid_weights()
-        x = self.grid.points()
-        half = np.where(x > 0.0, 1.0, 0.0)
-        half[x == 0.0] = 0.5
-        return float(np.dot(w * half, self.psi_right**2))
+        return float(np.dot(_right_weights(self.grid), self.psi_right**2))
 
 
 def build_sp_hamiltonian(
@@ -96,58 +106,87 @@ def _normalize(u: np.ndarray, grid: Grid) -> np.ndarray:
     return u / np.sqrt(grid.inner(u, u))
 
 
-def _classify_parity(u: np.ndarray) -> str:
-    even_res = float(np.max(np.abs(u - u[::-1])))
-    odd_res = float(np.max(np.abs(u + u[::-1])))
-    scale = float(np.max(np.abs(u)))
-    if even_res <= PARITY_TOL * scale:
-        return "even"
-    if odd_res <= PARITY_TOL * scale:
-        return "odd"
-    raise SolverError(
-        "eigenstate has no definite parity "
-        f"(even residual {even_res:.2e}, odd residual {odd_res:.2e}); "
-        "the doublet is too degenerate for this grid"
-    )
+def _right_weights(grid: Grid) -> np.ndarray:
+    """Trapezoid weights on x > 0, with half the weight of the node at x = 0."""
+    w = grid.trapezoid_weights()
+    mid = grid.n_points // 2
+    w[:mid] = 0.0
+    w[mid] *= 0.5
+    return w
 
 
-def _project_parity(u: np.ndarray, parity: str) -> np.ndarray:
-    if parity == "even":
-        return 0.5 * (u + u[::-1])
-    return 0.5 * (u - u[::-1])
+def _sector_ground_state(
+    diag: np.ndarray, off: np.ndarray, energy: float
+) -> tuple[np.ndarray, float]:
+    """Inverse iteration at ``energy``; return (vector, Rayleigh quotient).
+
+    The sector's ground state is nodeless on the half grid, so the all-ones
+    start overlaps it well and a few steps reach it to rounding.
+    """
+    shifted = diag - energy
+    u = np.ones(diag.size)
+    for _ in range(_INVERSE_STEPS):
+        _, _, _, u, info = dgtsv(off, shifted, off, u)
+        if info != 0:
+            raise SolverError(f"inverse iteration at E = {energy!r} failed (gtsv info {info})")
+        u /= np.linalg.norm(u)
+    rayleigh = float(u @ (diag * u) + 2.0 * (off @ (u[:-1] * u[1:])))
+    return u, rayleigh
 
 
 def lowest_doublet(
     kappa: float, v: np.ndarray, grid: Grid
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Solve for the four lowest states; return (energies, psi_s, psi_a).
+    """Solve for the four lowest energies; return (energies, psi_s, psi_a).
 
-    The two lowest states are required to be even then odd.  Each is
-    parity-projected (so symmetry holds to the last bit) and normalized with
-    the grid's trapezoid rule, and signs are fixed deterministically:
-    psi_s(0) > 0, central-difference psi_a'(0) > 0.
+    The energies come from bisection on the full grid.  psi_s and psi_a come
+    from the even and odd sectors of the half grid, so each has its parity by
+    construction; they are normalized with the grid's trapezoid rule, and
+    signs are fixed deterministically: psi_s(0) > 0, central-difference
+    psi_a'(0) > 0.  Raises :class:`SolverError` when either precision guard
+    of the module docstring fails.
     """
     diag, off = build_sp_hamiltonian(kappa, v, grid)
-    try:
-        energies, vecs = eigh_tridiagonal(
-            diag, off, select="i", select_range=(0, _N_LOW_STATES - 1)
-        )
-    except (np.linalg.LinAlgError, ValueError) as exc:
-        raise SolverError(f"tridiagonal eigensolver failed: {exc}") from exc
-
-    full = np.zeros((grid.n_points, _N_LOW_STATES))
-    full[1:-1, :] = vecs
-
-    parities = [_classify_parity(full[:, i]) for i in range(2)]
-    if parities != ["even", "odd"]:
+    # Range 2 selects by index (1.._N_LOW_STATES); abstol 0 is LAPACK's default,
+    # the call eigh_tridiagonal makes.
+    m, energies, _, _, info = dstebz(diag, off, 2, 0.0, 0.0, 1, _N_LOW_STATES, 0.0, "E")
+    if info != 0 or m != _N_LOW_STATES:
+        raise SolverError(f"tridiagonal bisection failed (stebz info {info})")
+    energies = energies[:_N_LOW_STATES].copy()
+    splitting = float(energies[1] - energies[0])
+    bound = 2.0 * _EPS * float(np.max(np.abs(diag)) + 2.0 * abs(off[0]))
+    if not bound <= SPLITTING_RTOL * splitting:
         raise SolverError(
-            f"lowest two states have parities {parities}, expected even then odd"
+            f"doublet splitting {splitting:.3e} is below {1 / SPLITTING_RTOL:.0e} "
+            f"times the bisection error bound {bound:.3e}; the tunneling "
+            "amplitude is too small to resolve in float64 on this grid"
         )
 
-    psi_s = _normalize(_project_parity(full[:, 0], "even"), grid)
-    psi_a = _normalize(_project_parity(full[:, 1], "odd"), grid)
-
+    # Grid index of x = 0; interior arrays start one node later, at mid - 1.
     mid = grid.n_points // 2
+    even_off = off[mid - 1:].copy()
+    even_off[0] *= _SQRT2
+    even, rq_even = _sector_ground_state(diag[mid - 1:], even_off, energies[0])
+    odd, rq_odd = _sector_ground_state(diag[mid:], off[mid:], energies[1])
+    for name, rq, energy in (("even", rq_even, energies[0]), ("odd", rq_odd, energies[1])):
+        if not abs(rq - energy) <= 0.5 * splitting:
+            raise SolverError(
+                f"{name} sector state has Rayleigh quotient {rq!r}, off its energy "
+                f"{energy!r} by {abs(rq - energy):.3e}, more than half the doublet "
+                f"splitting {splitting:.3e}"
+            )
+
+    # The symmetrized even sector stores u(0) / sqrt(2).
+    even[0] *= _SQRT2
+    psi_s = np.zeros(grid.n_points)
+    psi_s[mid:-1] = even
+    psi_s[1:mid] = even[:0:-1]
+    psi_a = np.zeros(grid.n_points)
+    psi_a[mid + 1:-1] = odd
+    psi_a[1:mid] = -odd[::-1]
+    psi_s = _normalize(psi_s, grid)
+    psi_a = _normalize(psi_a, grid)
+
     if psi_s[mid] < 0.0:
         psi_s = -psi_s
     # Central difference for the odd state's slope at x = 0.
@@ -168,11 +207,7 @@ def localize(
     psi_right = _SQRT_HALF * (psi_s + psi_a)
     psi_left = psi_right[::-1].copy()
 
-    w = grid.trapezoid_weights()
-    x = grid.points()
-    half = np.where(x > 0.0, 1.0, 0.0)
-    half[x == 0.0] = 0.5
-    mass = float(np.dot(w * half, psi_right**2))
+    mass = float(np.dot(_right_weights(grid), psi_right**2))
     if mass <= RIGHT_MASS_MIN:
         raise SolverError(
             f"localized mode holds only {mass:.3f} of its weight on x > 0; "
@@ -189,17 +224,12 @@ def solve_doublet(
 ) -> DoubletModes:
     """Full pipeline: eigensolve, validate the doublet, localize.
 
-    Raises :class:`SolverError` if the splitting is not numerically positive,
-    if the doublet is not isolated (gap ratio below ``min_gap_ratio``), or if
+    Raises :class:`SolverError` if :func:`lowest_doublet` cannot resolve the
+    doublet, if it is not isolated (gap ratio below ``min_gap_ratio``), or if
     localization fails.
     """
     energies, psi_s, psi_a = lowest_doublet(kappa, v, grid)
     splitting = float(energies[1] - energies[0])
-    if splitting <= 0.0:
-        raise SolverError(
-            "doublet splitting is not positive; the tunneling amplitude has "
-            "underflowed for this geometry"
-        )
     gap_ratio = float((energies[2] - energies[1]) / splitting)
     if gap_ratio < min_gap_ratio:
         raise SolverError(

@@ -78,9 +78,13 @@ class TestExitCodes:
         ("validate-config", "sweep.reference_bb = -1.0",
          "sweep.reference_bb must be non-negative"),
         ("validate-config", "grid.x_max = 0.5", "grid.x_max = 0.5 does not contain the wells"),
+        ("validate-config", "grid.n_points = 5", "grid.n_points must be odd and at least 7"),
+        ("solve-modes", "grid.n_points = 800", "grid.n_points must be odd and at least 7"),
     ])
     def test_bad_value_names_its_key(self, tmp_path, capsys, command, line, message):
-        cfg = write_cfg(tmp_path, COARSE + "dynamics.n_samples = 64\n" + line + "\n")
+        # A case that sets the grid replaces the coarse one (keys may not repeat).
+        base = "" if line.startswith("grid.n_points") else COARSE
+        cfg = write_cfg(tmp_path, base + "dynamics.n_samples = 64\n" + line + "\n")
         out = tmp_path / "out"
         assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
         assert message in capsys.readouterr().err
@@ -96,6 +100,14 @@ class TestExitCodes:
         assert main(["validate-config", "--config", cfg]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert "grid.x_max" in err and message in err
+
+    @pytest.mark.parametrize("separation", [2.3, 2.6, 3.0])
+    def test_unresolvable_splitting_is_a_model_error(self, tmp_path, capsys, separation):
+        # On 801 points the splitting guard first fails at separation 2.28.
+        cfg = write_cfg(tmp_path, COARSE + f"potential.separation = {separation}\n")
+        assert main(["validate-config", "--config", cfg]) == EXIT_MODEL
+        err = capsys.readouterr().err
+        assert "doublet splitting" in err and "bisection error bound" in err
 
     def test_unknown_preset_name(self, tmp_path, capsys):
         out = tmp_path / "out"

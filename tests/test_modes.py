@@ -1,11 +1,15 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from scipy.linalg import eigh_tridiagonal
 
 from dwmix.errors import SolverError
-from dwmix.modes import lowest_doublet, solve_doublet
+from dwmix.modes import build_sp_hamiltonian, lowest_doublet, solve_doublet
 from dwmix.potential import DoubleSquareWell, Grid, sample_on_grid
 
 KAPPA = 0.196980985999906
+KAPPA_FERMION = 0.19582905040926324
 
 
 def test_particle_in_a_box_oracle():
@@ -26,11 +30,13 @@ def test_particle_in_a_box_oracle():
     assert np.array_equal(psi_a, -psi_a[::-1])
 
 
+TRAP = DoubleSquareWell(separation=1.55, well_width=1.2, depth=31.14, smoothing=0.08)
+
+
 @pytest.fixture(scope="module")
 def trap_modes():
-    well = DoubleSquareWell(separation=1.55, well_width=1.2, depth=31.14, smoothing=0.08)
     grid = Grid(x_max=2.375, n_points=1601)
-    v = sample_on_grid(well, grid)
+    v = sample_on_grid(TRAP, grid)
     return solve_doublet(KAPPA, v, grid), grid
 
 
@@ -46,7 +52,8 @@ def test_sign_conventions(trap_modes):
     mid = grid.n_points // 2
     assert modes.psi_s[mid] > 0.0
     assert modes.psi_a[mid + 1] - modes.psi_a[mid - 1] > 0.0
-    # Parity holds bitwise after projection.
+    # Parity holds by construction: each state is mirrored from its own
+    # half-grid sector, not projected afterwards.
     assert np.array_equal(modes.psi_s, modes.psi_s[::-1])
     assert np.array_equal(modes.psi_a, -modes.psi_a[::-1])
 
@@ -90,3 +97,135 @@ def test_nonpositive_kappa_rejected():
     grid = Grid(x_max=1.0, n_points=11)
     with pytest.raises(SolverError):
         solve_doublet(0.0, np.zeros(grid.n_points), grid)
+
+
+def scan_geometry(separation, n_points):
+    """The geometry_scan trap: smoothing 0.12 and a box 1 past the outer edge."""
+    well = DoubleSquareWell(separation=separation, well_width=1.2,
+                            depth=31.142529704999994, smoothing=0.12)
+    grid = Grid(x_max=(separation + 1.2) / 2.0 + 1.0, n_points=n_points)
+    return grid, sample_on_grid(well, grid)
+
+
+@pytest.mark.parametrize("kappa, separation, n_points", [
+    (KAPPA, 1.65, 401),
+    (KAPPA_FERMION, 1.62, 4001),
+    (KAPPA, 1.80, 8001),
+    (KAPPA_FERMION, 1.80, 8001),
+])
+def test_energies_match_the_full_eigensolver_bitwise(kappa, separation, n_points):
+    grid, v = scan_geometry(separation, n_points)
+    diag, off = build_sp_hamiltonian(kappa, v, grid)
+    expected, _ = eigh_tridiagonal(diag, off, select="i", select_range=(0, 3))
+    energies, _, _ = lowest_doublet(kappa, v, grid)
+    assert np.array_equal(energies, expected)
+
+
+# psi_s and psi_a at half-grid offsets k from x = 0, from a 60-digit solve of
+# the same float64 tridiagonal problem: inverse iteration in each mirror
+# sector (exact sqrt(2) centre coupling), trapezoid normalization, the sign
+# rules of lowest_doublet.  Separation 1.88 on 8001 points lies past the
+# point where a full-grid solve followed by a parity classifier reported "no
+# definite parity" for the fermions, and below the splitting guard.  The
+# float64 floor is about eps * ||T|| / gap: 1e-14 at 401 points, 1e-11 at 8001.
+PINNED_STATES = [
+    (KAPPA, 1.65, 401, 5.0e-14, {
+        0: (0.018306407237806357507, 0.0),
+        1: (0.01851140634351298391, 0.0027253056148208650929),
+        25: (0.27410962879265214872, 0.2725510554831029137),
+        50: (0.75532863199323932529, 0.75499958821552225303),
+        100: (0.52131654208652085898, 0.52186523410980514202),
+        150: (0.0011372395831676433322, 0.0011387157045631843033),
+        198: (3.9117556671543845333e-7, 3.9175138362207158683e-7),
+    }),
+    (KAPPA_FERMION, 1.88, 8001, 1.0e-11, {
+        0: (0.0043382535711691549911, 0.0),
+        1: (0.0043383876196770200894, 0.000034088637741976875848),
+        500: (0.10703537989287586979, 0.10690849407857639512),
+        1000: (0.64904673496195629333, 0.64900964758490488994),
+        2000: (0.6128028510132553071, 0.61283886089739238624),
+        3000: (0.0015913233565883233021, 0.0015914426786216721738),
+        3998: (1.9286762481794586093e-8, 1.928840975681927779e-8),
+    }),
+]
+
+
+@pytest.mark.parametrize("kappa, separation, n_points, atol, pinned", PINNED_STATES)
+def test_states_match_an_extended_precision_solve(kappa, separation, n_points, atol,
+                                                  pinned):
+    grid, v = scan_geometry(separation, n_points)
+    _, psi_s, psi_a = lowest_doublet(kappa, v, grid)
+    mid = n_points // 2
+    offsets = list(pinned)
+    np.testing.assert_allclose(psi_s[[mid + k for k in offsets]],
+                               [pinned[k][0] for k in offsets], rtol=0.0, atol=atol)
+    np.testing.assert_allclose(psi_a[[mid + k for k in offsets]],
+                               [pinned[k][1] for k in offsets], rtol=0.0, atol=atol)
+
+
+def test_states_solve_the_full_grid_problem(trap_modes):
+    # The even sector couples x = 0 with sqrt(2) * e and stores u(0) / sqrt(2).
+    # Dropping either factor of sqrt(2) leaves a residual above 3e-4 * ||T||
+    # at the centre rows; the correct states leave about eps * ||T||.
+    modes, grid = trap_modes
+    diag, off = build_sp_hamiltonian(KAPPA, sample_on_grid(TRAP, grid), grid)
+    norm = float(np.max(np.abs(diag)) + 2.0 * abs(off[0]))
+    for psi, energy in ((modes.psi_s, modes.energies[0]), (modes.psi_a, modes.energies[1])):
+        u = psi[1:-1]
+        residual = (diag - energy) * u
+        residual[:-1] += off * u[1:]
+        residual[1:] += off * u[:-1]
+        assert np.max(np.abs(residual)) < 1.0e-13 * norm
+
+
+def test_unresolvable_splitting_is_refused():
+    # On 401 points the splitting at separation 2.5 is 4.6e-8, under 1e5 times
+    # the bisection error bound of 1.7e-12.  A full-grid solve with a parity
+    # classifier failed here too, but as "no definite parity".
+    grid, v = scan_geometry(2.5, 401)
+    with pytest.raises(SolverError,
+                       match=r"doublet splitting 4\.57\de-08 .* error bound 1\.73\de-12"):
+        lowest_doublet(KAPPA, v, grid)
+
+
+@pytest.mark.parametrize("n_points, first_failure", [(4001, (2.00, 2.01)),
+                                                     (8001, (1.88, 1.89))])
+def test_splitting_guard_fails_from_one_separation_on(n_points, first_failure):
+    # The splitting falls with the separation while the bound depends on the
+    # grid alone, so the guard fails on a half line of separations.
+    lo, hi = first_failure
+    separations = np.round(np.arange(lo - 0.03, hi + 0.05, 0.005), 3)
+    failed = []
+    for separation in separations:
+        grid, v = scan_geometry(separation, n_points)
+        try:
+            for kappa in (KAPPA, KAPPA_FERMION):
+                lowest_doublet(kappa, v, grid)
+        except SolverError as exc:
+            assert "splitting" in str(exc) and "bound" in str(exc)
+            failed.append(True)
+        else:
+            failed.append(False)
+    first = failed.index(True)
+    assert all(failed[first:])
+    assert lo <= separations[first] <= hi
+
+
+def _solve_without_inverse_iteration():
+    # A tridiagonal solve that returns its right-hand side leaves each sector
+    # vector at the all-ones start, far from any eigenvector.
+    grid, v = scan_geometry(1.65, 401)
+    with mock.patch("dwmix.modes.dgtsv", lambda dl, d, du, b: (dl, d, du, b, 0)):
+        with pytest.raises(SolverError, match="even sector state has Rayleigh quotient"):
+            lowest_doublet(KAPPA, v, grid)
+
+
+def test_rayleigh_quotient_guard():
+    _solve_without_inverse_iteration()
+
+
+def test_rayleigh_quotient_guard_under_optimize(run_python):
+    # python -O strips assert statements; the guard must not be one.
+    proc = run_python("-O", "-c", "import test_modes; "
+                      "test_modes._solve_without_inverse_iteration()")
+    assert proc.returncode == 0, proc.stderr
