@@ -1,14 +1,16 @@
 """Time evolution and the return-probability observables.
 
-Evolution is spectral: one dense eigendecomposition of the assembled
-Hamiltonian, then phases e^{-i E tau} (hbar = 1 in these units).  An evolved
-trajectory is a (T, dim) complex array of coefficients over the composite
-basis, one row per time.  The return probability P_RR is a mode projection:
-the total weight of composite basis states whose species component is the
-both-right state.  A brute-force spatial alternative (integrating the
-reconstructed two-particle density over the right-right quadrant) is
-provided for oracle comparisons; the difference between the two is mode
-leakage, not error.
+Evolution is spectral (hbar = 1 in these units), with the spectrum from the
+ground states' symmetry-sector solve, ``SectorBlocks.eigenpairs``.  Phases
+e^{-i E tau} of the energies of H - shift * I are followed by one factor
+e^{-i shift tau} per time, so the rounding of shift * tau is a global phase no
+observable sees.  An evolved trajectory is a (T, dim) complex array of
+coefficients over the composite basis, one row per time.  The return
+probability P_RR is a mode projection: the total weight of composite basis
+states whose species component is the both-right state.  A brute-force
+spatial alternative (integrating the reconstructed two-particle density over
+the right-right quadrant) is provided for oracle comparisons; the difference
+between the two is mode leakage, not error.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from .manybody import (
     FERMIONS,
     CompositeBasis,
     ManyBodyHamiltonian,
+    SectorBlocks,
     _check_unit_norms,
 )
 from .modes import DoubletModes
@@ -92,8 +95,9 @@ def _validate_times(times: np.ndarray) -> np.ndarray:
 def evolve(h: ManyBodyHamiltonian, psi0: np.ndarray, times) -> np.ndarray:
     """Coefficients of psi0 evolved under h, shape (T, dim), one row per time.
 
-    psi0 is a unit-norm coefficient vector over ``h.basis``.  One
-    eigendecomposition serves every time.
+    psi0 is a unit-norm coefficient vector over ``h.basis``.  One sector
+    solve serves every time; raises InvariantError if h is not symmetric or
+    couples its symmetry sectors.
     """
     c0 = np.asarray(psi0, dtype=complex)
     if c0.shape != (h.basis.dim,):
@@ -102,9 +106,11 @@ def evolve(h: ManyBodyHamiltonian, psi0: np.ndarray, times) -> np.ndarray:
         )
     _check_unit_norms(c0[None])
     t = _validate_times(times)
-    energies, vectors = np.linalg.eigh(h.matrix)
+    blocks = SectorBlocks.project(h.basis, h.matrix)
+    (energies,), (vectors,) = blocks.eigenpairs(np.zeros((1, 0)))
     phases = np.exp(-1j * np.outer(energies, t))
-    return (vectors @ ((vectors.T @ c0)[:, None] * phases)).T
+    rotated = (vectors @ ((vectors.T @ c0)[:, None] * phases)).T
+    return rotated * np.exp(-1j * blocks.shift * t)[:, None]
 
 
 @dataclass(frozen=True)
@@ -323,16 +329,11 @@ def _damping_rate(times: np.ndarray, values: np.ndarray) -> float:
     return float(max(-slope, 0.0))
 
 
-def _plateaus(
-    times: np.ndarray,
-    values: np.ndarray,
-    slope_threshold: float,
-    band: tuple[float, float],
-    min_length: float,
-) -> list[tuple[float, float]]:
+def _plateaus(times: np.ndarray, values: np.ndarray) -> list[tuple[float, float]]:
     """Maximal flat stretches inside the intermediate-probability band."""
+    low, high = PLATEAU_BAND
     slope = np.gradient(values, times)
-    ok = (np.abs(slope) < slope_threshold) & (values >= band[0]) & (values <= band[1])
+    ok = (np.abs(slope) < PLATEAU_SLOPE_THRESHOLD) & (values >= low) & (values <= high)
     intervals: list[tuple[float, float]] = []
     start = None
     for k, flag in enumerate(ok):
@@ -343,16 +344,10 @@ def _plateaus(
             start = None
     if start is not None:
         intervals.append((float(times[start]), float(times[-1])))
-    return [(a, b) for a, b in intervals if b - a >= min_length]
+    return [(a, b) for a, b in intervals if b - a >= PLATEAU_MIN_LENGTH]
 
 
-def regime_metrics(
-    series: TimeSeries,
-    min_splitting: float,
-    slope_threshold: float = PLATEAU_SLOPE_THRESHOLD,
-    band: tuple[float, float] = PLATEAU_BAND,
-    min_plateau_length: float = PLATEAU_MIN_LENGTH,
-) -> RegimeReport:
+def regime_metrics(series: TimeSeries, min_splitting: float) -> RegimeReport:
     """Period, damping, and plateau intervals for both species.
 
     The series must span at least three periods of the slower species'
@@ -372,15 +367,12 @@ def regime_metrics(
             f"series spans {t[-1] - t[0]:.6g} but three bare periods need "
             f"{needed:.6g}"
         )
-    reports = []
-    for values in (series.p_rr_bosons, series.p_rr_fermions):
-        reports.append(
-            RegimeMetrics(
-                period_estimate=_dominant_period(t, values),
-                damping_estimate=_damping_rate(t, values),
-                plateau_intervals=_plateaus(
-                    t, values, slope_threshold, band, min_plateau_length
-                ),
-            )
+    bosons, fermions = (
+        RegimeMetrics(
+            period_estimate=_dominant_period(t, values),
+            damping_estimate=_damping_rate(t, values),
+            plateau_intervals=_plateaus(t, values),
         )
-    return RegimeReport(bosons=reports[0], fermions=reports[1])
+        for values in (series.p_rr_bosons, series.p_rr_fermions)
+    )
+    return RegimeReport(bosons=bosons, fermions=fermions)

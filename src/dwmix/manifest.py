@@ -20,7 +20,7 @@ from .dynamics import RegimeReport, TimeSeries
 from .model import ModelContext
 from .overlaps import distinct_elements
 from .sweep import EntropyCurve, FidelitySurface
-from .units import ATOMIC_MASS_KG, HBAR_JS, PLANCK_H_JS
+from .units import ATOMIC_MASS_KG, DEFAULT_UNITS, HBAR_JS, PLANCK_H_JS
 
 MODES_HEADER = "x_um,psi_s,psi_a,psi_L,psi_R"
 TIMESERIES_HEADER = "tau,p_rr_b,p_rr_f"
@@ -126,9 +126,9 @@ def build_manifest(
             "hbar_js": HBAR_JS,
             "planck_h_js": PLANCK_H_JS,
             "atomic_mass_kg": ATOMIC_MASS_KG,
-            "length_m": context.units.length_m,
-            "energy_j": context.units.energy_j,
-            "time_s": context.units.time_s,
+            "length_m": DEFAULT_UNITS.length_m,
+            "energy_j": DEFAULT_UNITS.energy_j,
+            "time_s": DEFAULT_UNITS.time_s,
             "kappa_boson": context.species.kappa_boson,
             "kappa_fermion": context.species.kappa_fermion,
         },

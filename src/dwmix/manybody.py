@@ -214,27 +214,16 @@ def _mode_transfer(a: int, b: int) -> np.ndarray:
     return e
 
 
-def _boson_one_body(a: int, b: int) -> np.ndarray:
-    """Sum over the two slots of |a><b| acting on the mode label."""
-    e = _mode_transfer(a, b)
+def _boson_one_body(op: np.ndarray) -> np.ndarray:
+    """A 2x2 mode operator acting on each boson slot, summed over slots."""
     eye = np.eye(2)
-    return np.kron(e, eye) + np.kron(eye, e)
+    return np.kron(op, eye) + np.kron(eye, op)
 
 
-def _fermion_one_body(a: int, b: int) -> np.ndarray:
-    """Spatial mode transfer, diagonal in spin, summed over slots."""
-    o = np.kron(_mode_transfer(a, b), np.eye(2))
-    eye = np.eye(4)
-    return np.kron(o, eye) + np.kron(eye, o)
-
-
-def _boson_single_particle(h2: np.ndarray) -> np.ndarray:
-    eye = np.eye(2)
-    return np.kron(h2, eye) + np.kron(eye, h2)
-
-
-def _fermion_single_particle(h2: np.ndarray) -> np.ndarray:
-    o = np.kron(h2, np.eye(2))
+def _fermion_one_body(op: np.ndarray) -> np.ndarray:
+    """A 2x2 mode operator, diagonal in spin, acting on each fermion slot,
+    summed over slots."""
+    o = np.kron(op, np.eye(2))
     eye = np.eye(4)
     return np.kron(o, eye) + np.kron(eye, o)
 
@@ -268,19 +257,15 @@ def one_body_transition_matrix(basis: CompositeBasis, species: str) -> np.ndarra
     automatically from the symmetrized vector representation.
     """
     if species == BOSONS:
-        vecs = self_vecs = basis.boson_vectors
-        ops = _boson_one_body
+        vecs = basis.boson_vectors
+        one_body = _boson_one_body
     elif species == FERMIONS:
-        vecs = self_vecs = basis.fermion_vectors
-        ops = _fermion_one_body
+        vecs = basis.fermion_vectors
+        one_body = _fermion_one_body
     else:
         raise ConfigError(f"species must be {BOSONS!r} or {FERMIONS!r}, got {species!r}")
-    n = vecs.shape[1]
-    d = np.empty((n, n, 2, 2))
-    for a in range(2):
-        for b in range(2):
-            d[:, :, a, b] = vecs.T @ ops(a, b) @ self_vecs
-    return d
+    d = [[vecs.T @ one_body(_mode_transfer(a, b)) @ vecs for b in range(2)] for a in range(2)]
+    return np.array(d).transpose(2, 3, 0, 1)
 
 
 def check_couplings(values: dict[str, float], prefix: str = "") -> None:
@@ -356,15 +341,9 @@ class HamiltonianBlocks:
     h_bf: np.ndarray
 
     def compose(self, params: CouplingParams) -> ManyBodyHamiltonian:
-        """H at one coupling point; raises InvariantError unless max|H - H^T|
-        is below HERMITICITY_TOL."""
+        """H at one coupling point."""
         h = (self.h0 + params.lambda_bb * self.h_bb + params.lambda_ff * self.h_ff
              + params.lambda_bf * self.h_bf)
-        residue = np.max(np.abs(h - h.T))
-        if not residue < HERMITICITY_TOL:
-            raise InvariantError(
-                f"assembled Hamiltonian is not symmetric (residue {residue:.3e})"
-            )
         return ManyBodyHamiltonian(matrix=h, basis=self.basis)
 
     def sector_blocks(self) -> SectorBlocks:
@@ -386,6 +365,10 @@ class SectorBlocks:
     once one bound clears the defect columns of a whole chunk.  The blocks
     hold H - shift * I, shift being the mean diagonal of h0, so that their
     rounding scales with the spread of the spectrum, not its offset.
+
+    Every diagonalization of a composed H, for ground states or dynamics,
+    goes through here, and so does the one check (not an ``assert``) that H
+    is symmetric and does not couple its sectors.
     """
 
     sectors: tuple[np.ndarray, ...]
@@ -417,24 +400,17 @@ class SectorBlocks:
             shift=shift,
         )
 
-    def ground_states(self, couplings: np.ndarray) -> tuple[np.ndarray, ...]:
-        """Lowest eigenpairs of H at each row of couplings (ordered as ``terms``).
+    def _sector_stacks(self, couplings: np.ndarray) -> list[np.ndarray]:
+        """The sector blocks of H - shift * I at each row of couplings (ordered
+        as ``terms``), one (n, d, d) stack per sector.
 
-        Returns the energies, the gaps, the degenerate flags (gap below
-        DEGENERACY_GAP, flagged rather than raised) and the ground vectors in
-        the full basis, shape (n, dim).  The ground vector comes from the
-        sector with the lowest energy (the first such sector on a tie), the
-        gap from the eigenvalues of all sectors.  Only the first sector gets
-        a batched ``eigh`` over every row; the others get eigenvalues alone
-        (see ``_ascending_eigenvalues``) and an ``eigh`` only on the rows
-        where they win.  A vector's phase is fixed by making its
-        largest-magnitude coefficient positive; on an exact magnitude tie the
-        lowest index wins.  Raises InvariantError at the first row whose
-        residue, the largest defect entry, is not below HERMITICITY_TOL.
+        Raises InvariantError at the first row whose residue, the largest
+        defect entry, is not below HERMITICITY_TOL.  Each defect entry is
+        linear in c, so one bound clears every row of a batch; the per-row
+        residues are computed only when it does not.
         """
         couplings = np.asarray(couplings, dtype=float)
         nd = self.n_defect
-        # Each defect entry is linear in c, so this bounds every row's residue.
         bound = np.abs(self.base[:nd]) + np.max(
             np.abs(couplings), axis=0, initial=0.0) @ np.abs(self.terms[:, :nd])
         if not np.max(bound, initial=0.0) < HERMITICITY_TOL:
@@ -454,6 +430,35 @@ class SectorBlocks:
             d = q.shape[1]
             stacks.append(flat[:, start : start + d * d].reshape(-1, d, d))
             start += d * d
+        return stacks
+
+    def eigenpairs(self, couplings: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Eigenvalues of H - shift * I at each row of couplings, shape (n, dim),
+        and the eigenvectors in the full basis as columns, shape (n, dim, dim).
+
+        Ordered by sector as ``sectors``, ascending within each.
+        """
+        pairs = [np.linalg.eigh(stack) for stack in self._sector_stacks(couplings)]
+        energies = np.concatenate([e for e, _ in pairs], axis=1)
+        vectors = np.concatenate([q @ u for q, (_, u) in zip(self.sectors, pairs)], axis=2)
+        return energies, vectors
+
+    def ground_states(self, couplings: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Lowest eigenpairs of H at each row of couplings (ordered as ``terms``).
+
+        Returns the energies, the gaps, the degenerate flags (gap below
+        DEGENERACY_GAP, flagged rather than raised) and the ground vectors in
+        the full basis, shape (n, dim).  The ground vector comes from the
+        sector with the lowest energy (the first such sector on a tie), the
+        gap from the eigenvalues of all sectors.  Only the first sector gets
+        a batched ``eigh`` over every row; the others get eigenvalues alone
+        (see ``_ascending_eigenvalues``) and an ``eigh`` only on the rows
+        where they win.  A vector's phase is fixed by making its
+        largest-magnitude coefficient positive; on an exact magnitude tie the
+        lowest index wins.  Raises InvariantError as :meth:`_sector_stacks`
+        does.
+        """
+        stacks = self._sector_stacks(couplings)
         first, u = np.linalg.eigh(stacks[0])
         energies = [first, *map(_ascending_eigenvalues, stacks[1:])]
         winner = np.argmin(np.column_stack([e[:, 0] for e in energies]), axis=1)
@@ -504,8 +509,8 @@ def hamiltonian_blocks(
     vf = basis.fermion_vectors
     dim_b, dim_f = basis.boson_dim, basis.fermion_dim
 
-    h_b_sp = vb.T @ _boson_single_particle(_single_particle_matrix(modes_b)) @ vb
-    h_f_sp = vf.T @ _fermion_single_particle(_single_particle_matrix(modes_f)) @ vf
+    h_b_sp = vb.T @ _boson_one_body(_single_particle_matrix(modes_b)) @ vb
+    h_f_sp = vf.T @ _fermion_one_body(_single_particle_matrix(modes_f)) @ vf
     h0 = np.kron(h_b_sp, np.eye(dim_f)) + np.kron(np.eye(dim_b), h_f_sp)
 
     h_bb = np.kron(vb.T @ _boson_contact(overlaps.boson.values) @ vb, np.eye(dim_f))

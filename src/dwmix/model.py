@@ -30,7 +30,7 @@ from .potential import (
     TabulatedPotential,
     sample_on_grid,
 )
-from .units import DEFAULT_UNITS, SpeciesConstants, UnitSystem
+from .units import SpeciesConstants
 
 X_MARGIN = 1.0
 
@@ -61,8 +61,8 @@ def resolve_x_max(config: RunConfig, potential) -> float:
     """
     x_max = config.grid.x_max
     if isinstance(potential, DoubleSquareWell):
-        outer_edge = (potential.separation + potential.well_width) / 2.0
-        return _box(x_max, outer_edge, outer_edge + X_MARGIN, "outer well edge")
+        edge = potential.outer_edge
+        return _box(x_max, edge, edge + X_MARGIN, "outer well edge")
     if isinstance(potential, QuarticDoubleWell):
         minimum = potential.minimum_pos
         return _box(x_max, minimum, minimum * 2.0 + X_MARGIN, "quartic minimum")
@@ -90,7 +90,6 @@ class ModelContext:
     """One fully built model: grid, modes, tensors, and Hamiltonian blocks."""
 
     config: RunConfig
-    units: UnitSystem
     species: SpeciesConstants
     grid: Grid
     boson_modes: DoubletModes
@@ -109,16 +108,15 @@ class ModelContext:
             lambda_bb=c.lambda_bb, lambda_ff=c.lambda_ff, lambda_bf=c.lambda_bf
         )
 
-    def hamiltonian(self, params: CouplingParams | None = None) -> ManyBodyHamiltonian:
-        return self.blocks.compose(params if params is not None else self.coupling_params())
+    def hamiltonian(self) -> ManyBodyHamiltonian:
+        return self.blocks.compose(self.coupling_params())
 
 
-def build_context(config: RunConfig, units: UnitSystem = DEFAULT_UNITS) -> ModelContext:
+def build_context(config: RunConfig) -> ModelContext:
     config.validate()
     species = SpeciesConstants.from_amu(
         boson_mass_amu=config.species.boson_mass_amu,
         fermion_mass_amu=config.species.fermion_mass_amu,
-        units=units,
     )
     potential = build_potential(config)
     grid = Grid(x_max=resolve_x_max(config, potential), n_points=config.grid.n_points)
@@ -147,7 +145,6 @@ def build_context(config: RunConfig, units: UnitSystem = DEFAULT_UNITS) -> Model
     blocks = hamiltonian_blocks(boson_modes, fermion_modes, overlaps, basis)
     return ModelContext(
         config=config,
-        units=units,
         species=species,
         grid=grid,
         boson_modes=boson_modes,

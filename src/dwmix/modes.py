@@ -143,10 +143,17 @@ def lowest_doublet(
     from the even and odd sectors of the half grid, so each has its parity by
     construction; they are normalized with the grid's trapezoid rule, and
     signs are fixed deterministically: psi_s(0) > 0, central-difference
-    psi_a'(0) > 0.  Raises :class:`SolverError` when either precision guard
-    of the module docstring fails.
+    psi_a'(0) > 0.  Raises :class:`SolverError` when the grid has fewer
+    interior nodes than the four states solved for (checked before LAPACK,
+    which would print its complaint), or when either precision guard of the
+    module docstring fails.
     """
     diag, off = build_sp_hamiltonian(kappa, v, grid)
+    if diag.size < _N_LOW_STATES:
+        raise SolverError(
+            f"the grid has {diag.size} interior nodes; the doublet solve needs "
+            f"at least {_N_LOW_STATES}"
+        )
     # Range 2 selects by index (1.._N_LOW_STATES); abstol 0 is LAPACK's default,
     # the call eigh_tridiagonal makes.
     m, energies, _, _, info = dstebz(diag, off, 2, 0.0, 0.0, 1, _N_LOW_STATES, 0.0, "E")

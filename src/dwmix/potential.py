@@ -116,10 +116,9 @@ class DoubleSquareWell:
             raise ConfigError("well depth must be non-negative")
         if self.smoothing < 0.0:
             raise ConfigError("edge smoothing must be non-negative")
-        inner_edge = 0.5 * (self.separation - self.well_width)
-        if inner_edge <= 0.0:
+        if self.inner_edge <= 0.0:
             raise ConfigError("wells overlap: separation must exceed well width")
-        if self.smoothing >= min(self.well_width, 2.0 * inner_edge) / 2.0:
+        if self.smoothing >= min(self.well_width, 2.0 * self.inner_edge) / 2.0:
             raise ConfigError("edge smoothing too large for this geometry")
 
     @property

@@ -87,15 +87,12 @@ class SpeciesConstants:
 
     @classmethod
     def from_amu(
-        cls,
-        boson_mass_amu: float = 170.0,
-        fermion_mass_amu: float = 171.0,
-        units: UnitSystem = DEFAULT_UNITS,
+        cls, boson_mass_amu: float = 170.0, fermion_mass_amu: float = 171.0
     ) -> "SpeciesConstants":
-        """Build constants from mass numbers (defaults: Yb-170 and Yb-171),
-        checked by :func:`check_masses`."""
+        """Build constants in DEFAULT_UNITS from mass numbers (defaults: Yb-170
+        and Yb-171), checked by :func:`check_masses`."""
         check_masses({"boson_mass_amu": boson_mass_amu, "fermion_mass_amu": fermion_mass_amu})
         return cls(
-            kappa_boson=units.kinetic_prefactor(boson_mass_amu * ATOMIC_MASS_KG),
-            kappa_fermion=units.kinetic_prefactor(fermion_mass_amu * ATOMIC_MASS_KG),
+            kappa_boson=DEFAULT_UNITS.kinetic_prefactor(boson_mass_amu * ATOMIC_MASS_KG),
+            kappa_fermion=DEFAULT_UNITS.kinetic_prefactor(fermion_mass_amu * ATOMIC_MASS_KG),
         )

@@ -90,7 +90,7 @@ def regime_reports():
 
 def test_criterion_1_noninteracting_return_law(default_context):
     context = default_context
-    h = context.hamiltonian(CouplingParams(0.0, 0.0, 0.0))
+    h = context.blocks.compose(CouplingParams(0.0, 0.0, 0.0))
     psi0 = initial_state_rr(context.basis)
     times = default_time_grid(context.min_splitting, periods=3.0, n_samples=1024)
     started = time.perf_counter()
@@ -112,7 +112,7 @@ def test_criterion_1_noninteracting_return_law(default_context):
 
 def test_criterion_2_noninteracting_spectrum(default_context):
     context = default_context
-    h = context.hamiltonian(CouplingParams(0.0, 0.0, 0.0))
+    h = context.blocks.compose(CouplingParams(0.0, 0.0, 0.0))
     energies = np.linalg.eigvalsh(h.matrix)
 
     eb = default_context.boson_modes.energies
@@ -132,7 +132,7 @@ def test_criterion_2_noninteracting_spectrum(default_context):
 def test_criterion_3_conservation_suite(default_context, rng):
     context = default_context
     params = CouplingParams(9.0e-4, 3.2e-4, 9.0e-4)
-    h = context.hamiltonian(params)
+    h = context.blocks.compose(params)
     hermiticity = float(np.max(np.abs(h.matrix - h.matrix.T)))
 
     psi0 = initial_state_rr(context.basis)
@@ -170,7 +170,7 @@ def test_criterion_3_conservation_suite(default_context, rng):
 
 def test_criterion_4_quadrant_oracle(default_context):
     context = default_context
-    h = context.hamiltonian(CouplingParams(0.0, 0.0, 0.0))
+    h = context.blocks.compose(CouplingParams(0.0, 0.0, 0.0))
     psi0 = initial_state_rr(context.basis)
     period = 2.0 * np.pi / context.min_splitting
     times = np.linspace(0.0, period, 5)
@@ -317,7 +317,7 @@ def test_criterion_9_eigenvector_sign_robustness(default_context):
     blocks = hamiltonian_blocks(fb, ff, overlaps, enumerate_bases())
 
     params = CouplingParams(9.0e-4, 3.2e-4, 9.0e-4)
-    h_ref = context.hamiltonian(params)
+    h_ref = context.blocks.compose(params)
     h_flip = blocks.compose(params)
     eig_shift = float(np.max(np.abs(
         np.linalg.eigvalsh(h_ref.matrix) - np.linalg.eigvalsh(h_flip.matrix)

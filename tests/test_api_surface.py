@@ -1,5 +1,6 @@
 """Every public function, class and method in src/dwmix has a caller outside
-tests, and every dataclass field a reader.
+tests, every dataclass field a reader, and every optional parameter a caller
+that sets it.
 
 A name counts as used when it appears elsewhere in src/ or perfbench/ as an
 identifier, or as a string literal that is exactly that identifier (the
@@ -8,7 +9,9 @@ read when src/ or perfbench/ reads an attribute of that name, directly or
 through ``getattr`` with a literal name; the config sections, which are read
 field by field through ``dataclasses.fields``, count as read throughout.
 Comments and docstrings do not count.  API that only the tests call is
-deleted, not kept, and so is a field that is written but never read.
+deleted, not kept, and so is a field that is written but never read.  A
+defaulted parameter that no call in src/ or perfbench/ passes, by position or
+by keyword, is a constant in disguise: it becomes one.
 """
 
 import ast
@@ -25,6 +28,8 @@ PACKAGE = ROOT / "src" / "dwmix"
 # The spatial oracle behind criterion 4 of the acceptance suite: tests are its
 # only callers by design.
 ALLOWED = {"density_profile", "quadrant_probability", "integral"}
+# The same oracle's subsampling stride is set by its test callers only.
+DEFAULTS_ALLOWED = {"density_profile"}
 
 
 def _public_definitions(path):
@@ -109,3 +114,92 @@ def test_every_dataclass_field_is_read():
               for cls, name, line in _dataclass_fields(path)
               if name not in reads and cls not in generic]
     assert not unread, "dataclass fields nothing reads: " + ", ".join(unread)
+
+
+def _defaulted_parameters(path):
+    """(callee, parameter, position, line) of each defaulted parameter of the
+    module's public functions and of its classes' public methods and
+    ``__init__``.  ``callee`` is the function's name, or ``Class.__init__``;
+    ``position`` counts a call's positional arguments, leaving out a method's
+    ``self`` or ``cls``, and is None for a keyword-only parameter."""
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.ClassDef):
+            functions = [(f"{node.name}.__init__" if item.name == "__init__" else item.name,
+                          item, 1)
+                         for item in node.body
+                         if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                         and (item.name == "__init__" or not item.name.startswith("_"))]
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            functions = [(node.name, node, 0)] if not node.name.startswith("_") else []
+        else:
+            continue
+        for callee, function, bound in functions:
+            args = function.args
+            positional = args.posonlyargs + args.args
+            first = len(positional) - len(args.defaults)
+            for i in range(first, len(positional)):
+                yield callee, positional[i].arg, i - bound, function.lineno
+            for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                if default is not None:
+                    yield callee, arg.arg, None, function.lineno
+
+
+def _constructors(paths):
+    """Class name -> ``Owner.__init__`` of the nearest class in its line of
+    bases, itself included, that defines ``__init__``."""
+    classes = {}
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef):
+                classes[node.name] = (
+                    [getattr(b, "id", None) for b in node.bases],
+                    any(getattr(i, "name", None) == "__init__" for i in node.body),
+                )
+
+    def owner(name):
+        if name not in classes:
+            return None
+        bases, has_init = classes[name]
+        if has_init:
+            return name
+        return next(filter(None, map(owner, bases)), None)
+
+    return {name: f"{owner(name)}.__init__" for name in classes if owner(name)}
+
+
+def _calls(paths, constructors):
+    """Callee -> (positional count, keyword names) of each call to it.  A call
+    that unpacks ``*args`` counts as passing every position, one that unpacks
+    ``**kwargs`` as passing every keyword (None)."""
+    calls = {}
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            name = constructors.get(name, name)
+            starred = any(isinstance(a, ast.Starred) for a in node.args)
+            keywords = {k.arg for k in node.keywords}
+            calls.setdefault(name, []).append((
+                float("inf") if starred else len(node.args),
+                None if None in keywords else keywords,
+            ))
+    return calls
+
+
+def test_every_defaulted_parameter_is_passed():
+    sources, bench = _sources()
+    calls = _calls(sources + bench, _constructors(sources))
+    unpassed = [
+        f"{callee}({name}) ({path.relative_to(ROOT)}:{line})"
+        for path in sources
+        for callee, name, position, line in _defaulted_parameters(path)
+        if callee not in DEFAULTS_ALLOWED
+        and not any(
+            keywords is None or name in keywords
+            or (position is not None and count > position)
+            for count, keywords in calls.get(callee, [])
+        )
+    ]
+    assert not unpassed, (
+        "defaulted parameters no call in src/ or perfbench/ passes: " + ", ".join(unpassed))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.signal import find_peaks
 
-from dwmix.errors import ConfigError
+from dwmix.errors import ConfigError, InvariantError
 from dwmix.dynamics import (
     TimeSeries,
     _local_maxima,
@@ -14,7 +14,14 @@ from dwmix.dynamics import (
     return_probability,
     return_series,
 )
-from dwmix.manybody import BOSONS, FERMIONS, CouplingParams
+from dwmix.manybody import (
+    BOSONS,
+    FERMIONS,
+    CouplingParams,
+    ManyBodyHamiltonian,
+    enumerate_bases,
+)
+from dwmix.observables import species_entropies
 
 
 @pytest.fixture(scope="module")
@@ -69,6 +76,60 @@ def test_norm_and_energy_are_conserved(free_run):
         assert abs(np.linalg.norm(s) - 1.0) < 1e-10
         e = np.real(np.vdot(s, h.matrix @ s))
         assert abs(e - e0) < 1e-10
+
+
+def test_evolution_matches_an_extended_precision_propagation(coarse_context):
+    # The region2 couplings over three bare periods.  The expected values come
+    # from a 40-digit mpmath diagonalization and propagation of the same
+    # float64 H.  A full 12x12 eigh of the unshifted H misses P_RR by 2.8e-12:
+    # its phases carry the rounding of the spectrum's offset (about 4.35)
+    # times tau, which differs from eigenvalue to eigenvalue.
+    ctx = coarse_context
+    h = ctx.blocks.compose(CouplingParams(lambda_bb=9e-4, lambda_ff=3.2e-4, lambda_bf=9e-4))
+    times = default_time_grid(ctx.min_splitting, n_samples=5)[1:]
+    states = evolve(h, initial_state_rr(ctx.basis), times)
+    exact = {
+        "p_rr_bosons": [0.3196557448482375, 0.19726589532141922,
+                        0.32294826859348263, 0.4560724830160005],
+        "p_rr_fermions": [0.2548981528337367, 0.1321477318326797,
+                          0.32461510487082873, 0.44503595126562057],
+        "entropy": [0.6061062040831143, 1.157830751200747,
+                    1.3567271497789088, 1.1354173851735678],
+    }
+    s_bosons, s_fermions = species_entropies(states, ctx.basis)
+    for values, expected in (
+        (return_probability(states, ctx.basis, BOSONS), exact["p_rr_bosons"]),
+        (return_probability(states, ctx.basis, FERMIONS), exact["p_rr_fermions"]),
+        (s_bosons, exact["entropy"]),
+        (s_fermions, exact["entropy"]),
+    ):
+        np.testing.assert_allclose(values, expected, rtol=0.0, atol=1e-13)
+
+
+def test_evolution_keeps_the_global_phase(free_run):
+    # Observables cannot see a global phase, so this checks the coefficients
+    # themselves against e^{-iH tau} from a full eigendecomposition of H.
+    ctx, _, psi0, times = free_run
+    h = ctx.blocks.compose(CouplingParams(lambda_bb=9e-4, lambda_ff=3.2e-4, lambda_bf=9e-4))
+    energies, vectors = np.linalg.eigh(h.matrix)
+    exact = (vectors @ ((vectors.T @ psi0)[:, None] * np.exp(-1j * np.outer(energies, times)))).T
+    assert np.max(np.abs(evolve(h, psi0, times) - exact)) < 1e-10
+
+
+def test_asymmetric_hamiltonian_is_refused():
+    basis = enumerate_bases()
+    matrix = np.diag(np.arange(float(basis.dim)))
+    matrix[0, 1] += 1e-9
+    psi0 = initial_state_rr(basis)
+    with pytest.raises(InvariantError, match="not symmetric"):
+        evolve(ManyBodyHamiltonian(matrix=matrix, basis=basis), psi0, np.array([0.0, 1.0]))
+
+
+def test_asymmetric_hamiltonian_is_refused_under_optimize(run_python):
+    # python -O strips assert statements; the symmetry check must not be one.
+    proc = run_python("-O", "-c", "from test_dynamics import "
+                      "test_asymmetric_hamiltonian_is_refused as t; t()")
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_time_grid_validation():

@@ -30,6 +30,14 @@ def test_particle_in_a_box_oracle():
     assert np.array_equal(psi_a, -psi_a[::-1])
 
 
+def test_too_few_interior_nodes_fail_before_lapack(capfd):
+    grid = Grid(x_max=1.0, n_points=5)
+    with pytest.raises(SolverError, match="3 interior nodes"):
+        lowest_doublet(KAPPA, np.zeros(grid.n_points), grid)
+    # LAPACK's error handler would print its complaint on the process's output.
+    assert capfd.readouterr() == ("", "")
+
+
 TRAP = DoubleSquareWell(separation=1.55, well_width=1.2, depth=31.14, smoothing=0.08)
 
 
