@@ -221,6 +221,7 @@ def _cmd_fidelity_map(args: argparse.Namespace) -> int:
         "min_fidelity": float(surface.fidelity.min()),
         "min_gap": float(surface.gap[cell]),
         "min_gap_cell": [int(k) for k in cell],
+        "max_residual": surface.max_residual,
     }
     _finish(
         context,
@@ -252,6 +253,7 @@ def _cmd_entropy_scan(args: argparse.Namespace) -> int:
         "degenerate_cells": int(curve.degenerate.sum()),
         "min_gap": float(curve.gap[point]),
         "min_gap_point": point,
+        "max_residual": curve.max_residual,
     }
     _finish(
         context,

@@ -24,6 +24,7 @@ import numpy as np
 from .errors import ConfigError, InvariantError
 from .modes import DoubletModes
 from .overlaps import OverlapTensor
+from .tridiagonal import Tridiagonal, checked_residuals
 
 BOSONS = "bosons"
 FERMIONS = "fermions"
@@ -366,9 +367,11 @@ class SectorBlocks:
     hold H - shift * I, shift being the mean diagonal of h0, so that their
     rounding scales with the spread of the spectrum, not its offset.
 
-    Every diagonalization of a composed H, for ground states or dynamics,
-    goes through here, and so does the one check (not an ``assert``) that H
-    is symmetric and does not couple its sectors.
+    Every diagonalization of a composed H goes through here: dynamics takes
+    every eigenpair of each block from LAPACK (:meth:`eigenpairs`), sweeps
+    only each cell's ground pair and gap from the numpy solver of
+    :mod:`dwmix.tridiagonal` (:meth:`ground_states`).  So does the one check
+    (not an ``assert``) that H is symmetric and does not couple its sectors.
     """
 
     sectors: tuple[np.ndarray, ...]
@@ -402,7 +405,8 @@ class SectorBlocks:
 
     def _sector_stacks(self, couplings: np.ndarray) -> list[np.ndarray]:
         """The sector blocks of H - shift * I at each row of couplings (ordered
-        as ``terms``), one (n, d, d) stack per sector.
+        as ``terms``), one (d, d, n) stack per sector: entry (i, j) of a block
+        is a contiguous row over the n couplings.
 
         Raises InvariantError at the first row whose residue, the largest
         defect entry, is not below HERMITICITY_TOL.  Each defect entry is
@@ -423,12 +427,12 @@ class SectorBlocks:
                     f"(residue {residue[k]:.3e})",
                     index=k,
                 )
-        flat = couplings @ self.terms[:, nd:]
-        flat += self.base[nd:]
+        flat = self.terms[:, nd:].T @ couplings.T
+        flat += self.base[nd:, None]
         stacks, start = [], 0
         for q in self.sectors:
             d = q.shape[1]
-            stacks.append(flat[:, start : start + d * d].reshape(-1, d, d))
+            stacks.append(flat[start : start + d * d].reshape(d, d, -1))
             start += d * d
         return stacks
 
@@ -438,7 +442,7 @@ class SectorBlocks:
 
         Ordered by sector as ``sectors``, ascending within each.
         """
-        pairs = [np.linalg.eigh(stack) for stack in self._sector_stacks(couplings)]
+        pairs = [np.linalg.eigh(np.moveaxis(a, -1, 0)) for a in self._sector_stacks(couplings)]
         energies = np.concatenate([e for e, _ in pairs], axis=1)
         vectors = np.concatenate([q @ u for q, (_, u) in zip(self.sectors, pairs)], axis=2)
         return energies, vectors
@@ -447,47 +451,55 @@ class SectorBlocks:
         """Lowest eigenpairs of H at each row of couplings (ordered as ``terms``).
 
         Returns the energies, the gaps, the degenerate flags (gap below
-        DEGENERACY_GAP, flagged rather than raised) and the ground vectors in
-        the full basis, shape (n, dim).  The ground vector comes from the
-        sector with the lowest energy (the first such sector on a tie), the
-        gap from the eigenvalues of all sectors.  Only the first sector gets
-        a batched ``eigh`` over every row; the others get eigenvalues alone
-        (see ``_ascending_eigenvalues``) and an ``eigh`` only on the rows
-        where they win.  A vector's phase is fixed by making its
+        DEGENERACY_GAP, flagged rather than raised), the ground vectors in the
+        full basis, shape (n, dim), and the residuals ||(A - E0) x|| of each
+        ground pair in its sector block A.
+
+        Each step runs once over all rows (see :mod:`dwmix.tridiagonal`).
+        Every sector block is reduced to tridiagonal form T, and Laguerre's
+        iteration finds its lowest eigenvalue.  The sector with the lowest
+        energy wins (the first such sector on a tie); inverse iteration on
+        its T gives the vector, mapped back through the reduction and the
+        sector basis.  The gap's second eigenvalue is the runner-up sector's
+        lowest, unless a Sturm count finds two eigenvalues of the winner's T
+        below it; only those rows take the winner's own second eigenvalue,
+        from ``eigvalsh``.  A vector's phase is fixed by making its
         largest-magnitude coefficient positive; on an exact magnitude tie the
-        lowest index wins.  Raises InvariantError as :meth:`_sector_stacks`
-        does.
+        lowest index wins.
+
+        Raises InvariantError as :meth:`_sector_stacks` does, for a Laguerre
+        row still moving after ``tridiagonal.LAGUERRE_ITERATIONS`` steps, and
+        for a residual above ``tridiagonal.RESIDUAL_TOL`` * eps * ||A||_F,
+        each naming its first row.
         """
         stacks = self._sector_stacks(couplings)
-        first, u = np.linalg.eigh(stacks[0])
-        energies = [first, *map(_ascending_eigenvalues, stacks[1:])]
-        winner = np.argmin(np.column_stack([e[:, 0] for e in energies]), axis=1)
-        v = u[:, :, 0] @ self.sectors[0].T
-        for k in range(1, len(stacks)):
-            rows = np.flatnonzero(winner == k)
-            if rows.size:
-                v[rows] = np.linalg.eigh(stacks[k][rows])[1][:, :, 0] @ self.sectors[k].T
+        n = stacks[0].shape[-1]
+        reduced = [Tridiagonal.reduce(a) for a in stacks]
+        lows = np.array([t.lowest() for t in reduced])
+        winner = np.argmin(lows, axis=0)
+        lowest = lows[winner, np.arange(n)]
+        second = (np.partition(lows, 1, axis=0)[1] if len(stacks) > 1
+                  else np.full(n, np.inf))
+        wins = [np.flatnonzero(winner == k) for k in range(len(stacks))]
+        reduced = [t if rows.size else None for t, rows in zip(reduced, wins)]  # free the rest
+        residual = np.empty(n)
+        v = np.empty((n, self.sectors[0].shape[0]))
+        for a, q, t, rows in zip(stacks, self.sectors, reduced, wins):
+            if not rows.size:
+                continue
+            take = slice(None) if rows.size == n else rows
+            t, a = t.take(take), a[:, :, take]
+            x = t.vectors(lowest[take])
+            residual[take] = checked_residuals(a, x, lowest[take], rows)
+            v[take] = x.T @ q.T
+            own = t.count_below(second[take]) >= 2
+            if own.any():
+                second[rows[own]] = np.linalg.eigvalsh(np.moveaxis(a[:, :, own], -1, 0))[:, 1]
         k = np.argmax(np.abs(v), axis=1)
-        v = np.where(v[np.arange(v.shape[0]), k][:, None] < 0.0, -v, v)
+        v *= np.where(v[np.arange(n), k] < 0.0, -1.0, 1.0)[:, None]
         _check_unit_norms(v)
-        pair = np.partition(np.concatenate(energies, axis=1), 1, axis=1)
-        gap = pair[:, 1] - pair[:, 0]
-        return pair[:, 0] + self.shift, gap, gap < DEGENERACY_GAP, v
-
-
-def _ascending_eigenvalues(stack: np.ndarray) -> np.ndarray:
-    """Eigenvalues in ascending order of each symmetric matrix in a (n, d, d)
-    stack, read from the lower triangle as ``eigvalsh`` reads it.  A 2x2 is
-    mean -+ hypot(half-difference, off-diagonal); a 1x1 is its entry."""
-    d = stack.shape[-1]
-    if d == 1:
-        return stack[:, :, 0]
-    if d == 2:
-        a, b, c = stack[:, 0, 0], stack[:, 1, 0], stack[:, 1, 1]
-        mean = 0.5 * (a + c)
-        radius = np.hypot(0.5 * (a - c), b)
-        return np.column_stack([mean - radius, mean + radius])
-    return np.linalg.eigvalsh(stack)
+        gap = second - lowest
+        return lowest + self.shift, gap, gap < DEGENERACY_GAP, v, residual
 
 
 def _single_particle_matrix(modes: DoubletModes) -> np.ndarray:
@@ -544,7 +556,7 @@ class GroundState:
 
 def ground_state(h: ManyBodyHamiltonian) -> GroundState:
     """Lowest eigenpair of one Hamiltonian; see :meth:`SectorBlocks.ground_states`."""
-    energy, _, _, vectors = SectorBlocks.project(h.basis, h.matrix).ground_states(
+    energy, _, _, vectors, _ = SectorBlocks.project(h.basis, h.matrix).ground_states(
         np.zeros((1, 0))
     )
     return GroundState(energy=float(energy[0]), vector=vectors[0])

@@ -9,7 +9,9 @@ from .errors import ConfigError
 from .manybody import CompositeBasis
 
 EIGENVALUE_FLOOR = -1.0e-12
-ENTROPY_CLIP = 1.0e-14
+# A density matrix has trace 1, so eigenvalues at or below a few eps are
+# rounding and count as 0 (0 log 0 := 0); every one above is kept.
+ENTROPY_FLOOR = 4.0 * np.finfo(float).eps
 
 
 def _entropies(eigenvalues: np.ndarray) -> np.ndarray:
@@ -26,7 +28,7 @@ def _entropies(eigenvalues: np.ndarray) -> np.ndarray:
             "positivity floor",
             index=k,
         )
-    lam = np.where(eigenvalues > ENTROPY_CLIP, eigenvalues, 1.0)
+    lam = np.where(eigenvalues > ENTROPY_FLOOR, eigenvalues, 1.0)
     return -np.sum(lam * np.log2(lam), axis=1)
 
 

@@ -4,12 +4,13 @@ A sweep evaluates the interacting ground state over a coupling grid, against
 fixed single-particle inputs (modes and overlap tensors are computed once and
 shared read-only).  The Hamiltonian blocks are projected once onto the
 basis's symmetry sectors.  Cells are solved in chunks of CHUNK_CELLS: one
-broadcast composes a chunk's sector blocks, one batched ``eigh`` solves the
-largest sector, and the other sectors get eigenvalues only, plus an ``eigh``
-on the cells where one of them holds the ground state.  Chunks run on a
-thread pool, since the batched eigensolver releases the GIL.
-Chunk boundaries do not depend on the worker count and output order is
-row-major over the grid, so CSV bytes do not depend on the schedule.
+product composes a chunk's sector blocks, and each step of the numpy solver
+in ``SectorBlocks.ground_states`` (Householder reduction, Laguerre's
+iteration for each sector's lowest eigenvalue, inverse iteration for the
+winning sector's vector) runs once over every cell of the chunk.  Chunks run
+on a thread pool, also for one worker.  Chunk boundaries do not depend on the
+worker count and output order is row-major over the grid, so CSV bytes do
+not depend on the schedule.
 """
 
 from __future__ import annotations
@@ -33,10 +34,14 @@ PLANE_AXES: dict[str, tuple[str, str | None, tuple[str, ...]]] = {
     "line_ff": ("lambda_ff", None, ("lambda_bb", "lambda_bf")),
 }
 
-# Cells per batched solve.  On a 256x256 map (2-core Xeon, numpy 2.4) a
-# 1024-cell chunk adds about 5 MB of peak RSS with one worker and 6 MB with
-# two; a 4096-cell one adds about 8 and 12 MB, with no clear gain in speed.
-CHUNK_CELLS = 1024
+# Cells per batched solve.  Four 256x256 fidelity-map runs in one process
+# (2-core Xeon, numpy 2.4) raise peak RSS over the imported program by about
+# 9.9 MB at one worker and 12.2 MB at two with 2048-cell chunks, and each run
+# takes 0.31 s and 0.36 s, CSV writing included.  1024-cell chunks take
+# 0.39/0.51 s for 8.8/10.1 MB, 4096-cell ones 0.27/0.28 s for 11.8/16.1 MB.
+# The solver holds the GIL between its numpy calls, so a second worker does
+# not speed a map up at any of these sizes.
+CHUNK_CELLS = 2048
 
 
 @dataclass(frozen=True)
@@ -127,6 +132,7 @@ class FidelitySurface:
     fidelity: np.ndarray  # shape (len(x), len(y))
     degenerate: np.ndarray  # bool, same shape
     gap: np.ndarray  # E1 - E0, same shape
+    max_residual: float  # largest ||(H - E0) x|| of a ground pair
     reference: CouplingParams
     reference_energy: float
     wall_time_s: float
@@ -139,6 +145,7 @@ class EntropyCurve:
     s_fermions: np.ndarray
     degenerate: np.ndarray
     gap: np.ndarray
+    max_residual: float
     wall_time_s: float
 
     @property
@@ -157,8 +164,9 @@ def _solve_chunks(
 
     Each chunk is solved per symmetry sector (see
     ``SectorBlocks.ground_states``); ``kernel`` maps its ground vectors to a
-    tuple of per-cell arrays.  Returns the gaps and the degenerate flags
-    followed by the kernel's arrays, each over all rows in order.  A batched
+    tuple of per-cell arrays.  Returns the gaps and the degenerate flags over
+    all rows in order, the largest ground-pair residual of each chunk, and the
+    kernel's arrays over all rows in order.  A batched
     check that fails is raised as a SweepError that ``where`` words for the
     first failing row.
     """
@@ -168,10 +176,10 @@ def _solve_chunks(
 
     def solve(start: int) -> tuple[np.ndarray, ...]:
         try:
-            _, gap, degenerate, vectors = sectors.ground_states(
+            _, gap, degenerate, vectors, residual = sectors.ground_states(
                 couplings[start : start + CHUNK_CELLS]
             )
-            return (gap, degenerate, *kernel(vectors))
+            return (gap, degenerate, residual.max(keepdims=True), *kernel(vectors))
         except DwmixError as exc:
             if exc.index is None:
                 raise
@@ -200,7 +208,7 @@ def fidelity_map(
         return (f"fidelity sweep failed at cell ({i}, {j}), "
                 f"x={float(xs[i])!r}, y={float(ys[j])!r}")
 
-    gap, degen, fid = _solve_chunks(
+    gap, degen, residual, fid = _solve_chunks(
         blocks, spec.coupling_rows(), workers, where,
         lambda vectors: (np.minimum(np.abs(vectors @ ref_gs.vector), 1.0),),
     )
@@ -210,6 +218,7 @@ def fidelity_map(
         fidelity=fid.reshape(len(xs), len(ys)),
         degenerate=degen.reshape(len(xs), len(ys)),
         gap=gap.reshape(len(xs), len(ys)),
+        max_residual=float(residual.max()),
         reference=spec.reference,
         reference_energy=ref_gs.energy,
         wall_time_s=time.perf_counter() - started,
@@ -228,7 +237,7 @@ def entropy_scan(
     def where(index: int) -> str:
         return f"entropy scan failed at point {index}, lambda_ff={float(xs[index])!r}"
 
-    gap, degen, sb, sf = _solve_chunks(
+    gap, degen, residual, sb, sf = _solve_chunks(
         blocks, spec.coupling_rows(), workers, where,
         lambda vectors: species_entropies(vectors, blocks.basis),
     )
@@ -238,5 +247,6 @@ def entropy_scan(
         s_fermions=sf,
         degenerate=degen,
         gap=gap,
+        max_residual=float(residual.max()),
         wall_time_s=time.perf_counter() - started,
     )

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -53,3 +54,15 @@ def run_python():
                               text=True, timeout=120)
 
     return run
+
+
+def doctored(sectors):
+    """Sector blocks whose last coupling term raises the strict upper triangle
+    of the first sector's block only.  The symmetry check reads the full H,
+    so it passes; the solver reads the lower triangle, so wherever that
+    coupling is nonzero the ground pair's residual in the block is large."""
+    d = sectors.sectors[0].shape[1]
+    upper = sectors.n_defect + np.flatnonzero(np.triu(np.ones((d, d)), 1))
+    terms = sectors.terms.copy()
+    terms[-1, upper] += 1.0
+    return dataclasses.replace(sectors, terms=terms)

@@ -7,8 +7,9 @@ import math
 import numpy as np
 import pytest
 
-from dwmix.cli import EXIT_CONFIG, EXIT_MODEL, EXIT_OK, PRESET_NAMES, build_parser, main
-from dwmix.manybody import FERMION_VARIANTS
+from conftest import doctored
+from dwmix.cli import EXIT_CONFIG, EXIT_INTERNAL, EXIT_MODEL, EXIT_OK, PRESET_NAMES, build_parser, main
+from dwmix.manybody import FERMION_VARIANTS, HamiltonianBlocks
 from dwmix.sweep import PLANE_AXES
 
 COARSE = "grid.n_points = 801\n"
@@ -208,6 +209,15 @@ class TestFidelityMap:
         results = json.loads((out / "manifest.json").read_text())["results"]
         assert 0.0 < results["min_fidelity"] <= 1.0
         assert results["degenerate_cells"] == 0
+        assert 0.0 < results["max_residual"] < 1.0e-16
+
+    def test_unsolved_cell_exits_internal(self, tmp_path, monkeypatch, capsys):
+        original = HamiltonianBlocks.sector_blocks
+        monkeypatch.setattr(HamiltonianBlocks, "sector_blocks",
+                            lambda self: doctored(original(self)))
+        cfg = write_cfg(tmp_path, self.SWEEP)
+        assert main(["fidelity-map", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_INTERNAL
+        assert "cell (0, 1)" in capsys.readouterr().err
 
     def test_min_gap_matches_oracle(self, tmp_path, coarse_context):
         cfg = write_cfg(tmp_path, self.SWEEP)
@@ -254,6 +264,7 @@ class TestEntropyScan:
         k = int(np.argmax(data[:, 1]))
         assert results["argmax_lambda_ff"] == data[k, 0]
         assert results["min_gap"] > 0.0
+        assert 0.0 < results["max_residual"] < 1.0e-16
         assert 0 <= results["min_gap_point"] < 9
 
     def test_criterion_7_line_peaks_inside(self, tmp_path):

@@ -93,8 +93,8 @@ def test_evolution_matches_an_extended_precision_propagation(coarse_context):
                         0.32294826859348263, 0.4560724830160005],
         "p_rr_fermions": [0.2548981528337367, 0.1321477318326797,
                           0.32461510487082873, 0.44503595126562057],
-        "entropy": [0.6061062040831143, 1.157830751200747,
-                    1.3567271497789088, 1.1354173851735678],
+        "entropy": [0.60610620408311435, 1.157830751200747,
+                    1.3567271497789088, 1.1354173851735679],
     }
     s_bosons, s_fermions = species_entropies(states, ctx.basis)
     for values, expected in (

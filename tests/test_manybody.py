@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from conftest import doctored
+from dwmix import tridiagonal
 from dwmix.errors import ConfigError, InvariantError
 from dwmix.manybody import (
     ANTISYMMETRIC,
@@ -10,7 +12,6 @@ from dwmix.manybody import (
     CouplingParams,
     ManyBodyHamiltonian,
     SectorBlocks,
-    _ascending_eigenvalues,
     enumerate_bases,
     ground_state,
     hamiltonian_blocks,
@@ -19,6 +20,7 @@ from dwmix.manybody import (
     spin_exchange_operator,
 )
 from dwmix.model import build_context
+from dwmix.tridiagonal import EPS, Tridiagonal, checked_residuals
 
 SQRT2 = np.sqrt(2.0)
 
@@ -175,7 +177,7 @@ class TestAssembly:
 
 def _gap_and_flag(h):
     """Gap and degenerate flag of one Hamiltonian from the sector kernel."""
-    _, gap, degenerate, _ = SectorBlocks.project(h.basis, h.matrix).ground_states(
+    _, gap, degenerate, _, _ = SectorBlocks.project(h.basis, h.matrix).ground_states(
         np.zeros((1, 0)))
     return gap[0], degenerate[0]
 
@@ -285,19 +287,122 @@ class TestSymmetrySectors:
         assert info.value.index == 2
 
 
+def _lowest_pair(matrices):
+    """Lowest eigenvalue and vector of each (n, d, d) matrix by the sweep solver."""
+    a = np.ascontiguousarray(np.moveaxis(matrices, 0, -1))
+    reduced = Tridiagonal.reduce(a)
+    lowest = reduced.lowest()
+    vectors = reduced.vectors(lowest)
+    return lowest, vectors.T, checked_residuals(a, vectors, lowest, np.arange(len(matrices)))
+
+
 class TestSectorKernel:
+    @pytest.mark.parametrize("d", range(1, 10))
+    def test_random_stacks_match_eigh(self, rng, d):
+        a = rng.standard_normal((300, d, d))
+        matrices = a + a.transpose(0, 2, 1)
+        lowest, vectors, residual = _lowest_pair(matrices)
+        values, oracle = np.linalg.eigh(matrices)
+        scale = np.linalg.norm(matrices, axis=(1, 2))
+        assert np.all(np.abs(lowest - values[:, 0]) <= 16 * EPS * scale)
+        assert np.all(residual <= 16 * EPS * scale)
+        assert np.allclose(np.linalg.norm(vectors, axis=1), 1.0, rtol=0.0, atol=1e-14)
+        if d > 1:
+            separated = values[:, 1] - values[:, 0] > 1e-6 * scale
+            overlap = np.abs(np.einsum("nd,nd->n", vectors, oracle[:, :, 0]))
+            assert np.allclose(overlap[separated], 1.0, rtol=0.0, atol=1e-12)
+
+    def test_steps_past_the_lowest_eigenvalue_end_there(self):
+        # Laguerre's step is exact for a 2x2, so rounding puts about half of
+        # these one ulp past the lowest eigenvalue; iterating on from there
+        # would head for the other one.
+        a = np.random.default_rng(0).standard_normal((200, 2, 2))
+        matrices = a + a.transpose(0, 2, 1)
+        lowest, _, _ = _lowest_pair(matrices)
+        np.testing.assert_allclose(lowest, np.linalg.eigvalsh(matrices)[:, 0],
+                                   rtol=0.0, atol=1e-14)
+
     def test_closed_forms_match_eigvalsh(self, rng):
         for d in (1, 2):
             a = rng.standard_normal((256, d, d))
             stack = a + a.transpose(0, 2, 1)
             if d == 2:
                 stack[0] = [[0.7, 0.0], [0.0, 0.7]]
-            values = _ascending_eigenvalues(stack)
-            assert values.shape == (256, d)
-            assert np.all(np.diff(values, axis=1) >= 0.0)
-            assert np.allclose(values, np.linalg.eigvalsh(stack), rtol=0.0, atol=1e-14)
+            lowest, _, _ = _lowest_pair(stack)
+            assert np.allclose(lowest, np.linalg.eigvalsh(stack)[:, 0], rtol=0.0, atol=1e-14)
             if d == 2:
-                assert values[0].tolist() == [0.7, 0.7]
+                assert lowest[0] == 0.7
+                reduced = Tridiagonal.reduce(np.moveaxis(stack[:1], 0, -1))
+                assert reduced.count_below(np.array([np.nextafter(0.7, 1.0)]))[0] == 2
+                assert reduced.count_below(np.array([0.7]))[0] == 2  # a zero pivot counts
+
+    def test_diagonal_and_reducible_matrices(self):
+        diagonal = np.array([np.diag(v) for v in
+                             ([3.0, 1.0, 2.0], [1.0, 1.0, 2.0], [0.0, 0.0, 0.0], [2.0, 2.0, 2.0])])
+        block = np.zeros((2, 5, 5))
+        block[:, :2, :2] = [[2.0, 1.0], [1.0, 2.0]]
+        block[:, 2:, 2:] = [[0.5, 0.3, 0.0], [0.3, 0.5, 0.3], [0.0, 0.3, 0.5]]
+        block[1, :2, :2] = [[0.5, 0.3], [0.3, 0.5]]  # the lowest eigenvalue in both blocks
+        for matrices in (diagonal, block):
+            lowest, vectors, residual = _lowest_pair(matrices)
+            np.testing.assert_allclose(lowest, np.linalg.eigvalsh(matrices)[:, 0],
+                                       rtol=0.0, atol=4 * EPS)
+            assert np.all(residual <= 4 * EPS)
+            np.testing.assert_allclose(np.linalg.norm(vectors, axis=1), 1.0, atol=1e-15)
+        # A step that lands on the eigenvalue, where a pivot is zero, is the last.
+        assert _lowest_pair(diagonal)[0].tolist() == [1.0, 1.0, 0.0, 2.0]
+
+    def test_single_row(self, coarse_context):
+        blocks = coarse_context.blocks
+        sectors = blocks.sector_blocks()
+        c = np.array([[1.0e-3, 5.0e-4, 9.0e-3]])
+        energy, gap, degenerate, vector, residual = sectors.ground_states(c)
+        values, oracle = np.linalg.eigh(blocks.compose(CouplingParams(*c[0])).matrix
+                                        - sectors.shift * np.eye(12))
+        assert energy.shape == gap.shape == residual.shape == (1,)
+        assert energy[0] == pytest.approx(values[0] + sectors.shift, abs=1e-12)
+        assert gap[0] == pytest.approx(values[1] - values[0], abs=1e-12)
+        assert abs(vector[0] @ oracle[:, 0]) == pytest.approx(1.0, abs=1e-12)
+        assert 0.0 <= residual[0] < 1e-16
+
+    def test_winner_own_second_eigenvalue_sets_the_gap(self, coarse_context):
+        # Raising every mirror-odd and every T0 state leaves the even singlet
+        # sector alone at the bottom: its own second eigenvalue lies below the
+        # lowest of every other sector, and gives the gap.
+        blocks = coarse_context.blocks
+        basis = blocks.basis
+        odd = 0.5 * (np.eye(12) - mirror_operator(basis))
+        t0 = np.diag((np.diag(spin_exchange_operator(basis)) > 0.0).astype(float))
+        raised = odd + t0 - odd @ t0
+        sectors = SectorBlocks.project(basis, blocks.h0, (blocks.h_bf, raised))
+        couplings = np.column_stack([np.linspace(0.0, 9.0e-3, 7), np.full(7, 0.1)])
+        _, gap, _, _, _ = sectors.ground_states(couplings)
+        for row, (bf, lift) in enumerate(couplings):
+            h = blocks.h0 - sectors.shift * np.eye(12) + bf * blocks.h_bf + lift * raised
+            own, *others = [np.linalg.eigvalsh(q.T @ h @ q) for q in sectors.sectors]
+            assert own[1] < min(values[0] for values in others)
+            values = np.linalg.eigvalsh(h)
+            assert gap[row] == pytest.approx(values[1] - values[0], abs=1e-12)
+
+    def test_residual_check_names_the_row(self, coarse_context):
+        sectors = doctored(coarse_context.blocks.sector_blocks())
+        couplings = np.zeros((4, 3))
+        couplings[2:, 2] = 1.0e-3
+        _, _, _, _, residual = sectors.ground_states(couplings[:2])
+        assert np.all(residual < 1.0e-16)
+        with pytest.raises(InvariantError, match="residual") as info:
+            sectors.ground_states(couplings)
+        assert info.value.index == 2
+
+    def test_laguerre_cap_names_the_row(self, monkeypatch):
+        # Row 0 is diagonal, so its first step is exact; row 1 needs more.
+        matrices = np.array([np.diag([3.0, 1.0, 2.0]),
+                             [[2.0, 1.0, 0.5], [1.0, 1.0, 0.3], [0.5, 0.3, 3.0]]])
+        reduced = Tridiagonal.reduce(np.moveaxis(matrices, 0, -1))
+        monkeypatch.setattr(tridiagonal, "LAGUERRE_ITERATIONS", 1)
+        with pytest.raises(InvariantError, match="still moving") as info:
+            reduced.lowest()
+        assert info.value.index == 1
 
     def test_mixed_winners_match_per_cell_oracle(self, coarse_context):
         # Lowering every fermion-T0 state by c moves the ground state from the
@@ -309,7 +414,7 @@ class TestSectorKernel:
         p_t0[t0, t0] = -1.0
         couplings = np.column_stack([np.full(16, 1.0e-3), np.linspace(0.0, 3.0e-2, 16)])
         sectors = SectorBlocks.project(basis, blocks.h0, (blocks.h_bf, p_t0))
-        energy, gap, degenerate, vectors = sectors.ground_states(couplings)
+        energy, gap, degenerate, vectors, _ = sectors.ground_states(couplings)
         in_t0 = np.abs(vectors[:, t0]).sum(axis=1) > 0.5
         assert in_t0.any() and not in_t0.all()
         for row, (bf, lowering) in enumerate(couplings):

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from conftest import doctored
+from dwmix.config import RunConfig
 from dwmix.errors import ConfigError, SweepError
 from dwmix.manybody import (
     CouplingParams,
@@ -242,8 +244,8 @@ class TestAgainstPerCellOracle:
     """The batched kernel against a plain per-cell loop, over several chunks."""
 
     def test_fidelity_plane(self, coarse_context):
-        spec = plane_spec(AxisSpec(0.0, 2.0e-3, 41), AxisSpec(0.0, 3.0e-3, 29))
-        assert 41 * 29 > CHUNK_CELLS
+        spec = plane_spec(AxisSpec(0.0, 2.0e-3, 81), AxisSpec(0.0, 3.0e-3, 61))
+        assert 81 * 61 > 2 * CHUNK_CELLS
         _assert_plane_matches_oracle(coarse_context.blocks, spec)
 
     def test_entropy_line(self, coarse_context):
@@ -284,7 +286,7 @@ class TestSymmetrySectors:
 
         h = lowered.compose(CouplingParams(1.0e-3, 1.0e-3, 2.0e-3))
         gs = ground_state(h)
-        _, gap, _, _ = SectorBlocks.project(basis, h.matrix).ground_states(np.zeros((1, 0)))
+        _, gap, _, _, _ = SectorBlocks.project(basis, h.matrix).ground_states(np.zeros((1, 0)))
         others = np.setdiff1d(np.arange(basis.dim), t0)
         assert np.all(gs.vector[others] == 0.0)
         energies, vectors = _spectrum(lowered, 1.0e-3, 1.0e-3, 2.0e-3)
@@ -321,8 +323,8 @@ class TestSymmetrySectors:
         spec = SweepSpec(plane="line_ff", x_axis=AxisSpec(0.0, 3.0e-4, 4),
                          fixed={"lambda_bb": 5.0e-4, "lambda_bf": 5.0e-4})
         curve = entropy_scan(context.blocks, spec)
-        exact = [0.16428591012067475, 0.15595815149237976,
-                 0.14776221310748299, 0.13973059976420869]
+        exact = [0.16428591012064164, 0.15595815149234947,
+                 0.1477622131074556, 0.13973059976418425]
         np.testing.assert_allclose(curve.s_bosons, exact, rtol=0.0, atol=1.0e-13)
 
 
@@ -352,6 +354,24 @@ class TestFidelitySusceptibility:
             errors.append(abs((1.0 - surface.fidelity[0, 0]) - predicted) / predicted)
         assert errors[0] < 0.02
         assert errors[0] < errors[1]
+
+
+def test_unsolved_cell_is_named():
+    # Builds its own context, so that it also runs under python -O below.
+    context = build_context(RunConfig.default().replace_values(**{"grid.n_points": 801}))
+    original = HamiltonianBlocks.sector_blocks
+    HamiltonianBlocks.sector_blocks = lambda self: doctored(original(self))
+    try:
+        spec = plane_spec(AxisSpec(0.0, 1.0e-3, 2), AxisSpec(0.0, 1.0e-3, 3))
+        with pytest.raises(SweepError, match=r"cell \(0, 1\).*residual"):
+            fidelity_map(context.blocks, spec)
+    finally:
+        HamiltonianBlocks.sector_blocks = original
+
+
+def test_unsolved_cell_is_named_under_optimize(run_python):
+    proc = run_python("-O", "-c", "from test_sweep import test_unsolved_cell_is_named as t; t()")
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_failing_cell_is_named_under_optimize(run_python):
