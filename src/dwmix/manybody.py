@@ -149,14 +149,6 @@ class CompositeBasis:
     def labels(self) -> list[str]:
         return [f"{b}|{f}" for b in self.boson_labels for f in self.fermion_labels]
 
-    def boson_spatial(self, i: int) -> np.ndarray:
-        """Coefficient matrix over (m1, m2) of boson basis state i."""
-        return self.boson_vectors[:, i].reshape(2, 2)
-
-    def fermion_spatial(self, j: int) -> np.ndarray:
-        """Coefficient tensor over (m1, s1, m2, s2) of fermion state j."""
-        return self.fermion_vectors[:, j].reshape(2, 2, 2, 2)
-
     def index_of(self, boson_label: str, fermion_label: str) -> int:
         try:
             i = self.boson_labels.index(boson_label)

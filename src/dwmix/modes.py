@@ -16,14 +16,23 @@ and each sector state's Rayleigh quotient must lie within half the
 splitting of its energy.  The doublet must also be well separated from the
 rest of the spectrum, otherwise the two-mode truncation used everywhere
 downstream is invalid and we refuse to continue.
+
+Both LAPACK routines come from scipy's compiled extension
+``scipy.linalg._flapack``, the module ``scipy.linalg.lapack`` re-exports
+them from.  It is loaded from its file: importing ``scipy.linalg`` would run
+the whole package and its array-API layer, which costs more than half of a
+cold CLI run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from importlib.machinery import EXTENSION_SUFFIXES
+from importlib.util import find_spec, module_from_spec, spec_from_file_location
+from pathlib import Path
+from types import ModuleType
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv, dstebz
 
 from .errors import SolverError
 from .potential import Grid
@@ -38,6 +47,42 @@ _INVERSE_STEPS = 2
 _EPS = float(np.finfo(float).eps)
 _SQRT2 = np.sqrt(2.0)
 _SQRT_HALF = np.sqrt(0.5)
+
+
+def _scipy_dir() -> Path:
+    """scipy's install directory, found without importing scipy."""
+    spec = find_spec("scipy")
+    if spec is None or not spec.submodule_search_locations:
+        raise ImportError("dwmix needs scipy's compiled LAPACK routines, and no scipy "
+                          "package is on the module search path")
+    return Path(spec.submodule_search_locations[0])
+
+
+def _load_flapack(scipy_dir: Path) -> ModuleType:
+    """Load ``linalg/_flapack`` under ``scipy_dir`` as ``scipy.linalg._flapack``.
+
+    The module stays out of ``sys.modules``, so a later ``import scipy.linalg``
+    in the same process loads it the usual way.
+    """
+    directory = scipy_dir / "linalg"
+    for suffix in EXTENSION_SUFFIXES:
+        path = directory / f"_flapack{suffix}"
+        if path.is_file():
+            spec = spec_from_file_location("scipy.linalg._flapack", path)
+            module = module_from_spec(spec)
+            spec.loader.exec_module(module)
+            return module
+    from importlib.metadata import PackageNotFoundError, version
+
+    try:
+        found = f"scipy {version('scipy')}"
+    except PackageNotFoundError:
+        found = "no installed scipy distribution"
+    raise ImportError(f"no compiled LAPACK extension _flapack in {directory} ({found})")
+
+
+_flapack = _load_flapack(_scipy_dir())
+dgtsv, dstebz = _flapack.dgtsv, _flapack.dstebz
 
 
 @dataclass(frozen=True)

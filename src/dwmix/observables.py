@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import InvariantError
 from .manybody import CompositeBasis
 
 EIGENVALUE_FLOOR = -1.0e-12
@@ -17,19 +17,21 @@ ENTROPY_FLOOR = 4.0 * np.finfo(float).eps
 def _entropies(eigenvalues: np.ndarray) -> np.ndarray:
     """S = -sum lambda_i log2 lambda_i of each row, with 0 log 0 := 0.
 
-    Raises ConfigError at the first row with an eigenvalue below the floor.
+    An eigenvalue rounded above 1 has a negative term -lambda log2 lambda,
+    so each S is clamped at 0.  Raises InvariantError at the first row with an eigenvalue
+    below the positivity floor.
     """
     lowest = eigenvalues.min(axis=1)
     bad = np.flatnonzero(lowest < EIGENVALUE_FLOOR)
     if bad.size:
         k = int(bad[0])
-        raise ConfigError(
+        raise InvariantError(
             f"density matrix has eigenvalue {lowest[k]:.3e} below the "
             "positivity floor",
             index=k,
         )
     lam = np.where(eigenvalues > ENTROPY_FLOOR, eigenvalues, 1.0)
-    return -np.sum(lam * np.log2(lam), axis=1)
+    return np.maximum(-np.sum(lam * np.log2(lam), axis=1), 0.0)
 
 
 def species_entropies(coefficients: np.ndarray, basis: CompositeBasis) -> tuple:

@@ -13,12 +13,12 @@ from importlib import resources
 
 import numpy as np
 import pytest
+from spatial_oracle import density_profile
 
 from dwmix.cli import _fidelity_spec
 from dwmix.config import parse_config
 from dwmix.dynamics import (
     default_time_grid,
-    density_profile,
     evolve,
     initial_state_rr,
     regime_metrics,

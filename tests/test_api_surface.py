@@ -25,12 +25,6 @@ from dwmix.config import _SECTIONS
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "dwmix"
 
-# The spatial oracle behind criterion 4 of the acceptance suite: tests are its
-# only callers by design.
-ALLOWED = {"density_profile", "quadrant_probability", "integral"}
-# The same oracle's subsampling stride is set by its test callers only.
-DEFAULTS_ALLOWED = {"density_profile"}
-
 
 def _public_definitions(path):
     """(name, line) of module-level functions and classes and their methods."""
@@ -101,7 +95,7 @@ def test_every_public_name_has_a_caller():
     ]
     defined = Counter(name for name, _ in definitions)
     unused = [f"{name} ({where})" for name, where in definitions
-              if counts[name] <= defined[name] and name not in ALLOWED]
+              if counts[name] <= defined[name]]
     assert not unused, "public names with no caller in src/ or perfbench/: " + ", ".join(unused)
 
 
@@ -194,8 +188,7 @@ def test_every_defaulted_parameter_is_passed():
         f"{callee}({name}) ({path.relative_to(ROOT)}:{line})"
         for path in sources
         for callee, name, position, line in _defaulted_parameters(path)
-        if callee not in DEFAULTS_ALLOWED
-        and not any(
+        if not any(
             keywords is None or name in keywords
             or (position is not None and count > position)
             for count, keywords in calls.get(callee, [])

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 from scipy.signal import find_peaks
+from spatial_oracle import density_profile
 
 from dwmix.errors import ConfigError, InvariantError
 from dwmix.dynamics import (
     TimeSeries,
     _local_maxima,
     default_time_grid,
-    density_profile,
     evolve,
     initial_state_rr,
     regime_metrics,

@@ -1,12 +1,19 @@
+import re
+from importlib import resources
 from unittest import mock
 
 import numpy as np
 import pytest
-from scipy.linalg import eigh_tridiagonal
+import scipy
+from scipy.linalg import eigh_tridiagonal, lapack
 
+from dwmix import modes as modes_module
+from dwmix.config import parse_config
 from dwmix.errors import SolverError
+from dwmix.model import build_potential, resolve_x_max
 from dwmix.modes import build_sp_hamiltonian, lowest_doublet, solve_doublet
 from dwmix.potential import DoubleSquareWell, Grid, sample_on_grid
+from dwmix.units import SpeciesConstants
 
 KAPPA = 0.196980985999906
 KAPPA_FERMION = 0.19582905040926324
@@ -237,3 +244,54 @@ def test_rayleigh_quotient_guard_under_optimize(run_python):
     proc = run_python("-O", "-c", "import test_modes; "
                       "test_modes._solve_without_inverse_iteration()")
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.fixture(scope="module")
+def region2_trap():
+    """(species constants, sampled potential, grid) of the region2 preset."""
+    config = parse_config(resources.files("dwmix").joinpath("presets/region2.cfg").read_text())
+    potential = build_potential(config)
+    grid = Grid(x_max=resolve_x_max(config, potential), n_points=config.grid.n_points)
+    species = SpeciesConstants.from_amu(boson_mass_amu=config.species.boson_mass_amu,
+                                        fermion_mass_amu=config.species.fermion_mass_amu)
+    return species, sample_on_grid(potential, grid), grid
+
+
+def assert_same_outputs(got, expected):
+    assert len(got) == len(expected)
+    for a, b in zip(got, expected):
+        assert type(a) is type(b)
+        if isinstance(a, np.ndarray):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        else:
+            assert a == b
+
+
+@pytest.mark.parametrize("kappa", ["kappa_boson", "kappa_fermion"])
+def test_loaded_lapack_matches_scipy_linalg_bitwise(region2_trap, kappa):
+    # The routines modes.py loads from the extension file against the ones
+    # scipy.linalg.lapack re-exports, on the calls lowest_doublet makes: the
+    # full-grid bisection, then inverse iteration in both mirror sectors.
+    species, v, grid = region2_trap
+    diag, off = build_sp_hamiltonian(getattr(species, kappa), v, grid)
+    mid = grid.n_points // 2
+    args = (diag, off, 2, 0.0, 0.0, 1, 4, 0.0, "E")
+    bisected = modes_module.dstebz(*args)
+    assert_same_outputs(bisected, lapack.dstebz(*args))
+    energies = bisected[1]
+    even_off = off[mid - 1:].copy()
+    even_off[0] *= np.sqrt(2.0)
+    for sector_diag, sector_off, energy in ((diag[mid - 1:], even_off, energies[0]),
+                                            (diag[mid:], off[mid:], energies[1])):
+        args = (sector_off, sector_diag - energy, sector_off, np.ones(sector_diag.size))
+        solved = modes_module.dgtsv(*args)
+        assert solved[-1] == 0
+        assert_same_outputs(solved, lapack.dgtsv(*args))
+
+
+def test_loader_names_the_directory_it_searched(tmp_path):
+    with pytest.raises(ImportError) as info:
+        modes_module._load_flapack(tmp_path)
+    message = str(info.value)
+    assert str(tmp_path / "linalg") in message
+    assert re.search(rf"scipy {re.escape(scipy.__version__)}\b", message)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dwmix.errors import ConfigError
+from dwmix.errors import InvariantError
 from dwmix.manybody import enumerate_bases
 from dwmix.observables import _entropies, species_entropies
 
@@ -65,9 +65,20 @@ class TestVnEntropy:
 
     def test_negative_eigenvalue_rejected(self):
         eigenvalues = np.array([[1.0, 0.0], [0.5, 0.5], [1.5, -0.5]])
-        with pytest.raises(ConfigError, match="positivity") as info:
+        with pytest.raises(InvariantError, match="positivity") as info:
             _entropies(eigenvalues)
         assert info.value.index == 2
+
+    def test_eigenvalue_rounded_above_one_gives_zero(self):
+        # A product state's spectrum with its 1 rounded up by 2 eps: the
+        # unclamped sum is -2 eps / ln 2 for either reduction's size.
+        eps = np.finfo(float).eps
+        for size in (3, 4):
+            eigenvalues = np.zeros((1, size))
+            eigenvalues[0, -1] = 1.0 + 2.0 * eps
+            entropy = _entropies(eigenvalues)
+            assert entropy.tolist() == [0.0]
+            assert not np.signbit(entropy[0])
 
 
 class TestSpeciesEntropies:
