@@ -239,7 +239,7 @@ def _cmd_entropy_scan(args: argparse.Namespace) -> int:
     context = build_context(config)
     build_s = time.perf_counter() - started
     spec = _entropy_spec(config)
-    curve = entropy_scan(context.blocks, spec, workers=args.workers)
+    curve = entropy_scan(context.blocks, spec)
     directory = _out_dir(config)
     outputs = {
         "entropy_scan": write_entropy_csv(directory / "entropy_scan.csv", curve)
@@ -369,6 +369,16 @@ def _write_plot_script(directory: Path, kind: str) -> Path:
     return path
 
 
+def _worker_count(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1 (got {value})")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dwmix",
@@ -395,8 +405,9 @@ def build_parser() -> argparse.ArgumentParser:
         )
         if workers:
             p.add_argument(
-                "--workers", type=int, default=1,
-                help="threads solving the sweep's chunks (default 1)",
+                "--workers", type=_worker_count, default=1, metavar="N",
+                help="accepted for older scripts; the sweep runs on one thread and "
+                "its output does not depend on N (default 1)",
             )
 
     p = sub.add_parser("solve-modes", help="solve the doublet and write mode CSVs")

@@ -1,9 +1,9 @@
 """Artifact writers: CSV emission, run manifests, and content hashing.
 
 All floats are written with ``repr``, which round-trips in IEEE double and
-keeps output bytes independent of locale, worker count, and numpy print
-options.  The manifest lists every emitted file with its SHA-256 so that a
-rerun can be compared hash for hash.
+keeps output bytes independent of locale and numpy print options.  The
+manifest lists every emitted file with its SHA-256 so that a rerun can be
+compared hash for hash.
 """
 
 from __future__ import annotations

@@ -7,17 +7,15 @@ basis's symmetry sectors.  Cells are solved in chunks of CHUNK_CELLS: one
 product composes a chunk's sector blocks, and each step of the numpy solver
 in ``SectorBlocks.ground_states`` (Householder reduction, Laguerre's
 iteration for each sector's lowest eigenvalue, inverse iteration for the
-winning sector's vector) runs once over every cell of the chunk.  Chunks run
-on a thread pool, also for one worker.  Chunk boundaries do not depend on the
-worker count and output order is row-major over the grid, so CSV bytes do
-not depend on the schedule.
+winning sector's vector) runs once over every cell of the chunk.  The chunks
+are solved one after another on the calling thread, and output order is
+row-major over the grid.
 """
 
 from __future__ import annotations
 
 import time
 from collections.abc import Callable
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,14 +32,12 @@ PLANE_AXES: dict[str, tuple[str, str | None, tuple[str, ...]]] = {
     "line_ff": ("lambda_ff", None, ("lambda_bb", "lambda_bf")),
 }
 
-# Cells per batched solve.  Four 256x256 fidelity-map runs in one process
-# (2-core Xeon, numpy 2.4) raise peak RSS over the imported program by about
-# 9.9 MB at one worker and 12.2 MB at two with 2048-cell chunks, and each run
-# takes 0.31 s and 0.36 s, CSV writing included.  1024-cell chunks take
-# 0.39/0.51 s for 8.8/10.1 MB, 4096-cell ones 0.27/0.28 s for 11.8/16.1 MB.
-# The solver holds the GIL between its numpy calls, so a second worker does
-# not speed a map up at any of these sizes.
-CHUNK_CELLS = 2048
+# Cells per batched solve.  On a 256x256 map (2-core Xeon, numpy 2.4) the
+# solve took 2.5, 1.6 and 1.9 us per cell at 2048, 4096 and 8192 cells
+# (median of 7), while its working set grows at about 950 B per cell
+# (tracemalloc peak of one ``SectorBlocks.ground_states`` call: 1.88, 3.72
+# and 7.26 MiB).  tests/test_sweep.py holds a chunk's working set to 4 MiB.
+CHUNK_CELLS = 4096
 
 
 @dataclass(frozen=True)
@@ -156,46 +152,45 @@ class EntropyCurve:
 def _solve_chunks(
     blocks: HamiltonianBlocks,
     couplings: np.ndarray,
-    workers: int,
     where: Callable[[int], str],
     kernel: Callable[[np.ndarray], tuple],
 ) -> list[np.ndarray]:
     """Ground states of every coupling row, solved in fixed-size chunks.
 
-    Each chunk is solved per symmetry sector (see
-    ``SectorBlocks.ground_states``); ``kernel`` maps its ground vectors to a
-    tuple of per-cell arrays.  Returns the gaps and the degenerate flags over
-    all rows in order, the largest ground-pair residual of each chunk, and the
-    kernel's arrays over all rows in order.  A batched
-    check that fails is raised as a SweepError that ``where`` words for the
-    first failing row.
+    The chunks are solved in order on the calling thread.  Each is solved
+    per symmetry sector (see ``SectorBlocks.ground_states``); ``kernel`` maps
+    its ground vectors to a tuple of per-cell arrays.  Returns the gaps and
+    the degenerate flags over all rows in order, the largest ground-pair
+    residual of each chunk, and the kernel's arrays over all rows in order.
+    A batched check that fails is raised as a SweepError that ``where``
+    words for the first failing row.
     """
-    if workers < 1:
-        raise ConfigError("workers must be at least 1")
-    sectors = blocks.sector_blocks()  # built before the pool: threads only read it
-
-    def solve(start: int) -> tuple[np.ndarray, ...]:
+    sectors = blocks.sector_blocks()
+    chunks = []
+    for start in range(0, len(couplings), CHUNK_CELLS):
         try:
             _, gap, degenerate, vectors, residual = sectors.ground_states(
                 couplings[start : start + CHUNK_CELLS]
             )
-            return (gap, degenerate, residual.max(keepdims=True), *kernel(vectors))
+            chunks.append((gap, degenerate, residual.max(keepdims=True), *kernel(vectors)))
         except DwmixError as exc:
             if exc.index is None:
                 raise
             raise SweepError(
                 f"{where(start + exc.index)}: {type(exc).__name__}: {exc}"
             ) from exc
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        chunks = list(pool.map(solve, range(0, len(couplings), CHUNK_CELLS)))
     return [np.concatenate(parts) for parts in zip(*chunks)]
 
 
 def fidelity_map(
-    blocks: HamiltonianBlocks, spec: SweepSpec, workers: int = 1
+    blocks: HamiltonianBlocks, spec: SweepSpec, *, workers: int = 1
 ) -> FidelitySurface:
-    """Ground-state fidelity against the reference over a coupling plane."""
+    """Ground-state fidelity against the reference over a coupling plane.
+
+    ``workers`` changes nothing: the CLI passes its ``--workers`` value only
+    so that ``perfbench/tracing.py``, which names a map's span after this
+    keyword, can tell its 1- and 2-worker ops apart.
+    """
     if spec.reference is None:
         raise ConfigError("fidelity sweeps need reference couplings")
     started = time.perf_counter()
@@ -209,7 +204,7 @@ def fidelity_map(
                 f"x={float(xs[i])!r}, y={float(ys[j])!r}")
 
     gap, degen, residual, fid = _solve_chunks(
-        blocks, spec.coupling_rows(), workers, where,
+        blocks, spec.coupling_rows(), where,
         lambda vectors: (np.minimum(np.abs(vectors @ ref_gs.vector), 1.0),),
     )
     return FidelitySurface(
@@ -225,9 +220,7 @@ def fidelity_map(
     )
 
 
-def entropy_scan(
-    blocks: HamiltonianBlocks, spec: SweepSpec, workers: int = 1
-) -> EntropyCurve:
+def entropy_scan(blocks: HamiltonianBlocks, spec: SweepSpec) -> EntropyCurve:
     """Species entanglement entropies of the ground state along a line."""
     if spec.plane != "line_ff":
         raise ConfigError("entropy scans run on the 'line_ff' plane")
@@ -238,7 +231,7 @@ def entropy_scan(
         return f"entropy scan failed at point {index}, lambda_ff={float(xs[index])!r}"
 
     gap, degen, residual, sb, sf = _solve_chunks(
-        blocks, spec.coupling_rows(), workers, where,
+        blocks, spec.coupling_rows(), where,
         lambda vectors: species_entropies(vectors, blocks.basis),
     )
     return EntropyCurve(

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from spatial_oracle import density_profile
 
-from dwmix.cli import _fidelity_spec
+from dwmix.cli import EXIT_OK, _fidelity_spec, main
 from dwmix.config import parse_config
 from dwmix.dynamics import (
     default_time_grid,
@@ -42,6 +42,10 @@ from dwmix.overlaps import cross_species_tensor, overlap_tensor
 from dwmix.sweep import AxisSpec, SweepSpec, entropy_scan, fidelity_map
 
 
+def sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
 def report(criterion, passed, detail):
     print(f"criterion {criterion}: {'PASS' if passed else 'FAIL'} ({detail})")
 
@@ -65,7 +69,7 @@ def phase_map(tmp_path_factory):
     context = build_context(config)
     spec = _fidelity_spec(config)  # the CLI's spec, so any plane's fixed coupling is right
     started = time.perf_counter()
-    surface = fidelity_map(context.blocks, spec, workers=4)
+    surface = fidelity_map(context.blocks, spec)
     wall = time.perf_counter() - started
     return context, spec, surface, wall
 
@@ -273,20 +277,23 @@ def test_criterion_7_entropy_scan(default_context):
 
 
 def test_criterion_8_worker_determinism(phase_map, default_context, tmp_path):
-    context, spec, _, _ = phase_map
-    fidelity_digests = set()
-    entropy_digests = set()
-    for workers in (1, 4, 8):
-        surface = fidelity_map(context.blocks, spec, workers=workers)
-        path = write_fidelity_csv(tmp_path / f"f{workers}.csv", surface)
-        fidelity_digests.add(hashlib.sha256(path.read_bytes()).hexdigest())
-
-        curve = entropy_scan(default_context.blocks, ENTROPY_LINE, workers=workers)
-        path = write_entropy_csv(tmp_path / f"e{workers}.csv", curve)
-        entropy_digests.add(hashlib.sha256(path.read_bytes()).hexdigest())
+    _, _, surface, _ = phase_map
+    fidelity_digests = {sha256(write_fidelity_csv(tmp_path / "f.csv", surface))}
+    curve = entropy_scan(default_context.blocks, ENTROPY_LINE)
+    entropy_digests = {sha256(write_entropy_csv(tmp_path / "e.csv", curve))}
+    line_cfg = tmp_path / "line.cfg"
+    line_cfg.write_text("couplings.lambda_bb = 1.0e-3\ncouplings.lambda_bf = 9.0e-3\n")
+    for workers in ("1", "4", "8"):
+        out = tmp_path / f"w{workers}"
+        assert main(["fidelity-map", "--config", "phase_maps", "--out", str(out),
+                     "--workers", workers]) == EXIT_OK
+        assert main(["entropy-scan", "--config", str(line_cfg), "--out", str(out),
+                     "--workers", workers]) == EXIT_OK
+        fidelity_digests.add(sha256(out / "fidelity_map.csv"))
+        entropy_digests.add(sha256(out / "entropy_scan.csv"))
     passed = len(fidelity_digests) == 1 and len(entropy_digests) == 1
     report(8, passed,
-           f"distinct hashes over workers (1, 4, 8): "
+           f"distinct hashes over the library call and --workers (1, 4, 8): "
            f"fidelity {len(fidelity_digests)}, entropy {len(entropy_digests)}")
     assert len(fidelity_digests) == 1
     assert len(entropy_digests) == 1

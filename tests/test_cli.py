@@ -285,7 +285,8 @@ def test_fermion_basis_choices_are_the_variant_table():
         assert tuple(option.choices) == FERMION_VARIANTS
 
 
-@pytest.mark.parametrize("module", ["scipy.signal", "scipy.linalg", "numpy.f2py"])
+@pytest.mark.parametrize("module", ["scipy.signal", "scipy.linalg", "numpy.f2py",
+                                    "concurrent.futures"])
 def test_import_leaves_out(run_python, module):
     # dwmix needs none of these, and each one adds to every cold start.
     proc = run_python("-c", f"import sys, dwmix.cli; print({module!r} in sys.modules)")

@@ -1,10 +1,16 @@
 """Coupling-plane sweeps: spec validation, determinism, and flag plumbing."""
 
+import hashlib
+import math
+import tracemalloc
+from importlib import resources
+
 import numpy as np
 import pytest
 
 from conftest import doctored
-from dwmix.config import RunConfig
+from dwmix.cli import EXIT_CONFIG, EXIT_OK, _fidelity_spec, main
+from dwmix.config import RunConfig, parse_config
 from dwmix.errors import ConfigError, SweepError
 from dwmix.manybody import (
     CouplingParams,
@@ -33,6 +39,19 @@ def _broken_blocks():
         basis=basis, h0=np.diag(np.arange(float(basis.dim))),
         h_bb=zeros, h_ff=lopsided, h_bf=zeros,
     )
+
+
+def csv_digests_over_workers(tmp_path, command, config_text, artifact):
+    """sha256 of the CSV a CLI sweep writes at --workers 1, 4 and 8."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("grid.n_points = 801\n" + config_text)
+    digests = set()
+    for workers in ("1", "4", "8"):
+        out = tmp_path / f"w{workers}"
+        assert main([command, "--config", str(cfg), "--out", str(out),
+                     "--workers", workers]) == EXIT_OK
+        digests.add(hashlib.sha256((out / artifact).read_bytes()).hexdigest())
+    return digests
 
 
 def plane_spec(x_axis, y_axis, reference=REF):
@@ -135,12 +154,11 @@ class TestFidelityMap:
         surface = fidelity_map(coarse_context.blocks, spec)
         assert surface.fidelity[0, 0] > 1.0 - 1.0e-6
 
-    def test_worker_count_does_not_change_bytes(self, coarse_context):
-        spec = plane_spec(AxisSpec(0.0, 1.0e-3, 3), AxisSpec(0.0, 1.0e-3, 3))
-        serial = fidelity_map(coarse_context.blocks, spec, workers=1)
-        pooled = fidelity_map(coarse_context.blocks, spec, workers=2)
-        assert np.array_equal(serial.fidelity, pooled.fidelity)
-        assert np.array_equal(serial.degenerate, pooled.degenerate)
+    def test_worker_count_does_not_change_bytes(self, tmp_path):
+        digests = csv_digests_over_workers(
+            tmp_path, "fidelity-map", "sweep.x_count = 3\nsweep.y_count = 3\n",
+            "fidelity_map.csv")
+        assert len(digests) == 1
 
     def test_failing_cell_is_named(self):
         reference = CouplingParams(lambda_bb=5.0e-4, lambda_ff=0.0, lambda_bf=5.0e-4)
@@ -158,10 +176,12 @@ class TestFidelityMap:
         surface = fidelity_map(flat, spec)
         assert surface.degenerate.all()
 
-    def test_workers_must_be_positive(self, coarse_context):
-        spec = plane_spec(AxisSpec(0.0, 1.0e-3, 2), AxisSpec(0.0, 1.0e-3, 2))
-        with pytest.raises(ConfigError, match="workers"):
-            fidelity_map(coarse_context.blocks, spec, workers=0)
+    def test_workers_must_be_positive(self, capsys):
+        for command in ("fidelity-map", "entropy-scan"):
+            with pytest.raises(SystemExit) as exc:
+                main([command, "--workers", "0"])
+            assert exc.value.code == EXIT_CONFIG
+            assert "argument --workers: must be at least 1" in capsys.readouterr().err
 
 
 class TestEntropyScan:
@@ -192,12 +212,13 @@ class TestEntropyScan:
         assert curve.argmax_lambda == curve.lambda_ff[k]
         assert 0 < k < curve.lambda_ff.size - 1
 
-    def test_worker_count_does_not_change_bytes(self, coarse_context):
-        spec = self.line_spec(9.0e-3, count=7)
-        serial = entropy_scan(coarse_context.blocks, spec, workers=1)
-        pooled = entropy_scan(coarse_context.blocks, spec, workers=2)
-        assert np.array_equal(serial.s_bosons, pooled.s_bosons)
-        assert np.array_equal(serial.s_fermions, pooled.s_fermions)
+    def test_worker_count_does_not_change_bytes(self, tmp_path):
+        digests = csv_digests_over_workers(
+            tmp_path, "entropy-scan",
+            "couplings.lambda_bb = 1.0e-3\ncouplings.lambda_bf = 9.0e-3\n"
+            "sweep.line_count = 7\n",
+            "entropy_scan.csv")
+        assert len(digests) == 1
 
     def test_failing_point_is_named(self):
         spec = SweepSpec(
@@ -244,8 +265,8 @@ class TestAgainstPerCellOracle:
     """The batched kernel against a plain per-cell loop, over several chunks."""
 
     def test_fidelity_plane(self, coarse_context):
-        spec = plane_spec(AxisSpec(0.0, 2.0e-3, 81), AxisSpec(0.0, 3.0e-3, 61))
-        assert 81 * 61 > 2 * CHUNK_CELLS
+        spec = plane_spec(AxisSpec(0.0, 2.0e-3, 121), AxisSpec(0.0, 3.0e-3, 71))
+        assert 121 * 71 > 2 * CHUNK_CELLS
         _assert_plane_matches_oracle(coarse_context.blocks, spec)
 
     def test_entropy_line(self, coarse_context):
@@ -379,3 +400,28 @@ def test_failing_cell_is_named_under_optimize(run_python):
     proc = run_python("-O", "-c", "from test_sweep import TestFidelityMap; "
                       "TestFidelityMap().test_failing_cell_is_named()")
     assert proc.returncode == 0, proc.stderr
+
+
+# Bytes one chunk's solve may allocate at its peak.  CHUNK_CELLS was chosen
+# against this budget: tracemalloc reads about 950 B per cell (3.72 MiB at
+# 4096 cells, 1.88 MiB at 2048, 7.26 MiB at 8192), so a kernel change that
+# grows the working set fails here before it shows in a run's peak RSS.
+CHUNK_WORKING_SET_BUDGET = 4 * 2**20
+
+
+def test_chunk_working_set_stays_in_budget():
+    text = resources.files("dwmix").joinpath("presets/phase_maps.cfg").read_text()
+    side = math.isqrt(CHUNK_CELLS - 1) + 1
+    config = parse_config(text).replace_values(
+        **{"sweep.x_count": side, "sweep.y_count": side})
+    context = build_context(config)
+    couplings = _fidelity_spec(config).coupling_rows()[:CHUNK_CELLS]
+    sectors = context.blocks.sector_blocks()
+    tracemalloc.start()
+    try:
+        sectors.ground_states(couplings)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= CHUNK_WORKING_SET_BUDGET, (
+        f"{CHUNK_CELLS} cells peaked at {peak} B, budget {CHUNK_WORKING_SET_BUDGET} B")
