@@ -84,6 +84,14 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     return config
 
 
+def _build(args: argparse.Namespace) -> tuple[RunConfig, ModelContext, float]:
+    """The run's config, its model, and the seconds the model took to build."""
+    config = _resolve_config(args)
+    started = time.perf_counter()
+    context = build_context(config)
+    return config, context, time.perf_counter() - started
+
+
 def _out_dir(config: RunConfig) -> Path:
     directory = Path(config.output.directory)
     directory.mkdir(parents=True, exist_ok=True)
@@ -135,10 +143,7 @@ def _finish(
 
 
 def _cmd_solve_modes(args: argparse.Namespace) -> int:
-    config = _resolve_config(args)
-    started = time.perf_counter()
-    context = build_context(config)
-    build_s = time.perf_counter() - started
+    config, context, build_s = _build(args)
     directory = _out_dir(config)
     outputs = {
         "modes_boson": write_modes_csv(
@@ -159,10 +164,7 @@ def _cmd_solve_modes(args: argparse.Namespace) -> int:
 
 
 def _cmd_evolve(args: argparse.Namespace) -> int:
-    config = _resolve_config(args)
-    started = time.perf_counter()
-    context = build_context(config)
-    build_s = time.perf_counter() - started
+    config, context, build_s = _build(args)
     h = context.hamiltonian()
     psi0 = initial_state_rr(context.basis)
     times = default_time_grid(
@@ -202,10 +204,7 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
 
 
 def _cmd_fidelity_map(args: argparse.Namespace) -> int:
-    config = _resolve_config(args)
-    started = time.perf_counter()
-    context = build_context(config)
-    build_s = time.perf_counter() - started
+    config, context, build_s = _build(args)
     spec = _fidelity_spec(config)
     surface = fidelity_map(context.blocks, spec, workers=args.workers)
     directory = _out_dir(config)
@@ -234,10 +233,7 @@ def _cmd_fidelity_map(args: argparse.Namespace) -> int:
 
 
 def _cmd_entropy_scan(args: argparse.Namespace) -> int:
-    config = _resolve_config(args)
-    started = time.perf_counter()
-    context = build_context(config)
-    build_s = time.perf_counter() - started
+    config, context, build_s = _build(args)
     spec = _entropy_spec(config)
     curve = entropy_scan(context.blocks, spec)
     directory = _out_dir(config)
@@ -266,8 +262,7 @@ def _cmd_entropy_scan(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate_config(args: argparse.Namespace) -> int:
-    config = _resolve_config(args)
-    context = build_context(config)
+    config, context, _ = _build(args)
     mb, mf = context.boson_modes, context.fermion_modes
     print("config OK")
     print(f"potential: {config.potential.shape}")

@@ -1,11 +1,12 @@
 """Time evolution and the return-probability observables.
 
 Evolution is spectral (hbar = 1 in these units), with the spectrum from the
-ground states' symmetry-sector solve, ``SectorBlocks.eigenpairs``.  Phases
-e^{-i E tau} of the energies of H - shift * I are followed by one factor
-e^{-i shift tau} per time, so the rounding of shift * tau is a global phase no
-observable sees.  An evolved trajectory is a (T, dim) complex array of
-coefficients over the composite basis, one row per time.  The return
+model's one symmetry-sector projection, the one sweeps read, solved at the
+run's coupling row by ``SectorBlocks.eigenpairs``; no full H is composed.
+Phases e^{-i E tau} of the energies of H - shift * I are followed by one
+factor e^{-i shift tau} per time, so the rounding of shift * tau is a global
+phase no observable sees.  An evolved trajectory is a (T, dim) complex array
+of coefficients over the composite basis, one row per time.  The return
 probability P_RR is a mode projection: the total weight of composite basis
 states whose species component is the both-right state.
 """
@@ -22,7 +23,6 @@ from .manybody import (
     FERMIONS,
     CompositeBasis,
     ManyBodyHamiltonian,
-    SectorBlocks,
     _check_unit_norms,
 )
 
@@ -102,11 +102,10 @@ def evolve(h: ManyBodyHamiltonian, psi0: np.ndarray, times) -> np.ndarray:
         )
     _check_unit_norms(c0[None])
     t = _validate_times(times)
-    blocks = SectorBlocks.project(h.basis, h.matrix)
-    (energies,), (vectors,) = blocks.eigenpairs(np.zeros((1, 0)))
+    energies, vectors = h.sectors.eigenpairs(h.couplings)
     phases = np.exp(-1j * np.outer(energies, t))
     rotated = (vectors @ ((vectors.T @ c0)[:, None] * phases)).T
-    return rotated * np.exp(-1j * blocks.shift * t)[:, None]
+    return rotated * np.exp(-1j * h.sectors.shift * t)[:, None]
 
 
 @dataclass(frozen=True)

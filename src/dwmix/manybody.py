@@ -312,19 +312,22 @@ class OverlapSet:
 
 @dataclass(frozen=True)
 class ManyBodyHamiltonian:
-    """Assembled real symmetric Hamiltonian over its composite basis."""
+    """H at one coupling point: its model's sector projection and its row of
+    couplings, ordered as COUPLING_NAMES.  No full matrix is composed."""
 
-    matrix: np.ndarray
     basis: CompositeBasis
+    sectors: SectorBlocks
+    couplings: np.ndarray
 
 
 @dataclass(frozen=True)
 class HamiltonianBlocks:
-    """Coupling-independent pieces of H, composable per parameter point.
+    """Coupling-independent pieces of H.
 
     H(params) = h0 + lambda_bb * h_bb + lambda_ff * h_ff + lambda_bf * h_bf.
-    Building the blocks once and composing per sweep cell avoids re-deriving
-    the single-particle and tensor contractions thousands of times.
+    The blocks are projected onto the basis's symmetry sectors once, on first
+    use (:attr:`sectors`), and every solve reads that one projection: a sweep
+    at each row of a chunk of couplings, a single H at its one row.
     """
 
     basis: CompositeBasis
@@ -333,15 +336,15 @@ class HamiltonianBlocks:
     h_ff: np.ndarray
     h_bf: np.ndarray
 
-    def compose(self, params: CouplingParams) -> ManyBodyHamiltonian:
-        """H at one coupling point."""
-        h = (self.h0 + params.lambda_bb * self.h_bb + params.lambda_ff * self.h_ff
-             + params.lambda_bf * self.h_bf)
-        return ManyBodyHamiltonian(matrix=h, basis=self.basis)
-
-    def sector_blocks(self) -> SectorBlocks:
-        """The blocks projected onto the basis's symmetry sectors, for sweeps."""
+    @cached_property
+    def sectors(self) -> SectorBlocks:
+        """The blocks projected onto the symmetry sectors of h0."""
         return SectorBlocks.project(self.basis, self.h0, (self.h_bb, self.h_ff, self.h_bf))
+
+    def compose(self, params: CouplingParams) -> ManyBodyHamiltonian:
+        """H at one coupling point, on the shared projection."""
+        row = np.array(list(params.as_dict().values()))
+        return ManyBodyHamiltonian(basis=self.basis, sectors=self.sectors, couplings=row)
 
 
 @dataclass(frozen=True)
@@ -359,11 +362,12 @@ class SectorBlocks:
     hold H - shift * I, shift being the mean diagonal of h0, so that their
     rounding scales with the spread of the spectrum, not its offset.
 
-    Every diagonalization of a composed H goes through here: dynamics takes
-    every eigenpair of each block from LAPACK (:meth:`eigenpairs`), sweeps
-    only each cell's ground pair and gap from the numpy solver of
-    :mod:`dwmix.tridiagonal` (:meth:`ground_states`).  So does the one check
-    (not an ``assert``) that H is symmetric and does not couple its sectors.
+    Each model is projected once (:attr:`HamiltonianBlocks.sectors`), and
+    every solve of its H goes through here: a single H takes every eigenpair
+    of each block from LAPACK (:meth:`eigenpairs`), a sweep only each cell's
+    ground pair and gap from the numpy solver of :mod:`dwmix.tridiagonal`
+    (:meth:`ground_states`).  So does the one check (not an ``assert``) that H
+    is symmetric and does not couple its sectors.
     """
 
     sectors: tuple[np.ndarray, ...]
@@ -373,7 +377,7 @@ class SectorBlocks:
     shift: float
 
     @classmethod
-    def project(cls, basis: CompositeBasis, h0: np.ndarray, terms=()) -> SectorBlocks:
+    def project(cls, basis: CompositeBasis, h0: np.ndarray, terms) -> SectorBlocks:
         """Project h0 and each coupling term onto the symmetry sectors of h0."""
         sectors = basis.sectors(h0)
         r = np.hstack(sectors)
@@ -390,7 +394,7 @@ class SectorBlocks:
         return cls(
             sectors=sectors,
             base=base,
-            terms=np.array([flatten(h) for h in terms]).reshape(len(terms), base.size),
+            terms=np.array([flatten(h) for h in terms]),
             n_defect=int(upper.sum() + leak.sum()),
             shift=shift,
         )
@@ -428,16 +432,13 @@ class SectorBlocks:
             start += d * d
         return stacks
 
-    def eigenpairs(self, couplings: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Eigenvalues of H - shift * I at each row of couplings, shape (n, dim),
-        and the eigenvectors in the full basis as columns, shape (n, dim, dim).
-
-        Ordered by sector as ``sectors``, ascending within each.
-        """
-        pairs = [np.linalg.eigh(np.moveaxis(a, -1, 0)) for a in self._sector_stacks(couplings)]
-        energies = np.concatenate([e for e, _ in pairs], axis=1)
-        vectors = np.concatenate([q @ u for q, (_, u) in zip(self.sectors, pairs)], axis=2)
-        return energies, vectors
+    def eigenpairs(self, row: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Eigenvalues of H - shift * I at one row of couplings, ordered by
+        sector as ``sectors`` and ascending within each, and the eigenvectors
+        in the full basis as columns, shape (dim, dim)."""
+        pairs = [np.linalg.eigh(a[:, :, 0]) for a in self._sector_stacks(row[None])]
+        return (np.concatenate([e for e, _ in pairs]),
+                np.hstack([q @ u for q, (_, u) in zip(self.sectors, pairs)]))
 
     def ground_states(self, couplings: np.ndarray) -> tuple[np.ndarray, ...]:
         """Lowest eigenpairs of H at each row of couplings (ordered as ``terms``).
@@ -455,9 +456,7 @@ class SectorBlocks:
         sector basis.  The gap's second eigenvalue is the runner-up sector's
         lowest, unless a Sturm count finds two eigenvalues of the winner's T
         below it; only those rows take the winner's own second eigenvalue,
-        from ``eigvalsh``.  A vector's phase is fixed by making its
-        largest-magnitude coefficient positive; on an exact magnitude tie the
-        lowest index wins.
+        from ``eigvalsh``.  The vectors are signed by :func:`_oriented`.
 
         Raises InvariantError as :meth:`_sector_stacks` does, for a Laguerre
         row still moving after ``tridiagonal.LAGUERRE_ITERATIONS`` steps, and
@@ -487,11 +486,8 @@ class SectorBlocks:
             own = t.count_below(second[take]) >= 2
             if own.any():
                 second[rows[own]] = np.linalg.eigvalsh(np.moveaxis(a[:, :, own], -1, 0))[:, 1]
-        k = np.argmax(np.abs(v), axis=1)
-        v *= np.where(v[np.arange(n), k] < 0.0, -1.0, 1.0)[:, None]
-        _check_unit_norms(v)
         gap = second - lowest
-        return lowest + self.shift, gap, gap < DEGENERACY_GAP, v, residual
+        return lowest + self.shift, gap, gap < DEGENERACY_GAP, _oriented(v), residual
 
 
 def _single_particle_matrix(modes: DoubletModes) -> np.ndarray:
@@ -538,6 +534,15 @@ def _check_unit_norms(coefficients: np.ndarray) -> None:
         raise ConfigError(f"state norm is {norms[k]:.12f}, not 1", index=k)
 
 
+def _oriented(v: np.ndarray) -> np.ndarray:
+    """Ground vectors (rows) with each largest-magnitude coefficient made
+    positive, the lowest index winning an exact magnitude tie; norms checked."""
+    k = np.argmax(np.abs(v), axis=1)
+    v *= np.where(v[np.arange(len(v)), k] < 0.0, -1.0, 1.0)[:, None]
+    _check_unit_norms(v)
+    return v
+
+
 @dataclass(frozen=True)
 class GroundState:
     """``vector`` holds the real ground-state coefficients over the basis."""
@@ -547,11 +552,13 @@ class GroundState:
 
 
 def ground_state(h: ManyBodyHamiltonian) -> GroundState:
-    """Lowest eigenpair of one Hamiltonian; see :meth:`SectorBlocks.ground_states`."""
-    energy, _, _, vectors, _ = SectorBlocks.project(h.basis, h.matrix).ground_states(
-        np.zeros((1, 0))
-    )
-    return GroundState(energy=float(energy[0]), vector=vectors[0])
+    """Lowest eigenpair of one Hamiltonian from :meth:`SectorBlocks.eigenpairs`,
+    picked and signed as :meth:`SectorBlocks.ground_states` picks and signs a
+    sweep cell's: the energies run by sector, so the first sector wins a tie."""
+    energies, vectors = h.sectors.eigenpairs(h.couplings)
+    k = int(np.argmin(energies))
+    return GroundState(energy=float(energies[k] + h.sectors.shift),
+                       vector=_oriented(vectors[None, :, k])[0])
 
 
 def _involution(

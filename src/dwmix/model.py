@@ -102,14 +102,9 @@ class ModelContext:
     def min_splitting(self) -> float:
         return min(self.boson_modes.splitting, self.fermion_modes.splitting)
 
-    def coupling_params(self) -> CouplingParams:
-        c = self.config.couplings
-        return CouplingParams(
-            lambda_bb=c.lambda_bb, lambda_ff=c.lambda_ff, lambda_bf=c.lambda_bf
-        )
-
     def hamiltonian(self) -> ManyBodyHamiltonian:
-        return self.blocks.compose(self.coupling_params())
+        c = self.config.couplings
+        return self.blocks.compose(CouplingParams(c.lambda_bb, c.lambda_ff, c.lambda_bf))
 
 
 def build_context(config: RunConfig) -> ModelContext:

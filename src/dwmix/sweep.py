@@ -3,13 +3,13 @@
 A sweep evaluates the interacting ground state over a coupling grid, against
 fixed single-particle inputs (modes and overlap tensors are computed once and
 shared read-only).  The Hamiltonian blocks are projected once onto the
-basis's symmetry sectors.  Cells are solved in chunks of CHUNK_CELLS: one
-product composes a chunk's sector blocks, and each step of the numpy solver
-in ``SectorBlocks.ground_states`` (Householder reduction, Laguerre's
-iteration for each sector's lowest eigenvalue, inverse iteration for the
-winning sector's vector) runs once over every cell of the chunk.  The chunks
-are solved one after another on the calling thread, and output order is
-row-major over the grid.
+basis's symmetry sectors (``HamiltonianBlocks.sectors``).  Cells are solved
+in chunks of CHUNK_CELLS: one product composes a chunk's sector blocks, and
+each step of the numpy solver in ``SectorBlocks.ground_states`` (Householder
+reduction, Laguerre's iteration for each sector's lowest eigenvalue, inverse
+iteration for the winning sector's vector) runs once over every cell of the
+chunk.  The chunks are solved one after another on the calling thread, and
+output order is row-major over the grid.
 """
 
 from __future__ import annotations
@@ -165,7 +165,7 @@ def _solve_chunks(
     A batched check that fails is raised as a SweepError that ``where``
     words for the first failing row.
     """
-    sectors = blocks.sector_blocks()
+    sectors = blocks.sectors
     chunks = []
     for start in range(0, len(couplings), CHUNK_CELLS):
         try:
@@ -187,9 +187,11 @@ def fidelity_map(
 ) -> FidelitySurface:
     """Ground-state fidelity against the reference over a coupling plane.
 
-    ``workers`` changes nothing: the CLI passes its ``--workers`` value only
-    so that ``perfbench/tracing.py``, which names a map's span after this
-    keyword, can tell its 1- and 2-worker ops apart.
+    The reference (by ``manybody.ground_state``) and the cells are solved on
+    the blocks' one sector projection.  ``workers`` changes nothing: the CLI
+    passes its ``--workers`` value only so that ``perfbench/tracing.py``,
+    which names a map's span after this keyword, can tell its 1- and 2-worker
+    ops apart.
     """
     if spec.reference is None:
         raise ConfigError("fidelity sweeps need reference couplings")

@@ -66,3 +66,16 @@ def doctored(sectors):
     terms = sectors.terms.copy()
     terms[-1, upper] += 1.0
     return dataclasses.replace(sectors, terms=terms)
+
+
+def full_matrix(blocks, params):
+    """h0 + sum_k c_k h_k composed in float64: the full H that src/dwmix never
+    builds, kept here as the reference for oracles."""
+    return (blocks.h0 + params.lambda_bb * blocks.h_bb + params.lambda_ff * blocks.h_ff
+            + params.lambda_bf * blocks.h_bf)
+
+
+def doctor_cached_projection(blocks):
+    """Replace the projection ``blocks.sectors`` caches with its doctored copy."""
+    blocks.__dict__["sectors"] = doctored(blocks.sectors)
+    return blocks

@@ -13,6 +13,7 @@ from importlib import resources
 
 import numpy as np
 import pytest
+from conftest import full_matrix
 from spatial_oracle import density_profile
 
 from dwmix.cli import EXIT_OK, _fidelity_spec, main
@@ -116,8 +117,7 @@ def test_criterion_1_noninteracting_return_law(default_context):
 
 def test_criterion_2_noninteracting_spectrum(default_context):
     context = default_context
-    h = context.blocks.compose(CouplingParams(0.0, 0.0, 0.0))
-    energies = np.linalg.eigvalsh(h.matrix)
+    energies = np.linalg.eigvalsh(full_matrix(context.blocks, CouplingParams(0.0, 0.0, 0.0)))
 
     eb = default_context.boson_modes.energies
     ef = default_context.fermion_modes.energies
@@ -137,13 +137,14 @@ def test_criterion_3_conservation_suite(default_context, rng):
     context = default_context
     params = CouplingParams(9.0e-4, 3.2e-4, 9.0e-4)
     h = context.blocks.compose(params)
-    hermiticity = float(np.max(np.abs(h.matrix - h.matrix.T)))
+    matrix = full_matrix(context.blocks, params)
+    hermiticity = float(np.max(np.abs(matrix - matrix.T)))
 
     psi0 = initial_state_rr(context.basis)
     times = default_time_grid(context.min_splitting, periods=3.0, n_samples=512)
     states = evolve(h, psi0, times)
     norms = np.array([np.vdot(s, s).real for s in states])
-    energies = np.array([np.vdot(s, h.matrix @ s).real for s in states])
+    energies = np.array([np.vdot(s, matrix @ s).real for s in states])
     norm_drift = float(np.max(np.abs(norms - 1.0)))
     energy_drift = float(np.max(np.abs(energies - energies[0])))
 
@@ -327,7 +328,8 @@ def test_criterion_9_eigenvector_sign_robustness(default_context):
     h_ref = context.blocks.compose(params)
     h_flip = blocks.compose(params)
     eig_shift = float(np.max(np.abs(
-        np.linalg.eigvalsh(h_ref.matrix) - np.linalg.eigvalsh(h_flip.matrix)
+        np.linalg.eigvalsh(full_matrix(context.blocks, params))
+        - np.linalg.eigvalsh(full_matrix(blocks, params))
     )))
 
     psi0 = initial_state_rr(context.basis)

@@ -7,9 +7,10 @@ import math
 import numpy as np
 import pytest
 
-from conftest import doctored
+from conftest import doctor_cached_projection
+from dwmix import cli
 from dwmix.cli import EXIT_CONFIG, EXIT_INTERNAL, EXIT_MODEL, EXIT_OK, PRESET_NAMES, build_parser, main
-from dwmix.manybody import FERMION_VARIANTS, HamiltonianBlocks
+from dwmix.manybody import FERMION_VARIANTS, SectorBlocks
 from dwmix.sweep import PLANE_AXES
 
 COARSE = "grid.n_points = 801\n"
@@ -212,9 +213,14 @@ class TestFidelityMap:
         assert 0.0 < results["max_residual"] < 1.0e-16
 
     def test_unsolved_cell_exits_internal(self, tmp_path, monkeypatch, capsys):
-        original = HamiltonianBlocks.sector_blocks
-        monkeypatch.setattr(HamiltonianBlocks, "sector_blocks",
-                            lambda self: doctored(original(self)))
+        build = cli.build_context
+
+        def build_doctored(config):
+            context = build(config)
+            doctor_cached_projection(context.blocks)
+            return context
+
+        monkeypatch.setattr(cli, "build_context", build_doctored)
         cfg = write_cfg(tmp_path, self.SWEEP)
         assert main(["fidelity-map", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_INTERNAL
         assert "cell (0, 1)" in capsys.readouterr().err
@@ -276,6 +282,26 @@ class TestEntropyScan:
         assert main(["entropy-scan", "--config", cfg, "--out", str(out)]) == EXIT_OK
         results = json.loads((out / "manifest.json").read_text())["results"]
         assert results["argmax_lambda_ff"] == 2.8e-3
+
+
+@pytest.mark.parametrize("command, projections", [
+    ("fidelity-map", 1), ("entropy-scan", 1), ("evolve", 1),
+    ("validate-config", 0), ("solve-modes", 0),
+])
+def test_each_model_is_projected_at_most_once(tmp_path, monkeypatch, command, projections):
+    # Every solve of a model reads the one projection its blocks cache.
+    calls = []
+    project = SectorBlocks.project
+
+    def counted(cls, *args):
+        calls.append(command)
+        return project(*args)
+
+    monkeypatch.setattr(SectorBlocks, "project", classmethod(counted))
+    cfg = write_cfg(tmp_path, TestFidelityMap.SWEEP + "sweep.line_count = 9\n"
+                    "dynamics.n_samples = 64\n")
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_OK
+    assert len(calls) == projections
 
 
 def test_fermion_basis_choices_are_the_variant_table():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from scipy.signal import find_peaks
+from conftest import full_matrix
 from spatial_oracle import density_profile
 
 from dwmix.errors import ConfigError, InvariantError
@@ -18,7 +19,7 @@ from dwmix.manybody import (
     BOSONS,
     FERMIONS,
     CouplingParams,
-    ManyBodyHamiltonian,
+    HamiltonianBlocks,
     enumerate_bases,
 )
 from dwmix.observables import species_entropies
@@ -68,33 +69,37 @@ def test_noninteracting_return_is_cos4(free_run):
 
 def test_norm_and_energy_are_conserved(free_run):
     ctx, _, psi0, times = free_run
-    h = ctx.blocks.compose(CouplingParams(lambda_bb=9e-4, lambda_ff=3.2e-4, lambda_bf=9e-4))
-    states = evolve(h, psi0, times[::64])
+    params = CouplingParams(lambda_bb=9e-4, lambda_ff=3.2e-4, lambda_bf=9e-4)
+    states = evolve(ctx.blocks.compose(params), psi0, times[::64])
     assert states.shape == (times[::64].size, ctx.basis.dim)
-    e0 = np.real(np.vdot(psi0, h.matrix @ psi0))
+    matrix = full_matrix(ctx.blocks, params)
+    e0 = np.real(np.vdot(psi0, matrix @ psi0))
     for s in states:
         assert abs(np.linalg.norm(s) - 1.0) < 1e-10
-        e = np.real(np.vdot(s, h.matrix @ s))
+        e = np.real(np.vdot(s, matrix @ s))
         assert abs(e - e0) < 1e-10
 
 
 def test_evolution_matches_an_extended_precision_propagation(coarse_context):
     # The region2 couplings over three bare periods.  The expected values come
-    # from a 40-digit mpmath diagonalization and propagation of the same
-    # float64 H.  A full 12x12 eigh of the unshifted H misses P_RR by 2.8e-12:
-    # its phases carry the rounding of the spectrum's offset (about 4.35)
-    # times tau, which differs from eigenvalue to eigenvalue.
+    # from a 40-digit mpmath propagation of H = h0 + sum_k c_k h_k, built
+    # exactly from the float64 blocks and couplings (and symmetrized exactly:
+    # h_ff is asymmetric by 1e-19), diagonalized by mpmath.eigsy; the
+    # entropy is that of the boson reduced density matrix, from mpmath.eighe.
+    # That H is the one the sector projection evolves: it reads 6e-15 here.
+    # Composing the 12x12 in float64 first rounds its diagonal offset (about
+    # 4.35), and the phases multiply that rounding by tau: 1.3e-13.
     ctx = coarse_context
     h = ctx.blocks.compose(CouplingParams(lambda_bb=9e-4, lambda_ff=3.2e-4, lambda_bf=9e-4))
     times = default_time_grid(ctx.min_splitting, n_samples=5)[1:]
     states = evolve(h, initial_state_rr(ctx.basis), times)
     exact = {
-        "p_rr_bosons": [0.3196557448482375, 0.19726589532141922,
-                        0.32294826859348263, 0.4560724830160005],
-        "p_rr_fermions": [0.2548981528337367, 0.1321477318326797,
-                          0.32461510487082873, 0.44503595126562057],
-        "entropy": [0.60610620408311435, 1.157830751200747,
-                    1.3567271497789088, 1.1354173851735679],
+        "p_rr_bosons": [0.31965574484823567, 0.19726589532137456,
+                        0.32294826859347925, 0.4560724830160753],
+        "p_rr_fermions": [0.2548981528337354, 0.13214773183262596,
+                          0.3246151048708133, 0.44503595126568846],
+        "entropy": [0.6061062040830112, 1.1578307512006407,
+                    1.3567271497788986, 1.135417385173702],
     }
     s_bosons, s_fermions = species_entropies(states, ctx.basis)
     for values, expected in (
@@ -110,19 +115,21 @@ def test_evolution_keeps_the_global_phase(free_run):
     # Observables cannot see a global phase, so this checks the coefficients
     # themselves against e^{-iH tau} from a full eigendecomposition of H.
     ctx, _, psi0, times = free_run
-    h = ctx.blocks.compose(CouplingParams(lambda_bb=9e-4, lambda_ff=3.2e-4, lambda_bf=9e-4))
-    energies, vectors = np.linalg.eigh(h.matrix)
+    params = CouplingParams(lambda_bb=9e-4, lambda_ff=3.2e-4, lambda_bf=9e-4)
+    energies, vectors = np.linalg.eigh(full_matrix(ctx.blocks, params))
     exact = (vectors @ ((vectors.T @ psi0)[:, None] * np.exp(-1j * np.outer(energies, times)))).T
-    assert np.max(np.abs(evolve(h, psi0, times) - exact)) < 1e-10
+    assert np.max(np.abs(evolve(ctx.blocks.compose(params), psi0, times) - exact)) < 1e-10
 
 
 def test_asymmetric_hamiltonian_is_refused():
     basis = enumerate_bases()
     matrix = np.diag(np.arange(float(basis.dim)))
     matrix[0, 1] += 1e-9
+    zero = np.zeros_like(matrix)
+    blocks = HamiltonianBlocks(basis=basis, h0=matrix, h_bb=zero, h_ff=zero, h_bf=zero)
     psi0 = initial_state_rr(basis)
     with pytest.raises(InvariantError, match="not symmetric"):
-        evolve(ManyBodyHamiltonian(matrix=matrix, basis=basis), psi0, np.array([0.0, 1.0]))
+        evolve(blocks.compose(CouplingParams()), psi0, np.array([0.0, 1.0]))
 
 
 def test_asymmetric_hamiltonian_is_refused_under_optimize(run_python):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import doctored
+from conftest import doctored, full_matrix
 from dwmix import tridiagonal
 from dwmix.errors import ConfigError, InvariantError
 from dwmix.manybody import (
@@ -10,7 +10,7 @@ from dwmix.manybody import (
     FERMIONS,
     PAPER_FOUR_STATE,
     CouplingParams,
-    ManyBodyHamiltonian,
+    HamiltonianBlocks,
     SectorBlocks,
     enumerate_bases,
     ground_state,
@@ -141,9 +141,9 @@ class TestAssembly:
         """No Hamiltonian term connects the T0 fermion state to the paired
         singlet ladder, at any coupling strengths."""
         ctx = coarse_context
-        h = ctx.blocks.compose(
-            CouplingParams(lambda_bb=1e-3, lambda_ff=1e-3, lambda_bf=9e-3)
-        ).matrix
+        h = full_matrix(
+            ctx.blocks, CouplingParams(lambda_bb=1e-3, lambda_ff=1e-3, lambda_bf=9e-3)
+        )
         t0 = ctx.basis.fermion_labels.index("T0")
         t0_rows = [i * 4 + t0 for i in range(3)]
         others = [k for k in range(12) if k not in t0_rows]
@@ -177,8 +177,7 @@ class TestAssembly:
 
 def _gap_and_flag(h):
     """Gap and degenerate flag of one Hamiltonian from the sector kernel."""
-    _, gap, degenerate, _, _ = SectorBlocks.project(h.basis, h.matrix).ground_states(
-        np.zeros((1, 0)))
+    _, gap, degenerate, _, _ = h.sectors.ground_states(h.couplings[None])
     return gap[0], degenerate[0]
 
 
@@ -193,9 +192,10 @@ class TestGroundState:
         assert gap > 0.0
 
     def test_degenerate_flag(self, coarse_context):
-        basis = coarse_context.basis
-        h = ManyBodyHamiltonian(matrix=np.zeros((12, 12)), basis=basis)
-        assert _gap_and_flag(h)[1]
+        zero = np.zeros((12, 12))
+        blocks = HamiltonianBlocks(basis=coarse_context.basis, h0=zero, h_bb=zero,
+                                   h_ff=zero, h_bf=zero)
+        assert _gap_and_flag(blocks.compose(CouplingParams()))[1]
 
 
 class TestMirror:
@@ -205,9 +205,9 @@ class TestMirror:
 
     def test_hamiltonian_commutes_with_mirror(self, coarse_context):
         m = mirror_operator(coarse_context.basis)
-        h = coarse_context.blocks.compose(
-            CouplingParams(lambda_bb=1e-3, lambda_ff=5e-4, lambda_bf=2e-3)
-        ).matrix
+        h = full_matrix(
+            coarse_context.blocks, CouplingParams(lambda_bb=1e-3, lambda_ff=5e-4, lambda_bf=2e-3)
+        )
         assert np.max(np.abs(m @ h - h @ m)) < 1e-12
 
     def test_four_state_variant_is_not_mirror_closed(self):
@@ -244,9 +244,9 @@ class TestSymmetrySectors:
         assert np.allclose(signs, [[-1.0, -1.0, -1.0, 1.0]] * 3, atol=1e-14)
 
     def test_hamiltonian_is_block_diagonal(self, coarse_context):
-        h = coarse_context.blocks.compose(
-            CouplingParams(lambda_bb=1e-3, lambda_ff=5e-4, lambda_bf=9e-3)
-        ).matrix
+        h = full_matrix(
+            coarse_context.blocks, CouplingParams(lambda_bb=1e-3, lambda_ff=5e-4, lambda_bf=9e-3)
+        )
         sectors = coarse_context.basis.sectors(coarse_context.blocks.h0)
         for a, qa in enumerate(sectors):
             for b, qb in enumerate(sectors):
@@ -267,9 +267,9 @@ class TestSymmetrySectors:
         assert [q.shape[1] for q in sectors] == [9, 3]
 
     def test_ground_state_matches_full_diagonalization(self, coarse_context):
-        h = coarse_context.blocks.compose(
-            CouplingParams(lambda_bb=1e-3, lambda_ff=5e-4, lambda_bf=9e-3))
-        energies, vectors = np.linalg.eigh(h.matrix)
+        params = CouplingParams(lambda_bb=1e-3, lambda_ff=5e-4, lambda_bf=9e-3)
+        h = coarse_context.blocks.compose(params)
+        energies, vectors = np.linalg.eigh(full_matrix(coarse_context.blocks, params))
         gs = ground_state(h)
         assert gs.energy == pytest.approx(energies[0], abs=1e-12)
         assert _gap_and_flag(h)[0] == pytest.approx(energies[1] - energies[0], abs=1e-12)
@@ -354,10 +354,10 @@ class TestSectorKernel:
 
     def test_single_row(self, coarse_context):
         blocks = coarse_context.blocks
-        sectors = blocks.sector_blocks()
+        sectors = blocks.sectors
         c = np.array([[1.0e-3, 5.0e-4, 9.0e-3]])
         energy, gap, degenerate, vector, residual = sectors.ground_states(c)
-        values, oracle = np.linalg.eigh(blocks.compose(CouplingParams(*c[0])).matrix
+        values, oracle = np.linalg.eigh(full_matrix(blocks, CouplingParams(*c[0]))
                                         - sectors.shift * np.eye(12))
         assert energy.shape == gap.shape == residual.shape == (1,)
         assert energy[0] == pytest.approx(values[0] + sectors.shift, abs=1e-12)
@@ -385,7 +385,7 @@ class TestSectorKernel:
             assert gap[row] == pytest.approx(values[1] - values[0], abs=1e-12)
 
     def test_residual_check_names_the_row(self, coarse_context):
-        sectors = doctored(coarse_context.blocks.sector_blocks())
+        sectors = doctored(coarse_context.blocks.sectors)
         couplings = np.zeros((4, 3))
         couplings[2:, 2] = 1.0e-3
         _, _, _, _, residual = sectors.ground_states(couplings[:2])
@@ -434,7 +434,7 @@ class TestSectorKernel:
         sectors = SectorBlocks.project(
             blocks.basis, blocks.h0, (mirror_breaking, -mirror_breaking))
         cancelled = sectors.ground_states(np.ones((3, 2)))
-        plain = SectorBlocks.project(blocks.basis, blocks.h0).ground_states(np.zeros((3, 0)))
+        plain = blocks.sectors.ground_states(np.zeros((3, 3)))
         for got, expected in zip(cancelled, plain):
             assert np.array_equal(got, expected)
 

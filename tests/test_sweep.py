@@ -8,14 +8,13 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from conftest import doctored
+from conftest import doctor_cached_projection
 from dwmix.cli import EXIT_CONFIG, EXIT_OK, _fidelity_spec, main
 from dwmix.config import RunConfig, parse_config
-from dwmix.errors import ConfigError, SweepError
+from dwmix.errors import ConfigError, InvariantError, SweepError
 from dwmix.manybody import (
     CouplingParams,
     HamiltonianBlocks,
-    SectorBlocks,
     enumerate_bases,
     ground_state,
 )
@@ -307,7 +306,7 @@ class TestSymmetrySectors:
 
         h = lowered.compose(CouplingParams(1.0e-3, 1.0e-3, 2.0e-3))
         gs = ground_state(h)
-        _, gap, _, _, _ = SectorBlocks.project(basis, h.matrix).ground_states(np.zeros((1, 0)))
+        _, gap, _, _, _ = h.sectors.ground_states(h.couplings[None])
         others = np.setdiff1d(np.arange(basis.dim), t0)
         assert np.all(gs.vector[others] == 0.0)
         energies, vectors = _spectrum(lowered, 1.0e-3, 1.0e-3, 2.0e-3)
@@ -322,7 +321,12 @@ class TestSymmetrySectors:
         lopsided[1, 0] += 1.0
         broken = HamiltonianBlocks(basis=blocks.basis, h0=blocks.h0, h_bb=blocks.h_bb,
                                    h_ff=blocks.h_ff, h_bf=lopsided)
-        spec = plane_spec(AxisSpec(0.0, 1.0e-3, 2), AxisSpec(0.0, 1.0e-3, 3))
+        # The reference is solved on the same projection, so at lambda_bf > 0
+        # it is refused first; at lambda_bf = 0 the cells are reached.
+        axes = AxisSpec(0.0, 1.0e-3, 2), AxisSpec(0.0, 1.0e-3, 3)
+        with pytest.raises(InvariantError, match="couples symmetry sectors"):
+            fidelity_map(broken, plane_spec(*axes))
+        spec = plane_spec(*axes, reference=CouplingParams(5.0e-4, 5.0e-4, 0.0))
         with pytest.raises(SweepError, match=r"cell \(0, 1\), x=0\.0, y=0\.0005"):
             fidelity_map(broken, spec)
 
@@ -380,14 +384,10 @@ class TestFidelitySusceptibility:
 def test_unsolved_cell_is_named():
     # Builds its own context, so that it also runs under python -O below.
     context = build_context(RunConfig.default().replace_values(**{"grid.n_points": 801}))
-    original = HamiltonianBlocks.sector_blocks
-    HamiltonianBlocks.sector_blocks = lambda self: doctored(original(self))
-    try:
-        spec = plane_spec(AxisSpec(0.0, 1.0e-3, 2), AxisSpec(0.0, 1.0e-3, 3))
-        with pytest.raises(SweepError, match=r"cell \(0, 1\).*residual"):
-            fidelity_map(context.blocks, spec)
-    finally:
-        HamiltonianBlocks.sector_blocks = original
+    blocks = doctor_cached_projection(context.blocks)
+    spec = plane_spec(AxisSpec(0.0, 1.0e-3, 2), AxisSpec(0.0, 1.0e-3, 3))
+    with pytest.raises(SweepError, match=r"cell \(0, 1\).*residual"):
+        fidelity_map(blocks, spec)
 
 
 def test_unsolved_cell_is_named_under_optimize(run_python):
@@ -416,7 +416,7 @@ def test_chunk_working_set_stays_in_budget():
         **{"sweep.x_count": side, "sweep.y_count": side})
     context = build_context(config)
     couplings = _fidelity_spec(config).coupling_rows()[:CHUNK_CELLS]
-    sectors = context.blocks.sector_blocks()
+    sectors = context.blocks.sectors
     tracemalloc.start()
     try:
         sectors.ground_states(couplings)
