@@ -2,8 +2,12 @@
 
 Subcommands map one-to-one onto the library layers: ``solve-modes`` stops
 after the single-particle doublet, ``evolve`` runs a trajectory, the two
-sweep subcommands scan coupling space, and ``validate-config`` dry-runs
-everything without writing artifacts.
+sweep subcommands scan coupling space, and ``validate-config`` is their dry
+run: it checks every config rule (``RunConfig.validate`` checks every key for
+every subcommand) and builds the model up to its Hamiltonian blocks, but
+neither projects them onto symmetry sectors nor sweeps, and writes nothing.
+A subcommand's own rule (``fidelity-map``'s two-axis plane, ``evolve``'s
+both-right start state) is checked before its build.
 
 Exit codes are a stable scripting contract: 0 success, 2 configuration
 error, 3 model-validity error (localization or gap failures), 4 internal
@@ -41,7 +45,7 @@ from .manifest import (
     write_regimes_json,
     write_timeseries_csv,
 )
-from .manybody import BOSONS, FERMION_VARIANTS, FERMIONS, CouplingParams
+from .manybody import ANTISYMMETRIC, BOSONS, FERMION_VARIANTS, FERMIONS, CouplingParams
 from .model import ModelContext, build_context
 from .observables import species_entropies
 from .sweep import PLANE_AXES, AxisSpec, SweepSpec, entropy_scan, fidelity_map
@@ -55,7 +59,8 @@ EXIT_INTERNAL = 4
 
 
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
-    """Load --config as a file path or a shipped preset name."""
+    """The validated config of --config (a file path or a shipped preset
+    name), with the flags that override its keys applied."""
     if args.config is None:
         config = RunConfig.default()
     else:
@@ -81,15 +86,15 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
         overrides["model.fermion_basis"] = args.fermion_basis
     if overrides:
         config = config.replace_values(**overrides)
+        config.validate()
     return config
 
 
-def _build(args: argparse.Namespace) -> tuple[RunConfig, ModelContext, float]:
-    """The run's config, its model, and the seconds the model took to build."""
-    config = _resolve_config(args)
+def _build(config: RunConfig) -> tuple[ModelContext, float]:
+    """The run's model, and the seconds it took to build."""
     started = time.perf_counter()
     context = build_context(config)
-    return config, context, time.perf_counter() - started
+    return context, time.perf_counter() - started
 
 
 def _out_dir(config: RunConfig) -> Path:
@@ -143,7 +148,8 @@ def _finish(
 
 
 def _cmd_solve_modes(args: argparse.Namespace) -> int:
-    config, context, build_s = _build(args)
+    config = _resolve_config(args)
+    context, build_s = _build(config)
     directory = _out_dir(config)
     outputs = {
         "modes_boson": write_modes_csv(
@@ -164,7 +170,15 @@ def _cmd_solve_modes(args: argparse.Namespace) -> int:
 
 
 def _cmd_evolve(args: argparse.Namespace) -> int:
-    config, context, build_s = _build(args)
+    config = _resolve_config(args)
+    m = config.model
+    if (m.fermion_basis, m.spin_sector) != (ANTISYMMETRIC, 0):  # the only basis with RR|RRs
+        raise ConfigError(
+            "evolve starts from the both-right state RR|RRs, which needs model.fermion_basis = "
+            f"{ANTISYMMETRIC} and model.spin_sector = 0 "
+            f"(got {m.fermion_basis} and {m.spin_sector})"
+        )
+    context, build_s = _build(config)
     h = context.hamiltonian()
     psi0 = initial_state_rr(context.basis)
     times = default_time_grid(
@@ -204,8 +218,9 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
 
 
 def _cmd_fidelity_map(args: argparse.Namespace) -> int:
-    config, context, build_s = _build(args)
+    config = _resolve_config(args)
     spec = _fidelity_spec(config)
+    context, build_s = _build(config)
     surface = fidelity_map(context.blocks, spec, workers=args.workers)
     directory = _out_dir(config)
     outputs = {
@@ -233,8 +248,9 @@ def _cmd_fidelity_map(args: argparse.Namespace) -> int:
 
 
 def _cmd_entropy_scan(args: argparse.Namespace) -> int:
-    config, context, build_s = _build(args)
+    config = _resolve_config(args)
     spec = _entropy_spec(config)
+    context, build_s = _build(config)
     curve = entropy_scan(context.blocks, spec)
     directory = _out_dir(config)
     outputs = {
@@ -262,7 +278,8 @@ def _cmd_entropy_scan(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate_config(args: argparse.Namespace) -> int:
-    config, context, _ = _build(args)
+    config = _resolve_config(args)
+    context, _ = _build(config)
     mb, mf = context.boson_modes, context.fermion_modes
     print("config OK")
     print(f"potential: {config.potential.shape}")

@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 from .errors import ConfigError
-from .manybody import ANTISYMMETRIC, FERMION_VARIANTS, check_couplings
+from .manybody import ANTISYMMETRIC, FERMION_VARIANTS, PAPER_FOUR_STATE, check_couplings
 from .sweep import PLANE_AXES
 from .units import check_masses
 
@@ -24,6 +24,9 @@ _BOOL_WORDS = {
 
 POTENTIAL_SHAPES = ("double_square_well", "quartic", "tabulated")
 SWEEP_PLANES = tuple(PLANE_AXES)
+# Sweep keys that set a coupling, checked as couplings are.
+_SWEEP_COUPLINGS = ("x_min", "x_max", "y_min", "y_max", "line_min", "line_max",
+                    "reference_bb", "reference_ff", "reference_bf")
 
 
 def _as_float(raw: str, key: str) -> float:
@@ -186,7 +189,8 @@ class RunConfig:
         return out
 
     def validate(self) -> None:
-        """Cheap cross-field checks that do not need a solver run."""
+        """Every rule on a config key, checked here alone and for every
+        subcommand; no solver runs, and no code downstream checks them again."""
         for key, value in self.to_flat_dict().items():
             if _SCHEMA[key][2] is _as_float and not math.isfinite(value):
                 raise ConfigError(f"{key} must be finite")
@@ -216,22 +220,29 @@ class RunConfig:
             )
         if self.model.spin_sector not in (-1, 0, 1):
             raise ConfigError("model.spin_sector must be -1, 0, or +1")
+        if self.model.fermion_basis == PAPER_FOUR_STATE and self.model.spin_sector != 0:
+            raise ConfigError(f"model.spin_sector must be 0 with model.fermion_basis = "
+                              f"{PAPER_FOUR_STATE} (got {self.model.spin_sector})")
         check_masses(asdict(self.species), prefix="species.")
         check_couplings(asdict(self.couplings), prefix="couplings.")
-        check_couplings({name: getattr(self.sweep, name)
-                         for name in ("reference_bb", "reference_ff", "reference_bf")},
-                        prefix="sweep.")
+        sweep = self.sweep
+        check_couplings({name: getattr(sweep, name) for name in _SWEEP_COUPLINGS}, prefix="sweep.")
+        for axis in ("x", "y", "line"):
+            low, high, count = (getattr(sweep, f"{axis}_{end}") for end in ("min", "max", "count"))
+            if count < 1:
+                raise ConfigError(f"sweep.{axis}_count must be at least 1")
+            if high < low:
+                raise ConfigError(f"sweep.{axis}_max = {high} is below sweep.{axis}_min = {low}")
+            if high == low and count > 1:
+                raise ConfigError(f"sweep.{axis}_count must be 1 when sweep.{axis}_min "
+                                  f"equals sweep.{axis}_max (got {count})")
         if self.model.min_gap_ratio <= 0.0:
             raise ConfigError("model.min_gap_ratio must be positive")
-        if self.dynamics.periods <= 0.0:
-            raise ConfigError("dynamics.periods must be positive")
+        if self.dynamics.periods < 3.0:
+            raise ConfigError(f"dynamics.periods must be at least 3 (got {self.dynamics.periods}),"
+                              " the bare periods the regime metrics need")
         if self.dynamics.n_samples < 16:
             raise ConfigError("dynamics.n_samples must be at least 16")
-        for label, count in (("sweep.x_count", self.sweep.x_count),
-                             ("sweep.y_count", self.sweep.y_count),
-                             ("sweep.line_count", self.sweep.line_count)):
-            if count < 1:
-                raise ConfigError(f"{label} must be at least 1")
 
 
 def _unknown_key_message(key: str) -> str:

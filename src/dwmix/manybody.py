@@ -86,11 +86,6 @@ def _boson_basis() -> tuple[list[str], np.ndarray]:
 
 def _fermion_basis(sector: int, variant: str) -> tuple[list[str], np.ndarray]:
     if variant == PAPER_FOUR_STATE:
-        if sector != 0:
-            raise ConfigError(
-                "the four-state literal basis is not partitioned by spin "
-                "projection; request sector 0 with it"
-            )
         labels = ["As", "LLt", "St", "RRt"]
         vectors = np.column_stack(
             [
@@ -114,11 +109,8 @@ def _fermion_basis(sector: int, variant: str) -> tuple[list[str], np.ndarray]:
             ]
         )
         return labels, vectors
-    if sector == 1:
-        return ["LRuu"], _det_vector(0, 2).reshape(16, 1)
-    if sector == -1:
-        return ["LRdd"], _det_vector(1, 3).reshape(16, 1)
-    raise ConfigError(f"spin projection sector must be -1, 0, or +1, got {sector}")
+    label, orbitals = {1: ("LRuu", (0, 2)), -1: ("LRdd", (1, 3))}[sector]
+    return [label], _det_vector(*orbitals).reshape(16, 1)
 
 
 @dataclass(frozen=True)
@@ -186,11 +178,6 @@ class CompositeBasis:
 
 def enumerate_bases(sector: int = 0, fermion_variant: str = ANTISYMMETRIC) -> CompositeBasis:
     """Deterministic labeled composite basis for the given spin sector."""
-    if fermion_variant not in FERMION_VARIANTS:
-        raise ConfigError(
-            f"unknown fermion basis variant {fermion_variant!r}; "
-            f"choose one of {FERMION_VARIANTS}"
-        )
     b_labels, b_vecs = _boson_basis()
     f_labels, f_vecs = _fermion_basis(sector, fermion_variant)
     return CompositeBasis(
@@ -280,16 +267,16 @@ def check_couplings(values: dict[str, float], prefix: str = "") -> None:
 
 @dataclass(frozen=True)
 class CouplingParams:
-    """Contact coupling strengths, all repulsive (non-negative)."""
+    """Contact coupling strengths, all repulsive (non-negative).  They come
+    from config values ``RunConfig.validate`` checked, so only the
+    strong-coupling warning is raised here."""
 
     lambda_bb: float = 0.0
     lambda_ff: float = 0.0
     lambda_bf: float = 0.0
 
     def __post_init__(self) -> None:
-        values = self.as_dict()
-        check_couplings(values)
-        for name, value in values.items():
+        for name, value in self.as_dict().items():
             if value > COUPLING_WARN:
                 warnings.warn(
                     f"{name} = {value} is above {COUPLING_WARN}; two-mode "
@@ -526,12 +513,12 @@ def hamiltonian_blocks(
 
 
 def _check_unit_norms(coefficients: np.ndarray) -> None:
-    """Raise ConfigError at the first row whose norm is not 1."""
+    """Raise InvariantError at the first row whose norm is not 1."""
     norms = np.linalg.norm(coefficients, axis=-1)
     bad = np.flatnonzero(np.abs(norms - 1.0) > NORM_TOL)
     if bad.size:
         k = int(bad[0])
-        raise ConfigError(f"state norm is {norms[k]:.12f}, not 1", index=k)
+        raise InvariantError(f"state norm is {norms[k]:.12f}, not 1", index=k)
 
 
 def _oriented(v: np.ndarray) -> np.ndarray:

@@ -47,9 +47,7 @@ def build_potential(config: RunConfig):
         )
     if pot.shape == "quartic":
         return QuarticDoubleWell(minimum_pos=pot.minimum_pos, barrier=pot.barrier)
-    if pot.shape == "tabulated":
-        return TabulatedPotential.from_csv(pot.table_path)
-    raise ConfigError(f"unsupported potential shape {pot.shape!r}")
+    return TabulatedPotential.from_csv(pot.table_path)
 
 
 def resolve_x_max(config: RunConfig, potential) -> float:

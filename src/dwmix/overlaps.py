@@ -21,7 +21,7 @@ from itertools import product
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import InvariantError
 from .potential import Grid
 
 NORMALIZATION_TOL = 1.0e-8
@@ -37,14 +37,11 @@ class OverlapTensor:
     values: np.ndarray
     quadrature_error_estimate: float
 
-    def __getitem__(self, idx: tuple[int, int, int, int]) -> float:
-        return float(self.values[idx])
-
 
 def _check_normalized(mode: np.ndarray, grid: Grid, name: str) -> None:
     norm = grid.inner(mode, mode)
     if abs(norm - 1.0) > NORMALIZATION_TOL:
-        raise ConfigError(f"{name} mode is not normalized (<phi|phi> = {norm:.12f})")
+        raise InvariantError(f"{name} mode is not normalized (<phi|phi> = {norm:.12f})")
 
 
 def _simpson_error_estimate(integrand: np.ndarray, grid: Grid) -> float:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DwmixError, SweepError
+from .errors import DwmixError, SweepError
 from .manybody import COUPLING_NAMES, CouplingParams, HamiltonianBlocks, ground_state
 from .observables import species_entropies
 
@@ -42,19 +42,11 @@ CHUNK_CELLS = 4096
 
 @dataclass(frozen=True)
 class AxisSpec:
-    """One linearly spaced sweep axis."""
+    """One linearly spaced sweep axis; ``RunConfig.validate`` checks its values."""
 
     start: float
     stop: float
     count: int
-
-    def __post_init__(self) -> None:
-        if self.count < 1:
-            raise ConfigError("axis resolution must be at least 1")
-        if self.stop < self.start:
-            raise ConfigError("axis range must have stop >= start")
-        if self.stop == self.start and self.count > 1:
-            raise ConfigError("degenerate axis range needs resolution 1")
 
     def values(self) -> np.ndarray:
         if self.count == 1:
@@ -64,33 +56,14 @@ class AxisSpec:
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """Which plane to scan, over what ranges, with what held fixed."""
+    """Which plane to scan, over what ranges, with what held fixed (the
+    couplings of ``PLANE_AXES[plane]`` that no axis sets)."""
 
     plane: str
     x_axis: AxisSpec
+    fixed: dict[str, float]
     y_axis: AxisSpec | None = None
-    fixed: dict[str, float] | None = None
     reference: CouplingParams | None = None
-
-    def __post_init__(self) -> None:
-        if self.plane not in PLANE_AXES:
-            raise ConfigError(f"unknown sweep plane {self.plane!r}")
-        x_name, y_name, fixed_names = PLANE_AXES[self.plane]
-        if (y_name is None) != (self.y_axis is None):
-            raise ConfigError(
-                f"plane {self.plane!r} "
-                + ("takes no y axis" if y_name is None else "needs a y axis")
-            )
-        fixed = dict(self.fixed or {})
-        if set(fixed) != set(fixed_names):
-            raise ConfigError(
-                f"plane {self.plane!r} must fix exactly {sorted(fixed_names)}, "
-                f"got {sorted(fixed)}"
-            )
-        axis_names = {x_name} | ({y_name} if y_name else set())
-        if axis_names | set(fixed) != set(COUPLING_NAMES):
-            raise ConfigError("axes plus fixed couplings must cover all three couplings")
-        object.__setattr__(self, "fixed", fixed)
 
     def couplings_at(self, x_value: float, y_value: float | None) -> CouplingParams:
         x_name, y_name, _ = PLANE_AXES[self.plane]
@@ -103,9 +76,9 @@ class SweepSpec:
     def coupling_rows(self) -> np.ndarray:
         """Couplings of every cell, ordered as COUPLING_NAMES, row-major over (x, y).
 
-        Every value lies between its axis's start and stop, so the coupling
-        checks and the strong-coupling warning run on those two corners
-        only, not once per cell.
+        Every value lies between its axis's start and stop, so the
+        strong-coupling warning runs on those two corners only, not once per
+        cell.
         """
         y_axis = self.y_axis
         self.couplings_at(self.x_axis.start, y_axis.start if y_axis else None)
@@ -188,15 +161,20 @@ def fidelity_map(
     """Ground-state fidelity against the reference over a coupling plane.
 
     The reference (by ``manybody.ground_state``) and the cells are solved on
-    the blocks' one sector projection.  ``workers`` changes nothing: the CLI
+    the blocks' one sector projection, and a failure at either is raised as
+    a SweepError that names its couplings.  ``workers`` changes nothing: the CLI
     passes its ``--workers`` value only so that ``perfbench/tracing.py``,
     which names a map's span after this keyword, can tell its 1- and 2-worker
     ops apart.
     """
-    if spec.reference is None:
-        raise ConfigError("fidelity sweeps need reference couplings")
     started = time.perf_counter()
-    ref_gs = ground_state(blocks.compose(spec.reference))
+    try:
+        ref_gs = ground_state(blocks.compose(spec.reference))
+    except DwmixError as exc:
+        named = ", ".join(f"{k}={v!r}" for k, v in spec.reference.as_dict().items())
+        raise SweepError(
+            f"fidelity reference failed at {named}: {type(exc).__name__}: {exc}"
+        ) from exc
     xs = spec.x_axis.values()
     ys = spec.y_axis.values() if spec.y_axis is not None else np.array([0.0])
 
@@ -224,8 +202,6 @@ def fidelity_map(
 
 def entropy_scan(blocks: HamiltonianBlocks, spec: SweepSpec) -> EntropyCurve:
     """Species entanglement entropies of the ground state along a line."""
-    if spec.plane != "line_ff":
-        raise ConfigError("entropy scans run on the 'line_ff' plane")
     started = time.perf_counter()
     xs = spec.x_axis.values()
 

@@ -90,8 +90,7 @@ class SpeciesConstants:
         cls, boson_mass_amu: float = 170.0, fermion_mass_amu: float = 171.0
     ) -> "SpeciesConstants":
         """Build constants in DEFAULT_UNITS from mass numbers (defaults: Yb-170
-        and Yb-171), checked by :func:`check_masses`."""
-        check_masses({"boson_mass_amu": boson_mass_amu, "fermion_mass_amu": fermion_mass_amu})
+        and Yb-171) that :func:`check_masses` passed in ``RunConfig.validate``."""
         return cls(
             kappa_boson=DEFAULT_UNITS.kinetic_prefactor(boson_mass_amu * ATOMIC_MASS_KG),
             kappa_fermion=DEFAULT_UNITS.kinetic_prefactor(fermion_mass_amu * ATOMIC_MASS_KG),

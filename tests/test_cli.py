@@ -1,5 +1,6 @@
 """End-to-end command-line runs, exercised in process through main()."""
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import doctor_cached_projection
-from dwmix import cli
+from dwmix import cli, dynamics, model
 from dwmix.cli import EXIT_CONFIG, EXIT_INTERNAL, EXIT_MODEL, EXIT_OK, PRESET_NAMES, build_parser, main
 from dwmix.manybody import FERMION_VARIANTS, SectorBlocks
 from dwmix.sweep import PLANE_AXES
@@ -82,15 +83,38 @@ class TestExitCodes:
         ("validate-config", "grid.x_max = 0.5", "grid.x_max = 0.5 does not contain the wells"),
         ("validate-config", "grid.n_points = 5", "grid.n_points must be odd and at least 7"),
         ("solve-modes", "grid.n_points = 800", "grid.n_points must be odd and at least 7"),
+        ("validate-config", "sweep.x_min = 1e-3\nsweep.x_max = 0",
+         "sweep.x_max = 0.0 is below sweep.x_min = 0.001"),
+        ("validate-config", "sweep.x_max = 0.5", "sweep.x_max = 0.5 exceeds 0.1"),
+        ("validate-config", "dynamics.periods = 2.0", "dynamics.periods must be at least 3"),
+        ("validate-config", "model.fermion_basis = paper_four_state\nmodel.spin_sector = 1",
+         "model.spin_sector must be 0 with model.fermion_basis = paper_four_state (got 1)"),
+        ("fidelity-map", "sweep.plane = line_ff", "set sweep.plane to one of ff_bf"),
+        ("evolve --fermion-basis paper_four_state", "",
+         "needs model.fermion_basis = antisymmetric and model.spin_sector = 0 "
+         "(got paper_four_state and 0)"),
+        ("evolve", "model.spin_sector = 1", "(got antisymmetric and 1)"),
+        # Every key is checked whatever the subcommand reads.
+        ("entropy-scan", "sweep.y_min = 5e-3", "sweep.y_max = 0.001 is below sweep.y_min"),
+        ("fidelity-map", "dynamics.periods = 2", "dynamics.periods must be at least 3"),
+        ("solve-modes", "sweep.line_min = 1e-3\nsweep.line_max = 1e-3",
+         "sweep.line_count must be 1 when sweep.line_min equals sweep.line_max (got 101)"),
     ])
-    def test_bad_value_names_its_key(self, tmp_path, capsys, command, line, message):
+    def test_bad_value_names_its_key(self, tmp_path, monkeypatch, capsys, command, line,
+                                     message):
+        # Each case is refused before any doublet solve.
+        solves = []
+        solve = model.solve_doublet
+        monkeypatch.setattr(model, "solve_doublet",
+                            lambda *args, **kwargs: solves.append(1) or solve(*args, **kwargs))
         # A case that sets the grid replaces the coarse one (keys may not repeat).
         base = "" if line.startswith("grid.n_points") else COARSE
         cfg = write_cfg(tmp_path, base + "dynamics.n_samples = 64\n" + line + "\n")
         out = tmp_path / "out"
-        assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+        assert main([*command.split(), "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
         assert message in capsys.readouterr().err
         assert not out.exists()
+        assert solves == []
 
     @pytest.mark.parametrize("lines, message", [
         ("grid.x_max = 1.375\n", "must exceed the outer well edge at 1.375"),
@@ -282,6 +306,38 @@ class TestEntropyScan:
         assert main(["entropy-scan", "--config", cfg, "--out", str(out)]) == EXIT_OK
         results = json.loads((out / "manifest.json").read_text())["results"]
         assert results["argmax_lambda_ff"] == 2.8e-3
+
+
+def _last_above_one(p):
+    p[-1] = 1.0 + 1.0e-6
+    return p
+
+
+def _scaled(psi0):
+    return 1.001 * psi0
+
+
+def _left_mode_scaled(modes):
+    return dataclasses.replace(modes, psi_left=1.001 * modes.psi_left)
+
+
+@pytest.mark.parametrize("command, module, name, doctor, message", [
+    ("evolve", dynamics, "return_probability", _last_above_one,
+     "p_rr_bosons leaves [0, 1]"),
+    ("evolve", cli, "initial_state_rr", _scaled, "state norm is 1.001000000000, not 1"),
+    ("validate-config", model, "solve_doublet", _left_mode_scaled,
+     "left mode is not normalized"),
+], ids=["p_rr_bounds", "psi0_norm", "mode_norm"])
+def test_broken_invariant_exits_internal(tmp_path, monkeypatch, capsys, command, module,
+                                         name, doctor, message):
+    # One value doctored on its way out of a library call is an internal fault.
+    original = getattr(module, name)
+    monkeypatch.setattr(module, name,
+                        lambda *args, **kwargs: doctor(original(*args, **kwargs)))
+    cfg = write_cfg(tmp_path, COARSE + "dynamics.n_samples = 64\n")
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_INTERNAL
+    err = capsys.readouterr().err
+    assert "internal error" in err and message in err
 
 
 @pytest.mark.parametrize("command, projections", [

@@ -138,10 +138,14 @@ class TestValidate:
             ("model.fermion_basis", "symmetric", "model.fermion_basis must be"),
             ("model.spin_sector", 2, "spin_sector must be -1, 0, or"),
             ("model.min_gap_ratio", 0.0, "min_gap_ratio must be positive"),
-            ("dynamics.periods", 0.0, "periods must be positive"),
+            ("dynamics.periods", 0.0, "periods must be at least 3"),
+            ("dynamics.periods", 2.9, "dynamics.periods must be at least 3"),
             ("dynamics.n_samples", 8, "n_samples must be at least 16"),
             ("sweep.x_count", 0, "sweep.x_count must be at least 1"),
             ("sweep.line_count", 0, "sweep.line_count must be at least 1"),
+            ("sweep.y_min", 5.0e-3, r"sweep.y_max = 0.001 is below sweep.y_min = 0.005"),
+            ("sweep.line_max", 0.5, r"sweep.line_max = 0.5 exceeds 0.1"),
+            ("sweep.x_min", -1.0e-4, "sweep.x_min must be non-negative"),
             ("couplings.lambda_bb", -1.0e-4, "must be non-negative"),
             ("couplings.lambda_bf", 0.2, "exceeds"),
             ("couplings.lambda_ff", float("nan"), "couplings.lambda_ff must be finite"),

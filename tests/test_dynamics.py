@@ -139,11 +139,12 @@ def test_asymmetric_hamiltonian_is_refused_under_optimize(run_python):
     assert proc.returncode == 0, proc.stderr
 
 
-def test_time_grid_validation():
+def test_time_grid_validation(config_factory):
     with pytest.raises(ConfigError):
         default_time_grid(0.0)
-    with pytest.raises(ConfigError):
-        default_time_grid(1.0, n_samples=1)
+    # The sample count comes from the config, which needs at least 16.
+    with pytest.raises(ConfigError, match="dynamics.n_samples must be at least 16"):
+        config_factory(**{"dynamics.n_samples": 1})
 
 
 def test_times_must_be_ascending_and_finite(free_run):
@@ -161,7 +162,7 @@ class TestEvolveInput:
 
     def test_norm_enforced(self, free_run):
         _, h, _, times = free_run
-        with pytest.raises(ConfigError, match="norm"):
+        with pytest.raises(InvariantError, match="norm"):
             evolve(h, np.ones(12), times)
 
     def test_shape_enforced(self, free_run):
@@ -242,11 +243,11 @@ class TestRegimeMetrics:
         with pytest.raises(ConfigError, match="uniform"):
             self.run(times, values, values, min_splitting=0.05)
 
-    def test_rejects_short_window(self):
-        times = np.linspace(0.0, 10.0, 64)
-        values = np.full_like(times, 0.5)
-        with pytest.raises(ConfigError, match="three bare periods"):
-            self.run(times, values, values, min_splitting=0.01)
+    def test_rejects_short_window(self, config_factory):
+        # evolve's window is dynamics.periods bare periods long, and the
+        # config holds it to three.
+        with pytest.raises(ConfigError, match="dynamics.periods must be at least 3"):
+            config_factory(**{"dynamics.periods": 2.0})
 
     def test_as_dict_shape(self):
         omega = 0.01
@@ -288,7 +289,7 @@ class TestDensityProfile:
 def test_series_probability_bounds():
     times = np.linspace(0.0, 1.0, 8)
     good = np.full(8, 0.5)
-    with pytest.raises(ConfigError, match="leaves"):
+    with pytest.raises(InvariantError, match="leaves"):
         TimeSeries(times=times, p_rr_bosons=good + 1.0, p_rr_fermions=good)
     with pytest.raises(ConfigError, match="length"):
         TimeSeries(times=times, p_rr_bosons=good[:4], p_rr_fermions=good)

@@ -51,17 +51,17 @@ class TestBases:
         assert enumerate_bases(sector=1).fermion_labels == ["LRuu"]
         assert enumerate_bases(sector=-1).fermion_labels == ["LRdd"]
 
-    def test_four_state_variant(self):
+    def test_four_state_variant(self, config_factory):
         basis = enumerate_bases(fermion_variant=PAPER_FOUR_STATE)
         assert basis.fermion_labels == ["As", "LLt", "St", "RRt"]
         gram = basis.fermion_vectors.T @ basis.fermion_vectors
         assert np.allclose(gram, np.eye(4), atol=1e-14)
-        with pytest.raises(ConfigError, match="sector 0"):
-            enumerate_bases(sector=1, fermion_variant=PAPER_FOUR_STATE)
+        with pytest.raises(ConfigError, match="model.spin_sector must be 0 with model.fermion_basis"):
+            config_factory(**{"model.fermion_basis": PAPER_FOUR_STATE, "model.spin_sector": 1})
 
-    def test_unknown_variant_rejected(self):
-        with pytest.raises(ConfigError, match="variant"):
-            enumerate_bases(fermion_variant="bogus")
+    def test_unknown_variant_rejected(self, config_factory):
+        with pytest.raises(ConfigError, match="model.fermion_basis must be one of"):
+            config_factory(**{"model.fermion_basis": "bogus"})
 
     def test_missing_label_lookup(self):
         basis = enumerate_bases()
@@ -101,21 +101,23 @@ class TestCouplingParams:
         p = CouplingParams()
         assert p.as_dict() == {"lambda_bb": 0.0, "lambda_ff": 0.0, "lambda_bf": 0.0}
 
-    def test_negative_rejected(self):
-        with pytest.raises(ConfigError, match="non-negative"):
-            CouplingParams(lambda_bb=-1e-4)
+    # CouplingParams are built from config values, so their bounds are the
+    # config's, checked on every key that sets a coupling.
+    def test_negative_rejected(self, config_factory):
+        with pytest.raises(ConfigError, match="couplings.lambda_bb must be non-negative"):
+            config_factory(**{"couplings.lambda_bb": -1e-4})
 
-    def test_cap_enforced(self):
-        with pytest.raises(ConfigError, match="exceeds"):
-            CouplingParams(lambda_bf=0.2)
+    def test_cap_enforced(self, config_factory):
+        with pytest.raises(ConfigError, match="sweep.reference_bf = 0.2 exceeds"):
+            config_factory(**{"sweep.reference_bf": 0.2})
 
     def test_strong_coupling_warns(self):
         with pytest.warns(UserWarning, match="truncation accuracy"):
             CouplingParams(lambda_ff=0.05)
 
-    def test_non_finite_rejected(self):
-        with pytest.raises(ConfigError, match="finite"):
-            CouplingParams(lambda_bb=np.nan)
+    def test_non_finite_rejected(self, config_factory):
+        with pytest.raises(ConfigError, match="sweep.line_max must be finite"):
+            config_factory(**{"sweep.line_max": np.nan})
 
 
 class TestAssembly:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dwmix.errors import ConfigError
+from dwmix.errors import InvariantError
 from dwmix.overlaps import cross_species_tensor, distinct_elements, overlap_tensor
 from dwmix.potential import Grid
 
@@ -26,16 +26,16 @@ def gaussian_pair():
 def test_gaussian_oracle(gaussian_pair):
     grid, left, right = gaussian_pair
     tensor = overlap_tensor(left, right, grid)
-    assert tensor[1, 1, 1, 1] == pytest.approx(GAUSSIAN_SELF_OVERLAP, rel=1e-9)
+    assert tensor.values[1, 1, 1, 1] == pytest.approx(GAUSSIAN_SELF_OVERLAP, rel=1e-9)
     # Same-site elements of the two wells agree for a mirror-symmetric pair.
-    assert tensor[0, 0, 0, 0] == pytest.approx(tensor[1, 1, 1, 1], rel=1e-12)
+    assert tensor.values[0, 0, 0, 0] == pytest.approx(tensor.values[1, 1, 1, 1], rel=1e-12)
 
 
 def test_mixed_elements_are_negligible_for_distant_wells(gaussian_pair):
     grid, left, right = gaussian_pair
     tensor = overlap_tensor(left, right, grid)
     for idx in [(0, 0, 1, 1), (0, 1, 1, 1), (0, 0, 0, 1), (0, 1, 0, 1)]:
-        assert abs(tensor[idx]) < 1e-8
+        assert abs(tensor.values[idx]) < 1e-8
 
 
 def test_full_permutation_symmetry_is_exact(gaussian_pair):
@@ -69,7 +69,7 @@ def test_distinct_element_counts(gaussian_pair):
     assert len(intra_keys) == 5
     assert len(cross_keys) == 9
     assert list(intra_keys) == sorted(intra_keys)
-    assert intra_keys["RRRR"] == intra[1, 1, 1, 1]
+    assert intra_keys["RRRR"] == intra.values[1, 1, 1, 1]
 
 
 def test_quadrature_error_estimate_is_small(gaussian_pair):
@@ -80,17 +80,17 @@ def test_quadrature_error_estimate_is_small(gaussian_pair):
 
 def test_unnormalized_modes_rejected(gaussian_pair):
     grid, left, right = gaussian_pair
-    with pytest.raises(ConfigError, match="not normalized"):
+    with pytest.raises(InvariantError, match="not normalized"):
         overlap_tensor(2.0 * left, right, grid)
-    with pytest.raises(ConfigError, match="not normalized"):
+    with pytest.raises(InvariantError, match="not normalized"):
         cross_species_tensor(left, 0.5 * right, left, right, grid)
 
 
 def test_localized_trap_modes_overlap_structure(coarse_context):
     # The real trap modes obey the same structure as the synthetic Gaussians.
     tensors = coarse_context.overlaps
-    assert tensors.boson[1, 1, 1, 1] > 0.0
-    assert tensors.fermion[1, 1, 1, 1] > 0.0
-    same_site = tensors.boson[1, 1, 1, 1]
-    mixed = abs(tensors.boson[0, 0, 1, 1])
+    assert tensors.boson.values[1, 1, 1, 1] > 0.0
+    assert tensors.fermion.values[1, 1, 1, 1] > 0.0
+    same_site = tensors.boson.values[1, 1, 1, 1]
+    mixed = abs(tensors.boson.values[0, 0, 1, 1])
     assert mixed < 1e-4 * same_site

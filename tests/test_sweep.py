@@ -11,7 +11,7 @@ import pytest
 from conftest import doctor_cached_projection
 from dwmix.cli import EXIT_CONFIG, EXIT_OK, _fidelity_spec, main
 from dwmix.config import RunConfig, parse_config
-from dwmix.errors import ConfigError, InvariantError, SweepError
+from dwmix.errors import ConfigError, SweepError
 from dwmix.manybody import (
     CouplingParams,
     HamiltonianBlocks,
@@ -74,46 +74,36 @@ class TestAxisSpec:
     def test_single_point_axis(self):
         assert AxisSpec(start=2.0e-4, stop=2.0e-4, count=1).values().tolist() == [2.0e-4]
 
-    def test_zero_count_rejected(self):
-        with pytest.raises(ConfigError, match="at least 1"):
-            AxisSpec(start=0.0, stop=1.0, count=0)
+    # Axes are built from config values, so their rules are the config's.
+    def test_zero_count_rejected(self, config_factory):
+        with pytest.raises(ConfigError, match="sweep.y_count must be at least 1"):
+            config_factory(**{"sweep.y_count": 0})
 
-    def test_reversed_range_rejected(self):
-        with pytest.raises(ConfigError, match="stop >= start"):
-            AxisSpec(start=1.0, stop=0.0, count=3)
+    def test_reversed_range_rejected(self, config_factory):
+        with pytest.raises(ConfigError, match="sweep.x_max = 0.0 is below sweep.x_min = 0.001"):
+            config_factory(**{"sweep.x_min": 1.0e-3, "sweep.x_max": 0.0})
 
-    def test_degenerate_range_needs_count_one(self):
-        with pytest.raises(ConfigError, match="degenerate axis range"):
-            AxisSpec(start=1.0e-4, stop=1.0e-4, count=4)
+    def test_degenerate_range_needs_count_one(self, config_factory):
+        with pytest.raises(ConfigError, match="sweep.line_count must be 1 when sweep.line_min "
+                                              "equals sweep.line_max"):
+            config_factory(**{"sweep.line_min": 1.0e-4, "sweep.line_max": 1.0e-4,
+                              "sweep.line_count": 4})
+
+    def test_bounds_are_checked_as_couplings(self, config_factory):
+        with pytest.raises(ConfigError, match="sweep.x_max = 0.5 exceeds 0.1"):
+            config_factory(**{"sweep.x_max": 0.5})
+        with pytest.raises(ConfigError, match="sweep.y_min must be non-negative"):
+            config_factory(**{"sweep.y_min": -1.0e-4})
 
 
 class TestSweepSpec:
-    def test_unknown_plane(self):
-        with pytest.raises(ConfigError, match="unknown sweep plane"):
-            SweepSpec(plane="bf_ff", x_axis=AxisSpec(0.0, 1.0e-3, 2))
+    def test_unknown_plane(self, config_factory):
+        with pytest.raises(ConfigError, match="sweep.plane must be one of"):
+            config_factory(**{"sweep.plane": "bf_ff"})
 
-    def test_plane_needs_y_axis(self):
-        with pytest.raises(ConfigError, match="needs a y axis"):
-            SweepSpec(plane="ff_bf", x_axis=AxisSpec(0.0, 1.0e-3, 2),
-                      fixed={"lambda_bb": 0.0})
-
-    def test_line_takes_no_y_axis(self):
-        with pytest.raises(ConfigError, match="takes no y axis"):
-            SweepSpec(
-                plane="line_ff",
-                x_axis=AxisSpec(0.0, 1.0e-3, 2),
-                y_axis=AxisSpec(0.0, 1.0e-3, 2),
-                fixed={"lambda_bb": 0.0, "lambda_bf": 0.0},
-            )
-
-    def test_wrong_fixed_keys(self):
-        with pytest.raises(ConfigError, match="must fix exactly"):
-            SweepSpec(
-                plane="ff_bf",
-                x_axis=AxisSpec(0.0, 1.0e-3, 2),
-                y_axis=AxisSpec(0.0, 1.0e-3, 2),
-                fixed={"lambda_ff": 0.0},
-            )
+    def test_plane_needs_y_axis(self, config_factory):
+        with pytest.raises(ConfigError, match="two-axis plane; set sweep.plane"):
+            _fidelity_spec(config_factory(**{"sweep.plane": "line_ff"}))
 
     def test_couplings_at_routes_axes(self):
         spec = plane_spec(AxisSpec(0.0, 1.0e-3, 2), AxisSpec(0.0, 1.0e-3, 2))
@@ -133,12 +123,6 @@ class TestSweepSpec:
 
 
 class TestFidelityMap:
-    def test_reference_required(self, coarse_context):
-        spec = plane_spec(AxisSpec(0.0, 1.0e-3, 2), AxisSpec(0.0, 1.0e-3, 2),
-                          reference=None)
-        with pytest.raises(ConfigError, match="reference couplings"):
-            fidelity_map(coarse_context.blocks, spec)
-
     def test_reference_cell_has_unit_fidelity(self, coarse_context):
         spec = plane_spec(AxisSpec(5.0e-4, 5.0e-4, 1), AxisSpec(5.0e-4, 5.0e-4, 1))
         surface = fidelity_map(coarse_context.blocks, spec)
@@ -190,11 +174,6 @@ class TestEntropyScan:
             x_axis=AxisSpec(0.0, stop, count),
             fixed={"lambda_bb": 1.0e-3, "lambda_bf": lambda_bf},
         )
-
-    def test_rejects_plane_spec(self, coarse_context):
-        spec = plane_spec(AxisSpec(0.0, 1.0e-3, 2), AxisSpec(0.0, 1.0e-3, 2))
-        with pytest.raises(ConfigError, match="line_ff"):
-            entropy_scan(coarse_context.blocks, spec)
 
     def test_uncoupled_species_have_no_entropy(self, coarse_context):
         curve = entropy_scan(coarse_context.blocks, self.line_spec(0.0, count=5))
@@ -322,9 +301,12 @@ class TestSymmetrySectors:
         broken = HamiltonianBlocks(basis=blocks.basis, h0=blocks.h0, h_bb=blocks.h_bb,
                                    h_ff=blocks.h_ff, h_bf=lopsided)
         # The reference is solved on the same projection, so at lambda_bf > 0
-        # it is refused first; at lambda_bf = 0 the cells are reached.
+        # it is refused first, named by its couplings; at lambda_bf = 0 the
+        # cells are reached.
         axes = AxisSpec(0.0, 1.0e-3, 2), AxisSpec(0.0, 1.0e-3, 3)
-        with pytest.raises(InvariantError, match="couples symmetry sectors"):
+        with pytest.raises(SweepError, match=(
+                r"fidelity reference failed at lambda_bb=0\.0005, lambda_ff=0\.0005, "
+                r"lambda_bf=0\.0005: InvariantError: .*couples symmetry sectors")):
             fidelity_map(broken, plane_spec(*axes))
         spec = plane_spec(*axes, reference=CouplingParams(5.0e-4, 5.0e-4, 0.0))
         with pytest.raises(SweepError, match=r"cell \(0, 1\), x=0\.0, y=0\.0005"):

@@ -63,8 +63,10 @@ def test_invalid_scales_rejected():
         DEFAULT_UNITS.kinetic_prefactor(0.0)
 
 
-def test_species_ordering_enforced():
-    with pytest.raises(ConfigError, match="fermion_mass_amu = 170.0 is below"):
-        SpeciesConstants.from_amu(boson_mass_amu=171.0, fermion_mass_amu=170.0)
-    with pytest.raises(ConfigError, match="boson_mass_amu must be positive"):
-        SpeciesConstants.from_amu(boson_mass_amu=-1.0)
+def test_species_ordering_enforced(config_factory):
+    # SpeciesConstants are built from config masses, so the config holds
+    # the masses' rules.
+    with pytest.raises(ConfigError, match="species.fermion_mass_amu = 170.0 is below"):
+        config_factory(**{"species.boson_mass_amu": 171.0, "species.fermion_mass_amu": 170.0})
+    with pytest.raises(ConfigError, match="species.boson_mass_amu must be positive"):
+        config_factory(**{"species.boson_mass_amu": -1.0})
