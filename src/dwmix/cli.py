@@ -4,10 +4,12 @@ Subcommands map one-to-one onto the library layers: ``solve-modes`` stops
 after the single-particle doublet, ``evolve`` runs a trajectory, the two
 sweep subcommands scan coupling space, and ``validate-config`` is their dry
 run: it checks every config rule (``RunConfig.validate`` checks every key for
-every subcommand) and builds the model up to its Hamiltonian blocks, but
-neither projects them onto symmetry sectors nor sweeps, and writes nothing.
-A subcommand's own rule (``fidelity-map``'s two-axis plane, ``evolve``'s
-both-right start state) is checked before its build.
+every subcommand) and builds the model up to its doublet modes and composite
+basis, but builds no overlap tensor or Hamiltonian block, solves nothing
+beyond the doublet, and writes nothing.  A run validates its config once,
+with the flags that override its keys applied.  A subcommand's own rule
+(``fidelity-map``'s two-axis plane, ``evolve``'s both-right start state) is
+checked before its build.
 
 Exit codes are a stable scripting contract: 0 success, 2 configuration
 error, 3 model-validity error (localization or gap failures), 4 internal
@@ -59,41 +61,37 @@ EXIT_INTERNAL = 4
 
 
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
-    """The validated config of --config (a file path or a shipped preset
-    name), with the flags that override its keys applied."""
-    if args.config is None:
-        config = RunConfig.default()
-    else:
-        path = Path(args.config)
-        if path.is_file():
-            config = load_config(path)
-        elif args.config in PRESET_NAMES:
-            text = (
-                resources.files("dwmix")
-                .joinpath(f"presets/{args.config}.cfg")
-                .read_text(encoding="utf-8")
-            )
-            config = parse_config(text)
-        else:
-            raise ConfigError(
-                f"--config {args.config!r} is neither a readable file nor a "
-                f"preset name (presets: {', '.join(PRESET_NAMES)})"
-            )
+    """The config of --config (a file path or a shipped preset name), with
+    the flags that override its keys applied, validated once."""
     overrides: dict[str, object] = {}
     if args.out is not None:
         overrides["output.directory"] = args.out
     if getattr(args, "fermion_basis", None) is not None:
         overrides["model.fermion_basis"] = args.fermion_basis
-    if overrides:
-        config = config.replace_values(**overrides)
-        config.validate()
-    return config
+    if args.config is None:
+        return parse_config("", overrides)
+    if Path(args.config).is_file():
+        return load_config(args.config, overrides)
+    if args.config in PRESET_NAMES:
+        text = (
+            resources.files("dwmix")
+            .joinpath(f"presets/{args.config}.cfg")
+            .read_text(encoding="utf-8")
+        )
+        return parse_config(text, overrides)
+    raise ConfigError(
+        f"--config {args.config!r} is neither a readable file nor a "
+        f"preset name (presets: {', '.join(PRESET_NAMES)})"
+    )
 
 
-def _build(config: RunConfig) -> tuple[ModelContext, float]:
-    """The run's model, and the seconds it took to build."""
+def _build(config: RunConfig, *reads: str) -> tuple[ModelContext, float]:
+    """The run's model with the parts it reads (``overlaps``, ``blocks``),
+    which a context builds on first read, and the seconds it took to build."""
     started = time.perf_counter()
     context = build_context(config)
+    for name in reads:
+        getattr(context, name)
     return context, time.perf_counter() - started
 
 
@@ -149,7 +147,7 @@ def _finish(
 
 def _cmd_solve_modes(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
-    context, build_s = _build(config)
+    context, build_s = _build(config, "overlaps")
     directory = _out_dir(config)
     outputs = {
         "modes_boson": write_modes_csv(
@@ -178,7 +176,7 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
             f"{ANTISYMMETRIC} and model.spin_sector = 0 "
             f"(got {m.fermion_basis} and {m.spin_sector})"
         )
-    context, build_s = _build(config)
+    context, build_s = _build(config, "blocks")
     h = context.hamiltonian()
     psi0 = initial_state_rr(context.basis)
     times = default_time_grid(
@@ -201,7 +199,7 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
         )
     else:
         series = return_series(h, psi0, times)
-    report = regime_metrics(series, context.min_splitting)
+    report = regime_metrics(series)
     evolve_s = time.perf_counter() - started
     outputs["p_rr"] = write_timeseries_csv(directory / "p_rr.csv", series)
     outputs["regimes"] = write_regimes_json(directory / "regimes.json", report)
@@ -220,7 +218,7 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
 def _cmd_fidelity_map(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
     spec = _fidelity_spec(config)
-    context, build_s = _build(config)
+    context, build_s = _build(config, "blocks")
     surface = fidelity_map(context.blocks, spec, workers=args.workers)
     directory = _out_dir(config)
     outputs = {
@@ -250,7 +248,7 @@ def _cmd_fidelity_map(args: argparse.Namespace) -> int:
 def _cmd_entropy_scan(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
     spec = _entropy_spec(config)
-    context, build_s = _build(config)
+    context, build_s = _build(config, "blocks")
     curve = entropy_scan(context.blocks, spec)
     directory = _out_dir(config)
     outputs = {

@@ -7,7 +7,6 @@ with ``#`` or ``;``, no interpolation, no nesting.  Unknown keys are errors
 
 from __future__ import annotations
 
-import difflib
 import math
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
@@ -246,15 +245,21 @@ class RunConfig:
 
 
 def _unknown_key_message(key: str) -> str:
+    import difflib  # only an unknown key needs it, so no import of dwmix pays for it
+
     close = difflib.get_close_matches(key, _SCHEMA.keys(), n=1, cutoff=0.5)
     if close:
         return f"unknown config key {key!r} (did you mean {close[0]!r}?)"
     return f"unknown config key {key!r}"
 
 
-def parse_config(text: str) -> RunConfig:
-    """Parse flat config text into a validated RunConfig."""
-    overrides: dict[str, object] = {}
+def parse_config(text: str, overrides: dict[str, object] | None = None) -> RunConfig:
+    """Parse flat config text into a validated RunConfig.
+
+    ``overrides`` maps flat keys to typed values that replace the text's own
+    (a front end's flags); the config is validated once, with them applied.
+    """
+    values: dict[str, object] = {}
     seen: set[str] = set()
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.strip()
@@ -271,16 +276,17 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         seen.add(key)
         _, _, caster = _SCHEMA[key]
-        overrides[key] = caster(raw_value, key)
-    config = RunConfig.default().replace_values(**overrides)
+        values[key] = caster(raw_value, key)
+    values.update(overrides or {})
+    config = RunConfig.default().replace_values(**values)
     config.validate()
     return config
 
 
-def load_config(path: str | Path) -> RunConfig:
+def load_config(path: str | Path, overrides: dict[str, object] | None = None) -> RunConfig:
     p = Path(path)
     try:
         text = p.read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot read config file {p}: {exc}") from exc
-    return parse_config(text)
+    return parse_config(text, overrides)

@@ -80,11 +80,11 @@ def return_probability(
 def _validate_times(times: np.ndarray) -> np.ndarray:
     t = np.asarray(times, dtype=float)
     if t.ndim != 1 or t.size == 0:
-        raise ConfigError("times must be a non-empty 1-d array")
+        raise InvariantError("times must be a non-empty 1-d array")
     if not np.all(np.isfinite(t)):
-        raise ConfigError("times must be finite")
+        raise InvariantError("times must be finite")
     if t[0] < 0.0 or np.any(np.diff(t) < 0.0):
-        raise ConfigError("times must be non-negative and ascending")
+        raise InvariantError("times must be non-negative and ascending")
     return t
 
 
@@ -108,7 +108,7 @@ def evolve(h: ManyBodyHamiltonian, psi0: np.ndarray, times) -> np.ndarray:
     return rotated * np.exp(-1j * h.sectors.shift * t)[:, None]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False, eq=False)
 class TimeSeries:
     """Return probabilities for both species on a common time grid."""
 
@@ -120,7 +120,7 @@ class TimeSeries:
         for name in ("p_rr_bosons", "p_rr_fermions"):
             v = getattr(self, name)
             if v.shape != self.times.shape:
-                raise ConfigError(f"{name} length does not match the time grid")
+                raise InvariantError(f"{name} length does not match the time grid")
             if v.min() < -PROBABILITY_SLACK or v.max() > 1.0 + PROBABILITY_SLACK:
                 raise InvariantError(f"{name} leaves [0, 1] beyond tolerance")
 
@@ -146,14 +146,14 @@ def default_time_grid(
     return np.linspace(0.0, periods * 2.0 * np.pi / min_splitting, n_samples)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False, eq=False)
 class RegimeMetrics:
     period_estimate: float
     damping_estimate: float
     plateau_intervals: list[tuple[float, float]]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False, eq=False)
 class RegimeReport:
     bosons: RegimeMetrics
     fermions: RegimeMetrics
@@ -264,19 +264,17 @@ def _plateaus(times: np.ndarray, values: np.ndarray) -> list[tuple[float, float]
     return [(a, b) for a, b in intervals if b - a >= PLATEAU_MIN_LENGTH]
 
 
-def regime_metrics(series: TimeSeries, min_splitting: float) -> RegimeReport:
+def regime_metrics(series: TimeSeries) -> RegimeReport:
     """Period, damping, and plateau intervals for both species.
 
-    The series must span at least three periods of the slower species'
-    bare oscillation (2 pi / min_splitting) on a uniform grid;
-    ``RunConfig.validate`` holds ``dynamics.periods`` to three.
+    The series must lie on a uniform grid and should span at least three
+    periods of the slower species' bare oscillation; ``RunConfig.validate``
+    holds ``dynamics.periods`` to three.
     """
     t = series.times
     steps = np.diff(t)
     if not np.allclose(steps, steps[0], rtol=1.0e-9, atol=0.0):
-        raise ConfigError("regime metrics require a uniform time grid")
-    if min_splitting <= 0.0:
-        raise ConfigError("min_splitting must be positive")
+        raise InvariantError("regime metrics require a uniform time grid")
     bosons, fermions = (
         RegimeMetrics(
             period_estimate=_dominant_period(t, values),

@@ -66,15 +66,22 @@ def write_timeseries_csv(path: str | Path, series: TimeSeries) -> Path:
 
 
 def write_fidelity_csv(path: str | Path, surface: FidelitySurface) -> Path:
-    # One block per x value; each axis value is formatted once.
-    ys = _floats(surface.y_values)
-    blocks = (
-        ([x] * len(ys), ys, _floats(fidelity), _flags(degenerate))
+    # Per x value, one list holds each row's three pieces ("x,y,", the
+    # fidelity, ",flag\n") and is joined once.  Each axis value is formatted once.
+    path = Path(path)
+    ys = [f"{y}," for y in _floats(surface.y_values)]
+    pieces = [""] * (3 * len(ys))
+    with path.open("w", encoding="utf-8") as fh:
+        fh.write(FIDELITY_HEADER + "\n")
         for x, fidelity, degenerate in zip(
             _floats(surface.x_values), surface.fidelity, surface.degenerate, strict=True
-        )
-    )
-    return _write_blocks(path, FIDELITY_HEADER, blocks)
+        ):
+            prefix = x + ","
+            pieces[0::3] = [prefix + y for y in ys]
+            pieces[1::3] = _floats(fidelity)
+            pieces[2::3] = [",1\n" if flag else ",0\n" for flag in degenerate.tolist()]
+            fh.write("".join(pieces))
+    return path
 
 
 def write_entropy_csv(path: str | Path, curve: EntropyCurve) -> Path:

@@ -113,7 +113,7 @@ def _fermion_basis(sector: int, variant: str) -> tuple[list[str], np.ndarray]:
     return [label], _det_vector(*orbitals).reshape(16, 1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False, eq=False)
 class CompositeBasis:
     """Labeled product basis: boson pair states x fermion pair states.
 
@@ -265,7 +265,7 @@ def check_couplings(values: dict[str, float], prefix: str = "") -> None:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False, eq=False)
 class CouplingParams:
     """Contact coupling strengths, all repulsive (non-negative).  They come
     from config values ``RunConfig.validate`` checked, so only the
@@ -288,7 +288,7 @@ class CouplingParams:
         return {name: getattr(self, name) for name in COUPLING_NAMES}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False, eq=False)
 class OverlapSet:
     """The three contact tensors feeding assembly."""
 
@@ -297,7 +297,7 @@ class OverlapSet:
     cross: OverlapTensor
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False, eq=False)
 class ManyBodyHamiltonian:
     """H at one coupling point: its model's sector projection and its row of
     couplings, ordered as COUPLING_NAMES.  No full matrix is composed."""
@@ -307,7 +307,7 @@ class ManyBodyHamiltonian:
     couplings: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False, eq=False)
 class HamiltonianBlocks:
     """Coupling-independent pieces of H.
 
@@ -334,7 +334,7 @@ class HamiltonianBlocks:
         return ManyBodyHamiltonian(basis=self.basis, sectors=self.sectors, couplings=row)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False, eq=False)
 class SectorBlocks:
     """H(c) = h0 + sum_k c_k h_k, projected once onto the symmetry sectors.
 
@@ -530,7 +530,7 @@ def _oriented(v: np.ndarray) -> np.ndarray:
     return v
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False, eq=False)
 class GroundState:
     """``vector`` holds the real ground-state coefficients over the basis."""
 

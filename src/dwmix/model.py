@@ -2,13 +2,14 @@
 
 Everything downstream (CLI, sweeps, tests) funnels through ``build_context``
 so that a configuration resolves to exactly one model, built the same way
-every time: potential -> grid -> doublet modes per species -> overlap
-tensors -> composite basis -> Hamiltonian blocks.
+every time: potential -> grid -> doublet modes per species -> composite
+basis, then, on first read, overlap tensors -> Hamiltonian blocks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .config import RunConfig
 from .errors import ConfigError
@@ -22,7 +23,7 @@ from .manybody import (
     hamiltonian_blocks,
 )
 from .modes import DoubletModes, solve_doublet
-from .overlaps import cross_species_tensor, overlap_tensor
+from .overlaps import _check_normalized, cross_species_tensor, overlap_tensor
 from .potential import (
     DoubleSquareWell,
     Grid,
@@ -83,18 +84,37 @@ def _box(x_max: float, extent: float, derived: float, what: str) -> float:
     return x_max
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False, eq=False)
 class ModelContext:
-    """One fully built model: grid, modes, tensors, and Hamiltonian blocks."""
+    """One model: grid, doublet modes and composite basis, built with it.
+
+    The overlap tensors and the Hamiltonian blocks are built on first read
+    and kept, so a run pays only for what it reads: ``validate-config`` stops
+    after the doublet and the basis, and ``solve-modes`` builds the overlaps
+    its manifest reports but no blocks.
+    """
 
     config: RunConfig
     species: SpeciesConstants
     grid: Grid
     boson_modes: DoubletModes
     fermion_modes: DoubletModes
-    overlaps: OverlapSet
     basis: CompositeBasis
-    blocks: HamiltonianBlocks
+
+    @cached_property
+    def overlaps(self) -> OverlapSet:
+        b, f = self.boson_modes, self.fermion_modes
+        return OverlapSet(
+            boson=overlap_tensor(b.psi_left, b.psi_right, self.grid),
+            fermion=overlap_tensor(f.psi_left, f.psi_right, self.grid),
+            cross=cross_species_tensor(
+                b.psi_left, b.psi_right, f.psi_left, f.psi_right, self.grid
+            ),
+        )
+
+    @cached_property
+    def blocks(self) -> HamiltonianBlocks:
+        return hamiltonian_blocks(self.boson_modes, self.fermion_modes, self.overlaps, self.basis)
 
     @property
     def min_splitting(self) -> float:
@@ -106,7 +126,9 @@ class ModelContext:
 
 
 def build_context(config: RunConfig) -> ModelContext:
-    config.validate()
+    """The model of a config that ``RunConfig.validate`` passed (as
+    ``parse_config`` and ``load_config`` return them); nothing here checks
+    a config key again."""
     species = SpeciesConstants.from_amu(
         boson_mass_amu=config.species.boson_mass_amu,
         fermion_mass_amu=config.species.fermion_mass_amu,
@@ -121,28 +143,19 @@ def build_context(config: RunConfig) -> ModelContext:
     fermion_modes = solve_doublet(
         species.kappa_fermion, v, grid, min_gap_ratio=config.model.min_gap_ratio
     )
-    overlaps = OverlapSet(
-        boson=overlap_tensor(boson_modes.psi_left, boson_modes.psi_right, grid),
-        fermion=overlap_tensor(fermion_modes.psi_left, fermion_modes.psi_right, grid),
-        cross=cross_species_tensor(
-            boson_modes.psi_left,
-            boson_modes.psi_right,
-            fermion_modes.psi_left,
-            fermion_modes.psi_right,
-            grid,
-        ),
-    )
+    # The modes' norm is an invariant of every model, checked even where no
+    # overlap is ever built.
+    for name, modes in (("boson", boson_modes), ("fermion", fermion_modes)):
+        _check_normalized(modes.psi_left, grid, f"{name} left")
+        _check_normalized(modes.psi_right, grid, f"{name} right")
     basis = enumerate_bases(
         sector=config.model.spin_sector, fermion_variant=config.model.fermion_basis
     )
-    blocks = hamiltonian_blocks(boson_modes, fermion_modes, overlaps, basis)
     return ModelContext(
         config=config,
         species=species,
         grid=grid,
         boson_modes=boson_modes,
         fermion_modes=fermion_modes,
-        overlaps=overlaps,
         basis=basis,
-        blocks=blocks,
     )

@@ -85,7 +85,7 @@ _flapack = _load_flapack(_scipy_dir())
 dgtsv, dstebz = _flapack.dgtsv, _flapack.dstebz
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False, eq=False)
 class DoubletModes:
     """Lowest doublet of the trap plus derived localized modes.
 

@@ -27,7 +27,7 @@ from .potential import Grid
 NORMALIZATION_TOL = 1.0e-8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False, eq=False)
 class OverlapTensor:
     """A (2, 2, 2, 2) contact tensor plus a quadrature error estimate.
 

@@ -93,7 +93,7 @@ def _cos_ramp(t: np.ndarray) -> np.ndarray:
     return 0.5 * (1.0 - np.cos(np.pi * tc))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False, eq=False)
 class DoubleSquareWell:
     """Two square wells of width ``well_width`` separated (centre-to-centre)
     by ``separation``, depth ``depth`` below the outside level, with edges
@@ -144,7 +144,7 @@ class DoubleSquareWell:
         return self.depth * (1.0 - down + up)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False, eq=False)
 class QuarticDoubleWell:
     """Smooth double well V(x) = barrier * ((x/x0)^2 - 1)^2.
 
@@ -166,7 +166,7 @@ class QuarticDoubleWell:
         return self.barrier * (r - 1.0) ** 2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False, eq=False)
 class TabulatedPotential:
     """Potential sampled from a table, linearly interpolated.
 

@@ -40,7 +40,7 @@ PLANE_AXES: dict[str, tuple[str, str | None, tuple[str, ...]]] = {
 CHUNK_CELLS = 4096
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False, eq=False)
 class AxisSpec:
     """One linearly spaced sweep axis; ``RunConfig.validate`` checks its values."""
 
@@ -54,7 +54,7 @@ class AxisSpec:
         return np.linspace(self.start, self.stop, self.count)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False, eq=False)
 class SweepSpec:
     """Which plane to scan, over what ranges, with what held fixed (the
     couplings of ``PLANE_AXES[plane]`` that no axis sets)."""
@@ -94,7 +94,7 @@ class SweepSpec:
         return np.column_stack([columns[name] for name in COUPLING_NAMES])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False, eq=False)
 class FidelitySurface:
     x_values: np.ndarray
     y_values: np.ndarray
@@ -107,7 +107,7 @@ class FidelitySurface:
     wall_time_s: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False, eq=False)
 class EntropyCurve:
     lambda_ff: np.ndarray
     s_bosons: np.ndarray

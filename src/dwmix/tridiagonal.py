@@ -30,7 +30,7 @@ PIVOT_FLOOR = EPS  # times eps * ||T||: a pivot this small counts as negative
 RESIDUAL_TOL = 64.0  # times eps * ||A||_F
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False, eq=False)
 class Tridiagonal:
     """Householder reductions Q^T A Q = T of a (d, d, n) stack of symmetric
     matrices, read from the lower triangle as ``eigh`` reads it.

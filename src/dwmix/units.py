@@ -26,7 +26,7 @@ DEFAULT_LENGTH_M = 1.0e-6
 DEFAULT_ENERGY_J = 1.0e-31
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False, eq=False)
 class UnitSystem:
     """Reference scales tying dimensionless model numbers to SI.
 
@@ -78,7 +78,7 @@ def check_masses(values: dict[str, float], prefix: str = "") -> None:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False, eq=False)
 class SpeciesConstants:
     """Kinetic prefactors for the boson/fermion pair."""
 

@@ -89,7 +89,7 @@ def regime_reports():
         series = return_series(
             context.hamiltonian(), initial_state_rr(context.basis), times
         )
-        reports[name] = regime_metrics(series, context.min_splitting)
+        reports[name] = regime_metrics(series)
     return reports
 
 

@@ -15,12 +15,17 @@ by keyword, is a constant in disguise: it becomes one.
 """
 
 import ast
+import dataclasses
+import importlib
 import io
+import pkgutil
 import tokenize
 from collections import Counter
 from pathlib import Path
 
+import dwmix
 from dwmix.config import _SECTIONS
+from dwmix.potential import Grid
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "dwmix"
@@ -196,3 +201,21 @@ def test_every_defaulted_parameter_is_passed():
     ]
     assert not unpassed, (
         "defaulted parameters no call in src/ or perfbench/ passes: " + ", ".join(unpassed))
+
+
+def test_records_have_no_generated_comparison_or_repr():
+    # Nothing compares or prints a record, so none pays at import for the
+    # methods a dataclass generates; only the config sections, RunConfig
+    # (tests compare configs) and Grid (models compare grids) keep them.
+    records = {
+        obj
+        for info in pkgutil.iter_modules(dwmix.__path__)
+        for obj in vars(importlib.import_module(f"dwmix.{info.name}")).values()
+        if isinstance(obj, type) and dataclasses.is_dataclass(obj)
+        and obj.__module__ == f"dwmix.{info.name}"
+    }
+    compared = {cls for cls in records if cls.__module__ == "dwmix.config"} | {Grid}
+    assert len(compared) == 10 and len(records) > len(compared)
+    generated = sorted(cls.__name__ for cls in records - compared
+                       if cls.__eq__ is not object.__eq__ or "__repr__" in vars(cls))
+    assert not generated, "records with a generated __eq__ or __repr__: " + ", ".join(generated)

@@ -11,6 +11,7 @@ import pytest
 from conftest import doctor_cached_projection
 from dwmix import cli, dynamics, model
 from dwmix.cli import EXIT_CONFIG, EXIT_INTERNAL, EXIT_MODEL, EXIT_OK, PRESET_NAMES, build_parser, main
+from dwmix.config import RunConfig
 from dwmix.manybody import FERMION_VARIANTS, SectorBlocks
 from dwmix.sweep import PLANE_AXES
 
@@ -317,6 +318,10 @@ def _scaled(psi0):
     return 1.001 * psi0
 
 
+def _last_dropped(p):
+    return p[:-1]
+
+
 def _left_mode_scaled(modes):
     return dataclasses.replace(modes, psi_left=1.001 * modes.psi_left)
 
@@ -327,7 +332,9 @@ def _left_mode_scaled(modes):
     ("evolve", cli, "initial_state_rr", _scaled, "state norm is 1.001000000000, not 1"),
     ("validate-config", model, "solve_doublet", _left_mode_scaled,
      "left mode is not normalized"),
-], ids=["p_rr_bounds", "psi0_norm", "mode_norm"])
+    ("evolve", dynamics, "return_probability", _last_dropped,
+     "p_rr_bosons length does not match the time grid"),
+], ids=["p_rr_bounds", "psi0_norm", "mode_norm", "p_rr_length"])
 def test_broken_invariant_exits_internal(tmp_path, monkeypatch, capsys, command, module,
                                          name, doctor, message):
     # One value doctored on its way out of a library call is an internal fault.
@@ -358,6 +365,41 @@ def test_each_model_is_projected_at_most_once(tmp_path, monkeypatch, command, pr
                     "dynamics.n_samples = 64\n")
     assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_OK
     assert len(calls) == projections
+
+
+@pytest.mark.parametrize("command, overlaps, blocks", [
+    ("validate-config", 0, 0), ("solve-modes", 1, 0), ("evolve", 1, 1),
+    ("fidelity-map", 1, 1), ("entropy-scan", 1, 1),
+])
+def test_each_model_builds_only_what_its_run_reads(tmp_path, monkeypatch, command, overlaps,
+                                                   blocks):
+    # A context builds its overlap tensors and Hamiltonian blocks on first
+    # read, through the names in dwmix.model, and keeps them.
+    names = ("overlap_tensor", "cross_species_tensor", "hamiltonian_blocks")
+    calls = []
+    for name in names:
+        original = getattr(model, name)
+        monkeypatch.setattr(model, name, lambda *args, _name=name, _original=original,
+                            **kwargs: calls.append(_name) or _original(*args, **kwargs))
+    cfg = write_cfg(tmp_path, TestFidelityMap.SWEEP + "sweep.line_count = 9\n"
+                    "dynamics.n_samples = 64\n")
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_OK
+    assert [calls.count(name) for name in names] == [2 * overlaps, overlaps, blocks]
+
+
+@pytest.mark.parametrize("command", [
+    "validate-config", "solve-modes", "evolve", "fidelity-map", "entropy-scan",
+])
+def test_config_is_validated_once_per_run(tmp_path, monkeypatch, command):
+    # Once both flags that override a key are applied, where the config is final.
+    calls = []
+    validate = RunConfig.validate
+    monkeypatch.setattr(RunConfig, "validate", lambda self: calls.append(1) or validate(self))
+    cfg = write_cfg(tmp_path, TestFidelityMap.SWEEP + "sweep.line_count = 9\n"
+                    "dynamics.n_samples = 64\n")
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out"),
+                 "--fermion-basis", "antisymmetric"]) == EXIT_OK
+    assert len(calls) == 1
 
 
 def test_fermion_basis_choices_are_the_variant_table():

@@ -149,11 +149,11 @@ def test_time_grid_validation(config_factory):
 
 def test_times_must_be_ascending_and_finite(free_run):
     _, h, psi0, _ = free_run
-    with pytest.raises(ConfigError, match="ascending"):
+    with pytest.raises(InvariantError, match="ascending"):
         evolve(h, psi0, np.array([0.0, 2.0, 1.0]))
-    with pytest.raises(ConfigError, match="finite"):
+    with pytest.raises(InvariantError, match="finite"):
         evolve(h, psi0, np.array([0.0, np.inf]))
-    with pytest.raises(ConfigError):
+    with pytest.raises(InvariantError, match="non-empty"):
         evolve(h, psi0, np.array([]))
 
 
@@ -195,15 +195,15 @@ def test_local_maxima_match_find_peaks_on_random_plateaus(rng):
 
 
 class TestRegimeMetrics:
-    def run(self, times, b, f, min_splitting=0.01):
+    def run(self, times, b, f):
         series = TimeSeries(times=times, p_rr_bosons=b, p_rr_fermions=f)
-        return regime_metrics(series, min_splitting)
+        return regime_metrics(series)
 
     def test_pure_oscillation(self):
         omega = 0.01
         times = np.linspace(0.0, 3 * 2 * np.pi / omega, 2048)
         values = np.cos(omega * times / 2.0) ** 4
-        report = self.run(times, values, values, min_splitting=omega)
+        report = self.run(times, values, values)
         for m in (report.bosons, report.fermions):
             assert m.damping_estimate < 1e-6
             assert m.period_estimate == pytest.approx(2 * np.pi / omega, rel=0.01)
@@ -213,7 +213,7 @@ class TestRegimeMetrics:
         omega, gamma = 0.01, 2e-4
         times = np.linspace(0.0, 3 * 2 * np.pi / omega, 4096)
         values = np.exp(-gamma * times) * np.cos(omega * times / 2.0) ** 4
-        report = self.run(times, values, values, min_splitting=omega)
+        report = self.run(times, values, values)
         assert report.bosons.damping_estimate == pytest.approx(gamma, rel=0.5)
 
     def test_plateau_detection(self):
@@ -240,8 +240,8 @@ class TestRegimeMetrics:
     def test_rejects_non_uniform_grid(self):
         times = np.concatenate([np.linspace(0, 1000, 1000), [3000.0]])
         values = np.full_like(times, 0.5)
-        with pytest.raises(ConfigError, match="uniform"):
-            self.run(times, values, values, min_splitting=0.05)
+        with pytest.raises(InvariantError, match="uniform"):
+            self.run(times, values, values)
 
     def test_rejects_short_window(self, config_factory):
         # evolve's window is dynamics.periods bare periods long, and the
@@ -253,7 +253,7 @@ class TestRegimeMetrics:
         omega = 0.01
         times = np.linspace(0.0, 3 * 2 * np.pi / omega, 1024)
         values = np.cos(omega * times / 2.0) ** 4
-        d = self.run(times, values, values, min_splitting=omega).as_dict()
+        d = self.run(times, values, values).as_dict()
         assert set(d) == {"bosons", "fermions"}
         assert set(d["bosons"]) == {
             "period_estimate",
@@ -291,5 +291,5 @@ def test_series_probability_bounds():
     good = np.full(8, 0.5)
     with pytest.raises(InvariantError, match="leaves"):
         TimeSeries(times=times, p_rr_bosons=good + 1.0, p_rr_fermions=good)
-    with pytest.raises(ConfigError, match="length"):
+    with pytest.raises(InvariantError, match="length"):
         TimeSeries(times=times, p_rr_bosons=good[:4], p_rr_fermions=good)

@@ -178,6 +178,24 @@ class TestCsvBytes:
         path = write_fidelity_csv(tmp_path / "f.csv", surface)
         assert path.read_text(encoding="utf-8") == expected
 
+    def test_fidelity_one_degenerate_cell(self, tmp_path):
+        # The writer fills each x row's pieces in place; its bytes are those
+        # of formatting every row on its own.
+        x = [0.0, 1.0e-3 / 3.0, 1.0e-3]
+        y = [0.1 + 0.2, 2.5e-4, 5e-324, 1.0e-3]
+        fidelity = np.linspace(0.9, 1.0, 12).reshape(3, 4)
+        degenerate = np.zeros((3, 4), dtype=bool)
+        degenerate[1, 2] = True
+        surface = SimpleNamespace(x_values=np.array(x), y_values=np.array(y),
+                                  fidelity=fidelity, degenerate=degenerate)
+        expected = FIDELITY_HEADER + "\n" + "".join(
+            f"{xv!r},{yv!r},{f!r},{int(d)}\n"
+            for xv, f_row, d_row in zip(x, fidelity.tolist(), degenerate.tolist())
+            for yv, f, d in zip(y, f_row, d_row))
+        path = write_fidelity_csv(tmp_path / "f.csv", surface)
+        assert path.read_bytes() == expected.encode("utf-8")
+        assert path.read_bytes().count(b",1\n") == 1
+
     def test_entropy(self, tmp_path):
         curve = SimpleNamespace(lambda_ff=SPECIAL, s_bosons=SPECIAL[::-1],
                                 s_fermions=-SPECIAL, degenerate=FLAGS)
@@ -211,14 +229,14 @@ class TestHashing:
 
 class TestRegimesJson:
     def test_regime_report_round_trips(self, coarse_context, tmp_path):
-        report = regime_metrics(_series(coarse_context), coarse_context.min_splitting)
+        report = regime_metrics(_series(coarse_context))
         path = write_regimes_json(tmp_path / "regimes.json", report)
         loaded = json.loads(path.read_text())
         assert set(loaded) == {"bosons", "fermions"}
         assert loaded["bosons"]["period_estimate"] == report.bosons.period_estimate
 
     def test_trailing_newline(self, coarse_context, tmp_path):
-        report = regime_metrics(_series(coarse_context), coarse_context.min_splitting)
+        report = regime_metrics(_series(coarse_context))
         path = write_regimes_json(tmp_path / "r.json", report)
         assert path.read_text().endswith("\n")
 
