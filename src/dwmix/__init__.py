@@ -9,19 +9,12 @@ from .errors import (
     SolverError,
     SweepError,
 )
-from .config import RunConfig, load_config, parse_config
-from .model import ModelContext, build_context
 
 __all__ = [
     "ConfigError",
     "DwmixError",
     "ModelValidityError",
-    "ModelContext",
-    "RunConfig",
     "SolverError",
     "SweepError",
-    "build_context",
-    "load_config",
-    "parse_config",
     "__version__",
 ]

@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import RunConfig, load_config, parse_config
+from .config import ANTISYMMETRIC, FERMION_VARIANTS, PLANE_AXES, RunConfig, load_config, parse_config
 from .dynamics import (
     TimeSeries,
     default_time_grid,
@@ -47,10 +47,10 @@ from .manifest import (
     write_regimes_json,
     write_timeseries_csv,
 )
-from .manybody import ANTISYMMETRIC, BOSONS, FERMION_VARIANTS, FERMIONS, CouplingParams
+from .manybody import BOSONS, FERMIONS, CouplingParams
 from .model import ModelContext, build_context
 from .observables import species_entropies
-from .sweep import PLANE_AXES, AxisSpec, SweepSpec, entropy_scan, fidelity_map
+from .sweep import AxisSpec, SweepSpec, entropy_scan, fidelity_map
 
 PRESET_NAMES = ("region1", "region2", "region3", "phase_maps")
 
@@ -177,6 +177,7 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
             f"(got {m.fermion_basis} and {m.spin_sector})"
         )
     context, build_s = _build(config, "blocks")
+    started = time.perf_counter()  # the sector projection is evolve's first step
     h = context.hamiltonian()
     psi0 = initial_state_rr(context.basis)
     times = default_time_grid(
@@ -184,7 +185,6 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
         periods=config.dynamics.periods,
         n_samples=config.dynamics.n_samples,
     )
-    started = time.perf_counter()
     directory = _out_dir(config)
     outputs: dict[str, Path] = {}
     if config.dynamics.with_entropy:

@@ -140,9 +140,8 @@ def default_time_grid(
     periods: float = DEFAULT_PERIODS,
     n_samples: int = DEFAULT_TIME_SAMPLES,
 ) -> np.ndarray:
-    """Uniform grid covering ``periods`` single-particle oscillations."""
-    if min_splitting <= 0.0:
-        raise ConfigError("tunneling splitting must be positive for a time grid")
+    """Uniform grid covering ``periods`` single-particle oscillations
+    (``lowest_doublet``'s splitting guard holds ``min_splitting`` positive)."""
     return np.linspace(0.0, periods * 2.0 * np.pi / min_splitting, n_samples)
 
 

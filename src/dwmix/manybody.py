@@ -21,6 +21,7 @@ from itertools import product
 
 import numpy as np
 
+from .config import ANTISYMMETRIC, COUPLING_NAMES, PAPER_FOUR_STATE
 from .errors import ConfigError, InvariantError
 from .modes import DoubletModes
 from .overlaps import OverlapTensor
@@ -32,13 +33,7 @@ FERMIONS = "fermions"
 HERMITICITY_TOL = 1.0e-12
 NORM_TOL = 1.0e-10
 DEGENERACY_GAP = 1.0e-12
-COUPLING_MAX = 0.1
 COUPLING_WARN = 0.01
-COUPLING_NAMES = ("lambda_bb", "lambda_ff", "lambda_bf")
-
-ANTISYMMETRIC = "antisymmetric"
-PAPER_FOUR_STATE = "paper_four_state"
-FERMION_VARIANTS = (ANTISYMMETRIC, PAPER_FOUR_STATE)
 
 _SQRT_HALF = np.sqrt(0.5)
 
@@ -246,23 +241,6 @@ def one_body_transition_matrix(basis: CompositeBasis, species: str) -> np.ndarra
         raise ConfigError(f"species must be {BOSONS!r} or {FERMIONS!r}, got {species!r}")
     d = [[vecs.T @ one_body(_mode_transfer(a, b)) @ vecs for b in range(2)] for a in range(2)]
     return np.array(d).transpose(2, 3, 0, 1)
-
-
-def check_couplings(values: dict[str, float], prefix: str = "") -> None:
-    """Raise ConfigError unless every coupling is finite and in [0, COUPLING_MAX].
-
-    Messages name each coupling as ``prefix + name``.
-    """
-    for name, value in values.items():
-        if not np.isfinite(value):
-            raise ConfigError(f"{prefix}{name} must be finite")
-        if value < 0.0:
-            raise ConfigError(f"{prefix}{name} must be non-negative (got {value})")
-        if value > COUPLING_MAX:
-            raise ConfigError(
-                f"{prefix}{name} = {value} exceeds {COUPLING_MAX}, beyond any "
-                "defensible two-mode regime"
-            )
 
 
 @dataclass(frozen=True, repr=False, eq=False)
@@ -490,8 +468,6 @@ def hamiltonian_blocks(
     basis: CompositeBasis,
 ) -> HamiltonianBlocks:
     """Project all Hamiltonian pieces onto the composite basis."""
-    if modes_b.grid != modes_f.grid:
-        raise ConfigError("boson and fermion modes were solved on different grids")
     vb = basis.boson_vectors
     vf = basis.fermion_vectors
     dim_b, dim_f = basis.boson_dim, basis.fermion_dim

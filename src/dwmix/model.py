@@ -11,8 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
+import numpy as np
+
 from .config import RunConfig
-from .errors import ConfigError
+from .errors import InvariantError
 from .manybody import (
     CompositeBasis,
     CouplingParams,
@@ -23,7 +25,7 @@ from .manybody import (
     hamiltonian_blocks,
 )
 from .modes import DoubletModes, solve_doublet
-from .overlaps import _check_normalized, cross_species_tensor, overlap_tensor
+from .overlaps import cross_species_tensor, overlap_tensor
 from .potential import (
     DoubleSquareWell,
     Grid,
@@ -34,6 +36,7 @@ from .potential import (
 from .units import SpeciesConstants
 
 X_MARGIN = 1.0
+NORMALIZATION_TOL = 1.0e-8
 
 
 def build_potential(config: RunConfig):
@@ -52,36 +55,21 @@ def build_potential(config: RunConfig):
 
 
 def resolve_x_max(config: RunConfig, potential) -> float:
-    """Explicit box size, or one derived from the potential's own extent.
-
-    An explicit box must reach past the outer edge of a square well or the
-    minimum of a quartic one; a smaller box would set the tunneling by its
-    walls instead of the barrier.
-    """
-    x_max = config.grid.x_max
+    """Explicit box size (``RunConfig.validate`` holds it past the wells), or
+    one derived from the potential's own extent."""
+    if config.grid.x_max > 0.0:
+        return config.grid.x_max
     if isinstance(potential, DoubleSquareWell):
-        edge = potential.outer_edge
-        return _box(x_max, edge, edge + X_MARGIN, "outer well edge")
+        return potential.outer_edge + X_MARGIN
     if isinstance(potential, QuarticDoubleWell):
-        minimum = potential.minimum_pos
-        return _box(x_max, minimum, minimum * 2.0 + X_MARGIN, "quartic minimum")
-    if x_max > 0.0:
-        return x_max
-    if isinstance(potential, TabulatedPotential):
-        return float(min(abs(potential.x_table[0]), potential.x_table[-1]))
-    raise ConfigError("grid.x_max must be set for this potential")
+        return potential.minimum_pos * 2.0 + X_MARGIN
+    return float(min(abs(potential.x_table[0]), potential.x_table[-1]))
 
 
-def _box(x_max: float, extent: float, derived: float, what: str) -> float:
-    """``derived`` when x_max is 0 (unset), else x_max if it exceeds ``extent``."""
-    if x_max == 0.0:
-        return derived
-    if x_max <= extent:
-        raise ConfigError(
-            f"grid.x_max = {x_max} does not contain the wells: it must exceed "
-            f"the {what} at {extent}"
-        )
-    return x_max
+def _check_normalized(mode: np.ndarray, grid: Grid, name: str) -> None:
+    norm = grid.inner(mode, mode)
+    if abs(norm - 1.0) > NORMALIZATION_TOL:
+        raise InvariantError(f"{name} mode is not normalized (<phi|phi> = {norm:.12f})")
 
 
 @dataclass(frozen=True, repr=False, eq=False)
@@ -143,8 +131,8 @@ def build_context(config: RunConfig) -> ModelContext:
     fermion_modes = solve_doublet(
         species.kappa_fermion, v, grid, min_gap_ratio=config.model.min_gap_ratio
     )
-    # The modes' norm is an invariant of every model, checked even where no
-    # overlap is ever built.
+    # The modes' norm is an invariant of every model, checked here once: the
+    # overlap tensors built from these modes do not check it again.
     for name, modes in (("boson", boson_modes), ("fermion", fermion_modes)):
         _check_normalized(modes.psi_left, grid, f"{name} left")
         _check_normalized(modes.psi_right, grid, f"{name} right")

@@ -139,8 +139,6 @@ def build_sp_hamiltonian(
     kappa: float, v: np.ndarray, grid: Grid
 ) -> tuple[np.ndarray, np.ndarray]:
     """Interior-node tridiagonal Hamiltonian as (diagonal, off-diagonal)."""
-    if kappa <= 0.0:
-        raise SolverError("kinetic prefactor must be positive")
     h = grid.spacing
     diag = 2.0 * kappa / h**2 + v[1:-1]
     off = np.full(grid.n_points - 3, -kappa / h**2)

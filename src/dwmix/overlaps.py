@@ -21,10 +21,7 @@ from itertools import product
 
 import numpy as np
 
-from .errors import InvariantError
 from .potential import Grid
-
-NORMALIZATION_TOL = 1.0e-8
 
 
 @dataclass(frozen=True, repr=False, eq=False)
@@ -36,12 +33,6 @@ class OverlapTensor:
 
     values: np.ndarray
     quadrature_error_estimate: float
-
-
-def _check_normalized(mode: np.ndarray, grid: Grid, name: str) -> None:
-    norm = grid.inner(mode, mode)
-    if abs(norm - 1.0) > NORMALIZATION_TOL:
-        raise InvariantError(f"{name} mode is not normalized (<phi|phi> = {norm:.12f})")
 
 
 def _simpson_error_estimate(integrand: np.ndarray, grid: Grid) -> float:
@@ -76,8 +67,6 @@ def overlap_tensor(
     of 5 quadratures and full permutation symmetry is exact.
     """
     modes = (np.asarray(psi_left, dtype=float), np.asarray(psi_right, dtype=float))
-    _check_normalized(modes[0], grid, "left")
-    _check_normalized(modes[1], grid, "right")
     w = grid.simpson_weights()
     cache: dict[tuple[int, ...], float] = {}
     values = np.empty((2, 2, 2, 2))
@@ -106,10 +95,6 @@ def cross_species_tensor(
     """
     b_modes = (np.asarray(boson_left, dtype=float), np.asarray(boson_right, dtype=float))
     f_modes = (np.asarray(fermion_left, dtype=float), np.asarray(fermion_right, dtype=float))
-    _check_normalized(b_modes[0], grid, "boson left")
-    _check_normalized(b_modes[1], grid, "boson right")
-    _check_normalized(f_modes[0], grid, "fermion left")
-    _check_normalized(f_modes[1], grid, "fermion right")
     w = grid.simpson_weights()
     cache: dict[tuple[tuple[int, int], tuple[int, int]], float] = {}
     values = np.empty((2, 2, 2, 2))

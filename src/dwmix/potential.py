@@ -102,24 +102,14 @@ class DoubleSquareWell:
 
     V = 0 inside the wells, ``depth`` on the central barrier and outside.
     The profile is a function of |x|, hence even to the last bit.
+    ``RunConfig.validate`` holds the geometry keys to wells that do not
+    overlap, with smoothing below half a well or barrier width.
     """
 
     separation: float
     well_width: float
     depth: float
     smoothing: float = 0.1
-
-    def __post_init__(self) -> None:
-        if self.well_width <= 0.0 or self.separation <= 0.0:
-            raise ConfigError("well width and separation must be positive")
-        if self.depth < 0.0:
-            raise ConfigError("well depth must be non-negative")
-        if self.smoothing < 0.0:
-            raise ConfigError("edge smoothing must be non-negative")
-        if self.inner_edge <= 0.0:
-            raise ConfigError("wells overlap: separation must exceed well width")
-        if self.smoothing >= min(self.well_width, 2.0 * self.inner_edge) / 2.0:
-            raise ConfigError("edge smoothing too large for this geometry")
 
     @property
     def inner_edge(self) -> float:
@@ -148,17 +138,12 @@ class DoubleSquareWell:
 class QuarticDoubleWell:
     """Smooth double well V(x) = barrier * ((x/x0)^2 - 1)^2.
 
-    Minima at x = +-x0 with V = 0, barrier height ``barrier`` at x = 0.
+    Minima at x = +-x0 with V = 0, barrier height ``barrier`` at x = 0;
+    ``RunConfig.validate`` holds both positive.
     """
 
     minimum_pos: float
     barrier: float
-
-    def __post_init__(self) -> None:
-        if self.minimum_pos <= 0.0:
-            raise ConfigError("minimum position must be positive")
-        if self.barrier <= 0.0:
-            raise ConfigError("barrier height must be positive")
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         # Evaluate in |x| so floating-point evenness is exact.

@@ -20,17 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import COUPLING_NAMES, PLANE_AXES
 from .errors import DwmixError, SweepError
-from .manybody import COUPLING_NAMES, CouplingParams, HamiltonianBlocks, ground_state
+from .manybody import CouplingParams, HamiltonianBlocks, ground_state
 from .observables import species_entropies
-
-# plane tag -> (x axis coupling, y axis coupling, fixed couplings)
-PLANE_AXES: dict[str, tuple[str, str | None, tuple[str, ...]]] = {
-    "ff_bf": ("lambda_ff", "lambda_bf", ("lambda_bb",)),
-    "bb_bf": ("lambda_bb", "lambda_bf", ("lambda_ff",)),
-    "bb_ff": ("lambda_bb", "lambda_ff", ("lambda_bf",)),
-    "line_ff": ("lambda_ff", None, ("lambda_bb", "lambda_bf")),
-}
 
 # Cells per batched solve.  On a 256x256 map (2-core Xeon, numpy 2.4) the
 # solve took 2.5, 1.6 and 1.9 us per cell at 2048, 4096 and 8192 cells

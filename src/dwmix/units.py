@@ -15,8 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ConfigError
-
 # CODATA 2018 values, pinned so results are reproducible across environments.
 HBAR_JS = 1.054571817e-34
 PLANCK_H_JS = 6.62607015e-34  # exact by SI definition
@@ -52,30 +50,10 @@ class UnitSystem:
 
     def kinetic_prefactor(self, mass_kg: float) -> float:
         """Dimensionless kappa = hbar^2 / (2 m l^2 xi)."""
-        if mass_kg <= 0.0:
-            raise ValueError("mass must be positive")
         return HBAR_JS**2 / (2.0 * mass_kg * self.length_m**2 * self.energy_j)
 
 
 DEFAULT_UNITS = UnitSystem()
-
-
-def check_masses(values: dict[str, float], prefix: str = "") -> None:
-    """Raise ConfigError unless ``boson_mass_amu`` and ``fermion_mass_amu`` are
-    positive and the fermion is at least as heavy as the boson, the isotope
-    ordering the modelling assumes.
-
-    Messages name each mass as ``prefix + name``.
-    """
-    for name, value in values.items():
-        if not value > 0.0:
-            raise ConfigError(f"{prefix}{name} must be positive (got {value})")
-    if values["fermion_mass_amu"] < values["boson_mass_amu"]:
-        raise ConfigError(
-            f"{prefix}fermion_mass_amu = {values['fermion_mass_amu']} is below "
-            f"{prefix}boson_mass_amu = {values['boson_mass_amu']}; the fermion "
-            "species must not be lighter than the boson"
-        )
 
 
 @dataclass(frozen=True, repr=False, eq=False)
@@ -90,7 +68,7 @@ class SpeciesConstants:
         cls, boson_mass_amu: float = 170.0, fermion_mass_amu: float = 171.0
     ) -> "SpeciesConstants":
         """Build constants in DEFAULT_UNITS from mass numbers (defaults: Yb-170
-        and Yb-171) that :func:`check_masses` passed in ``RunConfig.validate``."""
+        and Yb-171); ``RunConfig.validate`` holds them positive and ordered."""
         return cls(
             kappa_boson=DEFAULT_UNITS.kinetic_prefactor(boson_mass_amu * ATOMIC_MASS_KG),
             kappa_fermion=DEFAULT_UNITS.kinetic_prefactor(fermion_mass_amu * ATOMIC_MASS_KG),

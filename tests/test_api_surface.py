@@ -6,9 +6,7 @@ A name counts as used when it appears elsewhere in src/ or perfbench/ as an
 identifier, or as a string literal that is exactly that identifier (the
 benchmark's tracer looks layer functions up by name).  A field counts as
 read when src/ or perfbench/ reads an attribute of that name, directly or
-through ``getattr`` with a literal name; the config sections, which are read
-field by field through ``dataclasses.fields``, count as read throughout.
-Comments and docstrings do not count.  API that only the tests call is
+through ``getattr`` with a literal name.  Comments and docstrings do not count.  API that only the tests call is
 deleted, not kept, and so is a field that is written but never read.  A
 defaulted parameter that no call in src/ or perfbench/ passes, by position or
 by keyword, is a constant in disguise: it becomes one.
@@ -24,7 +22,6 @@ from collections import Counter
 from pathlib import Path
 
 import dwmix
-from dwmix.config import _SECTIONS
 from dwmix.potential import Grid
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -107,11 +104,10 @@ def test_every_public_name_has_a_caller():
 def test_every_dataclass_field_is_read():
     sources, bench = _sources()
     reads = _attribute_reads(sources + bench)
-    generic = {cls.__name__ for cls in _SECTIONS.values()}
     unread = [f"{cls}.{name} ({path.relative_to(ROOT)}:{line})"
               for path in sources
               for cls, name, line in _dataclass_fields(path)
-              if name not in reads and cls not in generic]
+              if name not in reads]
     assert not unread, "dataclass fields nothing reads: " + ", ".join(unread)
 
 
@@ -205,8 +201,8 @@ def test_every_defaulted_parameter_is_passed():
 
 def test_records_have_no_generated_comparison_or_repr():
     # Nothing compares or prints a record, so none pays at import for the
-    # methods a dataclass generates; only the config sections, RunConfig
-    # (tests compare configs) and Grid (models compare grids) keep them.
+    # methods a dataclass generates; only Grid (the spatial oracle compares
+    # grids) keeps them.  A config is no dataclass: it compares by value.
     records = {
         obj
         for info in pkgutil.iter_modules(dwmix.__path__)
@@ -214,8 +210,7 @@ def test_records_have_no_generated_comparison_or_repr():
         if isinstance(obj, type) and dataclasses.is_dataclass(obj)
         and obj.__module__ == f"dwmix.{info.name}"
     }
-    compared = {cls for cls in records if cls.__module__ == "dwmix.config"} | {Grid}
-    assert len(compared) == 10 and len(records) > len(compared)
-    generated = sorted(cls.__name__ for cls in records - compared
-                       if cls.__eq__ is not object.__eq__ or "__repr__" in vars(cls))
-    assert not generated, "records with a generated __eq__ or __repr__: " + ", ".join(generated)
+    generated = {cls for cls in records
+                 if cls.__eq__ is not object.__eq__ or "__repr__" in vars(cls)}
+    assert generated == {Grid}, "records with a generated __eq__ or __repr__: " + ", ".join(
+        sorted(cls.__name__ for cls in generated - {Grid}))

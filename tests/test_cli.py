@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -11,9 +12,8 @@ import pytest
 from conftest import doctor_cached_projection
 from dwmix import cli, dynamics, model
 from dwmix.cli import EXIT_CONFIG, EXIT_INTERNAL, EXIT_MODEL, EXIT_OK, PRESET_NAMES, build_parser, main
-from dwmix.config import RunConfig
-from dwmix.manybody import FERMION_VARIANTS, SectorBlocks
-from dwmix.sweep import PLANE_AXES
+from dwmix.config import FERMION_VARIANTS, PLANE_AXES, RunConfig
+from dwmix.manybody import SectorBlocks
 
 COARSE = "grid.n_points = 801\n"
 
@@ -82,6 +82,18 @@ class TestExitCodes:
         ("validate-config", "sweep.reference_bb = -1.0",
          "sweep.reference_bb must be non-negative"),
         ("validate-config", "grid.x_max = 0.5", "grid.x_max = 0.5 does not contain the wells"),
+        ("validate-config", "potential.well_width = 0", "potential.well_width must be positive"),
+        ("validate-config", "potential.separation = -1", "potential.separation must be positive"),
+        ("validate-config", "potential.depth = -1", "potential.depth must be non-negative"),
+        ("validate-config", "potential.smoothing = -0.01",
+         "potential.smoothing must be non-negative"),
+        ("validate-config", "potential.separation = 1.0",
+         "potential.separation = 1.0 must exceed potential.well_width = 1.2"),
+        ("solve-modes", "potential.smoothing = 0.5", "potential.smoothing = 0.5 must be below"),
+        ("validate-config", "potential.shape = quartic\npotential.minimum_pos = 0",
+         "potential.minimum_pos must be positive"),
+        ("evolve", "potential.shape = quartic\npotential.barrier = 0",
+         "potential.barrier must be positive"),
         ("validate-config", "grid.n_points = 5", "grid.n_points must be odd and at least 7"),
         ("solve-modes", "grid.n_points = 800", "grid.n_points must be odd and at least 7"),
         ("validate-config", "sweep.x_min = 1e-3\nsweep.x_max = 0",
@@ -200,6 +212,22 @@ class TestEvolve:
         assert (tmp_path / "on" / "entropy_t.csv").exists()
         assert not (tmp_path / "off" / "entropy_t.csv").exists()
         assert digests[0] == digests[1]
+
+    def test_sector_projection_is_timed(self, tmp_path, monkeypatch):
+        # Projecting the blocks onto their sectors is part of a run's work, so
+        # one of the manifest's stage timers covers it.
+        project = SectorBlocks.project
+
+        def slow(cls, *args):
+            time.sleep(0.2)
+            return project(*args)
+
+        monkeypatch.setattr(SectorBlocks, "project", classmethod(slow))
+        cfg = write_cfg(tmp_path, COARSE + "dynamics.n_samples = 64\n")
+        out = tmp_path / "out"
+        assert main(["evolve", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        wall = json.loads((out / "manifest.json").read_text())["wall_time_s"]
+        assert wall["build"] + wall["evolve"] >= 0.2
 
 
 class TestFidelityMap:

@@ -1,11 +1,13 @@
 """Parsing, validation, and round-tripping of run configuration text."""
 
 import json
+import re
 import warnings
+from pathlib import Path
 
 import pytest
 
-from dwmix.config import RunConfig, load_config, parse_config
+from dwmix.config import DEFAULTS, RunConfig, load_config, parse_config
 from dwmix.errors import ConfigError
 from dwmix.manifest import build_manifest, write_manifest
 from dwmix.model import build_context
@@ -47,6 +49,14 @@ class TestDefaults:
         cfg = parse_config(text)
         assert cfg.grid.n_points == 801
         assert cfg.potential == RunConfig.default().potential
+
+    def test_config_is_read_only(self):
+        cfg = RunConfig.default()
+        with pytest.raises(AttributeError):
+            cfg.grid = cfg.potential
+        with pytest.raises(AttributeError):
+            cfg.grid.n_points = 801
+        assert cfg == RunConfig.default()
 
 
 class TestRoundTrip:
@@ -184,3 +194,32 @@ class TestLoad:
         cfg = load_config(path)
         assert cfg.potential.separation == 1.62
         assert cfg.couplings.lambda_bf == 2e-3
+
+
+def test_config_is_a_leaf_module(run_python):
+    # Reading a config loads no solver and no numpy.
+    proc = run_python("-c", "import sys, dwmix.config; "
+                      "print('numpy' in sys.modules, sorted(m for m in sys.modules "
+                      "if m.split('.')[0] == 'dwmix'))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False ['dwmix', 'dwmix.config', 'dwmix.errors']"
+
+
+def _readme_keys():
+    """Keys of README's Configuration table, ``a/b/c`` rows expanded: a later
+    part with an underscore names a key of the first part's section, one
+    without replaces the first part's last word."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Configuration", 1)[1].split("\n## ", 1)[0]
+    keys = []
+    for first, *rest in (row.split("/") for row in re.findall(r"^\| `([^`]+)` \|", section,
+                                                             re.MULTILINE)):
+        section_name = first.partition(".")[0]
+        keys.append(first)
+        keys += [f"{section_name}.{part}" if "_" in part else f"{first.rsplit('_', 1)[0]}_{part}"
+                 for part in rest]
+    return keys
+
+
+def test_readme_table_lists_every_key_in_order():
+    assert _readme_keys() == list(DEFAULTS)

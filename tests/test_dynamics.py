@@ -140,8 +140,6 @@ def test_asymmetric_hamiltonian_is_refused_under_optimize(run_python):
 
 
 def test_time_grid_validation(config_factory):
-    with pytest.raises(ConfigError):
-        default_time_grid(0.0)
     # The sample count comes from the config, which needs at least 16.
     with pytest.raises(ConfigError, match="dynamics.n_samples must be at least 16"):
         config_factory(**{"dynamics.n_samples": 1})

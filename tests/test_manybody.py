@@ -3,12 +3,11 @@ import pytest
 
 from conftest import doctored, full_matrix
 from dwmix import tridiagonal
+from dwmix.config import ANTISYMMETRIC, PAPER_FOUR_STATE
 from dwmix.errors import ConfigError, InvariantError
 from dwmix.manybody import (
-    ANTISYMMETRIC,
     BOSONS,
     FERMIONS,
-    PAPER_FOUR_STATE,
     CouplingParams,
     HamiltonianBlocks,
     SectorBlocks,

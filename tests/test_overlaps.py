@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from dwmix.errors import InvariantError
 from dwmix.overlaps import cross_species_tensor, distinct_elements, overlap_tensor
 from dwmix.potential import Grid
 
@@ -76,14 +75,6 @@ def test_quadrature_error_estimate_is_small(gaussian_pair):
     grid, left, right = gaussian_pair
     tensor = overlap_tensor(left, right, grid)
     assert 0.0 <= tensor.quadrature_error_estimate < 1e-10
-
-
-def test_unnormalized_modes_rejected(gaussian_pair):
-    grid, left, right = gaussian_pair
-    with pytest.raises(InvariantError, match="not normalized"):
-        overlap_tensor(2.0 * left, right, grid)
-    with pytest.raises(InvariantError, match="not normalized"):
-        cross_species_tensor(left, 0.5 * right, left, right, grid)
 
 
 def test_localized_trap_modes_overlap_structure(coarse_context):

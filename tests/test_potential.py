@@ -75,17 +75,19 @@ class TestDoubleSquareWell:
         assert soft(np.array([edge]))[0] == pytest.approx(5.0, abs=1e-12)
         assert soft(np.array([sharp.outer_edge]))[0] == pytest.approx(5.0, abs=1e-12)
 
-    def test_overlapping_wells_rejected(self):
-        with pytest.raises(ConfigError, match="separation must exceed"):
-            DoubleSquareWell(separation=1.0, well_width=1.2, depth=10.0)
+    # The geometry rules live in RunConfig.validate, and name their keys.
+    def test_overlapping_wells_rejected(self, config_factory):
+        with pytest.raises(ConfigError, match="potential.separation = 1.0 must exceed "
+                                              "potential.well_width = 1.2"):
+            config_factory(**{"potential.separation": 1.0})
 
-    def test_oversized_smoothing_rejected(self):
-        with pytest.raises(ConfigError, match="smoothing too large"):
-            DoubleSquareWell(separation=1.3, well_width=1.2, depth=10.0, smoothing=0.1)
+    def test_oversized_smoothing_rejected(self, config_factory):
+        with pytest.raises(ConfigError, match="potential.smoothing = 0.1 must be below"):
+            config_factory(**{"potential.separation": 1.3, "potential.smoothing": 0.1})
 
-    def test_negative_depth_rejected(self):
-        with pytest.raises(ConfigError):
-            DoubleSquareWell(separation=1.6, well_width=1.2, depth=-1.0)
+    def test_negative_depth_rejected(self, config_factory):
+        with pytest.raises(ConfigError, match="potential.depth must be non-negative"):
+            config_factory(**{"potential.depth": -1.0})
 
 
 class TestQuarticDoubleWell:
@@ -95,11 +97,10 @@ class TestQuarticDoubleWell:
         assert q(np.array([-1.0]))[0] == 0.0
         assert q(np.array([0.0]))[0] == 5.0
 
-    def test_invalid_parameters(self):
-        with pytest.raises(ConfigError):
-            QuarticDoubleWell(minimum_pos=0.0, barrier=5.0)
-        with pytest.raises(ConfigError):
-            QuarticDoubleWell(minimum_pos=1.0, barrier=0.0)
+    def test_invalid_parameters(self, config_factory):
+        for key in ("potential.minimum_pos", "potential.barrier"):
+            with pytest.raises(ConfigError, match=f"{key} must be positive"):
+                config_factory(**{"potential.shape": "quartic", key: 0.0})
 
 
 class TestTabulatedPotential:

@@ -59,8 +59,6 @@ def test_invalid_scales_rejected():
         UnitSystem(length_m=0.0)
     with pytest.raises(ValueError):
         UnitSystem(energy_j=-1.0)
-    with pytest.raises(ValueError):
-        DEFAULT_UNITS.kinetic_prefactor(0.0)
 
 
 def test_species_ordering_enforced(config_factory):
