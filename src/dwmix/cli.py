@@ -50,7 +50,7 @@ from .manifest import (
 from .manybody import BOSONS, FERMIONS, CouplingParams
 from .model import ModelContext, build_context
 from .observables import species_entropies
-from .sweep import AxisSpec, SweepSpec, entropy_scan, fidelity_map
+from .sweep import AxisSpec, EntropyCurve, FidelitySurface, SweepSpec, entropy_scan, fidelity_map
 
 PRESET_NAMES = ("region1", "region2", "region3", "phase_maps")
 
@@ -129,6 +129,15 @@ def _entropy_spec(config: RunConfig) -> SweepSpec:
             "lambda_bf": config.couplings.lambda_bf,
         },
     )
+
+
+def _sweep_health(sweep: FidelitySurface | EntropyCurve) -> tuple[int, float, list[int], float]:
+    """A sweep's health in its manifest ``results``: the count of degenerate
+    cells, the smallest gap and its grid indices (one per axis), and the
+    largest ground-pair residual."""
+    cell = np.unravel_index(int(np.argmin(sweep.gap)), sweep.gap.shape)
+    return (int(sweep.degenerate.sum()), float(sweep.gap[cell]), [int(k) for k in cell],
+            sweep.max_residual)
 
 
 def _finish(
@@ -210,7 +219,7 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
         directory,
         outputs,
         {"build": build_s, "evolve": evolve_s},
-        results=report.as_dict(),
+        results=report,
     )
     return EXIT_OK
 
@@ -219,29 +228,25 @@ def _cmd_fidelity_map(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
     spec = _fidelity_spec(config)
     context, build_s = _build(config, "blocks")
+    started = time.perf_counter()
     surface = fidelity_map(context.blocks, spec, workers=args.workers)
+    sweep_s = time.perf_counter() - started
     directory = _out_dir(config)
     outputs = {
         "fidelity_map": write_fidelity_csv(directory / "fidelity_map.csv", surface)
     }
     if args.plot:
         outputs["plot_script"] = _write_plot_script(directory, "fidelity")
-    cell = np.unravel_index(int(np.argmin(surface.gap)), surface.gap.shape)
+    degenerate, min_gap, cell, max_residual = _sweep_health(surface)
     results = {
         "reference_energy": surface.reference_energy,
-        "degenerate_cells": int(surface.degenerate.sum()),
+        "degenerate_cells": degenerate,
         "min_fidelity": float(surface.fidelity.min()),
-        "min_gap": float(surface.gap[cell]),
-        "min_gap_cell": [int(k) for k in cell],
-        "max_residual": surface.max_residual,
+        "min_gap": min_gap,
+        "min_gap_cell": cell,
+        "max_residual": max_residual,
     }
-    _finish(
-        context,
-        directory,
-        outputs,
-        {"build": build_s, "sweep": surface.wall_time_s},
-        results=results,
-    )
+    _finish(context, directory, outputs, {"build": build_s, "sweep": sweep_s}, results=results)
     return EXIT_OK
 
 
@@ -249,29 +254,25 @@ def _cmd_entropy_scan(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
     spec = _entropy_spec(config)
     context, build_s = _build(config, "blocks")
+    started = time.perf_counter()
     curve = entropy_scan(context.blocks, spec)
+    sweep_s = time.perf_counter() - started
     directory = _out_dir(config)
     outputs = {
         "entropy_scan": write_entropy_csv(directory / "entropy_scan.csv", curve)
     }
     if args.plot:
         outputs["plot_script"] = _write_plot_script(directory, "entropy")
-    point = int(np.argmin(curve.gap))
+    degenerate, min_gap, (point,), max_residual = _sweep_health(curve)
     results = {
         "argmax_lambda_ff": curve.argmax_lambda,
         "max_s_bosons": float(curve.s_bosons.max()),
-        "degenerate_cells": int(curve.degenerate.sum()),
-        "min_gap": float(curve.gap[point]),
+        "degenerate_cells": degenerate,
+        "min_gap": min_gap,
         "min_gap_point": point,
-        "max_residual": curve.max_residual,
+        "max_residual": max_residual,
     }
-    _finish(
-        context,
-        directory,
-        outputs,
-        {"build": build_s, "sweep": curve.wall_time_s},
-        results=results,
-    )
+    _finish(context, directory, outputs, {"build": build_s, "sweep": sweep_s}, results=results)
     return EXIT_OK
 
 

@@ -29,8 +29,6 @@ from .manybody import (
 PLATEAU_SLOPE_THRESHOLD = 1.0e-4
 PLATEAU_BAND = (0.2, 0.8)
 PLATEAU_MIN_LENGTH = 50.0
-DEFAULT_TIME_SAMPLES = 4096
-DEFAULT_PERIODS = 3.0
 PROBABILITY_SLACK = 1.0e-10
 
 _RETURN_LABEL = {BOSONS: "RR", FERMIONS: "RRs"}
@@ -135,37 +133,10 @@ def return_series(h: ManyBodyHamiltonian, psi0: np.ndarray, times) -> TimeSeries
     )
 
 
-def default_time_grid(
-    min_splitting: float,
-    periods: float = DEFAULT_PERIODS,
-    n_samples: int = DEFAULT_TIME_SAMPLES,
-) -> np.ndarray:
+def default_time_grid(min_splitting: float, periods: float, n_samples: int) -> np.ndarray:
     """Uniform grid covering ``periods`` single-particle oscillations
     (``lowest_doublet``'s splitting guard holds ``min_splitting`` positive)."""
     return np.linspace(0.0, periods * 2.0 * np.pi / min_splitting, n_samples)
-
-
-@dataclass(frozen=True, repr=False, eq=False)
-class RegimeMetrics:
-    period_estimate: float
-    damping_estimate: float
-    plateau_intervals: list[tuple[float, float]]
-
-
-@dataclass(frozen=True, repr=False, eq=False)
-class RegimeReport:
-    bosons: RegimeMetrics
-    fermions: RegimeMetrics
-
-    def as_dict(self) -> dict:
-        return {
-            species: {
-                "period_estimate": m.period_estimate,
-                "damping_estimate": m.damping_estimate,
-                "plateau_intervals": [list(p) for p in m.plateau_intervals],
-            }
-            for species, m in ((BOSONS, self.bosons), (FERMIONS, self.fermions))
-        }
 
 
 def _dominant_period(times: np.ndarray, values: np.ndarray) -> float:
@@ -245,7 +216,7 @@ def _damping_rate(times: np.ndarray, values: np.ndarray) -> float:
     return float(max(-slope, 0.0))
 
 
-def _plateaus(times: np.ndarray, values: np.ndarray) -> list[tuple[float, float]]:
+def _plateaus(times: np.ndarray, values: np.ndarray) -> list[list[float]]:
     """Maximal flat stretches inside the intermediate-probability band."""
     low, high = PLATEAU_BAND
     slope = np.gradient(values, times)
@@ -260,11 +231,14 @@ def _plateaus(times: np.ndarray, values: np.ndarray) -> list[tuple[float, float]
             start = None
     if start is not None:
         intervals.append((float(times[start]), float(times[-1])))
-    return [(a, b) for a, b in intervals if b - a >= PLATEAU_MIN_LENGTH]
+    return [[a, b] for a, b in intervals if b - a >= PLATEAU_MIN_LENGTH]
 
 
-def regime_metrics(series: TimeSeries) -> RegimeReport:
-    """Period, damping, and plateau intervals for both species.
+def regime_metrics(series: TimeSeries) -> dict:
+    """Period, damping, and plateau intervals for both species, as the dict
+    ``regimes.json`` and the manifest's ``results`` hold: species ->
+    ``period_estimate``, ``damping_estimate``, ``plateau_intervals`` (a list
+    of [start, end] pairs).
 
     The series must lie on a uniform grid and should span at least three
     periods of the slower species' bare oscillation; ``RunConfig.validate``
@@ -274,12 +248,11 @@ def regime_metrics(series: TimeSeries) -> RegimeReport:
     steps = np.diff(t)
     if not np.allclose(steps, steps[0], rtol=1.0e-9, atol=0.0):
         raise InvariantError("regime metrics require a uniform time grid")
-    bosons, fermions = (
-        RegimeMetrics(
-            period_estimate=_dominant_period(t, values),
-            damping_estimate=_damping_rate(t, values),
-            plateau_intervals=_plateaus(t, values),
-        )
-        for values in (series.p_rr_bosons, series.p_rr_fermions)
-    )
-    return RegimeReport(bosons=bosons, fermions=fermions)
+    return {
+        species: {
+            "period_estimate": _dominant_period(t, values),
+            "damping_estimate": _damping_rate(t, values),
+            "plateau_intervals": _plateaus(t, values),
+        }
+        for species, values in ((BOSONS, series.p_rr_bosons), (FERMIONS, series.p_rr_fermions))
+    }

@@ -16,11 +16,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .dynamics import RegimeReport, TimeSeries
+from .dynamics import TimeSeries
 from .model import ModelContext
-from .overlaps import distinct_elements
 from .sweep import EntropyCurve, FidelitySurface
-from .units import ATOMIC_MASS_KG, DEFAULT_UNITS, HBAR_JS, PLANCK_H_JS
+from .units import ATOMIC_MASS_KG, ENERGY_J, HBAR_JS, LENGTH_M, PLANCK_H_JS, TIME_S
 
 MODES_HEADER = "x_um,psi_s,psi_a,psi_L,psi_R"
 TIMESERIES_HEADER = "tau,p_rr_b,p_rr_f"
@@ -97,9 +96,9 @@ def write_entropy_timeseries_csv(path: str | Path, times, s_bosons, s_fermions) 
     )])
 
 
-def write_regimes_json(path: str | Path, report: RegimeReport) -> Path:
+def write_regimes_json(path: str | Path, report: dict) -> Path:
     path = Path(path)
-    path.write_text(json.dumps(report.as_dict(), indent=2) + "\n", encoding="utf-8")
+    path.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
     return path
 
 
@@ -133,9 +132,9 @@ def build_manifest(
             "hbar_js": HBAR_JS,
             "planck_h_js": PLANCK_H_JS,
             "atomic_mass_kg": ATOMIC_MASS_KG,
-            "length_m": DEFAULT_UNITS.length_m,
-            "energy_j": DEFAULT_UNITS.energy_j,
-            "time_s": DEFAULT_UNITS.time_s,
+            "length_m": LENGTH_M,
+            "energy_j": ENERGY_J,
+            "time_s": TIME_S,
             "kappa_boson": context.species.kappa_boson,
             "kappa_fermion": context.species.kappa_fermion,
         },
@@ -147,9 +146,9 @@ def build_manifest(
             "right_mass_boson": mb.right_mass(),
             "right_mass_fermion": mf.right_mass(),
             "basis_labels": context.basis.labels,
-            "boson_tensor": distinct_elements(context.overlaps.boson, pair_symmetric=True),
-            "fermion_tensor": distinct_elements(context.overlaps.fermion, pair_symmetric=True),
-            "cross_tensor": distinct_elements(context.overlaps.cross, pair_symmetric=False),
+            "boson_tensor": context.overlaps.boson.distinct,
+            "fermion_tensor": context.overlaps.fermion.distinct,
+            "cross_tensor": context.overlaps.cross.distinct,
             "quadrature_error_boson": context.overlaps.boson.quadrature_error_estimate,
             "quadrature_error_fermion": context.overlaps.fermion.quadrature_error_estimate,
             "quadrature_error_cross": context.overlaps.cross.quadrature_error_estimate,

@@ -14,7 +14,7 @@ from functools import cached_property
 import numpy as np
 
 from .config import RunConfig
-from .errors import InvariantError
+from .errors import ConfigError, InvariantError
 from .manybody import (
     CompositeBasis,
     CouplingParams,
@@ -56,14 +56,31 @@ def build_potential(config: RunConfig):
 
 def resolve_x_max(config: RunConfig, potential) -> float:
     """Explicit box size (``RunConfig.validate`` holds it past the wells), or
-    one derived from the potential's own extent."""
-    if config.grid.x_max > 0.0:
-        return config.grid.x_max
+    one derived from the potential's own extent.
+
+    A table's box is checked here, before sampling: an explicit box must lie
+    inside the table's x range, and a derived one, the largest box that does,
+    needs x = 0 strictly inside that range.
+    """
+    x_max = config.grid.x_max
+    if isinstance(potential, TabulatedPotential):
+        low, high = float(potential.x_table[0]), float(potential.x_table[-1])
+        table = (f"the table of potential.table_path = {config.potential.table_path!r} "
+                 f"spans x in [{low!r}, {high!r}]")
+        if x_max <= 0.0:
+            if not low < 0.0 < high:
+                raise ConfigError(f"grid.x_max = {x_max!r} derives the box from the table, "
+                                  f"which needs x = 0 strictly inside it, but {table}")
+            return min(-low, high)
+        if not (low <= -x_max and x_max <= high):
+            raise ConfigError(f"grid.x_max = {x_max!r} puts the box [-{x_max!r}, {x_max!r}] "
+                              f"outside the table: {table}")
+        return x_max
+    if x_max > 0.0:
+        return x_max
     if isinstance(potential, DoubleSquareWell):
         return potential.outer_edge + X_MARGIN
-    if isinstance(potential, QuarticDoubleWell):
-        return potential.minimum_pos * 2.0 + X_MARGIN
-    return float(min(abs(potential.x_table[0]), potential.x_table[-1]))
+    return potential.minimum_pos * 2.0 + X_MARGIN
 
 
 def _check_normalized(mode: np.ndarray, grid: Grid, name: str) -> None:

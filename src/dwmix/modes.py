@@ -40,7 +40,6 @@ from .potential import Grid
 # The doublet splitting must exceed the bisection error bound by this factor.
 SPLITTING_RTOL = 1.0e-5
 RIGHT_MASS_MIN = 0.9
-DEFAULT_MIN_GAP_RATIO = 10.0
 _N_LOW_STATES = 4
 _INVERSE_STEPS = 2
 
@@ -245,53 +244,39 @@ def lowest_doublet(
     return energies, psi_s, psi_a
 
 
-def localize(
-    psi_s: np.ndarray, psi_a: np.ndarray, grid: Grid
-) -> tuple[np.ndarray, np.ndarray]:
-    """Build (psi_left, psi_right) from the doublet.
+def solve_doublet(
+    kappa: float, v: np.ndarray, grid: Grid, min_gap_ratio: float
+) -> DoubletModes:
+    """Full pipeline: eigensolve, localize, validate the doublet.
 
     psi_right = (psi_s + psi_a) / sqrt(2), which concentrates on x > 0 under
     the sign conventions of :func:`lowest_doublet`; psi_left is its exact
-    mirror, so the pair is orthonormal whenever the doublet is.
+    mirror, so the pair is orthonormal whenever the doublet is.  The checks
+    read the built record's ``gap_ratio`` and ``right_mass()``, the values
+    the CLI and the manifest report.  Raises :class:`SolverError` if
+    :func:`lowest_doublet` cannot resolve the doublet, if it is not isolated
+    (gap ratio below ``min_gap_ratio``), or if psi_right holds no more than
+    RIGHT_MASS_MIN of its weight on x > 0.
     """
+    energies, psi_s, psi_a = lowest_doublet(kappa, v, grid)
     psi_right = _SQRT_HALF * (psi_s + psi_a)
-    psi_left = psi_right[::-1].copy()
-
-    mass = float(np.dot(_right_weights(grid), psi_right**2))
+    modes = DoubletModes(
+        grid=grid,
+        energies=energies,
+        psi_s=psi_s,
+        psi_a=psi_a,
+        psi_left=psi_right[::-1].copy(),
+        psi_right=psi_right,
+    )
+    if modes.gap_ratio < min_gap_ratio:
+        raise SolverError(
+            f"doublet is not isolated: gap ratio {modes.gap_ratio:.3g} < "
+            f"{min_gap_ratio:.3g}; the two-mode truncation is invalid here"
+        )
+    mass = modes.right_mass()
     if mass <= RIGHT_MASS_MIN:
         raise SolverError(
             f"localized mode holds only {mass:.3f} of its weight on x > 0; "
             "the trap does not produce well-separated left/right modes"
         )
-    return psi_left, psi_right
-
-
-def solve_doublet(
-    kappa: float,
-    v: np.ndarray,
-    grid: Grid,
-    min_gap_ratio: float = DEFAULT_MIN_GAP_RATIO,
-) -> DoubletModes:
-    """Full pipeline: eigensolve, validate the doublet, localize.
-
-    Raises :class:`SolverError` if :func:`lowest_doublet` cannot resolve the
-    doublet, if it is not isolated (gap ratio below ``min_gap_ratio``), or if
-    localization fails.
-    """
-    energies, psi_s, psi_a = lowest_doublet(kappa, v, grid)
-    splitting = float(energies[1] - energies[0])
-    gap_ratio = float((energies[2] - energies[1]) / splitting)
-    if gap_ratio < min_gap_ratio:
-        raise SolverError(
-            f"doublet is not isolated: gap ratio {gap_ratio:.3g} < "
-            f"{min_gap_ratio:.3g}; the two-mode truncation is invalid here"
-        )
-    psi_left, psi_right = localize(psi_s, psi_a, grid)
-    return DoubletModes(
-        grid=grid,
-        energies=energies,
-        psi_s=psi_s,
-        psi_a=psi_a,
-        psi_left=psi_left,
-        psi_right=psi_right,
-    )
+    return modes

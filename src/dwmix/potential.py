@@ -109,7 +109,7 @@ class DoubleSquareWell:
     separation: float
     well_width: float
     depth: float
-    smoothing: float = 0.1
+    smoothing: float
 
     @property
     def inner_edge(self) -> float:

@@ -14,7 +14,6 @@ output order is row-major over the grid.
 
 from __future__ import annotations
 
-import time
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -95,9 +94,7 @@ class FidelitySurface:
     degenerate: np.ndarray  # bool, same shape
     gap: np.ndarray  # E1 - E0, same shape
     max_residual: float  # largest ||(H - E0) x|| of a ground pair
-    reference: CouplingParams
     reference_energy: float
-    wall_time_s: float
 
 
 @dataclass(frozen=True, repr=False, eq=False)
@@ -108,7 +105,6 @@ class EntropyCurve:
     degenerate: np.ndarray
     gap: np.ndarray
     max_residual: float
-    wall_time_s: float
 
     @property
     def argmax_lambda(self) -> float:
@@ -160,7 +156,6 @@ def fidelity_map(
     which names a map's span after this keyword, can tell its 1- and 2-worker
     ops apart.
     """
-    started = time.perf_counter()
     try:
         ref_gs = ground_state(blocks.compose(spec.reference))
     except DwmixError as exc:
@@ -187,15 +182,12 @@ def fidelity_map(
         degenerate=degen.reshape(len(xs), len(ys)),
         gap=gap.reshape(len(xs), len(ys)),
         max_residual=float(residual.max()),
-        reference=spec.reference,
         reference_energy=ref_gs.energy,
-        wall_time_s=time.perf_counter() - started,
     )
 
 
 def entropy_scan(blocks: HamiltonianBlocks, spec: SweepSpec) -> EntropyCurve:
     """Species entanglement entropies of the ground state along a line."""
-    started = time.perf_counter()
     xs = spec.x_axis.values()
 
     def where(index: int) -> str:
@@ -212,5 +204,4 @@ def entropy_scan(blocks: HamiltonianBlocks, spec: SweepSpec) -> EntropyCurve:
         degenerate=degen,
         gap=gap,
         max_residual=float(residual.max()),
-        wall_time_s=time.perf_counter() - started,
     )

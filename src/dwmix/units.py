@@ -20,40 +20,15 @@ HBAR_JS = 1.054571817e-34
 PLANCK_H_JS = 6.62607015e-34  # exact by SI definition
 ATOMIC_MASS_KG = 1.660539067e-27
 
-DEFAULT_LENGTH_M = 1.0e-6
-DEFAULT_ENERGY_J = 1.0e-31
+# The reference scales: 1 micrometre and 1e-31 J, so tau_ref = hbar / xi_ref.
+LENGTH_M = 1.0e-6
+ENERGY_J = 1.0e-31
+TIME_S = HBAR_JS / ENERGY_J
 
 
-@dataclass(frozen=True, repr=False, eq=False)
-class UnitSystem:
-    """Reference scales tying dimensionless model numbers to SI.
-
-    Attributes
-    ----------
-    length_m:
-        Reference length in metres (default 1 micrometre).
-    energy_j:
-        Reference energy in joules.
-    """
-
-    length_m: float = DEFAULT_LENGTH_M
-    energy_j: float = DEFAULT_ENERGY_J
-
-    def __post_init__(self) -> None:
-        if self.length_m <= 0.0 or self.energy_j <= 0.0:
-            raise ValueError("reference scales must be positive")
-
-    @property
-    def time_s(self) -> float:
-        """Reference time tau = hbar / xi in seconds."""
-        return HBAR_JS / self.energy_j
-
-    def kinetic_prefactor(self, mass_kg: float) -> float:
-        """Dimensionless kappa = hbar^2 / (2 m l^2 xi)."""
-        return HBAR_JS**2 / (2.0 * mass_kg * self.length_m**2 * self.energy_j)
-
-
-DEFAULT_UNITS = UnitSystem()
+def kinetic_prefactor(mass_kg: float) -> float:
+    """Dimensionless kappa = hbar^2 / (2 m l^2 xi)."""
+    return HBAR_JS**2 / (2.0 * mass_kg * LENGTH_M**2 * ENERGY_J)
 
 
 @dataclass(frozen=True, repr=False, eq=False)
@@ -64,12 +39,10 @@ class SpeciesConstants:
     kappa_fermion: float
 
     @classmethod
-    def from_amu(
-        cls, boson_mass_amu: float = 170.0, fermion_mass_amu: float = 171.0
-    ) -> "SpeciesConstants":
-        """Build constants in DEFAULT_UNITS from mass numbers (defaults: Yb-170
-        and Yb-171); ``RunConfig.validate`` holds them positive and ordered."""
+    def from_amu(cls, boson_mass_amu: float, fermion_mass_amu: float) -> "SpeciesConstants":
+        """Build constants from mass numbers, which ``RunConfig.validate``
+        holds positive and ordered."""
         return cls(
-            kappa_boson=DEFAULT_UNITS.kinetic_prefactor(boson_mass_amu * ATOMIC_MASS_KG),
-            kappa_fermion=DEFAULT_UNITS.kinetic_prefactor(fermion_mass_amu * ATOMIC_MASS_KG),
+            kappa_boson=kinetic_prefactor(boson_mass_amu * ATOMIC_MASS_KG),
+            kappa_fermion=kinetic_prefactor(fermion_mass_amu * ATOMIC_MASS_KG),
         )

@@ -199,11 +199,11 @@ def test_criterion_4_quadrant_oracle(default_context):
 
 def test_criterion_5_regime_topology(regime_reports):
     r1, r2, r3 = (regime_reports[k] for k in ("region1", "region2", "region3"))
-    r1_damping = max(r1.bosons.damping_estimate, r1.fermions.damping_estimate)
-    r2_plateaus = (len(r2.bosons.plateau_intervals),
-                   len(r2.fermions.plateau_intervals))
-    ordered = (r3.bosons.damping_estimate > r2.bosons.damping_estimate
-               and r3.fermions.damping_estimate > r2.fermions.damping_estimate)
+    r1_damping = max(r1["bosons"]["damping_estimate"], r1["fermions"]["damping_estimate"])
+    r2_plateaus = (len(r2["bosons"]["plateau_intervals"]),
+                   len(r2["fermions"]["plateau_intervals"]))
+    ordered = all(r3[s]["damping_estimate"] > r2[s]["damping_estimate"]
+                  for s in ("bosons", "fermions"))
     passed = r1_damping < 1.0e-3 and min(r2_plateaus) > 0 and ordered
     report(5, passed,
            f"region1 damping {r1_damping:.2e}, region2 plateaus {r2_plateaus}, "

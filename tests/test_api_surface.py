@@ -102,6 +102,12 @@ def test_every_public_name_has_a_caller():
 
 
 def test_every_dataclass_field_is_read():
+    """A field counts as read when src/ or perfbench/ reads any attribute of
+    its name, whatever the object.  So a written field whose name another
+    record's field shares passes unread, as ``GroundState.gap`` did beside
+    the sweeps' ``gap`` and ``FidelitySurface.reference`` beside
+    ``SweepSpec.reference`` (both since deleted).  Such fields are found by
+    reading the code, not here."""
     sources, bench = _sources()
     reads = _attribute_reads(sources + bench)
     unread = [f"{cls}.{name} ({path.relative_to(ROOT)}:{line})"

@@ -140,6 +140,29 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "grid.x_max" in err and message in err
 
+    @pytest.mark.parametrize("x_range, lines, message", [
+        ((-2.0, 2.0), "grid.x_max = 3.0\n",
+         "grid.x_max = 3.0 puts the box [-3.0, 3.0] outside the table"),
+        ((-3.0, -1.0), "", "grid.x_max = 0.0 derives the box from the table"),
+        ((0.5, 3.0), "", "grid.x_max = 0.0 derives the box from the table"),
+    ])
+    def test_box_must_lie_inside_the_table(self, tmp_path, monkeypatch, capsys, x_range,
+                                           lines, message):
+        x = np.linspace(*x_range, 41).tolist()
+        table = tmp_path / "table.csv"
+        table.write_text("x_um,V_xi\n" + "".join(f"{a!r},{a * a!r}\n" for a in x))
+        solves = []
+        solve = model.solve_doublet
+        monkeypatch.setattr(model, "solve_doublet",
+                            lambda *args, **kwargs: solves.append(1) or solve(*args, **kwargs))
+        cfg = write_cfg(tmp_path, COARSE + "potential.shape = tabulated\n"
+                        f"potential.table_path = {table}\n" + lines)
+        assert main(["validate-config", "--config", cfg]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert message in err
+        assert f"potential.table_path = {str(table)!r} spans x in [{x[0]!r}, {x[-1]!r}]" in err
+        assert solves == []
+
     @pytest.mark.parametrize("separation", [2.3, 2.6, 3.0])
     def test_unresolvable_splitting_is_a_model_error(self, tmp_path, capsys, separation):
         # On 801 points the splitting guard first fails at separation 2.28.

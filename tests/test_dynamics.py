@@ -1,13 +1,17 @@
+from importlib import resources
+
 import numpy as np
 import pytest
 from scipy.signal import find_peaks
 from conftest import full_matrix
 from spatial_oracle import density_profile
 
+from dwmix.config import parse_config
 from dwmix.errors import ConfigError, InvariantError
 from dwmix.dynamics import (
     TimeSeries,
     _local_maxima,
+    _species_mask,
     default_time_grid,
     evolve,
     initial_state_rr,
@@ -22,6 +26,7 @@ from dwmix.manybody import (
     HamiltonianBlocks,
     enumerate_bases,
 )
+from dwmix.model import build_context
 from dwmix.observables import species_entropies
 
 
@@ -30,7 +35,7 @@ def free_run(coarse_context):
     """Zero-coupling trajectory over three bare periods."""
     h = coarse_context.blocks.compose(CouplingParams())
     psi0 = initial_state_rr(coarse_context.basis)
-    times = default_time_grid(coarse_context.min_splitting, n_samples=1024)
+    times = default_time_grid(coarse_context.min_splitting, periods=3.0, n_samples=1024)
     return coarse_context, h, psi0, times
 
 
@@ -91,7 +96,7 @@ def test_evolution_matches_an_extended_precision_propagation(coarse_context):
     # 4.35), and the phases multiply that rounding by tau: 1.3e-13.
     ctx = coarse_context
     h = ctx.blocks.compose(CouplingParams(lambda_bb=9e-4, lambda_ff=3.2e-4, lambda_bf=9e-4))
-    times = default_time_grid(ctx.min_splitting, n_samples=5)[1:]
+    times = default_time_grid(ctx.min_splitting, periods=3.0, n_samples=5)[1:]
     states = evolve(h, initial_state_rr(ctx.basis), times)
     exact = {
         "p_rr_bosons": [0.31965574484823567, 0.19726589532137456,
@@ -202,17 +207,17 @@ class TestRegimeMetrics:
         times = np.linspace(0.0, 3 * 2 * np.pi / omega, 2048)
         values = np.cos(omega * times / 2.0) ** 4
         report = self.run(times, values, values)
-        for m in (report.bosons, report.fermions):
-            assert m.damping_estimate < 1e-6
-            assert m.period_estimate == pytest.approx(2 * np.pi / omega, rel=0.01)
-            assert m.plateau_intervals == []
+        for m in (report["bosons"], report["fermions"]):
+            assert m["damping_estimate"] < 1e-6
+            assert m["period_estimate"] == pytest.approx(2 * np.pi / omega, rel=0.01)
+            assert m["plateau_intervals"] == []
 
     def test_damped_oscillation(self):
         omega, gamma = 0.01, 2e-4
         times = np.linspace(0.0, 3 * 2 * np.pi / omega, 4096)
         values = np.exp(-gamma * times) * np.cos(omega * times / 2.0) ** 4
         report = self.run(times, values, values)
-        assert report.bosons.damping_estimate == pytest.approx(gamma, rel=0.5)
+        assert report["bosons"]["damping_estimate"] == pytest.approx(gamma, rel=0.5)
 
     def test_plateau_detection(self):
         times = np.linspace(0.0, 2000.0, 4096)
@@ -223,8 +228,8 @@ class TestRegimeMetrics:
             np.where(times < 900.0, 0.5, 0.5 * np.cos((times - 900.0) * 0.005) ** 2),
         )
         report = self.run(times, values, values)
-        assert len(report.bosons.plateau_intervals) >= 1
-        start, end = report.bosons.plateau_intervals[0]
+        assert len(report["bosons"]["plateau_intervals"]) >= 1
+        start, end = report["bosons"]["plateau_intervals"][0]
         assert start == pytest.approx(400.0, abs=100.0)
         assert end == pytest.approx(900.0, abs=100.0)
 
@@ -233,7 +238,7 @@ class TestRegimeMetrics:
         values = np.full_like(times, 0.97)
         values[:200] = np.linspace(1.0, 0.97, 200)
         report = self.run(times, values, values)
-        assert report.bosons.plateau_intervals == []
+        assert report["bosons"]["plateau_intervals"] == []
 
     def test_rejects_non_uniform_grid(self):
         times = np.concatenate([np.linspace(0, 1000, 1000), [3000.0]])
@@ -251,7 +256,7 @@ class TestRegimeMetrics:
         omega = 0.01
         times = np.linspace(0.0, 3 * 2 * np.pi / omega, 1024)
         values = np.cos(omega * times / 2.0) ** 4
-        d = self.run(times, values, values).as_dict()
+        d = self.run(times, values, values)
         assert set(d) == {"bosons", "fermions"}
         assert set(d["bosons"]) == {
             "period_estimate",
@@ -291,3 +296,26 @@ def test_series_probability_bounds():
         TimeSeries(times=times, p_rr_bosons=good + 1.0, p_rr_fermions=good)
     with pytest.raises(InvariantError, match="length"):
         TimeSeries(times=times, p_rr_bosons=good[:4], p_rr_fermions=good)
+
+
+@pytest.mark.parametrize("name", ["region1", "region2", "region3"])
+def test_return_probability_matches_its_line_sum(name):
+    # H and psi0 are real, so with a = V^T psi0 over the eigenvectors V of
+    # SectorBlocks.eigenpairs and M the species' both-right mask,
+    # P_RR(t) = sum_mn a_m a_n (v_m^T M v_n) cos((E_m - E_n) t): no sampling
+    # of the trajectory, no complex phases.
+    config = parse_config(resources.files("dwmix").joinpath(f"presets/{name}.cfg").read_text())
+    context = build_context(config)
+    h = context.hamiltonian()
+    psi0 = initial_state_rr(context.basis)
+    times = default_time_grid(context.min_splitting, periods=config.dynamics.periods,
+                              n_samples=config.dynamics.n_samples)
+    series = return_series(h, psi0, times)
+    energies, vectors = h.sectors.eigenpairs(h.couplings)
+    a = vectors.T @ psi0.real
+    phases = np.cos(np.multiply.outer(times, energies[:, None] - energies[None, :]))
+    for species, p_rr in ((BOSONS, series.p_rr_bosons), (FERMIONS, series.p_rr_fermions)):
+        mask = _species_mask(context.basis, species)
+        weights = np.outer(a, a) * (vectors[mask].T @ vectors[mask])
+        lines = phases.reshape(times.size, -1) @ weights.ravel()
+        np.testing.assert_allclose(p_rr, lines, rtol=0.0, atol=1.0e-13)

@@ -52,7 +52,7 @@ TRAP = DoubleSquareWell(separation=1.55, well_width=1.2, depth=31.14, smoothing=
 def trap_modes():
     grid = Grid(x_max=2.375, n_points=1601)
     v = sample_on_grid(TRAP, grid)
-    return solve_doublet(KAPPA, v, grid), grid
+    return solve_doublet(KAPPA, v, grid, min_gap_ratio=10.0), grid
 
 
 def test_doublet_normalization_and_orthogonality(trap_modes):
@@ -105,13 +105,13 @@ def test_flat_potential_fails_doublet_gate():
     grid = Grid(x_max=1.0, n_points=801)
     v = np.zeros(grid.n_points)
     with pytest.raises(SolverError, match="not isolated"):
-        solve_doublet(KAPPA, v, grid)
+        solve_doublet(KAPPA, v, grid, min_gap_ratio=10.0)
 
 
 def test_nonpositive_kappa_rejected():
     grid = Grid(x_max=1.0, n_points=11)
     with pytest.raises(SolverError):
-        solve_doublet(0.0, np.zeros(grid.n_points), grid)
+        solve_doublet(0.0, np.zeros(grid.n_points), grid, min_gap_ratio=10.0)
 
 
 def scan_geometry(separation, n_points):

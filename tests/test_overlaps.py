@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dwmix.overlaps import cross_species_tensor, distinct_elements, overlap_tensor
+from dwmix.overlaps import cross_species_tensor, overlap_tensor
 from dwmix.potential import Grid
 
 # For a normalized Gaussian whose density has standard deviation sigma,
@@ -63,8 +63,8 @@ def test_distinct_element_counts(gaussian_pair):
     grid, left, right = gaussian_pair
     intra = overlap_tensor(left, right, grid)
     cross = cross_species_tensor(left, right, left, right, grid)
-    intra_keys = distinct_elements(intra, pair_symmetric=True)
-    cross_keys = distinct_elements(cross, pair_symmetric=False)
+    intra_keys = intra.distinct
+    cross_keys = cross.distinct
     assert len(intra_keys) == 5
     assert len(cross_keys) == 9
     assert list(intra_keys) == sorted(intra_keys)

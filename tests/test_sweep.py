@@ -363,6 +363,23 @@ class TestFidelitySusceptibility:
         assert errors[0] < errors[1]
 
 
+def test_ground_energy_slopes_match_hellmann_feynman():
+    # dE0/dlambda_k = <0|h_k|0>: central differences of the sweep kernel's
+    # energies against the expectation of each coupling term in the kernel's
+    # own ground vectors, at 8 seeded cells of the phase_maps cube.
+    text = resources.files("dwmix").joinpath("presets/phase_maps.cfg").read_text()
+    blocks = build_context(parse_config(text)).blocks
+    cells = np.random.default_rng(20261019).uniform(0.0, 1.0e-3, size=(8, 3))
+    _, _, degenerate, vectors, _ = blocks.sectors.ground_states(cells)
+    assert not degenerate.any()
+    step = 1.0e-6
+    for k, term in enumerate((blocks.h_bb, blocks.h_ff, blocks.h_bf)):
+        shift = step * np.eye(3)[k]
+        slope = (blocks.sectors.ground_states(cells + shift)[0]
+                 - blocks.sectors.ground_states(cells - shift)[0]) / (2.0 * step)
+        expectation = np.einsum("ni,ij,nj->n", vectors, term, vectors)
+        np.testing.assert_allclose(slope, expectation, rtol=1.0e-6, atol=0.0)
+
 def test_unsolved_cell_is_named():
     # Builds its own context, so that it also runs under python -O below.
     context = build_context(RunConfig.default().replace_values(**{"grid.n_points": 801}))

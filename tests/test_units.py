@@ -3,11 +3,12 @@ import pytest
 from dwmix.errors import ConfigError
 from dwmix.units import (
     ATOMIC_MASS_KG,
-    DEFAULT_UNITS,
+    ENERGY_J,
     HBAR_JS,
     PLANCK_H_JS,
+    TIME_S,
     SpeciesConstants,
-    UnitSystem,
+    kinetic_prefactor,
 )
 
 # Frozen from an independent evaluation of kappa = hbar^2 / (2 m l^2 xi)
@@ -19,7 +20,7 @@ KAPPA_FERMION_171 = 0.19582905040926324
 def test_kinetic_prefactor_formula():
     m = 170.0 * ATOMIC_MASS_KG
     expected = HBAR_JS**2 / (2.0 * m * (1.0e-6) ** 2 * 1.0e-31)
-    assert DEFAULT_UNITS.kinetic_prefactor(m) == expected
+    assert kinetic_prefactor(m) == expected
 
 
 def test_kappa_frozen_values():
@@ -39,26 +40,19 @@ def test_mass_ratio_matches_kappa_ratio():
 
 def test_energy_from_hz():
     # h * 4700 Hz over the default energy scale is the default trap depth.
-    assert PLANCK_H_JS * 4700.0 / DEFAULT_UNITS.energy_j == pytest.approx(
+    assert PLANCK_H_JS * 4700.0 / ENERGY_J == pytest.approx(
         31.142529704999994, abs=1e-12
     )
 
 
 def test_time_scale():
-    assert DEFAULT_UNITS.time_s == pytest.approx(HBAR_JS / 1.0e-31, rel=1e-15)
+    assert TIME_S == pytest.approx(HBAR_JS / 1.0e-31, rel=1e-15)
 
 
 def test_pinned_constants():
     assert HBAR_JS == 1.054571817e-34
     assert PLANCK_H_JS == 6.62607015e-34
     assert ATOMIC_MASS_KG == 1.660539067e-27
-
-
-def test_invalid_scales_rejected():
-    with pytest.raises(ValueError):
-        UnitSystem(length_m=0.0)
-    with pytest.raises(ValueError):
-        UnitSystem(energy_j=-1.0)
 
 
 def test_species_ordering_enforced(config_factory):
