@@ -19,6 +19,7 @@ invariant or sweep failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 from importlib import resources
@@ -145,7 +146,7 @@ def _finish(
     directory: Path,
     outputs: dict[str, Path],
     wall_times: dict[str, float],
-    results: dict | None = None,
+    results: dict,
 ) -> None:
     manifest = build_manifest(context, outputs, wall_times=wall_times, results=results)
     manifest_path = write_manifest(directory / "manifest.json", manifest)
@@ -168,7 +169,7 @@ def _cmd_solve_modes(args: argparse.Namespace) -> int:
     }
     if args.plot:
         outputs["plot_script"] = _write_plot_script(directory, "modes")
-    _finish(context, directory, outputs, {"build": build_s})
+    _finish(context, directory, outputs, {"build": build_s}, results={})
     print(
         f"splitting: boson {context.boson_modes.splitting!r}, "
         f"fermion {context.fermion_modes.splitting!r}"
@@ -444,9 +445,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser; parsing leaves a parser unchanged."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.handler(args)
     except ConfigError as exc:

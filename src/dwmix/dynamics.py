@@ -7,8 +7,9 @@ Phases e^{-i E tau} of the energies of H - shift * I are followed by one
 factor e^{-i shift tau} per time, so the rounding of shift * tau is a global
 phase no observable sees.  An evolved trajectory is a (T, dim) complex array
 of coefficients over the composite basis, one row per time.  The return
-probability P_RR is a mode projection: the total weight of composite basis
-states whose species component is the both-right state.
+probability P_RR is a mode projection: the squared norm of the both-right
+row (bosons) or column (fermions) of the state's boson x fermion coefficient
+matrix, ``CompositeBasis.coefficient_matrices``.
 """
 
 from __future__ import annotations
@@ -31,8 +32,6 @@ PLATEAU_BAND = (0.2, 0.8)
 PLATEAU_MIN_LENGTH = 50.0
 PROBABILITY_SLACK = 1.0e-10
 
-_RETURN_LABEL = {BOSONS: "RR", FERMIONS: "RRs"}
-
 
 def initial_state_rr(basis: CompositeBasis) -> np.ndarray:
     """Coefficients of |RR> x |RR singlet>: both species start on the right."""
@@ -41,38 +40,21 @@ def initial_state_rr(basis: CompositeBasis) -> np.ndarray:
     return c
 
 
-def _species_mask(basis: CompositeBasis, species: str) -> np.ndarray:
-    """Boolean mask over composite indices whose species part is both-right."""
-    try:
-        label = _RETURN_LABEL[species]
-    except KeyError:
-        raise ConfigError(
-            f"species must be {BOSONS!r} or {FERMIONS!r}, got {species!r}"
-        ) from None
-    if species == BOSONS:
-        if label not in basis.boson_labels:
-            raise ConfigError(f"basis has no boson state {label!r}")
-        i = basis.boson_labels.index(label)
-        mask = np.zeros(basis.dim, dtype=bool)
-        mask[i * basis.fermion_dim : (i + 1) * basis.fermion_dim] = True
-        return mask
-    if label not in basis.fermion_labels:
-        raise ConfigError(
-            f"basis has no fermion state {label!r}; the return probability "
-            "is defined on the antisymmetric spin-0 sector"
-        )
-    j = basis.fermion_labels.index(label)
-    mask = np.zeros(basis.dim, dtype=bool)
-    mask[j :: basis.fermion_dim] = True
-    return mask
-
-
 def return_probability(
     coefficients: np.ndarray, basis: CompositeBasis, species: str
 ) -> np.ndarray:
-    """Weight of the both-right mode configuration for one species, per row."""
-    mask = _species_mask(basis, species)
-    return np.sum(np.abs(coefficients[..., mask]) ** 2, axis=-1)
+    """Weight of the both-right mode configuration for one species, per row:
+    the squared norm of the both-right row (bosons) or column (fermions) of
+    each row's boson x fermion coefficient matrix."""
+    i, j = divmod(basis.index_of("RR", "RRs"), basis.fermion_dim)
+    m = basis.coefficient_matrices(coefficients)
+    if species == BOSONS:
+        both_right = m[..., i, :]
+    elif species == FERMIONS:
+        both_right = m[..., :, j]
+    else:
+        raise ConfigError(f"species must be {BOSONS!r} or {FERMIONS!r}, got {species!r}")
+    return np.sum(np.abs(both_right) ** 2, axis=-1)
 
 
 def _validate_times(times: np.ndarray) -> np.ndarray:

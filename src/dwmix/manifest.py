@@ -113,8 +113,8 @@ def sha256_of(path: str | Path) -> str:
 def build_manifest(
     context: ModelContext,
     outputs: dict[str, Path],
-    wall_times: dict[str, float] | None = None,
-    results: dict | None = None,
+    wall_times: dict[str, float],
+    results: dict,
 ) -> dict:
     """Everything needed to reproduce and check a run, in stable key order."""
     cfg = context.config
@@ -153,8 +153,8 @@ def build_manifest(
             "quadrature_error_fermion": context.overlaps.fermion.quadrature_error_estimate,
             "quadrature_error_cross": context.overlaps.cross.quadrature_error_estimate,
         },
-        "results": results or {},
-        "wall_time_s": {k: float(v) for k, v in (wall_times or {}).items()},
+        "results": results,
+        "wall_time_s": {k: float(v) for k, v in wall_times.items()},
         "outputs": {
             name: {
                 "path": path.name,
@@ -169,14 +169,5 @@ def build_manifest(
 
 def write_manifest(path: str | Path, manifest: dict) -> Path:
     path = Path(path)
-    path.write_text(json.dumps(manifest, indent=2, default=_json_default) + "\n",
-                    encoding="utf-8")
+    path.write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
     return path
-
-
-def _json_default(value):
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    raise TypeError(f"cannot serialize {type(value).__name__} in a manifest")

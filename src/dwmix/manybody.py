@@ -21,7 +21,7 @@ from itertools import product
 
 import numpy as np
 
-from .config import ANTISYMMETRIC, COUPLING_NAMES, PAPER_FOUR_STATE
+from .config import COUPLING_NAMES, PAPER_FOUR_STATE
 from .errors import ConfigError, InvariantError
 from .modes import DoubletModes
 from .overlaps import OverlapTensor
@@ -112,7 +112,9 @@ def _fermion_basis(sector: int, variant: str) -> tuple[list[str], np.ndarray]:
 class CompositeBasis:
     """Labeled product basis: boson pair states x fermion pair states.
 
-    Composite ordering is boson-major; ``labels`` are "<boson>|<fermion>".
+    Composite ordering is boson-major, so :meth:`coefficient_matrices` views
+    a state as its boson x fermion coefficient matrix; ``labels`` are
+    "<boson>|<fermion>".
     """
 
     boson_labels: list[str]
@@ -147,6 +149,13 @@ class CompositeBasis:
             ) from exc
         return i * self.fermion_dim + j
 
+    def coefficient_matrices(self, coefficients: np.ndarray) -> np.ndarray:
+        """Coefficients over this basis, shape (..., dim), as boson x fermion
+        matrices, shape (..., boson_dim, fermion_dim): entry [..., i, j] is
+        the coefficient of boson state i times fermion state j."""
+        shape = np.shape(coefficients)[:-1] + (self.boson_dim, self.fermion_dim)
+        return np.reshape(coefficients, shape)
+
     @cached_property
     def symmetries(self) -> tuple[np.ndarray, ...]:
         """The fermion spin exchange and, where the basis span is closed under
@@ -171,7 +180,7 @@ class CompositeBasis:
         return tuple(sorted(sectors, key=lambda q: -q.shape[1]))
 
 
-def enumerate_bases(sector: int = 0, fermion_variant: str = ANTISYMMETRIC) -> CompositeBasis:
+def enumerate_bases(sector: int, fermion_variant: str) -> CompositeBasis:
     """Deterministic labeled composite basis for the given spin sector."""
     b_labels, b_vecs = _boson_basis()
     f_labels, f_vecs = _fermion_basis(sector, fermion_variant)

@@ -155,8 +155,9 @@ class QuarticDoubleWell:
 class TabulatedPotential:
     """Potential sampled from a table, linearly interpolated.
 
-    The table must cover the requested grid and be even; evenness is enforced
-    at sampling time like every other profile.
+    The table must cover the requested grid (``model.resolve_x_max`` holds
+    the box inside it) and be even; evenness is enforced at sampling time
+    like every other profile.
     """
 
     x_table: np.ndarray
@@ -193,7 +194,4 @@ class TabulatedPotential:
         return cls(x_table=data[:, 0], v_table=data[:, 1])
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if x.min() < self.x_table[0] or x.max() > self.x_table[-1]:
-            raise ConfigError("grid extends beyond the tabulated potential range")
         return np.interp(x, self.x_table, self.v_table)

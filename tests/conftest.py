@@ -10,6 +10,7 @@ import pytest
 import dwmix
 from dwmix.config import RunConfig
 from dwmix.model import build_context
+from dwmix.observables import ENTROPY_FLOOR
 
 
 @pytest.fixture(scope="session")
@@ -79,3 +80,17 @@ def doctor_cached_projection(blocks):
     """Replace the projection ``blocks.sectors`` caches with its doctored copy."""
     blocks.__dict__["sectors"] = doctored(blocks.sectors)
     return blocks
+
+
+def partial_trace_entropies(coefficients, basis):
+    """Boson and fermion entropies from the eigenvalues of each species'
+    reduced density matrix, M M^H and M^T M* of each row's boson x fermion
+    coefficient matrix M: the two partial traces that ``species_entropies``
+    replaces with one Schmidt spectrum, kept here as its reference."""
+    m = np.asarray(coefficients).reshape(-1, basis.boson_dim, basis.fermion_dim)
+    entropies = []
+    for rho in (m @ m.conj().swapaxes(1, 2), m.swapaxes(1, 2) @ m.conj()):
+        lam = np.linalg.eigvalsh(rho)
+        lam = np.where(lam > ENTROPY_FLOOR, lam, 1.0)
+        entropies.append(np.maximum(-np.sum(lam * np.log2(lam), axis=1), 0.0))
+    return tuple(entropies)

@@ -13,11 +13,11 @@ from importlib import resources
 
 import numpy as np
 import pytest
-from conftest import full_matrix
+from conftest import full_matrix, partial_trace_entropies
 from spatial_oracle import density_profile
 
 from dwmix.cli import EXIT_OK, _fidelity_spec, main
-from dwmix.config import parse_config
+from dwmix.config import ANTISYMMETRIC, parse_config
 from dwmix.dynamics import (
     default_time_grid,
     evolve,
@@ -156,7 +156,9 @@ def test_criterion_3_conservation_suite(default_context, rng):
     dim = context.basis.dim
     c = np.array([rng.normal(size=dim) + 1j * rng.normal(size=dim) for _ in range(1000)])
     c /= np.linalg.norm(c, axis=1, keepdims=True)
-    s_bosons, s_fermions = species_entropies(c, context.basis)
+    # The Schmidt entropies against the fermion reduction's own spectrum.
+    s_bosons, _ = species_entropies(c, context.basis)
+    _, s_fermions = partial_trace_entropies(c, context.basis)
     entropy_gap = float(np.max(np.abs(s_bosons - s_fermions)))
 
     passed = (norm_drift < 1.0e-10 and energy_drift < 1.0e-10
@@ -322,7 +324,7 @@ def test_criterion_9_eigenvector_sign_robustness(default_context):
             fb.psi_left, fb.psi_right, ff.psi_left, ff.psi_right, grid
         ),
     )
-    blocks = hamiltonian_blocks(fb, ff, overlaps, enumerate_bases())
+    blocks = hamiltonian_blocks(fb, ff, overlaps, enumerate_bases(0, ANTISYMMETRIC))
 
     params = CouplingParams(9.0e-4, 3.2e-4, 9.0e-4)
     h_ref = context.blocks.compose(params)

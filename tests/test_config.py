@@ -64,7 +64,8 @@ class TestRoundTrip:
 
     @staticmethod
     def manifest_config_text(context, tmp_path):
-        path = write_manifest(tmp_path / "manifest.json", build_manifest(context, {}))
+        manifest = build_manifest(context, {}, wall_times={}, results={})
+        path = write_manifest(tmp_path / "manifest.json", manifest)
         flat = json.loads(path.read_text())["config"]
         return "".join(f"{key} = {value}\n" for key, value in flat.items())
 

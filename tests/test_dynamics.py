@@ -3,15 +3,14 @@ from importlib import resources
 import numpy as np
 import pytest
 from scipy.signal import find_peaks
-from conftest import full_matrix
+from conftest import full_matrix, partial_trace_entropies
 from spatial_oracle import density_profile
 
-from dwmix.config import parse_config
+from dwmix.config import ANTISYMMETRIC, parse_config
 from dwmix.errors import ConfigError, InvariantError
 from dwmix.dynamics import (
     TimeSeries,
     _local_maxima,
-    _species_mask,
     default_time_grid,
     evolve,
     initial_state_rr,
@@ -45,14 +44,18 @@ def test_initial_state(coarse_context):
     assert return_probability(psi0, coarse_context.basis, FERMIONS) == 1.0
 
 
+def both_right_indices(basis, species):
+    """Composite indices whose species part is the both-right state."""
+    if species == BOSONS:
+        return [basis.index_of("RR", f) for f in basis.fermion_labels]
+    return [basis.index_of(b, "RRs") for b in basis.boson_labels]
+
+
 def test_return_probability_reduces_each_row(coarse_context, rng):
     basis = coarse_context.basis
     rows = rng.normal(size=(5, basis.dim)) + 1j * rng.normal(size=(5, basis.dim))
-    both_right = {
-        BOSONS: [basis.index_of("RR", f) for f in basis.fermion_labels],
-        FERMIONS: [basis.index_of(b, "RRs") for b in basis.boson_labels],
-    }
-    for species, index in both_right.items():
+    for species in (BOSONS, FERMIONS):
+        index = both_right_indices(basis, species)
         batch = return_probability(rows, basis, species)
         np.testing.assert_allclose(batch, np.sum(np.abs(rows[:, index]) ** 2, axis=1),
                                    rtol=1e-15, atol=0.0)
@@ -127,7 +130,7 @@ def test_evolution_keeps_the_global_phase(free_run):
 
 
 def test_asymmetric_hamiltonian_is_refused():
-    basis = enumerate_bases()
+    basis = enumerate_bases(0, ANTISYMMETRIC)
     matrix = np.diag(np.arange(float(basis.dim)))
     matrix[0, 1] += 1e-9
     zero = np.zeros_like(matrix)
@@ -298,24 +301,56 @@ def test_series_probability_bounds():
         TimeSeries(times=times, p_rr_bosons=good[:4], p_rr_fermions=good)
 
 
-@pytest.mark.parametrize("name", ["region1", "region2", "region3"])
-def test_return_probability_matches_its_line_sum(name):
+@pytest.fixture(scope="module", params=["region1", "region2", "region3"])
+def preset_run(request):
+    """A region preset's model, start state and ``evolve`` time grid."""
+    name = request.param
+    config = parse_config(resources.files("dwmix").joinpath(f"presets/{name}.cfg").read_text())
+    context = build_context(config)
+    times = default_time_grid(context.min_splitting, periods=config.dynamics.periods,
+                              n_samples=config.dynamics.n_samples)
+    return name, context.hamiltonian(), initial_state_rr(context.basis), times
+
+
+def test_return_probability_matches_its_line_sum(preset_run):
     # H and psi0 are real, so with a = V^T psi0 over the eigenvectors V of
     # SectorBlocks.eigenpairs and M the species' both-right mask,
     # P_RR(t) = sum_mn a_m a_n (v_m^T M v_n) cos((E_m - E_n) t): no sampling
     # of the trajectory, no complex phases.
-    config = parse_config(resources.files("dwmix").joinpath(f"presets/{name}.cfg").read_text())
-    context = build_context(config)
-    h = context.hamiltonian()
-    psi0 = initial_state_rr(context.basis)
-    times = default_time_grid(context.min_splitting, periods=config.dynamics.periods,
-                              n_samples=config.dynamics.n_samples)
+    _, h, psi0, times = preset_run
     series = return_series(h, psi0, times)
     energies, vectors = h.sectors.eigenpairs(h.couplings)
     a = vectors.T @ psi0.real
     phases = np.cos(np.multiply.outer(times, energies[:, None] - energies[None, :]))
     for species, p_rr in ((BOSONS, series.p_rr_bosons), (FERMIONS, series.p_rr_fermions)):
-        mask = _species_mask(context.basis, species)
+        mask = both_right_indices(h.basis, species)
         weights = np.outer(a, a) * (vectors[mask].T @ vectors[mask])
         lines = phases.reshape(times.size, -1) @ weights.ravel()
         np.testing.assert_allclose(p_rr, lines, rtol=0.0, atol=1.0e-13)
+
+
+def test_entropies_match_both_partial_traces(preset_run):
+    _, h, psi0, times = preset_run
+    states = evolve(h, psi0, times)
+    s_bosons, s_fermions = species_entropies(states, h.basis)
+    for reference in partial_trace_entropies(states, h.basis):
+        np.testing.assert_allclose(s_bosons, reference, rtol=0.0, atol=1e-13)
+        np.testing.assert_allclose(s_fermions, reference, rtol=0.0, atol=1e-13)
+
+
+# Sample index and Schmidt entropy of each preset's trajectory where either
+# partial trace's eigvalsh misses most (by 1.0e-14 to 1.7e-14).  The values
+# are 40-digit mpmath entropies of the float64 coefficients ``evolve`` gives
+# there, from mpmath.eighe of M M^H and over the weights above ENTROPY_FLOOR.
+SMALL_ENTROPY_SAMPLES = {
+    "region1": (5, 1.956900382166074e-12),
+    "region2": (8, 2.0759604900912395e-09),
+    "region3": (12, 9.721678591554553e-08),
+}
+
+
+def test_small_entropies_match_an_extended_precision_spectrum(preset_run):
+    name, h, psi0, times = preset_run
+    k, exact = SMALL_ENTROPY_SAMPLES[name]
+    for values in species_entropies(evolve(h, psi0, times), h.basis):
+        assert abs(values[k] - exact) < 5.0e-15

@@ -26,7 +26,7 @@ SQRT2 = np.sqrt(2.0)
 
 class TestBases:
     def test_dimensions(self):
-        basis = enumerate_bases()
+        basis = enumerate_bases(0, ANTISYMMETRIC)
         assert basis.boson_dim == 3
         assert basis.fermion_dim == 4
         assert basis.dim == 12
@@ -34,24 +34,24 @@ class TestBases:
         assert basis.fermion_labels == ["LLs", "Ss", "RRs", "T0"]
 
     def test_labels_are_boson_major(self):
-        basis = enumerate_bases()
+        basis = enumerate_bases(0, ANTISYMMETRIC)
         assert basis.labels[0] == "LL|LLs"
         assert basis.labels[4] == "S|LLs"
         assert basis.index_of("RR", "RRs") == 2 * 4 + 2
 
     def test_basis_vectors_are_orthonormal(self):
-        basis = enumerate_bases()
+        basis = enumerate_bases(0, ANTISYMMETRIC)
         gram_b = basis.boson_vectors.T @ basis.boson_vectors
         gram_f = basis.fermion_vectors.T @ basis.fermion_vectors
         assert np.allclose(gram_b, np.eye(3), atol=1e-14)
         assert np.allclose(gram_f, np.eye(4), atol=1e-14)
 
     def test_polarized_sectors_have_one_state(self):
-        assert enumerate_bases(sector=1).fermion_labels == ["LRuu"]
-        assert enumerate_bases(sector=-1).fermion_labels == ["LRdd"]
+        assert enumerate_bases(1, ANTISYMMETRIC).fermion_labels == ["LRuu"]
+        assert enumerate_bases(-1, ANTISYMMETRIC).fermion_labels == ["LRdd"]
 
     def test_four_state_variant(self, config_factory):
-        basis = enumerate_bases(fermion_variant=PAPER_FOUR_STATE)
+        basis = enumerate_bases(0, PAPER_FOUR_STATE)
         assert basis.fermion_labels == ["As", "LLt", "St", "RRt"]
         gram = basis.fermion_vectors.T @ basis.fermion_vectors
         assert np.allclose(gram, np.eye(4), atol=1e-14)
@@ -63,7 +63,7 @@ class TestBases:
             config_factory(**{"model.fermion_basis": "bogus"})
 
     def test_missing_label_lookup(self):
-        basis = enumerate_bases()
+        basis = enumerate_bases(0, ANTISYMMETRIC)
         with pytest.raises(ConfigError, match="available"):
             basis.index_of("RR", "nope")
 
@@ -72,7 +72,7 @@ class TestOneBodyOperators:
     def test_bosonic_enhancement_factor(self):
         # Moving one particle between a doubly occupied mode and the shared
         # state carries a sqrt(2) occupancy factor.
-        basis = enumerate_bases()
+        basis = enumerate_bases(0, ANTISYMMETRIC)
         d = one_body_transition_matrix(basis, BOSONS)
         ll, s, rr = 0, 1, 2
         left, right = 0, 1
@@ -81,7 +81,7 @@ class TestOneBodyOperators:
         assert d[ll, rr, left, right] == 0.0
 
     def test_fermion_transfer_between_paired_states(self):
-        basis = enumerate_bases()
+        basis = enumerate_bases(0, ANTISYMMETRIC)
         d = one_body_transition_matrix(basis, FERMIONS)
         lls, ss, rrs, t0 = 0, 1, 2, 3
         left, right = 0, 1
@@ -92,7 +92,7 @@ class TestOneBodyOperators:
 
     def test_unknown_species_rejected(self):
         with pytest.raises(ConfigError):
-            one_body_transition_matrix(enumerate_bases(), "anyons")
+            one_body_transition_matrix(enumerate_bases(0, ANTISYMMETRIC), "anyons")
 
 
 class TestCouplingParams:
@@ -155,7 +155,7 @@ class TestAssembly:
         # Two same-spin fermions share an antisymmetric spatial state, so a
         # contact interaction cannot touch them.
         ctx = coarse_context
-        basis_up = enumerate_bases(sector=1)
+        basis_up = enumerate_bases(1, ANTISYMMETRIC)
         blocks = hamiltonian_blocks(
             ctx.boson_modes, ctx.fermion_modes, ctx.overlaps, basis_up
         )
@@ -212,7 +212,7 @@ class TestMirror:
         assert np.max(np.abs(m @ h - h @ m)) < 1e-12
 
     def test_four_state_variant_is_not_mirror_closed(self):
-        basis = enumerate_bases(fermion_variant=PAPER_FOUR_STATE)
+        basis = enumerate_bases(0, PAPER_FOUR_STATE)
         with pytest.raises(ConfigError, match="mirror"):
             mirror_operator(basis)
 
@@ -240,7 +240,7 @@ class TestSymmetrySectors:
                         or np.allclose(image, -q, atol=1e-14))
 
     def test_spin_exchange_separates_singlets_from_t0(self):
-        basis = enumerate_bases()
+        basis = enumerate_bases(0, ANTISYMMETRIC)
         signs = np.diag(spin_exchange_operator(basis)).reshape(3, 4)
         assert np.allclose(signs, [[-1.0, -1.0, -1.0, 1.0]] * 3, atol=1e-14)
 
@@ -263,7 +263,7 @@ class TestSymmetrySectors:
 
     def test_symmetry_h_breaks_is_left_out(self):
         # A diagonal h commutes with the (diagonal) spin exchange but not the mirror.
-        basis = enumerate_bases()
+        basis = enumerate_bases(0, ANTISYMMETRIC)
         sectors = basis.sectors(np.diag(np.arange(12.0)))
         assert [q.shape[1] for q in sectors] == [9, 3]
 

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+from conftest import partial_trace_entropies
 
-from dwmix.errors import InvariantError
+from dwmix.config import ANTISYMMETRIC
 from dwmix.manybody import enumerate_bases
-from dwmix.observables import _entropies, species_entropies
+from dwmix.observables import species_entropies
 
 
 def random_states(basis, rng, count=1):
@@ -26,11 +27,11 @@ def equal_weights(basis, pairs):
 
 @pytest.fixture(scope="module")
 def basis():
-    return enumerate_bases()
+    return enumerate_bases(0, ANTISYMMETRIC)
 
 
 class TestReduce:
-    """Batched species reductions, seen through the entropies they give."""
+    """Batched Schmidt spectra, seen through the entropies they give."""
 
     def test_reduced_shapes(self, basis, rng):
         # One value per row for each species; three equal Schmidt weights mix
@@ -63,20 +64,14 @@ class TestVnEntropy:
         np.testing.assert_allclose(s_bosons, [1.0, 0.0], rtol=0.0, atol=1e-14)
         np.testing.assert_allclose(s_fermions, [1.0, 0.0], rtol=0.0, atol=1e-14)
 
-    def test_negative_eigenvalue_rejected(self):
-        eigenvalues = np.array([[1.0, 0.0], [0.5, 0.5], [1.5, -0.5]])
-        with pytest.raises(InvariantError, match="positivity") as info:
-            _entropies(eigenvalues)
-        assert info.value.index == 2
-
-    def test_eigenvalue_rounded_above_one_gives_zero(self):
-        # A product state's spectrum with its 1 rounded up by 2 eps: the
-        # unclamped sum is -2 eps / ln 2 for either reduction's size.
+    def test_eigenvalue_rounded_above_one_gives_zero(self, basis):
+        # A product state scaled by sqrt(1 + 2 eps): its one Schmidt weight
+        # rounds to 1 + 2 eps, whose unclamped term is -2 eps / ln 2.
         eps = np.finfo(float).eps
-        for size in (3, 4):
-            eigenvalues = np.zeros((1, size))
-            eigenvalues[0, -1] = 1.0 + 2.0 * eps
-            entropy = _entropies(eigenvalues)
+        c = np.sqrt(1.0 + 2.0 * eps) * basis_state(basis, "RR", "RRs")
+        weights = np.linalg.svd(basis.coefficient_matrices(c), compute_uv=False) ** 2
+        assert weights.max() > 1.0
+        for entropy in species_entropies(c, basis):
             assert entropy.tolist() == [0.0]
             assert not np.signbit(entropy[0])
 
@@ -93,9 +88,13 @@ class TestSpeciesEntropies:
         assert s_fermions[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_schmidt_symmetry_for_random_states(self, basis, rng):
-        # Both reductions of a pure state share a Schmidt spectrum.
-        s_bosons, s_fermions = species_entropies(random_states(basis, rng, 25), basis)
-        assert np.max(np.abs(s_bosons - s_fermions)) < 1e-10
+        # Both reductions of a pure state share its Schmidt spectrum, so the
+        # eigenvalues of either partial trace give the same entropies.
+        rows = random_states(basis, rng, 25)
+        s_bosons, s_fermions = species_entropies(rows, basis)
+        for reference in partial_trace_entropies(rows, basis):
+            np.testing.assert_allclose(s_bosons, reference, rtol=0.0, atol=1e-13)
+            np.testing.assert_allclose(s_fermions, reference, rtol=0.0, atol=1e-13)
         assert np.all((0.0 <= s_bosons) & (s_bosons <= np.log2(3.0) + 1e-12))
 
     def test_batch_matches_single_rows(self, basis, rng):

@@ -125,13 +125,6 @@ class TestTabulatedPotential:
                 x_table=np.array([0.0, 1.0, 0.5]), v_table=np.array([1.0, 2.0, 3.0])
             )
 
-    def test_grid_beyond_table_rejected(self):
-        pot = TabulatedPotential(
-            x_table=np.array([-1.0, 0.0, 1.0]), v_table=np.array([1.0, 0.0, 1.0])
-        )
-        with pytest.raises(ConfigError, match="beyond the tabulated"):
-            pot(np.array([-2.0, 0.0, 2.0]))
-
 
 def test_sample_on_grid_rejects_uneven_potential():
     g = Grid(x_max=1.0, n_points=5)

@@ -10,7 +10,7 @@ import pytest
 
 from conftest import doctor_cached_projection
 from dwmix.cli import EXIT_CONFIG, EXIT_OK, _fidelity_spec, main
-from dwmix.config import RunConfig, parse_config
+from dwmix.config import ANTISYMMETRIC, RunConfig, parse_config
 from dwmix.errors import ConfigError, SweepError
 from dwmix.manybody import (
     CouplingParams,
@@ -30,7 +30,7 @@ def _broken_blocks():
     Composing them fails only where lambda_ff is nonzero, which keeps the
     reference solve alive while every swept cell raises.
     """
-    basis = enumerate_bases()
+    basis = enumerate_bases(0, ANTISYMMETRIC)
     zeros = np.zeros((basis.dim, basis.dim))
     lopsided = zeros.copy()
     lopsided[0, 1] = 1.0
@@ -151,7 +151,7 @@ class TestFidelityMap:
             fidelity_map(_broken_blocks(), spec)
 
     def test_degenerate_cells_flagged(self):
-        basis = enumerate_bases()
+        basis = enumerate_bases(0, ANTISYMMETRIC)
         zeros = np.zeros((basis.dim, basis.dim))
         flat = HamiltonianBlocks(basis=basis, h0=zeros, h_bb=zeros,
                                  h_ff=zeros, h_bf=zeros)
