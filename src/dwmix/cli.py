@@ -205,7 +205,7 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
             p_rr_fermions=return_probability(coefficients, h.basis, FERMIONS),
         )
         outputs["entropy_t"] = write_entropy_timeseries_csv(
-            directory / "entropy_t.csv", times, *species_entropies(coefficients, h.basis)
+            directory / "entropy_t.csv", times, species_entropies(coefficients, h.basis)
         )
     else:
         series = return_series(h, psi0, times)
@@ -267,7 +267,7 @@ def _cmd_entropy_scan(args: argparse.Namespace) -> int:
     degenerate, min_gap, (point,), max_residual = _sweep_health(curve)
     results = {
         "argmax_lambda_ff": curve.argmax_lambda,
-        "max_s_bosons": float(curve.s_bosons.max()),
+        "max_s_bosons": float(curve.entropy.max()),
         "degenerate_cells": degenerate,
         "min_gap": min_gap,
         "min_gap_point": point,

@@ -83,17 +83,18 @@ def write_fidelity_csv(path: str | Path, surface: FidelitySurface) -> Path:
     return path
 
 
+# A pure state's one entropy is written, formatted once, as both the
+# s_bosons and the s_fermions column.
 def write_entropy_csv(path: str | Path, curve: EntropyCurve) -> Path:
+    entropy = _floats(curve.entropy)
     return _write_blocks(path, ENTROPY_HEADER, [(
-        _floats(curve.lambda_ff), _floats(curve.s_bosons),
-        _floats(curve.s_fermions), _flags(curve.degenerate),
+        _floats(curve.lambda_ff), entropy, entropy, _flags(curve.degenerate),
     )])
 
 
-def write_entropy_timeseries_csv(path: str | Path, times, s_bosons, s_fermions) -> Path:
-    return _write_blocks(path, ENTROPY_T_HEADER, [(
-        _floats(times), _floats(s_bosons), _floats(s_fermions),
-    )])
+def write_entropy_timeseries_csv(path: str | Path, times, entropy) -> Path:
+    entropy = _floats(entropy)
+    return _write_blocks(path, ENTROPY_T_HEADER, [(_floats(times), entropy, entropy)])
 
 
 def write_regimes_json(path: str | Path, report: dict) -> Path:

@@ -17,7 +17,6 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
 
 import numpy as np
 
@@ -221,16 +220,13 @@ def _boson_contact(u: np.ndarray) -> np.ndarray:
 
 
 def _fermion_contact(u: np.ndarray) -> np.ndarray:
-    """Contact matrix on the fermion product space, diagonal in both spins."""
-    c = np.zeros((16, 16))
-    for o1, o2, p1, p2 in product(range(4), repeat=4):
-        m1, s1 = divmod(o1, 2)
-        m2, s2 = divmod(o2, 2)
-        n1, t1 = divmod(p1, 2)
-        n2, t2 = divmod(p2, 2)
-        if s1 == t1 and s2 == t2:
-            c[4 * o1 + o2, 4 * p1 + p2] = u[m1, n1, m2, n2]
-    return c
+    """Contact matrix on the fermion product space, diagonal in both spins.
+
+    C[(m1, s1, m2, s2), (m1', s1', m2', s2')] = U[m1, m1', m2, m2'] when
+    s1 = s1' and s2 = s2', else 0.
+    """
+    eye = np.eye(2)
+    return np.einsum("acbd,ef,gh->aebgcfdh", u, eye, eye).reshape(16, 16)
 
 
 def one_body_transition_matrix(basis: CompositeBasis, species: str) -> np.ndarray:
@@ -443,8 +439,8 @@ class SectorBlocks:
         lows = np.array([t.lowest() for t in reduced])
         winner = np.argmin(lows, axis=0)
         lowest = lows[winner, np.arange(n)]
-        second = (np.partition(lows, 1, axis=0)[1] if len(stacks) > 1
-                  else np.full(n, np.inf))
+        lows[winner, np.arange(n)] = np.inf
+        second = lows.min(axis=0)
         wins = [np.flatnonzero(winner == k) for k in range(len(stacks))]
         reduced = [t if rows.size else None for t, rows in zip(reduced, wins)]  # free the rest
         residual = np.empty(n)

@@ -4,7 +4,8 @@ weights.
 A pure state's boson x fermion coefficient matrix M has Schmidt weights
 w = sigma^2, the squared singular values of M.  They are the nonzero
 eigenvalues of both species' reduced density matrices, M M^H and M^T M*,
-so one spectrum gives both entropies, and no weight is negative.
+so one spectrum gives the entropy of either species, and no weight is
+negative.
 """
 
 from __future__ import annotations
@@ -18,15 +19,14 @@ from .manybody import CompositeBasis
 ENTROPY_FLOOR = 4.0 * np.finfo(float).eps
 
 
-def species_entropies(coefficients: np.ndarray, basis: CompositeBasis) -> tuple:
-    """Boson and fermion entropies of each normalized state (row) over ``basis``.
+def species_entropies(coefficients: np.ndarray, basis: CompositeBasis) -> np.ndarray:
+    """Entanglement entropy of each normalized state over ``basis``, shape
+    (..., dim) -> (...): 0-d for one state.
 
-    S = -sum w log2 w over the Schmidt weights w of each row, clamped at 0
-    (a weight rounded above 1 has a negative term).  For a pure state the
-    two species' entropies are one value, so both are the same array.
+    S = -sum w log2 w over the state's Schmidt weights w, clamped at 0 (a
+    weight rounded above 1 has a negative term).  For a pure state it is
+    both species' entropy, so one array holds both.
     """
-    m = basis.coefficient_matrices(np.atleast_2d(coefficients))
-    w = np.linalg.svd(m, compute_uv=False) ** 2
+    w = np.linalg.svd(basis.coefficient_matrices(coefficients), compute_uv=False) ** 2
     w = np.where(w > ENTROPY_FLOOR, w, 1.0)
-    entropy = np.maximum(-np.sum(w * np.log2(w), axis=1), 0.0)
-    return entropy, entropy
+    return np.maximum(-np.sum(w * np.log2(w), axis=-1), 0.0)

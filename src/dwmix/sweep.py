@@ -100,15 +100,14 @@ class FidelitySurface:
 @dataclass(frozen=True, repr=False, eq=False)
 class EntropyCurve:
     lambda_ff: np.ndarray
-    s_bosons: np.ndarray
-    s_fermions: np.ndarray
+    entropy: np.ndarray  # both species' entropy: the ground states are pure
     degenerate: np.ndarray
     gap: np.ndarray
     max_residual: float
 
     @property
     def argmax_lambda(self) -> float:
-        return float(self.lambda_ff[int(np.argmax(self.s_bosons))])
+        return float(self.lambda_ff[int(np.argmax(self.entropy))])
 
 
 def _solve_chunks(
@@ -193,14 +192,13 @@ def entropy_scan(blocks: HamiltonianBlocks, spec: SweepSpec) -> EntropyCurve:
     def where(index: int) -> str:
         return f"entropy scan failed at point {index}, lambda_ff={float(xs[index])!r}"
 
-    gap, degen, residual, sb, sf = _solve_chunks(
+    gap, degen, residual, entropy = _solve_chunks(
         blocks, spec.coupling_rows(), where,
-        lambda vectors: species_entropies(vectors, blocks.basis),
+        lambda vectors: (species_entropies(vectors, blocks.basis),),
     )
     return EntropyCurve(
         lambda_ff=xs,
-        s_bosons=sb,
-        s_fermions=sf,
+        entropy=entropy,
         degenerate=degen,
         gap=gap,
         max_residual=float(residual.max()),

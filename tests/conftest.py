@@ -10,7 +10,6 @@ import pytest
 import dwmix
 from dwmix.config import RunConfig
 from dwmix.model import build_context
-from dwmix.observables import ENTROPY_FLOOR
 
 
 @pytest.fixture(scope="session")
@@ -82,6 +81,12 @@ def doctor_cached_projection(blocks):
     return blocks
 
 
+# Eigenvalues at or below this are rounding of weights that sum to 1 and
+# count as 0.  It is the value of ``observables.ENTROPY_FLOOR``, kept apart so
+# that a change to that floor shows against this reference.
+PARTIAL_TRACE_FLOOR = 4.0 * np.finfo(float).eps
+
+
 def partial_trace_entropies(coefficients, basis):
     """Boson and fermion entropies from the eigenvalues of each species'
     reduced density matrix, M M^H and M^T M* of each row's boson x fermion
@@ -91,6 +96,6 @@ def partial_trace_entropies(coefficients, basis):
     entropies = []
     for rho in (m @ m.conj().swapaxes(1, 2), m.swapaxes(1, 2) @ m.conj()):
         lam = np.linalg.eigvalsh(rho)
-        lam = np.where(lam > ENTROPY_FLOOR, lam, 1.0)
+        lam = np.where(lam > PARTIAL_TRACE_FLOOR, lam, 1.0)
         entropies.append(np.maximum(-np.sum(lam * np.log2(lam), axis=1), 0.0))
     return tuple(entropies)

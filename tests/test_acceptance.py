@@ -157,9 +157,9 @@ def test_criterion_3_conservation_suite(default_context, rng):
     c = np.array([rng.normal(size=dim) + 1j * rng.normal(size=dim) for _ in range(1000)])
     c /= np.linalg.norm(c, axis=1, keepdims=True)
     # The Schmidt entropies against the fermion reduction's own spectrum.
-    s_bosons, _ = species_entropies(c, context.basis)
+    entropy = species_entropies(c, context.basis)
     _, s_fermions = partial_trace_entropies(c, context.basis)
-    entropy_gap = float(np.max(np.abs(s_bosons - s_fermions)))
+    entropy_gap = float(np.max(np.abs(entropy - s_fermions)))
 
     passed = (norm_drift < 1.0e-10 and energy_drift < 1.0e-10
               and hermiticity < 1.0e-12 and self_fidelity_err < 1.0e-12
@@ -255,7 +255,7 @@ def test_criterion_6_drop_depth(phase_map):
 
 def test_criterion_7_entropy_scan(default_context):
     curve = entropy_scan(default_context.blocks, ENTROPY_LINE)
-    k = int(np.argmax(curve.s_bosons))
+    k = int(np.argmax(curve.entropy))
     interior = 0 < k < curve.lambda_ff.size - 1
 
     flat_spec = SweepSpec(
@@ -264,7 +264,7 @@ def test_criterion_7_entropy_scan(default_context):
         fixed={"lambda_bb": 1.0e-3, "lambda_bf": 0.0},
     )
     flat = entropy_scan(default_context.blocks, flat_spec)
-    uncoupled_max = float(max(flat.s_bosons.max(), flat.s_fermions.max()))
+    uncoupled_max = float(flat.entropy.max())
 
     # self-regression pin for this geometry; a change here means the model
     # changed, not that the scan broke
@@ -273,7 +273,7 @@ def test_criterion_7_entropy_scan(default_context):
               and curve.argmax_lambda == pytest.approx(pinned_argmax, abs=1.0e-12))
     report(7, passed,
            f"argmax lambda_ff {curve.argmax_lambda:.4e} (pin {pinned_argmax:.1e}), "
-           f"peak {curve.s_bosons[k]:.4f} bits, uncoupled max {uncoupled_max:.1e}")
+           f"peak {curve.entropy[k]:.4f} bits, uncoupled max {uncoupled_max:.1e}")
     assert interior
     assert uncoupled_max < 1.0e-12
     assert curve.argmax_lambda == pytest.approx(pinned_argmax, abs=1.0e-12)

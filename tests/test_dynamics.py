@@ -88,33 +88,36 @@ def test_norm_and_energy_are_conserved(free_run):
         assert abs(e - e0) < 1e-10
 
 
+# The region2 couplings on the 801-point grid over three bare periods.  The
+# values come from a 40-digit mpmath propagation of H = h0 + sum_k c_k h_k,
+# built exactly from the float64 blocks and couplings (and symmetrized
+# exactly: h_ff is asymmetric by 1e-19), diagonalized by mpmath.eigsy; the
+# entropy is that of the boson reduced density matrix, from mpmath.eighe.
+# tests/make_pins.py regenerates them.
+PROPAGATION_PINS = {
+    "p_rr_bosons": [0.31965574484823567, 0.19726589532137456,
+                    0.32294826859347925, 0.4560724830160753],
+    "p_rr_fermions": [0.2548981528337354, 0.13214773183262596,
+                      0.3246151048708133, 0.44503595126568846],
+    "entropy": [0.6061062040830112, 1.1578307512006407,
+                1.3567271497788986, 1.135417385173702],
+}
+
+
 def test_evolution_matches_an_extended_precision_propagation(coarse_context):
-    # The region2 couplings over three bare periods.  The expected values come
-    # from a 40-digit mpmath propagation of H = h0 + sum_k c_k h_k, built
-    # exactly from the float64 blocks and couplings (and symmetrized exactly:
-    # h_ff is asymmetric by 1e-19), diagonalized by mpmath.eigsy; the
-    # entropy is that of the boson reduced density matrix, from mpmath.eighe.
-    # That H is the one the sector projection evolves: it reads 6e-15 here.
-    # Composing the 12x12 in float64 first rounds its diagonal offset (about
-    # 4.35), and the phases multiply that rounding by tau: 1.3e-13.
+    # The H of PROPAGATION_PINS is the one the sector projection evolves: it
+    # reads 6e-15 here.  Composing the 12x12 in float64 first rounds its
+    # diagonal offset (about 4.35), and the phases multiply that rounding by
+    # tau: 1.3e-13.
     ctx = coarse_context
     h = ctx.blocks.compose(CouplingParams(lambda_bb=9e-4, lambda_ff=3.2e-4, lambda_bf=9e-4))
     times = default_time_grid(ctx.min_splitting, periods=3.0, n_samples=5)[1:]
     states = evolve(h, initial_state_rr(ctx.basis), times)
-    exact = {
-        "p_rr_bosons": [0.31965574484823567, 0.19726589532137456,
-                        0.32294826859347925, 0.4560724830160753],
-        "p_rr_fermions": [0.2548981528337354, 0.13214773183262596,
-                          0.3246151048708133, 0.44503595126568846],
-        "entropy": [0.6061062040830112, 1.1578307512006407,
-                    1.3567271497788986, 1.135417385173702],
-    }
-    s_bosons, s_fermions = species_entropies(states, ctx.basis)
+    exact = PROPAGATION_PINS
     for values, expected in (
         (return_probability(states, ctx.basis, BOSONS), exact["p_rr_bosons"]),
         (return_probability(states, ctx.basis, FERMIONS), exact["p_rr_fermions"]),
-        (s_bosons, exact["entropy"]),
-        (s_fermions, exact["entropy"]),
+        (species_entropies(states, ctx.basis), exact["entropy"]),
     ):
         np.testing.assert_allclose(values, expected, rtol=0.0, atol=1e-13)
 
@@ -332,16 +335,16 @@ def test_return_probability_matches_its_line_sum(preset_run):
 def test_entropies_match_both_partial_traces(preset_run):
     _, h, psi0, times = preset_run
     states = evolve(h, psi0, times)
-    s_bosons, s_fermions = species_entropies(states, h.basis)
+    entropy = species_entropies(states, h.basis)
     for reference in partial_trace_entropies(states, h.basis):
-        np.testing.assert_allclose(s_bosons, reference, rtol=0.0, atol=1e-13)
-        np.testing.assert_allclose(s_fermions, reference, rtol=0.0, atol=1e-13)
+        np.testing.assert_allclose(entropy, reference, rtol=0.0, atol=1e-13)
 
 
 # Sample index and Schmidt entropy of each preset's trajectory where either
 # partial trace's eigvalsh misses most (by 1.0e-14 to 1.7e-14).  The values
 # are 40-digit mpmath entropies of the float64 coefficients ``evolve`` gives
 # there, from mpmath.eighe of M M^H and over the weights above ENTROPY_FLOOR.
+# tests/make_pins.py regenerates the entropies at these samples.
 SMALL_ENTROPY_SAMPLES = {
     "region1": (5, 1.956900382166074e-12),
     "region2": (8, 2.0759604900912395e-09),
@@ -352,5 +355,4 @@ SMALL_ENTROPY_SAMPLES = {
 def test_small_entropies_match_an_extended_precision_spectrum(preset_run):
     name, h, psi0, times = preset_run
     k, exact = SMALL_ENTROPY_SAMPLES[name]
-    for values in species_entropies(evolve(h, psi0, times), h.basis):
-        assert abs(values[k] - exact) < 5.0e-15
+    assert abs(species_entropies(evolve(h, psi0, times), h.basis)[k] - exact) < 5.0e-15

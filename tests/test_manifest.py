@@ -115,8 +115,8 @@ class TestCsvLayout:
     def test_floats_survive_repr_round_trip(self, small_curve, tmp_path):
         path = write_entropy_csv(tmp_path / "e.csv", small_curve)
         data = np.loadtxt(path, delimiter=",", skiprows=1)
-        np.testing.assert_array_equal(data[:, 1], small_curve.s_bosons)
-        np.testing.assert_array_equal(data[:, 2], small_curve.s_fermions)
+        np.testing.assert_array_equal(data[:, 1], small_curve.entropy)
+        np.testing.assert_array_equal(data[:, 2], small_curve.entropy)
 
     def test_rewrite_is_byte_identical(self, small_surface, tmp_path):
         a = write_fidelity_csv(tmp_path / "a.csv", small_surface)
@@ -197,25 +197,22 @@ class TestCsvBytes:
         assert path.read_bytes().count(b",1\n") == 1
 
     def test_entropy(self, tmp_path):
-        curve = SimpleNamespace(lambda_ff=SPECIAL, s_bosons=SPECIAL[::-1],
-                                s_fermions=-SPECIAL, degenerate=FLAGS)
+        curve = SimpleNamespace(lambda_ff=SPECIAL, entropy=SPECIAL[::-1], degenerate=FLAGS)
         expected = _reference_csv(ENTROPY_HEADER, (
-            (_fmt(curve.lambda_ff[k]), _fmt(curve.s_bosons[k]),
-             _fmt(curve.s_fermions[k]), str(int(curve.degenerate[k]))) for k in range(8)))
+            (_fmt(curve.lambda_ff[k]), _fmt(curve.entropy[k]),
+             _fmt(curve.entropy[k]), str(int(curve.degenerate[k]))) for k in range(8)))
         path = write_entropy_csv(tmp_path / "e.csv", curve)
         assert path.read_text(encoding="utf-8") == expected
 
     def test_entropy_timeseries_from_lists(self, tmp_path):
         values = SPECIAL.tolist()
         expected = _reference_csv(ENTROPY_T_HEADER, (
-            (_fmt(values[k]), _fmt(values[-1 - k]), _fmt(values[k])) for k in range(8)))
-        path = write_entropy_timeseries_csv(tmp_path / "s.csv", values, values[::-1],
-                                            values)
+            (_fmt(values[k]), _fmt(values[-1 - k]), _fmt(values[-1 - k])) for k in range(8)))
+        path = write_entropy_timeseries_csv(tmp_path / "s.csv", values, values[::-1])
         assert path.read_text(encoding="utf-8") == expected
 
     def test_column_lengths_must_agree(self, tmp_path):
-        curve = SimpleNamespace(lambda_ff=SPECIAL, s_bosons=SPECIAL[:-1],
-                                s_fermions=SPECIAL, degenerate=FLAGS)
+        curve = SimpleNamespace(lambda_ff=SPECIAL, entropy=SPECIAL[:-1], degenerate=FLAGS)
         with pytest.raises(ValueError):
             write_entropy_csv(tmp_path / "e.csv", curve)
 

@@ -8,7 +8,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from conftest import doctor_cached_projection
+from conftest import doctor_cached_projection, partial_trace_entropies
 from dwmix.cli import EXIT_CONFIG, EXIT_OK, _fidelity_spec, main
 from dwmix.config import ANTISYMMETRIC, RunConfig, parse_config
 from dwmix.errors import ConfigError, SweepError
@@ -177,16 +177,24 @@ class TestEntropyScan:
 
     def test_uncoupled_species_have_no_entropy(self, coarse_context):
         curve = entropy_scan(coarse_context.blocks, self.line_spec(0.0, count=5))
-        assert np.all(curve.s_bosons < 1.0e-12)
-        assert np.all(curve.s_fermions < 1.0e-12)
+        assert np.all(curve.entropy < 1.0e-12)
 
     def test_species_entropies_agree(self, coarse_context):
-        curve = entropy_scan(coarse_context.blocks, self.line_spec(9.0e-3, count=13))
-        np.testing.assert_allclose(curve.s_bosons, curve.s_fermions, atol=1.0e-10)
+        # Each point's ground state solved alone, and reduced to both species'
+        # entropies by their own partial traces.  At lambda_bf = 1e-3 the
+        # smaller Schmidt weights run from 2.6e-6 to 7.6e-3.
+        blocks = coarse_context.blocks
+        for lambda_bf in (9.0e-3, 1.0e-3):
+            spec = self.line_spec(lambda_bf, count=13)
+            curve = entropy_scan(blocks, spec)
+            states = np.array([ground_state(blocks.compose(spec.couplings_at(x, None))).vector
+                               for x in curve.lambda_ff])
+            for reference in partial_trace_entropies(states, blocks.basis):
+                np.testing.assert_allclose(curve.entropy, reference, rtol=0.0, atol=1.0e-13)
 
     def test_argmax_matches_curve(self, coarse_context):
         curve = entropy_scan(coarse_context.blocks, self.line_spec(9.0e-3, count=13))
-        k = int(np.argmax(curve.s_bosons))
+        k = int(np.argmax(curve.entropy))
         assert curve.argmax_lambda == curve.lambda_ff[k]
         assert 0 < k < curve.lambda_ff.size - 1
 
@@ -262,9 +270,15 @@ class TestAgainstPerCellOracle:
                                     compute_uv=False) ** 2
             schmidt = schmidt[schmidt > 1.0e-14]
             expected = float(-np.sum(schmidt * np.log2(schmidt)))
-            assert curve.s_bosons[k] == pytest.approx(expected, abs=1.0e-12)
-            assert curve.s_fermions[k] == pytest.approx(expected, abs=1.0e-12)
+            assert curve.entropy[k] == pytest.approx(expected, abs=1.0e-12)
             assert curve.degenerate[k] == degenerate
+
+
+# Ground-state entropies on the phase_maps geometry and line (bb = bf = 5e-4)
+# at lambda_ff = 0, 1e-4, 2e-4, 3e-4, from a 40-digit mpmath diagonalization
+# of the same float64 blocks.  tests/make_pins.py regenerates them.
+PHASE_MAPS_LINE_ENTROPIES = [0.16428591012064164, 0.15595815149234947,
+                             0.1477622131074556, 0.13973059976418425]
 
 
 class TestSymmetrySectors:
@@ -320,19 +334,16 @@ class TestSymmetrySectors:
 
 
     def test_entropies_match_an_extended_precision_solve(self, config_factory):
-        # The phase_maps geometry and line (bb = bf = 5e-4) at lambda_ff = 0,
-        # 1e-4, 2e-4, 3e-4.  The expected values come from a 40-digit mpmath
-        # diagonalization of the same float64 blocks.  A full 12x12 eigh misses
-        # the third by 1.2e-12, because its rounding scales with the spectrum's
-        # offset (about 4.35) rather than its spread (about 0.02).
+        # A full 12x12 eigh misses the third of PHASE_MAPS_LINE_ENTROPIES by
+        # 1.2e-12, because its rounding scales with the spectrum's offset
+        # (about 4.35) rather than its spread (about 0.02).
         context = build_context(config_factory(**{
             "potential.separation": 1.65, "potential.smoothing": 0.12}))
         spec = SweepSpec(plane="line_ff", x_axis=AxisSpec(0.0, 3.0e-4, 4),
                          fixed={"lambda_bb": 5.0e-4, "lambda_bf": 5.0e-4})
         curve = entropy_scan(context.blocks, spec)
-        exact = [0.16428591012064164, 0.15595815149234947,
-                 0.1477622131074556, 0.13973059976418425]
-        np.testing.assert_allclose(curve.s_bosons, exact, rtol=0.0, atol=1.0e-13)
+        np.testing.assert_allclose(curve.entropy, PHASE_MAPS_LINE_ENTROPIES,
+                                   rtol=0.0, atol=1.0e-13)
 
 
 class TestFidelitySusceptibility:
