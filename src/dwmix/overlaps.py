@@ -6,13 +6,14 @@ to a 1-d quadrature of a product of four mode functions,
     U[a, b, c, d] = integral phi_a phi_b phi_c phi_d dx,
 
 with indices running over (left, right) = (0, 1): (a, b) over one pair of
-modes and (c, d) over another.  Every entry is keyed by the sorted labels of
-the four mode functions it multiplies, and each distinct key is integrated
-once and copied, so the symmetries hold to the last bit.  An intra-species
-tensor passes one pair twice, so its key is the sorted index multiset: 5
-distinct values.  The cross-species tensor passes the boson pair, then the
-fermion pair, whose labels differ, so only the within-pair swaps share a
-key: 9 distinct values.
+modes and (c, d) over another.  The quadrature is the grid's trapezoid
+rule, the inner product the modes are normalized in (``Grid.inner``).  Every
+entry is keyed by the sorted labels of the four mode functions it
+multiplies, and each distinct key is integrated once and copied, so the
+symmetries hold to the last bit.  An intra-species tensor passes one pair
+twice, so its key is the sorted index multiset: 5 distinct values.  The
+cross-species tensor passes the boson pair, then the fermion pair, whose
+labels differ, so only the within-pair swaps share a key: 9 distinct values.
 """
 
 from __future__ import annotations
@@ -38,24 +39,15 @@ class OverlapTensor:
     quadrature_error_estimate: float
 
 
-def _simpson_error_estimate(integrand: np.ndarray, grid: Grid) -> float:
-    """Compare Simpson at full resolution against every second node.
-
-    The coarse evaluation uses Simpson when the subsampled point count is
-    still odd and trapezoid otherwise; the difference, scaled by 1/15 for a
-    fourth-order rule, estimates the fine-grid quadrature error.
-    """
-    fine = float(np.dot(grid.simpson_weights(), integrand))
-    coarse_vals = integrand[::2]
-    n_c = coarse_vals.size
-    if n_c % 2 == 1:
-        wc = Grid(grid.x_max, n_c).simpson_weights()
-    else:
-        h_c = 2.0 * grid.spacing
-        wc = np.full(n_c, h_c)
-        wc[0] = wc[-1] = 0.5 * h_c
-    coarse = float(np.dot(wc, coarse_vals))
-    return abs(fine - coarse) / 15.0
+def _quadrature_error_estimate(integrand: np.ndarray, w: np.ndarray) -> float:
+    """The trapezoid rule of weights ``w`` on every node against the same rule
+    on every second node, spacing 2h, whose weights are 2 w[::2].  The
+    difference, scaled by 1/3 for a second-order rule, estimates the
+    fine-grid quadrature error of the integrand as sampled; it says nothing
+    of the modes' own O(h^2) discretization error."""
+    fine = float(np.dot(w, integrand))
+    coarse = float(np.dot(2.0 * w[::2], integrand[::2]))
+    return abs(fine - coarse) / 3.0
 
 
 def _contact_tensor(
@@ -73,7 +65,7 @@ def _contact_tensor(
     """
     slots = (tuple(first), tuple(first), tuple(second), tuple(second))
     modes = {**first, **second}
-    w = grid.simpson_weights()
+    w = grid.trapezoid_weights()
     cache: dict[tuple[str, ...], float] = {}
     values = np.empty((2, 2, 2, 2))
     for idx in product(range(2), repeat=4):
@@ -86,7 +78,7 @@ def _contact_tensor(
     return OverlapTensor(
         values=values,
         distinct=dict(sorted(distinct.items())),
-        quadrature_error_estimate=_simpson_error_estimate(error_integrand, grid),
+        quadrature_error_estimate=_quadrature_error_estimate(error_integrand, w),
     )
 
 

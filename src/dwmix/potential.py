@@ -50,13 +50,6 @@ class Grid:
         w[0] = w[-1] = 0.5 * self.spacing
         return w
 
-    def simpson_weights(self) -> np.ndarray:
-        """Composite-Simpson weights (n_points odd, so intervals pair up)."""
-        w = np.ones(self.n_points)
-        w[1:-1:2] = 4.0
-        w[2:-1:2] = 2.0
-        return w * (self.spacing / 3.0)
-
     def inner(self, f: np.ndarray, g: np.ndarray) -> float:
         """Trapezoid inner product <f|g> on the grid.
 

@@ -95,12 +95,12 @@ def test_norm_and_energy_are_conserved(free_run):
 # entropy is that of the boson reduced density matrix, from mpmath.eighe.
 # tests/make_pins.py regenerates them.
 PROPAGATION_PINS = {
-    "p_rr_bosons": [0.31965574484823567, 0.19726589532137456,
-                    0.32294826859347925, 0.4560724830160753],
-    "p_rr_fermions": [0.2548981528337354, 0.13214773183262596,
-                      0.3246151048708133, 0.44503595126568846],
-    "entropy": [0.6061062040830112, 1.1578307512006407,
-                1.3567271497788986, 1.135417385173702],
+    "p_rr_bosons": [0.3196557448469583, 0.1972658953133067,
+                    0.322948268601656, 0.4560724830106809],
+    "p_rr_fermions": [0.2548981528328692, 0.13214773182509762,
+                      0.3246151048760288, 0.44503595125998135],
+    "entropy": [0.6061062040680983, 1.1578307511805217,
+                1.3567271497799989, 1.1354173852073246],
 }
 
 
@@ -341,14 +341,14 @@ def test_entropies_match_both_partial_traces(preset_run):
 
 
 # Sample index and Schmidt entropy of each preset's trajectory where either
-# partial trace's eigvalsh misses most (by 1.0e-14 to 1.7e-14).  The values
+# partial trace's eigvalsh misses most (by 1.05e-14 to 1.23e-14).  The values
 # are 40-digit mpmath entropies of the float64 coefficients ``evolve`` gives
 # there, from mpmath.eighe of M M^H and over the weights above ENTROPY_FLOOR.
-# tests/make_pins.py regenerates the entropies at these samples.
+# tests/make_pins.py regenerates them.
 SMALL_ENTROPY_SAMPLES = {
-    "region1": (5, 1.956900382166074e-12),
-    "region2": (8, 2.0759604900912395e-09),
-    "region3": (12, 9.721678591554553e-08),
+    "region1": (4, 5.293923580100974e-13),
+    "region2": (3, 6.936945761790803e-12),
+    "region3": (4, 1.1998201181228726e-10),
 }
 
 

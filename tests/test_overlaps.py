@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dwmix.overlaps import cross_species_tensor, overlap_tensor
+from dwmix.overlaps import _quadrature_error_estimate, cross_species_tensor, overlap_tensor
 from dwmix.potential import Grid
 
 # For a normalized Gaussian whose density has standard deviation sigma,
@@ -75,6 +75,19 @@ def test_quadrature_error_estimate_is_small(gaussian_pair):
     grid, left, right = gaussian_pair
     tensor = overlap_tensor(left, right, grid)
     assert 0.0 <= tensor.quadrature_error_estimate < 1e-10
+
+
+@pytest.mark.parametrize("n_points", [401, 403])
+def test_quadrature_error_estimate_matches_the_trapezoid_error(n_points):
+    # An integrand whose slope differs at the two ends, so the trapezoid rule
+    # errs at O(h^2).  At 403 points the every-second-node grid has an even
+    # point count, which Grid refuses.
+    grid = Grid(x_max=2.0, n_points=n_points)
+    x = grid.points()
+    f = 1.0 / (1.0 + x**2)
+    w = grid.trapezoid_weights()
+    error = abs(float(np.dot(w, f)) - 2.0 * np.arctan(2.0))
+    assert _quadrature_error_estimate(f, w) == pytest.approx(error, rel=1e-4)
 
 
 def test_localized_trap_modes_overlap_structure(coarse_context):

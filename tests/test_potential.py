@@ -33,17 +33,6 @@ class TestGrid:
         with pytest.raises(ConfigError):
             Grid(x_max=1.0, n_points=1)
 
-    def test_simpson_beats_trapezoid_on_smooth_integrand(self):
-        # Fourth-order vs second-order rule on an integrand whose derivatives
-        # do not vanish at the endpoints (no Euler-Maclaurin free lunch).
-        g = Grid(x_max=2.0, n_points=41)
-        x = g.points()
-        f = 1.0 / (1.0 + x**2)
-        exact = 2.0 * np.arctan(2.0)
-        simpson = float(np.dot(g.simpson_weights(), f))
-        trapezoid = float(np.dot(g.trapezoid_weights(), f))
-        assert abs(simpson - exact) < abs(trapezoid - exact) / 100.0
-
     def test_inner_product_of_normalized_vector(self):
         g = Grid(x_max=3.0, n_points=301)
         x = g.points()
