@@ -106,9 +106,9 @@ PROPAGATION_PINS = {
 
 def test_evolution_matches_an_extended_precision_propagation(coarse_context):
     # The H of PROPAGATION_PINS is the one the sector projection evolves: it
-    # reads 6e-15 here.  Composing the 12x12 in float64 first rounds its
+    # reads 3.6e-15 here.  Composing the 12x12 in float64 first rounds its
     # diagonal offset (about 4.35), and the phases multiply that rounding by
-    # tau: 1.3e-13.
+    # tau: 9.3e-13.
     ctx = coarse_context
     h = ctx.blocks.compose(CouplingParams(lambda_bb=9e-4, lambda_ff=3.2e-4, lambda_bf=9e-4))
     times = default_time_grid(ctx.min_splitting, periods=3.0, n_samples=5)[1:]

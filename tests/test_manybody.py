@@ -1,3 +1,5 @@
+from itertools import product
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from dwmix.manybody import (
     CouplingParams,
     HamiltonianBlocks,
     SectorBlocks,
+    _fermion_contact,
     enumerate_bases,
     ground_state,
     hamiltonian_blocks,
@@ -438,6 +441,19 @@ class TestSectorKernel:
         plain = blocks.sectors.ground_states(np.zeros((3, 3)))
         for got, expected in zip(cancelled, plain):
             assert np.array_equal(got, expected)
+
+
+def test_fermion_contact_matches_its_element_loop(rng):
+    # Orbital o = 2 * mode + spin; the contact term keeps both spins and
+    # takes U over the modes.
+    u = rng.normal(size=(2, 2, 2, 2))
+    loop = np.zeros((16, 16))
+    for o1, o2, p1, p2 in product(range(4), repeat=4):
+        (m1, s1), (m2, s2) = divmod(o1, 2), divmod(o2, 2)
+        (n1, t1), (n2, t2) = divmod(p1, 2), divmod(p2, 2)
+        if s1 == t1 and s2 == t2:
+            loop[4 * o1 + o2, 4 * p1 + p2] = u[m1, n1, m2, n2]
+    assert np.array_equal(_fermion_contact(u), loop)
 
 
 def test_variant_constants():
