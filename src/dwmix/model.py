@@ -2,8 +2,9 @@
 
 Everything downstream (CLI, sweeps, tests) funnels through ``build_context``
 so that a configuration resolves to exactly one model, built the same way
-every time: potential -> grid -> doublet modes per species -> composite
-basis, then, on first read, overlap tensors -> Hamiltonian blocks.
+every time: potential -> grid -> doublet modes per species (both bisected
+at once) -> composite basis, then, on first read, overlap tensors ->
+Hamiltonian blocks.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .manybody import (
     enumerate_bases,
     hamiltonian_blocks,
 )
-from .modes import DoubletModes, solve_doublet
+from .modes import DoubletModes, bisect_lowest, build_sp_hamiltonian, solve_doublet
 from .overlaps import cross_species_tensor, overlap_tensor
 from .potential import (
     DoubleSquareWell,
@@ -142,11 +143,17 @@ def build_context(config: RunConfig) -> ModelContext:
     grid = Grid(x_max=resolve_x_max(config, potential), n_points=config.grid.n_points)
     v = sample_on_grid(potential, grid)
 
+    # Both species are bisected at once; the rest of each solve, and all of
+    # its checks, runs here in order, the bosons' first.
+    boson_bisection, fermion_bisection = bisect_lowest(
+        [build_sp_hamiltonian(kappa, v, grid)
+         for kappa in (species.kappa_boson, species.kappa_fermion)]
+    )
     boson_modes = solve_doublet(
-        species.kappa_boson, v, grid, min_gap_ratio=config.model.min_gap_ratio
+        boson_bisection, grid, min_gap_ratio=config.model.min_gap_ratio
     )
     fermion_modes = solve_doublet(
-        species.kappa_fermion, v, grid, min_gap_ratio=config.model.min_gap_ratio
+        fermion_bisection, grid, min_gap_ratio=config.model.min_gap_ratio
     )
     # The modes' norm is an invariant of every model, checked here once: the
     # overlap tensors built from these modes do not check it again.

@@ -21,11 +21,18 @@ Both LAPACK routines come from scipy's compiled extension
 ``scipy.linalg._flapack``, the module ``scipy.linalg.lapack`` re-exports
 them from.  It is loaded from its file: importing ``scipy.linalg`` would run
 the whole package and its array-API layer, which costs more than half of a
-cold CLI run.
+cold CLI run.  ``gtsv`` is called through its f2py wrapper.  ``stebz`` is
+called through the pointer to the Fortran routine that its wrapper carries
+and calls, with the wrapper's own arguments, so its output is the same to
+the byte; that call releases the GIL, which lets :func:`bisect_lowest`
+bisect both species' Hamiltonians at once, one in a second thread.
 """
 
 from __future__ import annotations
 
+import ctypes
+import threading
+from collections.abc import Sequence
 from dataclasses import dataclass
 from importlib.machinery import EXTENSION_SUFFIXES
 from importlib.util import find_spec, module_from_spec, spec_from_file_location
@@ -80,8 +87,46 @@ def _load_flapack(scipy_dir: Path) -> ModuleType:
     raise ImportError(f"no compiled LAPACK extension _flapack in {directory} ({found})")
 
 
+def _compiled_routine(routine, prototype):
+    """The Fortran routine an f2py wrapper calls, as a ``prototype`` function.
+
+    Each f2py routine object holds its routine's address in a capsule,
+    ``_cpointer``; the capsule's name (None today) is read first, since
+    ``PyCapsule_GetPointer`` must be given it.
+    """
+    get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+        ("PyCapsule_GetName", ctypes.pythonapi))
+    get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", ctypes.pythonapi))
+    capsule = routine._cpointer
+    return prototype(get_pointer(capsule, get_name(capsule)))
+
+
 _flapack = _load_flapack(_scipy_dir())
-dgtsv, dstebz = _flapack.dgtsv, _flapack.dstebz
+dgtsv = _flapack.dgtsv
+
+# scipy's stebz signature: (*f2py_func)(range, order, &n, &vl, &vu, &il, &iu,
+# &tol, d, e, &m, &nsplit, w, iblock, isplit, work, iwork, &info), every
+# argument by reference, no hidden string lengths, and F_INT a C int (the
+# extension is built LP64).  A CFUNCTYPE call releases the GIL.
+_INT = ctypes.POINTER(ctypes.c_int)
+_DOUBLE = ctypes.POINTER(ctypes.c_double)
+_STEBZ = _compiled_routine(_flapack.dstebz, ctypes.CFUNCTYPE(
+    None, ctypes.c_char_p, ctypes.c_char_p, _INT, _DOUBLE, _DOUBLE, _INT, _INT, _DOUBLE,
+    _DOUBLE, _DOUBLE, _INT, _INT, _DOUBLE, _INT, _INT, _DOUBLE, _INT, _INT))
+
+
+@dataclass(frozen=True, repr=False, eq=False)
+class Bisection:
+    """A tridiagonal Hamiltonian and what ``stebz`` returned for its lowest
+    _N_LOW_STATES eigenvalues: ``found`` of them (LAPACK's m) at the head of
+    ``energies``, in ascending order, and LAPACK's ``info``."""
+
+    diag: np.ndarray
+    off: np.ndarray
+    found: int
+    energies: np.ndarray
+    info: int
 
 
 @dataclass(frozen=True, repr=False, eq=False)
@@ -176,32 +221,83 @@ def _sector_ground_state(
     return u, rayleigh
 
 
-def lowest_doublet(
-    kappa: float, v: np.ndarray, grid: Grid
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Solve for the four lowest energies; return (energies, psi_s, psi_a).
+def bisect_lowest(
+    hamiltonians: Sequence[tuple[np.ndarray, np.ndarray]],
+) -> list[Bisection]:
+    """Bisect each (diagonal, off-diagonal) pair for its _N_LOW_STATES lowest
+    eigenvalues, the first in this thread and the rest at the same time in
+    one more.
 
-    The energies come from bisection on the full grid.  psi_s and psi_a come
-    from the even and odd sectors of the half grid, so each has its parity by
-    construction; they are normalized with the grid's trapezoid rule, and
-    signs are fixed deterministically: psi_s(0) > 0, central-difference
-    psi_a'(0) > 0.  Raises :class:`SolverError` when the grid has fewer
-    interior nodes than the four states solved for (checked before LAPACK,
-    which would print its complaint), or when either precision guard of the
-    module docstring fails.
+    Raises :class:`SolverError` before any LAPACK call when a matrix has
+    fewer rows than the states solved for (LAPACK would print its
+    complaint).  Every argument is built here; the second thread runs only
+    the foreign calls, which cannot raise, and is joined before any result
+    is read.
     """
-    diag, off = build_sp_hamiltonian(kappa, v, grid)
-    if diag.size < _N_LOW_STATES:
-        raise SolverError(
-            f"the grid has {diag.size} interior nodes; the doublet solve needs "
-            f"at least {_N_LOW_STATES}"
-        )
-    # Range 2 selects by index (1.._N_LOW_STATES); abstol 0 is LAPACK's default,
-    # the call eigh_tridiagonal makes.
-    m, energies, _, _, info = dstebz(diag, off, 2, 0.0, 0.0, 1, _N_LOW_STATES, 0.0, "E")
-    if info != 0 or m != _N_LOW_STATES:
-        raise SolverError(f"tridiagonal bisection failed (stebz info {info})")
-    energies = energies[:_N_LOW_STATES].copy()
+    calls, outputs = [], []
+    for diag, off in hamiltonians:
+        n = diag.size
+        if n < _N_LOW_STATES:
+            raise SolverError(
+                f"the grid has {n} interior nodes; the doublet solve needs "
+                f"at least {_N_LOW_STATES}"
+            )
+        if off.size != n - 1:
+            # stebz reads n - 1 off-diagonals whatever the array holds.
+            raise ValueError(f"{n} diagonal entries need {n - 1} off-diagonals, not {off.size}")
+        diag = np.ascontiguousarray(diag, dtype=float)
+        off = np.ascontiguousarray(off, dtype=float)
+        found, nsplit, info = ctypes.c_int(), ctypes.c_int(), ctypes.c_int()
+        energies = np.empty(n)
+        iblock, isplit, iwork = (np.empty(k * n, dtype=np.intc) for k in (1, 1, 3))
+        work = np.empty(4 * n)
+        # Range "I" selects by index (1.._N_LOW_STATES); abstol 0 is LAPACK's
+        # default, the call eigh_tridiagonal makes.
+        zero = ctypes.byref(ctypes.c_double(0.0))
+        calls.append((
+            b"I", b"E", ctypes.byref(ctypes.c_int(n)), zero, zero,
+            ctypes.byref(ctypes.c_int(1)), ctypes.byref(ctypes.c_int(_N_LOW_STATES)), zero,
+            diag.ctypes.data_as(_DOUBLE), off.ctypes.data_as(_DOUBLE),
+            ctypes.byref(found), ctypes.byref(nsplit), energies.ctypes.data_as(_DOUBLE),
+            iblock.ctypes.data_as(_INT), isplit.ctypes.data_as(_INT),
+            work.ctypes.data_as(_DOUBLE), iwork.ctypes.data_as(_INT), ctypes.byref(info),
+        ))
+        outputs.append((diag, off, found, energies, info))
+    if len(calls) > 1:
+        others = threading.Thread(target=_stebz_each, args=(calls[1:],))
+        others.start()
+        try:
+            _STEBZ(*calls[0])
+        finally:
+            others.join()
+    else:
+        _stebz_each(calls)
+    return [Bisection(diag, off, found.value, energies, info.value)
+            for diag, off, found, energies, info in outputs]
+
+
+def _stebz_each(calls) -> None:
+    for args in calls:
+        _STEBZ(*args)
+
+
+def lowest_doublet(
+    bisection: Bisection, grid: Grid
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The four lowest energies of a bisected single-particle Hamiltonian on
+    ``grid``; return (energies, psi_s, psi_a).
+
+    psi_s and psi_a come from the even and odd sectors of the half grid, so
+    each has its parity by construction; they are normalized with the
+    grid's trapezoid rule, and signs are fixed deterministically:
+    psi_s(0) > 0, central-difference psi_a'(0) > 0.  Raises
+    :class:`SolverError` when the bisection failed, or when either precision
+    guard of the module docstring fails.
+    """
+    diag, off = bisection.diag, bisection.off
+    if bisection.info != 0 or bisection.found != _N_LOW_STATES:
+        raise SolverError(f"tridiagonal bisection failed (stebz info {bisection.info})")
+    energies = bisection.energies[:_N_LOW_STATES].copy()
     splitting = float(energies[1] - energies[0])
     bound = 2.0 * _EPS * float(np.max(np.abs(diag)) + 2.0 * abs(off[0]))
     if not bound <= SPLITTING_RTOL * splitting:
@@ -245,9 +341,9 @@ def lowest_doublet(
 
 
 def solve_doublet(
-    kappa: float, v: np.ndarray, grid: Grid, min_gap_ratio: float
+    bisection: Bisection, grid: Grid, min_gap_ratio: float
 ) -> DoubletModes:
-    """Full pipeline: eigensolve, localize, validate the doublet.
+    """Localize and validate the doublet of a bisected Hamiltonian on ``grid``.
 
     psi_right = (psi_s + psi_a) / sqrt(2), which concentrates on x > 0 under
     the sign conventions of :func:`lowest_doublet`; psi_left is its exact
@@ -258,7 +354,7 @@ def solve_doublet(
     (gap ratio below ``min_gap_ratio``), or if psi_right holds no more than
     RIGHT_MASS_MIN of its weight on x > 0.
     """
-    energies, psi_s, psi_a = lowest_doublet(kappa, v, grid)
+    energies, psi_s, psi_a = lowest_doublet(bisection, grid)
     psi_right = _SQRT_HALF * (psi_s + psi_a)
     modes = DoubletModes(
         grid=grid,

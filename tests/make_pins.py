@@ -14,12 +14,16 @@ dwmix builds, by the procedure its test's comment states:
   coefficients ``evolve`` gives at one sample of each region preset's
   trajectory, the sample where either partial trace's eigvalsh misses it
   most (which sample that is changes with any rounding of the model, so
-  ``--check`` holds the pinned value at the pinned sample);
+  ``--check`` holds the pinned value at the pinned sample, and prints the
+  sample where eigvalsh misses most today);
 - ``test_sweep.PHASE_MAPS_LINE_ENTROPIES``: ground-state entropies along the
   phase_maps line.
 
 ``--check`` compares each pinned constant with its regenerated value and
-fails if one is off by more than its test's tolerance.
+fails if one is off by more than its test's tolerance.  It also fails if,
+at a pinned small-entropy sample, both partial traces' eigvalsh meet the
+40-digit value within that test's tolerance: the test would then pass on
+eigvalsh too, and no longer tell the Schmidt path from it.
 """
 
 from __future__ import annotations
@@ -95,27 +99,31 @@ def propagation_pins() -> dict[str, list[float]]:
     return {key: [float(v) for v in values] for key, values in pins.items()}
 
 
-def small_entropy_samples(indices: dict[str, int | None]) -> dict[str, tuple[int, float]]:
-    """Each preset's sample and its 40-digit entropy.  A sample given as None
-    is searched for: the one, among those with a positive entropy, where
-    either partial trace's eigvalsh misses the 40-digit value most."""
+def small_entropy_samples(pinned: dict[str, int | None]) -> dict[str, tuple[int, float, float]]:
+    """Each preset's sample, its 40-digit entropy, and the larger of the two
+    partial traces' eigvalsh misses of that entropy.  Every sample with a
+    positive entropy is searched, and the one where eigvalsh misses most is
+    printed; a preset pinned to None takes that sample."""
     pins = {}
-    for name, k in indices.items():
+    for name, k in pinned.items():
         text = resources.files("dwmix").joinpath(f"presets/{name}.cfg").read_text()
         config = parse_config(text)
         context = build_context(config)
         times = default_time_grid(context.min_splitting, periods=config.dynamics.periods,
                                   n_samples=config.dynamics.n_samples)
         states = evolve(context.hamiltonian(), initial_state_rr(context.basis), times)
-        if k is None:
-            s_bosons, s_fermions = partial_trace_entropies(states, context.basis)
-            misses = {}
-            for j in np.flatnonzero(s_bosons > 0.0):
-                exact = schmidt_entropy(states[j], context.basis)
-                misses[int(j)] = max(abs(s_bosons[j] - exact), abs(s_fermions[j] - exact))
-            k = max(misses, key=misses.get)
-            print(f"# {name}: eigvalsh misses most at sample {k}, by {float(misses[k]):.2e}")
-        pins[name] = (k, float(schmidt_entropy(states[k], context.basis)))
+        s_bosons, s_fermions = partial_trace_entropies(states, context.basis)
+
+        def exact_and_miss(j):
+            exact = schmidt_entropy(states[j], context.basis)
+            return exact, max(abs(s_bosons[j] - exact), abs(s_fermions[j] - exact))
+
+        found = {int(j): exact_and_miss(j) for j in np.flatnonzero(s_bosons > 0.0)}
+        worst = max(found, key=lambda j: found[j][1])
+        print(f"# {name}: eigvalsh misses most at sample {worst}, by {float(found[worst][1]):.2e}")
+        k = worst if k is None else k
+        exact, miss = found[k] if k in found else exact_and_miss(k)
+        pins[name] = (k, float(exact), float(miss))
     return pins
 
 
@@ -137,8 +145,8 @@ def main(argv: list[str]) -> int:
 
     check = "--check" in argv
     propagation = propagation_pins()
-    # --check holds each pinned value at its pinned sample; printing
-    # searches the samples afresh.
+    # --check holds each pinned value at its pinned sample; printing pins
+    # the sample found afresh.
     small = small_entropy_samples({name: k if check else None for name, (k, _) in
                                    test_dynamics.SMALL_ENTROPY_SAMPLES.items()})
     line = phase_maps_line_entropies()
@@ -149,8 +157,8 @@ def main(argv: list[str]) -> int:
             print(f"    {key!r}: {values!r},")
         print("}")
         print("SMALL_ENTROPY_SAMPLES = {")
-        for name, pin in small.items():
-            print(f"    {name!r}: {pin!r},")
+        for name, (k, value, _) in small.items():
+            print(f"    {name!r}: {(k, value)!r},")
         print("}")
         print("# tests/test_sweep.py")
         print(f"PHASE_MAPS_LINE_ENTROPIES = {line!r}")
@@ -159,7 +167,7 @@ def main(argv: list[str]) -> int:
     checks = [(f"PROPAGATION_PINS[{key!r}]", test_dynamics.PROPAGATION_PINS[key],
                values, PROPAGATION_ATOL) for key, values in propagation.items()]
     checks += [(f"SMALL_ENTROPY_SAMPLES[{name!r}]", [test_dynamics.SMALL_ENTROPY_SAMPLES[name][1]],
-                [value], SMALL_ENTROPY_ATOL) for name, (_, value) in small.items()]
+                [value], SMALL_ENTROPY_ATOL) for name, (_, value, _) in small.items()]
     checks.append(("PHASE_MAPS_LINE_ENTROPIES", test_sweep.PHASE_MAPS_LINE_ENTROPIES,
                    line, LINE_ENTROPY_ATOL))
     failed = False
@@ -168,6 +176,13 @@ def main(argv: list[str]) -> int:
         ok = off <= atol
         failed |= not ok
         print(f"{'ok  ' if ok else 'FAIL'} {name}: off by {off:.2e} (tolerance {atol:.0e})")
+    # The small-entropy test tells the Schmidt path from eigvalsh only where
+    # eigvalsh misses by more than the test's tolerance.
+    for name, (k, _, miss) in small.items():
+        ok = miss > SMALL_ENTROPY_ATOL
+        failed |= not ok
+        print(f"{'ok  ' if ok else 'FAIL'} SMALL_ENTROPY_SAMPLES[{name!r}]: eigvalsh misses "
+              f"sample {k} by {miss:.2e} (must exceed {SMALL_ENTROPY_ATOL:.0e})")
     return 1 if failed else 0
 
 

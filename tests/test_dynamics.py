@@ -239,6 +239,42 @@ class TestRegimeMetrics:
         assert start == pytest.approx(400.0, abs=100.0)
         assert end == pytest.approx(900.0, abs=100.0)
 
+    def test_plateaus_of_known_length_and_slope(self):
+        # Piecewise-linear on a unit time step, so np.gradient reads each
+        # stretch's slope exactly inside it, and a steep ramp at each knot.
+        # A stretch from knot a to knot b is flat on [a + 1, b - 1].
+        knots = [(0, 0.9), (10, 0.5), (67, 0.5 + 57 * 0.5e-4),  # 55 long, slope 0.5e-4
+                 (77, 0.3), (177, 0.3 + 100 * 1.5e-4),  # 98 long, slope 1.5e-4
+                 (187, 0.6), (234, 0.6),  # flat, 45 long
+                 (244, 0.7), (446, 0.7 - 202 * 0.9e-4),  # 200 long, slope -0.9e-4
+                 (456, 0.95), (600, 0.95)]  # flat above the band
+        times = np.arange(601.0)
+        values = np.interp(times, *zip(*knots))
+        report = self.run(times, values, values)
+        # Slopes below PLATEAU_SLOPE_THRESHOLD, lengths at least PLATEAU_MIN_LENGTH.
+        assert report["bosons"]["plateau_intervals"] == [[11.0, 66.0], [245.0, 445.0]]
+
+    def test_damping_fit_stops_ninety_percent_down(self):
+        # Pulses every 100 time units under an envelope that falls as
+        # exp(-2e-3 t) down to 0.24 (80 percent of the way from 1 to the tail
+        # 0.05), then three times as fast, then holds at 0.05.  The fit runs
+        # over the peaks up to the first one 90 percent of the way down, the
+        # tenth, so the faster fall moves it off 2e-3.
+        peak_t = 100.0 * np.arange(40)
+        peak_v = np.exp(-2.0e-3 * peak_t)
+        peak_v[9:] = peak_v[8] * np.exp(-6.0e-3 * (peak_t[9:] - peak_t[8]))
+        peak_v = np.maximum(peak_v, 0.05)
+        times = np.arange(4000.0)
+        values = np.zeros_like(times)
+        for t, v in zip(peak_t, peak_v):
+            values += v * np.maximum(0.0, 1.0 - np.abs(times - t) / 40.0)
+        assert peak_v[8] <= 0.05 + 0.2 * 0.95 < peak_v[7]
+        assert peak_v[9] <= 0.05 + 0.1 * 0.95 < peak_v[8]
+        expected = -np.polyfit(peak_t[:10], np.log(peak_v[:10]), 1)[0]
+        report = self.run(times, values, values)
+        assert report["bosons"]["damping_estimate"] == pytest.approx(expected, rel=1e-9)
+        assert expected > 1.1 * 2.0e-3
+
     def test_shelf_outside_band_is_ignored(self):
         times = np.linspace(0.0, 2000.0, 2048)
         values = np.full_like(times, 0.97)
@@ -344,7 +380,11 @@ def test_entropies_match_both_partial_traces(preset_run):
 # partial trace's eigvalsh misses most (by 1.05e-14 to 1.23e-14).  The values
 # are 40-digit mpmath entropies of the float64 coefficients ``evolve`` gives
 # there, from mpmath.eighe of M M^H and over the weights above ENTROPY_FLOOR.
-# tests/make_pins.py regenerates them.
+# The test below holds ``species_entropies`` to them within 5e-15, which
+# tells the Schmidt path from eigvalsh only while eigvalsh misses the pinned
+# sample by more than that: ``tests/make_pins.py --check`` fails where it
+# does not, and prints the sample where eigvalsh misses most today;
+# ``tests/make_pins.py`` regenerates them.
 SMALL_ENTROPY_SAMPLES = {
     "region1": (4, 5.293923580100974e-13),
     "region2": (3, 6.936945761790803e-12),

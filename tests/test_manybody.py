@@ -429,6 +429,32 @@ class TestSectorKernel:
             assert not degenerate[row]
             assert abs(vectors[row] @ oracle[:, 0]) == pytest.approx(1.0, abs=1e-12)
 
+    def test_residual_guard_names_a_row_a_hundred_eps_off(self, rng):
+        # A stack of exact ground pairs, one of whose vectors is tilted toward
+        # the next eigenvector until its residual is 100 eps ||A||_F: above
+        # the guard's 64, far below what would let a wrong vector through.
+        a = rng.standard_normal((40, 5, 5))
+        matrices = a + a.transpose(0, 2, 1)
+        values, vectors = np.linalg.eigh(matrices)
+        norms = np.linalg.norm(matrices, axis=(1, 2))
+        k = 17
+        tilt = 100.0 * EPS * norms[k] / (values[k, 1] - values[k, 0])
+        vectors[k, :, 0] += tilt * vectors[k, :, 1]
+        vectors[k, :, 0] /= np.linalg.norm(vectors[k, :, 0])
+        stack = np.ascontiguousarray(np.moveaxis(matrices, 0, -1))
+        x = np.ascontiguousarray(vectors[:, :, 0].T)
+        rows = np.arange(40) + 1000
+        r = matrices[k] @ vectors[k, :, 0] - values[k, 0] * vectors[k, :, 0]
+        assert np.linalg.norm(r) == pytest.approx(100.0 * EPS * norms[k], rel=0.05)
+        with pytest.raises(InvariantError, match="ground-state residual") as info:
+            checked_residuals(stack, x, values[:, 0], rows)
+        assert info.value.index == 1000 + k
+        # Untilted, the same row passes.
+        vectors[k] = np.linalg.eigh(matrices[k])[1]
+        residual = checked_residuals(stack, np.ascontiguousarray(vectors[:, :, 0].T),
+                                     values[:, 0], rows)
+        assert np.all(residual <= 16 * EPS * norms)
+
     def test_loose_defect_bound_alone_does_not_raise(self, coarse_context):
         # Opposite mirror-breaking terms: the bound on the defect is 2 at
         # c = (1, 1), yet every defect entry cancels exactly.

@@ -1,4 +1,5 @@
 import re
+import threading
 from importlib import resources
 from unittest import mock
 
@@ -7,16 +8,31 @@ import pytest
 import scipy
 from scipy.linalg import eigh_tridiagonal, lapack
 
+from dwmix import model
 from dwmix import modes as modes_module
 from dwmix.config import parse_config
 from dwmix.errors import SolverError
 from dwmix.model import build_potential, resolve_x_max
-from dwmix.modes import build_sp_hamiltonian, lowest_doublet, solve_doublet
+from dwmix.modes import bisect_lowest, build_sp_hamiltonian, lowest_doublet, solve_doublet
 from dwmix.potential import DoubleSquareWell, Grid, sample_on_grid
 from dwmix.units import SpeciesConstants
 
 KAPPA = 0.196980985999906
 KAPPA_FERMION = 0.19582905040926324
+
+
+def bisected(kappa, v, grid):
+    """The bisection of one species' Hamiltonian, solved alone."""
+    (bisection,) = bisect_lowest([build_sp_hamiltonian(kappa, v, grid)])
+    return bisection
+
+
+def doublet(kappa, v, grid):
+    return lowest_doublet(bisected(kappa, v, grid), grid)
+
+
+def modes_of(kappa, v, grid):
+    return solve_doublet(bisected(kappa, v, grid), grid, min_gap_ratio=10.0)
 
 
 def test_particle_in_a_box_oracle():
@@ -27,7 +43,7 @@ def test_particle_in_a_box_oracle():
     """
     grid = Grid(x_max=1.0, n_points=2001)
     v = np.zeros(grid.n_points)
-    energies, psi_s, psi_a = lowest_doublet(KAPPA, v, grid)
+    energies, psi_s, psi_a = doublet(KAPPA, v, grid)
     box_length = 2.0 * grid.x_max
     for n, e in enumerate(energies, start=1):
         exact = KAPPA * (n * np.pi / box_length) ** 2
@@ -40,7 +56,7 @@ def test_particle_in_a_box_oracle():
 def test_too_few_interior_nodes_fail_before_lapack(capfd):
     grid = Grid(x_max=1.0, n_points=5)
     with pytest.raises(SolverError, match="3 interior nodes"):
-        lowest_doublet(KAPPA, np.zeros(grid.n_points), grid)
+        bisected(KAPPA, np.zeros(grid.n_points), grid)
     # LAPACK's error handler would print its complaint on the process's output.
     assert capfd.readouterr() == ("", "")
 
@@ -52,7 +68,7 @@ TRAP = DoubleSquareWell(separation=1.55, well_width=1.2, depth=31.14, smoothing=
 def trap_modes():
     grid = Grid(x_max=2.375, n_points=1601)
     v = sample_on_grid(TRAP, grid)
-    return solve_doublet(KAPPA, v, grid, min_gap_ratio=10.0), grid
+    return modes_of(KAPPA, v, grid), grid
 
 
 def test_doublet_normalization_and_orthogonality(trap_modes):
@@ -105,13 +121,13 @@ def test_flat_potential_fails_doublet_gate():
     grid = Grid(x_max=1.0, n_points=801)
     v = np.zeros(grid.n_points)
     with pytest.raises(SolverError, match="not isolated"):
-        solve_doublet(KAPPA, v, grid, min_gap_ratio=10.0)
+        modes_of(KAPPA, v, grid)
 
 
 def test_nonpositive_kappa_rejected():
     grid = Grid(x_max=1.0, n_points=11)
     with pytest.raises(SolverError):
-        solve_doublet(0.0, np.zeros(grid.n_points), grid, min_gap_ratio=10.0)
+        modes_of(0.0, np.zeros(grid.n_points), grid)
 
 
 def scan_geometry(separation, n_points):
@@ -132,7 +148,7 @@ def test_energies_match_the_full_eigensolver_bitwise(kappa, separation, n_points
     grid, v = scan_geometry(separation, n_points)
     diag, off = build_sp_hamiltonian(kappa, v, grid)
     expected, _ = eigh_tridiagonal(diag, off, select="i", select_range=(0, 3))
-    energies, _, _ = lowest_doublet(kappa, v, grid)
+    energies, _, _ = doublet(kappa, v, grid)
     assert np.array_equal(energies, expected)
 
 
@@ -169,7 +185,7 @@ PINNED_STATES = [
 def test_states_match_an_extended_precision_solve(kappa, separation, n_points, atol,
                                                   pinned):
     grid, v = scan_geometry(separation, n_points)
-    _, psi_s, psi_a = lowest_doublet(kappa, v, grid)
+    _, psi_s, psi_a = doublet(kappa, v, grid)
     mid = n_points // 2
     offsets = list(pinned)
     np.testing.assert_allclose(psi_s[[mid + k for k in offsets]],
@@ -200,7 +216,7 @@ def test_unresolvable_splitting_is_refused():
     grid, v = scan_geometry(2.5, 401)
     with pytest.raises(SolverError,
                        match=r"doublet splitting 4\.57\de-08 .* error bound 1\.73\de-12"):
-        lowest_doublet(KAPPA, v, grid)
+        doublet(KAPPA, v, grid)
 
 
 @pytest.mark.parametrize("n_points, first_failure", [(4001, (2.00, 2.01)),
@@ -215,7 +231,7 @@ def test_splitting_guard_fails_from_one_separation_on(n_points, first_failure):
         grid, v = scan_geometry(separation, n_points)
         try:
             for kappa in (KAPPA, KAPPA_FERMION):
-                lowest_doublet(kappa, v, grid)
+                doublet(kappa, v, grid)
         except SolverError as exc:
             assert "splitting" in str(exc) and "bound" in str(exc)
             failed.append(True)
@@ -232,7 +248,7 @@ def _solve_without_inverse_iteration():
     grid, v = scan_geometry(1.65, 401)
     with mock.patch("dwmix.modes.dgtsv", lambda dl, d, du, b: (dl, d, du, b, 0)):
         with pytest.raises(SolverError, match="even sector state has Rayleigh quotient"):
-            lowest_doublet(KAPPA, v, grid)
+            doublet(KAPPA, v, grid)
 
 
 def test_rayleigh_quotient_guard():
@@ -267,18 +283,29 @@ def assert_same_outputs(got, expected):
             assert a == b
 
 
+def assert_same_bisection(bisection, diag, off):
+    # (m, w[:m], info) of the pointer call against scipy.linalg.lapack's wrapper.
+    m, w, _, _, info = lapack.dstebz(diag, off, 2, 0.0, 0.0, 1, 4, 0.0, "E")
+    assert (type(bisection.found), type(bisection.info)) == (type(m), type(info))
+    assert (bisection.found, bisection.info) == (m, info)
+    assert bisection.energies[:m].tobytes() == w[:m].tobytes()
+
+
 @pytest.mark.parametrize("kappa", ["kappa_boson", "kappa_fermion"])
 def test_loaded_lapack_matches_scipy_linalg_bitwise(region2_trap, kappa):
-    # The routines modes.py loads from the extension file against the ones
-    # scipy.linalg.lapack re-exports, on the calls lowest_doublet makes: the
-    # full-grid bisection, then inverse iteration in both mirror sectors.
+    # The routines modes.py calls against the ones scipy.linalg.lapack
+    # re-exports, on the calls lowest_doublet makes: the full-grid bisection
+    # of both species at once, this one in the calling thread and the other
+    # in the second, then inverse iteration in both mirror sectors.
     species, v, grid = region2_trap
-    diag, off = build_sp_hamiltonian(getattr(species, kappa), v, grid)
+    other = {"kappa_boson": "kappa_fermion", "kappa_fermion": "kappa_boson"}[kappa]
+    hamiltonians = [build_sp_hamiltonian(getattr(species, k), v, grid) for k in (kappa, other)]
+    bisections = bisect_lowest(hamiltonians)
+    for bisection, (diag, off) in zip(bisections, hamiltonians, strict=True):
+        assert_same_bisection(bisection, diag, off)
+    diag, off = hamiltonians[0]
+    energies = bisections[0].energies
     mid = grid.n_points // 2
-    args = (diag, off, 2, 0.0, 0.0, 1, 4, 0.0, "E")
-    bisected = modes_module.dstebz(*args)
-    assert_same_outputs(bisected, lapack.dstebz(*args))
-    energies = bisected[1]
     even_off = off[mid - 1:].copy()
     even_off[0] *= np.sqrt(2.0)
     for sector_diag, sector_off, energy in ((diag[mid - 1:], even_off, energies[0]),
@@ -287,6 +314,52 @@ def test_loaded_lapack_matches_scipy_linalg_bitwise(region2_trap, kappa):
         solved = modes_module.dgtsv(*args)
         assert solved[-1] == 0
         assert_same_outputs(solved, lapack.dgtsv(*args))
+
+
+def test_concurrent_bisections_match_scipy_linalg_bitwise(rng):
+    # Random symmetric tridiagonals of unlike sizes, so that the two threads'
+    # calls overlap at different points of their work.
+    for _ in range(8):
+        hamiltonians = [(rng.normal(size=n) * 100.0, rng.normal(size=n - 1))
+                        for n in rng.integers(1000, 4000, size=2)]
+        for bisection, (diag, off) in zip(bisect_lowest(hamiltonians), hamiltonians,
+                                          strict=True):
+            assert_same_bisection(bisection, diag, off)
+
+
+def test_off_diagonal_length_is_checked():
+    with pytest.raises(ValueError, match="10 diagonal entries need 9 off-diagonals, not 10"):
+        bisect_lowest([(np.ones(10), np.ones(10))])
+
+
+def test_build_context_solves_each_species_in_the_calling_thread(monkeypatch, config_factory):
+    # Both bisections run at once; every doublet solve, and so every check
+    # and every traced span, runs in the caller, the bosons' first.
+    calls = []
+    solve = model.solve_doublet
+
+    def recorded(bisection, grid, **kwargs):
+        calls.append((threading.get_ident(), float(-bisection.off[0] * grid.spacing**2)))
+        return solve(bisection, grid, **kwargs)
+
+    monkeypatch.setattr(model, "solve_doublet", recorded)
+    before = threading.active_count()
+    context = model.build_context(config_factory(**{"grid.n_points": 801}))
+    assert threading.active_count() == before
+    species = context.species
+    assert [ident for ident, _ in calls] == [threading.get_ident()] * 2
+    assert [kappa for _, kappa in calls] == pytest.approx(
+        [species.kappa_boson, species.kappa_fermion], rel=1e-12)
+
+
+def test_no_thread_outlives_a_refused_model(config_factory):
+    # On 801 points the splitting guard refuses separation 2.3, after both
+    # bisections have run.
+    before = threading.active_count()
+    with pytest.raises(SolverError, match="doublet splitting"):
+        model.build_context(config_factory(**{"grid.n_points": 801,
+                                              "potential.separation": 2.3}))
+    assert threading.active_count() == before
 
 
 def test_loader_names_the_directory_it_searched(tmp_path):
