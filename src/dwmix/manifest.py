@@ -37,31 +37,26 @@ def _flags(values) -> list[str]:
     return ["1" if flag else "0" for flag in np.asarray(values, dtype=bool).ravel().tolist()]
 
 
-def _write_blocks(path: str | Path, header: str, blocks) -> Path:
-    """Write a CSV whose rows come in blocks, each a tuple of formatted columns.
-
-    Only one block's strings are alive at a time, which bounds the memory a
-    large sweep's CSV takes.
-    """
+def _write_columns(path: str | Path, header: str, columns) -> Path:
+    """Write a CSV from a tuple of formatted columns of equal length."""
     path = Path(path)
     with path.open("w", encoding="utf-8") as fh:
         fh.write(header + "\n")
-        for columns in blocks:
-            fh.write("".join(f"{','.join(row)}\n" for row in zip(*columns, strict=True)))
+        fh.write("".join(f"{','.join(row)}\n" for row in zip(*columns, strict=True)))
     return path
 
 
 def write_modes_csv(path: str | Path, modes, grid) -> Path:
-    return _write_blocks(path, MODES_HEADER, [(
+    return _write_columns(path, MODES_HEADER, (
         _floats(grid.points()), _floats(modes.psi_s), _floats(modes.psi_a),
         _floats(modes.psi_left), _floats(modes.psi_right),
-    )])
+    ))
 
 
 def write_timeseries_csv(path: str | Path, series: TimeSeries) -> Path:
-    return _write_blocks(path, TIMESERIES_HEADER, [(
+    return _write_columns(path, TIMESERIES_HEADER, (
         _floats(series.times), _floats(series.p_rr_bosons), _floats(series.p_rr_fermions),
-    )])
+    ))
 
 
 def write_fidelity_csv(path: str | Path, surface: FidelitySurface) -> Path:
@@ -87,14 +82,14 @@ def write_fidelity_csv(path: str | Path, surface: FidelitySurface) -> Path:
 # s_bosons and the s_fermions column.
 def write_entropy_csv(path: str | Path, curve: EntropyCurve) -> Path:
     entropy = _floats(curve.entropy)
-    return _write_blocks(path, ENTROPY_HEADER, [(
+    return _write_columns(path, ENTROPY_HEADER, (
         _floats(curve.lambda_ff), entropy, entropy, _flags(curve.degenerate),
-    )])
+    ))
 
 
 def write_entropy_timeseries_csv(path: str | Path, times, entropy) -> Path:
     entropy = _floats(entropy)
-    return _write_blocks(path, ENTROPY_T_HEADER, [(_floats(times), entropy, entropy)])
+    return _write_columns(path, ENTROPY_T_HEADER, (_floats(times), entropy, entropy))
 
 
 def write_regimes_json(path: str | Path, report: dict) -> Path:

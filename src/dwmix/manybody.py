@@ -157,22 +157,24 @@ class CompositeBasis:
 
     @cached_property
     def symmetries(self) -> tuple[np.ndarray, ...]:
-        """The fermion spin exchange and, where the basis span is closed under
-        it, the left-right mirror, as matrices over this basis."""
-        try:
-            return (spin_exchange_operator(self), mirror_operator(self))
-        except ConfigError:  # the literal four-state basis is not mirror-closed
-            return (spin_exchange_operator(self),)
+        """The fermion spin exchange and the left-right mirror, as matrices
+        over this basis, each kept where the basis span is closed under it:
+        the spin exchange always, the mirror in every basis but the literal
+        four-state one."""
+        operators = (_involution(self, *_SPIN_EXCHANGE), _involution(self, *_MIRROR))
+        return tuple(o for o in operators if o is not None)
 
-    def sectors(self, h: np.ndarray) -> tuple[np.ndarray, ...]:
-        """Orthonormal column blocks, shape (dim, d_k), one per symmetry sector of h.
+    @cached_property
+    def sectors(self) -> tuple[np.ndarray, ...]:
+        """Orthonormal column blocks, shape (dim, d_k), one per symmetry sector
+        of the basis: the joint eigenspaces of ``symmetries``.  Largest first.
 
-        The sectors are the joint eigenspaces of those of ``symmetries`` that
-        commute with h, so h is block-diagonal over them.  Largest first.
+        Every Hamiltonian dwmix builds commutes with ``symmetries``, so it is
+        block-diagonal over them; ``SectorBlocks`` checks that it is.
         """
-        operators = [o for o in self.symmetries if np.max(np.abs(o @ h - h @ o)) < HERMITICITY_TOL]
         # The eigenvalues of sum_k 2^k O_k, each O_k being +-1, label the sectors.
-        key = sum((2.0**k * o for k, o in enumerate(operators)), np.zeros_like(h))
+        key = sum((2.0**k * o for k, o in enumerate(self.symmetries)),
+                  np.zeros((self.dim, self.dim)))
         weights, vectors = np.linalg.eigh(key)
         labels = np.rint(weights)
         sectors = [vectors[:, labels == label] for label in np.unique(labels)]
@@ -264,7 +266,7 @@ class CouplingParams:
                 warnings.warn(
                     f"{name} = {value} is above {COUPLING_WARN}; two-mode "
                     "truncation accuracy degrades at this strength",
-                    stacklevel=2,
+                    stacklevel=3,  # past the generated __init__, to its caller
                 )
 
     def as_dict(self) -> dict[str, float]:
@@ -308,7 +310,7 @@ class HamiltonianBlocks:
 
     @cached_property
     def sectors(self) -> SectorBlocks:
-        """The blocks projected onto the symmetry sectors of h0."""
+        """The blocks projected onto the symmetry sectors of the basis."""
         return SectorBlocks.project(self.basis, self.h0, (self.h_bb, self.h_ff, self.h_bf))
 
     def compose(self, params: CouplingParams) -> ManyBodyHamiltonian:
@@ -348,8 +350,10 @@ class SectorBlocks:
 
     @classmethod
     def project(cls, basis: CompositeBasis, h0: np.ndarray, terms) -> SectorBlocks:
-        """Project h0 and each coupling term onto the symmetry sectors of h0."""
-        sectors = basis.sectors(h0)
+        """Project h0 and each coupling term onto the symmetry sectors of the
+        basis (``basis.sectors``).  A piece that couples them is not refused
+        here: its leak lands in the defect entries, which every solve checks."""
+        sectors = basis.sectors
         r = np.hstack(sectors)
         label = np.repeat(np.arange(len(sectors)), [q.shape[1] for q in sectors])
         upper = np.triu(np.ones((basis.dim, basis.dim), dtype=bool), 1)
@@ -542,29 +546,3 @@ def _involution(
         return None
     return m
 
-
-def mirror_operator(basis: CompositeBasis) -> np.ndarray:
-    """Left-right mirror (spatial parity) in the composite basis.
-
-    Raises if the basis span is not closed under the mirror (the literal
-    four-state variant is not: it mixes spin sectors asymmetrically).
-    """
-    m = _involution(basis, *_MIRROR)
-    if m is None:
-        raise ConfigError(
-            "basis span is not closed under the left-right mirror; "
-            "parity checks are only meaningful in the antisymmetric basis"
-        )
-    return m
-
-
-def spin_exchange_operator(basis: CompositeBasis) -> np.ndarray:
-    """Exchange of the two fermions' spins in the composite basis.
-
-    It is -1 on fermion spin singlets and +1 on triplets, and commutes with
-    every spin-independent Hamiltonian.
-    """
-    m = _involution(basis, *_SPIN_EXCHANGE)
-    if m is None:
-        raise ConfigError("basis span is not closed under the fermion spin exchange")
-    return m

@@ -10,8 +10,11 @@ contiguous row over the n cells.
 The method is Laguerre's iteration on the tridiagonal form (Li & Zeng,
 "Laguerre's iteration in solving the symmetric tridiagonal eigenproblem --
 revisited", SIAM J. Sci. Comput. 15, 1994), with inverse iteration for the
-vector.  Tolerances are in units of eps * ||T||, ||T|| being the Gershgorin
-bound max_i |t_ii| + |t_i,i-1| + |t_i,i+1| (1 for a zero T).
+vector.  Each matrix is one symmetry sector, stepped as a whole: a T that
+splits needs no bookkeeping of its own, since a zero off-diagonal restarts
+the pivot recurrence by itself.  Tolerances are in units of eps * ||T||,
+||T|| being the Gershgorin bound max_i |t_ii| + |t_i,i-1| + |t_i,i+1| (1 for
+a zero T).
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import numpy as np
 from .errors import InvariantError
 
 EPS = np.finfo(float).eps
-SPLIT_TOL = 8.0  # off-diagonals at or below this count as zero
+SPLIT_TOL = 8.0  # off-diagonals at or below this are set to zero
 STEP_TOL = 4.0  # a Laguerre row ends once its next step is this small
 LAGUERRE_ITERATIONS = 64
 PIVOT_FLOOR = EPS  # times eps * ||T||: a pivot this small counts as negative
@@ -38,9 +41,9 @@ class Tridiagonal:
     ``diag`` (d, n) and ``off`` (d - 1, n) hold T, ``norm`` (n,) its
     Gershgorin bound ||T||, and ``reflectors`` the pairs
     (v, tau) with Q = prod_k (I - tau_k v_k v_k^T), v_k acting on rows k + 1
-    and on.  Off-diagonals at or below SPLIT_TOL * eps * ||T||, the size that
-    rounding leaves where an exact degeneracy splits T, are set to zero; that
-    moves no eigenvalue by more than their size.
+    and on.  An off-diagonal at or below SPLIT_TOL * eps * ||T|| is
+    negligible, and is set to 0 so that the pivot recurrence restarts there,
+    as LAPACK's dstebz does; that moves no eigenvalue by more than its size.
     """
 
     diag: np.ndarray
@@ -110,18 +113,19 @@ class Tridiagonal:
         """Lowest eigenvalue of each T.
 
         Laguerre's iteration from just below each Gershgorin lower bound
-        moves monotonically up to the lowest eigenvalue and converges
-        cubically.  A step is accepted only while every LDL^T pivot of
-        T - x I stays positive, that is while x is still below the lowest
-        eigenvalue: a step that rounding lands on or past it ends the row
-        there, since from past it the iteration may head for the next
-        eigenvalue.  A row also
-        ends, after its next step, once that step is at most STEP_TOL * eps *
-        ||T|| times its ratio to the step before, so that the one after is
-        smaller still at any rate of convergence up to linear.  Once half
-        the rows have ended they leave the iteration, so that the last steps
-        run on the few rows still moving.  Raises InvariantError at the first
-        row still moving after LAGUERRE_ITERATIONS steps.
+        moves monotonically up to the lowest eigenvalue.  It converges
+        cubically, and linearly where blocks of a split T share the lowest
+        eigenvalue (see ``_Laguerre.evaluate``).  A step is accepted only
+        while every LDL^T pivot of T - x I stays positive, that is while x is
+        still below the lowest eigenvalue: a step that rounding lands on or
+        past it ends the row there, since from past it the iteration may head
+        for the next eigenvalue.  A row also ends, after its next step, once
+        that step is at most STEP_TOL * eps * ||T|| times its ratio to the
+        step before, so that the one after is smaller still at any rate of
+        convergence up to linear.  Once half the rows have ended they leave
+        the iteration, so that the last steps run on the few rows still
+        moving.  Raises InvariantError at the first row still moving after
+        LAGUERRE_ITERATIONS steps.
         """
         if len(self.diag) == 1:
             return self.diag[0].copy()
@@ -185,11 +189,8 @@ class _Laguerre:
     (d - 1, n) the squared off-diagonals, ``norm`` (n,) each ||T||.
 
     Each step of the pivot recurrence is one numpy call per operation over
-    all n columns, writing into buffers kept for the next evaluation.  Where
-    a T splits, G and H restart (``restart``: a 0/1 factor per column) and a
-    block ends before T does (``ends``: those columns, and their block
-    degrees); ``degree`` is the degree of each column's last block (d where
-    no T splits).
+    all n columns, writing into buffers kept for the next evaluation.  Every
+    column takes the step for the whole T, of degree d, split or not.
     """
 
     def __init__(self, diag: np.ndarray, off2: np.ndarray, norm: np.ndarray) -> None:
@@ -199,18 +200,6 @@ class _Laguerre:
         self.work = np.empty((7, norm.size))
         self.positive = np.empty(norm.size, dtype=bool)
         self.ok = np.empty(norm.size, dtype=bool)
-        self.degree = float(len(diag))
-        self.restart, self.ends = {}, {}
-        split = off2 == 0.0
-        if split.any():
-            self.degree = np.zeros(norm.size)
-            for i in range(len(diag)):
-                if i and split[i - 1].any():
-                    self.restart[i] = 1.0 - split[i - 1]
-                    self.degree *= self.restart[i]
-                self.degree += 1.0
-                if i < len(split) and split[i].any():
-                    self.ends[i] = (split[i], self.degree.copy())
 
     def take(self, columns: np.ndarray) -> _Laguerre:
         return _Laguerre(self.diag[:, columns], self.off2[:, columns], self.norm[columns])
@@ -224,17 +213,17 @@ class _Laguerre:
         sum_j 1 / (x - lambda_j) and H = -dG/dx.  The recurrence carries
         g_i = delta_i' / delta_i and q_i = g_i^2 + s_i, s_i = -dg_i/dx; with
         c_i = off_{i-1}^2 / (delta_{i-1} delta_i), g_i = c_i g_{i-1} - 1 /
-        delta_i and s_i = g_i^2 + c_i q_{i-1}.  Each unreduced block of degree
-        m takes the step m / (sqrt((m - 1) (m H - G^2)) - G) and the shortest
-        wins, which stays cubic where blocks share the lowest eigenvalue
-        (the step for their product converges only linearly there).  A
-        column whose pivot is not positive goes on with |pivot|, at least the
-        floor, so that it stays finite; its step is discarded.
+        delta_i and s_i = g_i^2 + c_i q_{i-1}.  A zero off-diagonal makes
+        c_i = 0, so G and H stay exact where T splits.  The step is
+        m / (sqrt((m - 1) (m H - G^2)) - G) with m = d.  It converges
+        cubically to a simple lowest eigenvalue, and linearly to one that
+        several blocks of a split T share.  A column whose pivot is not
+        positive goes on with |pivot|, at least the floor, so that it stays
+        finite; its step is discarded.
         """
         delta, t, r, g, q, big_g, big_h = self.work
         positive, ok = self.positive, self.ok
         positive[:] = True
-        step = None
         for i in range(len(self.diag)):
             np.subtract(self.diag[i], x, out=delta)
             if i:
@@ -252,32 +241,20 @@ class _Laguerre:
                 np.square(g, out=gg)
                 q *= t
                 q += gg
+                big_g += g
+                big_h += q
             else:
                 np.negative(r, out=g)
                 np.square(g, out=gg)
                 q[:] = gg
-            if i in self.restart:
-                big_g *= self.restart[i]
-                big_h *= self.restart[i]
-            if i:
-                big_g += g
-                big_h += q
-            else:
                 big_g[:] = g
                 big_h[:] = q
             q += gg
-            if i in self.ends:
-                end, degree = self.ends[i]
-                candidate = np.where(end, self._step(big_g, big_h, degree), np.inf)
-                step = candidate if step is None else np.minimum(step, candidate)
-        last = self._step(big_g, big_h, self.degree)
-        return positive, last if step is None else np.minimum(step, last)
-
-    def _step(self, big_g, big_h, m):
+        m = float(len(self.diag))
         root = np.sqrt(np.maximum((m - 1.0) * (m * big_h - big_g * big_g), 0.0))
         # G < 0 in every column whose pivots are all positive; elsewhere the
         # step is discarded, and the floor only keeps it finite.
-        return m / np.maximum(root - big_g, self.floor)
+        return positive, m / np.maximum(root - big_g, self.floor)
 
 
 def _reach(size: np.ndarray) -> np.ndarray:

@@ -6,22 +6,23 @@ import pytest
 from conftest import doctored, full_matrix
 from dwmix import tridiagonal
 from dwmix.config import ANTISYMMETRIC, PAPER_FOUR_STATE
-from dwmix.errors import ConfigError, InvariantError
+from dwmix.errors import ConfigError, InvariantError, SweepError
 from dwmix.manybody import (
+    _MIRROR,
     BOSONS,
     FERMIONS,
     CouplingParams,
     HamiltonianBlocks,
     SectorBlocks,
     _fermion_contact,
+    _involution,
     enumerate_bases,
     ground_state,
     hamiltonian_blocks,
-    mirror_operator,
     one_body_transition_matrix,
-    spin_exchange_operator,
 )
 from dwmix.model import build_context
+from dwmix.sweep import AxisSpec, SweepSpec, fidelity_map
 from dwmix.tridiagonal import EPS, Tridiagonal, checked_residuals
 
 SQRT2 = np.sqrt(2.0)
@@ -114,8 +115,9 @@ class TestCouplingParams:
             config_factory(**{"sweep.reference_bf": 0.2})
 
     def test_strong_coupling_warns(self):
-        with pytest.warns(UserWarning, match="truncation accuracy"):
+        with pytest.warns(UserWarning, match="truncation accuracy") as record:
             CouplingParams(lambda_ff=0.05)
+        assert [w.filename for w in record] == [__file__]  # the line that built them
 
     def test_non_finite_rejected(self, config_factory):
         with pytest.raises(ConfigError, match="sweep.line_max must be finite"):
@@ -204,11 +206,11 @@ class TestGroundState:
 
 class TestMirror:
     def test_mirror_is_an_involution(self, coarse_context):
-        m = mirror_operator(coarse_context.basis)
+        m = _involution(coarse_context.basis, *_MIRROR)
         assert np.allclose(m @ m, np.eye(12), atol=1e-12)
 
     def test_hamiltonian_commutes_with_mirror(self, coarse_context):
-        m = mirror_operator(coarse_context.basis)
+        m = _involution(coarse_context.basis, *_MIRROR)
         h = full_matrix(
             coarse_context.blocks, CouplingParams(lambda_bb=1e-3, lambda_ff=5e-4, lambda_bf=2e-3)
         )
@@ -216,8 +218,9 @@ class TestMirror:
 
     def test_four_state_variant_is_not_mirror_closed(self):
         basis = enumerate_bases(0, PAPER_FOUR_STATE)
-        with pytest.raises(ConfigError, match="mirror"):
-            mirror_operator(basis)
+        assert _involution(basis, *_MIRROR) is None
+        (spin_exchange,) = basis.symmetries
+        assert np.allclose(spin_exchange @ spin_exchange, np.eye(12), atol=1e-12)
 
 
 def _assert_orthonormal_cover(sectors, dim):
@@ -229,29 +232,29 @@ def _assert_orthonormal_cover(sectors, dim):
 class TestSymmetrySectors:
     def test_antisymmetric_sectors(self, coarse_context):
         basis = coarse_context.basis
-        sectors = basis.sectors(coarse_context.blocks.h0)
+        sectors = basis.sectors
         assert [q.shape[1] for q in sectors] == [5, 4, 2, 1]
         _assert_orthonormal_cover(sectors, basis.dim)
-        assert [q.shape[1] for q in basis.sectors(np.zeros((12, 12)))] == [5, 4, 2, 1]
 
     def test_sectors_are_joint_eigenspaces(self, coarse_context):
         basis = coarse_context.basis
-        for q in basis.sectors(coarse_context.blocks.h0):
-            for op in (mirror_operator(basis), spin_exchange_operator(basis)):
+        assert len(basis.symmetries) == 2
+        for q in basis.sectors:
+            for op in basis.symmetries:
                 image = op @ q
                 assert (np.allclose(image, q, atol=1e-14)
                         or np.allclose(image, -q, atol=1e-14))
 
     def test_spin_exchange_separates_singlets_from_t0(self):
         basis = enumerate_bases(0, ANTISYMMETRIC)
-        signs = np.diag(spin_exchange_operator(basis)).reshape(3, 4)
+        signs = np.diag(basis.symmetries[0]).reshape(3, 4)
         assert np.allclose(signs, [[-1.0, -1.0, -1.0, 1.0]] * 3, atol=1e-14)
 
     def test_hamiltonian_is_block_diagonal(self, coarse_context):
         h = full_matrix(
             coarse_context.blocks, CouplingParams(lambda_bb=1e-3, lambda_ff=5e-4, lambda_bf=9e-3)
         )
-        sectors = coarse_context.basis.sectors(coarse_context.blocks.h0)
+        sectors = coarse_context.basis.sectors
         for a, qa in enumerate(sectors):
             for b, qb in enumerate(sectors):
                 if a != b:
@@ -260,15 +263,39 @@ class TestSymmetrySectors:
     def test_four_state_sectors_come_from_spin_exchange_alone(self, config_factory):
         context = build_context(config_factory(**{
             "grid.n_points": 801, "model.fermion_basis": PAPER_FOUR_STATE}))
-        sectors = context.basis.sectors(context.blocks.h0)
+        sectors = context.basis.sectors
         assert [q.shape[1] for q in sectors] == [9, 3]
         _assert_orthonormal_cover(sectors, 12)
 
-    def test_symmetry_h_breaks_is_left_out(self):
-        # A diagonal h commutes with the (diagonal) spin exchange but not the mirror.
+    @pytest.mark.parametrize("spin_sector", [1, -1])
+    def test_spin_polarized_sectors(self, spin_sector):
+        # One LR fermion pair: the mirror splits the three boson states into
+        # two sectors, the spin exchange is +1 on all of them.
+        basis = enumerate_bases(spin_sector, ANTISYMMETRIC)
+        assert len(basis.symmetries) == 2
+        assert [q.shape[1] for q in basis.sectors] == [2, 1]
+        _assert_orthonormal_cover(basis.sectors, 3)
+
+    def test_h0_that_breaks_a_symmetry_is_refused(self):
+        # A diagonal h0 commutes with the (diagonal) spin exchange but not the
+        # mirror.  The sectors come from the basis, so the leak is refused
+        # before any solve, not absorbed into fewer, larger sectors.  Builds
+        # its own blocks, so that it also runs under python -O below.
         basis = enumerate_bases(0, ANTISYMMETRIC)
-        sectors = basis.sectors(np.diag(np.arange(12.0)))
-        assert [q.shape[1] for q in sectors] == [9, 3]
+        zeros = np.zeros((12, 12))
+        lopsided = np.diag(np.arange(12.0))
+        sectors = SectorBlocks.project(basis, lopsided, (zeros,))
+        with pytest.raises(InvariantError, match="couples symmetry sectors") as info:
+            sectors.ground_states(np.zeros((3, 1)))
+        assert info.value.index == 0
+        blocks = HamiltonianBlocks(basis=basis, h0=lopsided, h_bb=zeros, h_ff=zeros, h_bf=zeros)
+        spec = SweepSpec(plane="ff_bf", x_axis=AxisSpec(0.0, 1.0e-3, 2),
+                         y_axis=AxisSpec(0.0, 1.0e-3, 2), fixed={"lambda_bb": 0.0},
+                         reference=CouplingParams(1.0e-4, 2.0e-4, 3.0e-4))
+        with pytest.raises(SweepError, match=(
+                r"fidelity reference failed at lambda_bb=0\.0001, lambda_ff=0\.0002, "
+                r"lambda_bf=0\.0003: InvariantError: .*couples symmetry sectors")):
+            fidelity_map(blocks, spec)
 
     def test_ground_state_matches_full_diagonalization(self, coarse_context):
         params = CouplingParams(lambda_bb=1e-3, lambda_ff=5e-4, lambda_bf=9e-3)
@@ -298,6 +325,13 @@ def _lowest_pair(matrices):
     lowest = reduced.lowest()
     vectors = reduced.vectors(lowest)
     return lowest, vectors.T, checked_residuals(a, vectors, lowest, np.arange(len(matrices)))
+
+
+def test_h0_that_breaks_a_symmetry_is_refused_under_optimize(run_python):
+    # python -O strips assert statements; the sector check must not be one.
+    proc = run_python("-O", "-c", "from test_manybody import TestSymmetrySectors; "
+                      "TestSymmetrySectors().test_h0_that_breaks_a_symmetry_is_refused()")
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestSectorKernel:
@@ -353,8 +387,38 @@ class TestSectorKernel:
                                        rtol=0.0, atol=4 * EPS)
             assert np.all(residual <= 4 * EPS)
             np.testing.assert_allclose(np.linalg.norm(vectors, axis=1), 1.0, atol=1e-15)
-        # A step that lands on the eigenvalue, where a pivot is zero, is the last.
-        assert _lowest_pair(diagonal)[0].tolist() == [1.0, 1.0, 0.0, 2.0]
+        # A step that lands on the eigenvalue, where a pivot is zero, is the
+        # last.  diag(1, 1, 2) shares its lowest eigenvalue between two 1x1
+        # blocks, so it is approached linearly and ends 1 ulp below, inside
+        # the bound above.
+        lowest = _lowest_pair(diagonal)[0]
+        assert lowest[[0, 2, 3]].tolist() == [1.0, 0.0, 2.0]
+
+    @pytest.mark.parametrize("copies, size, far, far_first", [
+        (4, 2, 1, False), (4, 2, 1, True), (3, 3, 0, False), (2, 4, 1, False),
+        (2, 4, 1, True), (3, 2, 2, True), (2, 3, 3, False), (9, 1, 0, False)])
+    def test_repeated_lowest_roots_of_reducible_matrices(self, rng, copies, size, far,
+                                                         far_first):
+        # Copies of one random block, plus a block far above them, reduce to
+        # a split T whose lowest eigenvalue is shared by every copy.  Laguerre
+        # then converges only linearly; it took up to 41 steps on such stacks.
+        n, d = 100, copies * size + far
+        matrices = np.zeros((n, d, d))
+        for k in range(n):
+            a = rng.standard_normal((size, size))
+            blocks = [a + a.T] * copies
+            if far:
+                f = rng.standard_normal((far, far))
+                f = f + f.T + (np.abs(np.linalg.eigvalsh(blocks[0])).max() + 10.0) * np.eye(far)
+                blocks = [f, *blocks] if far_first else [*blocks, f]
+            start = 0
+            for block in blocks:
+                stop = start + len(block)
+                matrices[k, start:stop, start:stop] = block
+                start = stop
+        lowest = Tridiagonal.reduce(np.ascontiguousarray(np.moveaxis(matrices, 0, -1))).lowest()
+        scale = np.linalg.norm(matrices, axis=(1, 2))
+        assert np.all(np.abs(lowest - np.linalg.eigvalsh(matrices)[:, 0]) <= 16 * EPS * scale)
 
     def test_single_row(self, coarse_context):
         blocks = coarse_context.blocks
@@ -375,8 +439,9 @@ class TestSectorKernel:
         # lowest of every other sector, and gives the gap.
         blocks = coarse_context.blocks
         basis = blocks.basis
-        odd = 0.5 * (np.eye(12) - mirror_operator(basis))
-        t0 = np.diag((np.diag(spin_exchange_operator(basis)) > 0.0).astype(float))
+        spin_exchange, mirror = basis.symmetries
+        odd = 0.5 * (np.eye(12) - mirror)
+        t0 = np.diag((np.diag(spin_exchange) > 0.0).astype(float))
         raised = odd + t0 - odd @ t0
         sectors = SectorBlocks.project(basis, blocks.h0, (blocks.h_bf, raised))
         couplings = np.column_stack([np.linspace(0.0, 9.0e-3, 7), np.full(7, 0.1)])

@@ -28,16 +28,14 @@ def _broken_blocks():
     """Blocks whose fermion interaction is not symmetric.
 
     Composing them fails only where lambda_ff is nonzero, which keeps the
-    reference solve alive while every swept cell raises.
+    reference solve alive while every swept cell raises.  Their h0 (zero)
+    keeps every symmetry of the basis, so the reference is not refused.
     """
     basis = enumerate_bases(0, ANTISYMMETRIC)
     zeros = np.zeros((basis.dim, basis.dim))
     lopsided = zeros.copy()
     lopsided[0, 1] = 1.0
-    return HamiltonianBlocks(
-        basis=basis, h0=np.diag(np.arange(float(basis.dim))),
-        h_bb=zeros, h_ff=lopsided, h_bf=zeros,
-    )
+    return HamiltonianBlocks(basis=basis, h0=zeros, h_bb=zeros, h_ff=lopsided, h_bf=zeros)
 
 
 def csv_digests_over_workers(tmp_path, command, config_text, artifact):
@@ -247,6 +245,21 @@ def _assert_plane_matches_oracle(blocks, spec):
             assert surface.gap[i, j] == pytest.approx(gap, abs=1.0e-12)
 
 
+def _assert_line_matches_oracle(blocks, spec):
+    """Entropies and flags of every point against a per-point full eigh."""
+    basis = blocks.basis
+    curve = entropy_scan(blocks, spec)
+    for k, x in enumerate(curve.lambda_ff):
+        degenerate, v = _lowest_eigenpair(blocks, spec.fixed["lambda_bb"], x,
+                                          spec.fixed["lambda_bf"])
+        schmidt = np.linalg.svd(v.reshape(basis.boson_dim, basis.fermion_dim),
+                                compute_uv=False) ** 2
+        schmidt = schmidt[schmidt > 1.0e-14]
+        expected = float(-np.sum(schmidt * np.log2(schmidt)))
+        assert curve.entropy[k] == pytest.approx(expected, abs=1.0e-12)
+        assert curve.degenerate[k] == degenerate
+
+
 class TestAgainstPerCellOracle:
     """The batched kernel against a plain per-cell loop, over several chunks."""
 
@@ -256,22 +269,12 @@ class TestAgainstPerCellOracle:
         _assert_plane_matches_oracle(coarse_context.blocks, spec)
 
     def test_entropy_line(self, coarse_context):
-        blocks = coarse_context.blocks
-        basis = blocks.basis
         spec = SweepSpec(
             plane="line_ff",
             x_axis=AxisSpec(0.0, 1.0e-2, CHUNK_CELLS + 77),
             fixed={"lambda_bb": 1.0e-3, "lambda_bf": 9.0e-3},
         )
-        curve = entropy_scan(blocks, spec)
-        for k, x in enumerate(curve.lambda_ff):
-            degenerate, v = _lowest_eigenpair(blocks, 1.0e-3, x, 9.0e-3)
-            schmidt = np.linalg.svd(v.reshape(basis.boson_dim, basis.fermion_dim),
-                                    compute_uv=False) ** 2
-            schmidt = schmidt[schmidt > 1.0e-14]
-            expected = float(-np.sum(schmidt * np.log2(schmidt)))
-            assert curve.entropy[k] == pytest.approx(expected, abs=1.0e-12)
-            assert curve.degenerate[k] == degenerate
+        _assert_line_matches_oracle(coarse_context.blocks, spec)
 
 
 # Ground-state entropies on the phase_maps geometry and line (bb = bf = 5e-4)
@@ -332,6 +335,18 @@ class TestSymmetrySectors:
         spec = plane_spec(AxisSpec(0.0, 2.0e-3, 11), AxisSpec(0.0, 3.0e-3, 9))
         _assert_plane_matches_oracle(context.blocks, spec)
 
+
+    @pytest.mark.parametrize("spin_sector", [1, -1])
+    def test_spin_polarized_sweeps_match_oracle(self, config_factory, spin_sector):
+        # One LR fermion pair of parallel spins: sectors of 2 and 1 states.
+        blocks = build_context(config_factory(**{
+            "grid.n_points": 801, "model.spin_sector": spin_sector})).blocks
+        assert [q.shape[1] for q in blocks.sectors.sectors] == [2, 1]
+        spec = plane_spec(AxisSpec(0.0, 2.0e-3, 11), AxisSpec(0.0, 3.0e-3, 9))
+        _assert_plane_matches_oracle(blocks, spec)
+        _assert_line_matches_oracle(blocks, SweepSpec(
+            plane="line_ff", x_axis=AxisSpec(0.0, 1.0e-2, 21),
+            fixed={"lambda_bb": 1.0e-3, "lambda_bf": 9.0e-3}))
 
     def test_entropies_match_an_extended_precision_solve(self, config_factory):
         # A full 12x12 eigh misses the third of PHASE_MAPS_LINE_ENTROPIES by
