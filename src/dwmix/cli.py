@@ -186,8 +186,8 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
             f"{ANTISYMMETRIC} and model.spin_sector = 0 "
             f"(got {m.fermion_basis} and {m.spin_sector})"
         )
-    context, build_s = _build(config, "blocks")
-    started = time.perf_counter()  # the sector projection is evolve's first step
+    context, build_s = _build(config, "blocks")  # the sector projection included
+    started = time.perf_counter()
     h = context.hamiltonian()
     psi0 = initial_state_rr(context.basis)
     times = default_time_grid(
@@ -201,11 +201,11 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
         coefficients = evolve(h, psi0, times)
         series = TimeSeries(
             times=times,
-            p_rr_bosons=return_probability(coefficients, h.basis, BOSONS),
-            p_rr_fermions=return_probability(coefficients, h.basis, FERMIONS),
+            p_rr_bosons=return_probability(coefficients, context.basis, BOSONS),
+            p_rr_fermions=return_probability(coefficients, context.basis, FERMIONS),
         )
         outputs["entropy_t"] = write_entropy_timeseries_csv(
-            directory / "entropy_t.csv", times, species_entropies(coefficients, h.basis)
+            directory / "entropy_t.csv", times, species_entropies(coefficients, context.basis)
         )
     else:
         series = return_series(h, psi0, times)

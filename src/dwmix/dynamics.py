@@ -2,7 +2,7 @@
 
 Evolution is spectral (hbar = 1 in these units), with the spectrum from the
 model's one symmetry-sector projection, the one sweeps read, solved at the
-run's coupling row by ``SectorBlocks.eigenpairs``; no full H is composed.
+run's coupling row by ``HamiltonianBlocks.eigenpairs``; no full H is composed.
 Phases e^{-i E tau} of the energies of H - shift * I are followed by one
 factor e^{-i shift tau} per time, so the rounding of shift * tau is a global
 phase no observable sees.  An evolved trajectory is a (T, dim) complex array
@@ -71,21 +71,22 @@ def _validate_times(times: np.ndarray) -> np.ndarray:
 def evolve(h: ManyBodyHamiltonian, psi0: np.ndarray, times) -> np.ndarray:
     """Coefficients of psi0 evolved under h, shape (T, dim), one row per time.
 
-    psi0 is a unit-norm coefficient vector over ``h.basis``.  One sector
-    solve serves every time; raises InvariantError if psi0's norm is not 1,
-    or if h is not symmetric or couples its symmetry sectors.
+    psi0 is a unit-norm coefficient vector over ``h.blocks.basis``.  One
+    sector solve serves every time; raises InvariantError if psi0's norm is
+    not 1, or if h is not symmetric or couples its symmetry sectors.
     """
+    blocks = h.blocks
     c0 = np.asarray(psi0, dtype=complex)
-    if c0.shape != (h.basis.dim,):
+    if c0.shape != (blocks.basis.dim,):
         raise ConfigError(
-            f"state has {c0.shape} coefficients for a basis of dimension {h.basis.dim}"
+            f"state has {c0.shape} coefficients for a basis of dimension {blocks.basis.dim}"
         )
     _check_unit_norms(c0[None])
     t = _validate_times(times)
-    energies, vectors = h.sectors.eigenpairs(h.couplings)
+    energies, vectors = blocks.eigenpairs(h.couplings)
     phases = np.exp(-1j * np.outer(energies, t))
     rotated = (vectors @ ((vectors.T @ c0)[:, None] * phases)).T
-    return rotated * np.exp(-1j * h.sectors.shift * t)[:, None]
+    return rotated * np.exp(-1j * blocks.shift * t)[:, None]
 
 
 @dataclass(frozen=True, repr=False, eq=False)
@@ -110,8 +111,8 @@ def return_series(h: ManyBodyHamiltonian, psi0: np.ndarray, times) -> TimeSeries
     coefficients = evolve(h, psi0, times)
     return TimeSeries(
         times=np.asarray(times, dtype=float),
-        p_rr_bosons=return_probability(coefficients, h.basis, BOSONS),
-        p_rr_fermions=return_probability(coefficients, h.basis, FERMIONS),
+        p_rr_bosons=return_probability(coefficients, h.blocks.basis, BOSONS),
+        p_rr_fermions=return_probability(coefficients, h.blocks.basis, FERMIONS),
     )
 
 

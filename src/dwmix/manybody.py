@@ -10,6 +10,11 @@ interaction, mirror) is a small dense matrix sandwiched between basis
 vectors.  For two particles this is exactly equivalent to the
 second-quantized forms, including fermionic signs, and it keeps one code
 path for all basis variants.
+
+``hamiltonian_terms`` builds h0 and the three coupling terms as full
+matrices over the composite basis; ``HamiltonianBlocks.project`` projects
+them once onto the basis's symmetry sectors, and every solve of the model's
+H, at one coupling point or a sweep's chunk of them, reads that projection.
 """
 
 from __future__ import annotations
@@ -170,7 +175,7 @@ class CompositeBasis:
         of the basis: the joint eigenspaces of ``symmetries``.  Largest first.
 
         Every Hamiltonian dwmix builds commutes with ``symmetries``, so it is
-        block-diagonal over them; ``SectorBlocks`` checks that it is.
+        block-diagonal over them; ``HamiltonianBlocks`` checks that it is.
         """
         # The eigenvalues of sum_k 2^k O_k, each O_k being +-1, label the sectors.
         key = sum((2.0**k * o for k, o in enumerate(self.symmetries)),
@@ -284,74 +289,46 @@ class OverlapSet:
 
 @dataclass(frozen=True, repr=False, eq=False)
 class ManyBodyHamiltonian:
-    """H at one coupling point: its model's sector projection and its row of
-    couplings, ordered as COUPLING_NAMES.  No full matrix is composed."""
+    """H at one coupling point: its model's blocks and its row of couplings,
+    ordered as COUPLING_NAMES.  No full matrix is composed."""
 
-    basis: CompositeBasis
-    sectors: SectorBlocks
+    blocks: HamiltonianBlocks
     couplings: np.ndarray
 
 
 @dataclass(frozen=True, repr=False, eq=False)
 class HamiltonianBlocks:
-    """Coupling-independent pieces of H.
-
-    H(params) = h0 + lambda_bb * h_bb + lambda_ff * h_ff + lambda_bf * h_bf.
-    The blocks are projected onto the basis's symmetry sectors once, on first
-    use (:attr:`sectors`), and every solve reads that one projection: a sweep
-    at each row of a chunk of couplings, a single H at its one row.
-    """
-
-    basis: CompositeBasis
-    h0: np.ndarray
-    h_bb: np.ndarray
-    h_ff: np.ndarray
-    h_bf: np.ndarray
-
-    @cached_property
-    def sectors(self) -> SectorBlocks:
-        """The blocks projected onto the symmetry sectors of the basis."""
-        return SectorBlocks.project(self.basis, self.h0, (self.h_bb, self.h_ff, self.h_bf))
-
-    def compose(self, params: CouplingParams) -> ManyBodyHamiltonian:
-        """H at one coupling point, on the shared projection."""
-        row = np.array(list(params.as_dict().values()))
-        return ManyBodyHamiltonian(basis=self.basis, sectors=self.sectors, couplings=row)
-
-
-@dataclass(frozen=True, repr=False, eq=False)
-class SectorBlocks:
-    """H(c) = h0 + sum_k c_k h_k, projected once onto the symmetry sectors.
+    """H(c) = h0 + sum_k c_k h_k, projected once onto the symmetry sectors of
+    the basis (``basis.sectors``), with c = (lambda_bb, lambda_ff, lambda_bf).
 
     ``base`` and each row of ``terms`` are flat rows, so H(c) is
     ``base + c @ terms``.  A flat row starts with the n_defect entries that
     vanish when H is symmetric and does not couple sectors: those of
     H - H^T, and those of R^T H R outside the diagonal sector blocks,
     R = [Q_1 ... Q_m].  Then come the sector blocks Q_k^T H Q_k, row-major,
-    largest sector first.  Every entry is linear in c, so a sweep never
-    builds a cell's full H, and it composes only the sector-block columns
-    once one bound clears the defect columns of a whole chunk.  The blocks
-    hold H - shift * I, shift being the mean diagonal of h0, so that their
-    rounding scales with the spread of the spectrum, not its offset.
+    in the order of ``basis.sectors``.  Every entry is linear in c, so a
+    sweep never builds a cell's full H, and it composes only the sector-block
+    columns once one bound clears the defect columns of a whole chunk.  The
+    blocks hold H - shift * I, shift being the mean diagonal of h0, so that
+    their rounding scales with the spread of the spectrum, not its offset.
 
-    Each model is projected once (:attr:`HamiltonianBlocks.sectors`), and
-    every solve of its H goes through here: a single H takes every eigenpair
-    of each block from LAPACK (:meth:`eigenpairs`), a sweep only each cell's
-    ground pair and gap from the numpy solver of :mod:`dwmix.tridiagonal`
-    (:meth:`ground_states`).  So does the one check (not an ``assert``) that H
-    is symmetric and does not couple its sectors.
+    Every solve of a model's H reads its one projection: a single H takes
+    every eigenpair of each block from LAPACK (:meth:`eigenpairs`), a sweep
+    only each cell's ground pair and gap from the numpy solver of
+    :mod:`dwmix.tridiagonal` (:meth:`ground_states`).  So does the one check
+    (not an ``assert``) that H is symmetric and does not couple its sectors.
     """
 
-    sectors: tuple[np.ndarray, ...]
+    basis: CompositeBasis
     base: np.ndarray
     terms: np.ndarray
     n_defect: int
     shift: float
 
     @classmethod
-    def project(cls, basis: CompositeBasis, h0: np.ndarray, terms) -> SectorBlocks:
-        """Project h0 and each coupling term onto the symmetry sectors of the
-        basis (``basis.sectors``).  A piece that couples them is not refused
+    def project(cls, basis: CompositeBasis, h0: np.ndarray, terms) -> HamiltonianBlocks:
+        """Project h0 and each coupling term, full matrices over the basis,
+        onto its symmetry sectors.  A piece that couples them is not refused
         here: its leak lands in the defect entries, which every solve checks."""
         sectors = basis.sectors
         r = np.hstack(sectors)
@@ -366,12 +343,17 @@ class SectorBlocks:
         shift = float(np.mean(np.diag(h0)))
         base = flatten(h0 - shift * np.eye(basis.dim))
         return cls(
-            sectors=sectors,
+            basis=basis,
             base=base,
             terms=np.array([flatten(h) for h in terms]),
             n_defect=int(upper.sum() + leak.sum()),
             shift=shift,
         )
+
+    def compose(self, params: CouplingParams) -> ManyBodyHamiltonian:
+        """H at one coupling point, on the shared projection."""
+        row = np.array(list(params.as_dict().values()))
+        return ManyBodyHamiltonian(blocks=self, couplings=row)
 
     def _sector_stacks(self, couplings: np.ndarray) -> list[np.ndarray]:
         """The sector blocks of H - shift * I at each row of couplings (ordered
@@ -400,7 +382,7 @@ class SectorBlocks:
         flat = self.terms[:, nd:].T @ couplings.T
         flat += self.base[nd:, None]
         stacks, start = [], 0
-        for q in self.sectors:
+        for q in self.basis.sectors:
             d = q.shape[1]
             stacks.append(flat[start : start + d * d].reshape(d, d, -1))
             start += d * d
@@ -408,11 +390,11 @@ class SectorBlocks:
 
     def eigenpairs(self, row: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Eigenvalues of H - shift * I at one row of couplings, ordered by
-        sector as ``sectors`` and ascending within each, and the eigenvectors
-        in the full basis as columns, shape (dim, dim)."""
+        sector as ``basis.sectors`` and ascending within each, and the
+        eigenvectors in the full basis as columns, shape (dim, dim)."""
         pairs = [np.linalg.eigh(a[:, :, 0]) for a in self._sector_stacks(row[None])]
         return (np.concatenate([e for e, _ in pairs]),
-                np.hstack([q @ u for q, (_, u) in zip(self.sectors, pairs)]))
+                np.hstack([q @ u for q, (_, u) in zip(self.basis.sectors, pairs)]))
 
     def ground_states(self, couplings: np.ndarray) -> tuple[np.ndarray, ...]:
         """Lowest eigenpairs of H at each row of couplings (ordered as ``terms``).
@@ -448,8 +430,8 @@ class SectorBlocks:
         wins = [np.flatnonzero(winner == k) for k in range(len(stacks))]
         reduced = [t if rows.size else None for t, rows in zip(reduced, wins)]  # free the rest
         residual = np.empty(n)
-        v = np.empty((n, self.sectors[0].shape[0]))
-        for a, q, t, rows in zip(stacks, self.sectors, reduced, wins):
+        v = np.empty((n, self.basis.dim))
+        for a, q, t, rows in zip(stacks, self.basis.sectors, reduced, wins):
             if not rows.size:
                 continue
             take = slice(None) if rows.size == n else rows
@@ -470,13 +452,13 @@ def _single_particle_matrix(modes: DoubletModes) -> np.ndarray:
     return np.array([[eps, -j], [-j, eps]])
 
 
-def hamiltonian_blocks(
+def hamiltonian_terms(
     modes_b: DoubletModes,
     modes_f: DoubletModes,
     overlaps: OverlapSet,
     basis: CompositeBasis,
-) -> HamiltonianBlocks:
-    """Project all Hamiltonian pieces onto the composite basis."""
+) -> tuple[np.ndarray, ...]:
+    """h0, h_bb, h_ff and h_bf as full matrices over the composite basis."""
     vb = basis.boson_vectors
     vf = basis.fermion_vectors
     dim_b, dim_f = basis.boson_dim, basis.fermion_dim
@@ -494,7 +476,18 @@ def hamiltonian_blocks(
         "abcd,ikab,jlcd->ijkl", overlaps.cross.values, d_b, d_f
     ).reshape(basis.dim, basis.dim)
 
-    return HamiltonianBlocks(basis=basis, h0=h0, h_bb=h_bb, h_ff=h_ff, h_bf=h_bf)
+    return h0, h_bb, h_ff, h_bf
+
+
+def hamiltonian_blocks(
+    modes_b: DoubletModes,
+    modes_f: DoubletModes,
+    overlaps: OverlapSet,
+    basis: CompositeBasis,
+) -> HamiltonianBlocks:
+    """The model's Hamiltonian terms, projected onto the sectors of the basis."""
+    h0, *terms = hamiltonian_terms(modes_b, modes_f, overlaps, basis)
+    return HamiltonianBlocks.project(basis, h0, terms)
 
 
 def _check_unit_norms(coefficients: np.ndarray) -> None:
@@ -524,12 +517,13 @@ class GroundState:
 
 
 def ground_state(h: ManyBodyHamiltonian) -> GroundState:
-    """Lowest eigenpair of one Hamiltonian from :meth:`SectorBlocks.eigenpairs`,
-    picked and signed as :meth:`SectorBlocks.ground_states` picks and signs a
-    sweep cell's: the energies run by sector, so the first sector wins a tie."""
-    energies, vectors = h.sectors.eigenpairs(h.couplings)
+    """Lowest eigenpair of one Hamiltonian from :meth:`HamiltonianBlocks.eigenpairs`,
+    picked and signed as :meth:`HamiltonianBlocks.ground_states` picks and
+    signs a sweep cell's: the energies run by sector, so the first sector
+    wins a tie."""
+    energies, vectors = h.blocks.eigenpairs(h.couplings)
     k = int(np.argmin(energies))
-    return GroundState(energy=float(energies[k] + h.sectors.shift),
+    return GroundState(energy=float(energies[k] + h.blocks.shift),
                        vector=_oriented(vectors[None, :, k])[0])
 
 

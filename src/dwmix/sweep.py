@@ -2,10 +2,10 @@
 
 A sweep evaluates the interacting ground state over a coupling grid, against
 fixed single-particle inputs (modes and overlap tensors are computed once and
-shared read-only).  The Hamiltonian blocks are projected once onto the
-basis's symmetry sectors (``HamiltonianBlocks.sectors``).  Cells are solved
-in chunks of CHUNK_CELLS: one product composes a chunk's sector blocks, and
-each step of the numpy solver in ``SectorBlocks.ground_states`` (Householder
+shared read-only).  The Hamiltonian blocks come projected onto the basis's
+symmetry sectors (``HamiltonianBlocks``).  Cells are solved in chunks of
+CHUNK_CELLS: one product composes a chunk's sector blocks, and each step of
+the numpy solver in ``HamiltonianBlocks.ground_states`` (Householder
 reduction, Laguerre's iteration for each sector's lowest eigenvalue, inverse
 iteration for the winning sector's vector) runs once over every cell of the
 chunk.  The chunks are solved one after another on the calling thread, and
@@ -27,7 +27,7 @@ from .observables import species_entropies
 # Cells per batched solve.  On a 256x256 map (2-core Xeon, numpy 2.4) the
 # solve took 2.5, 1.6 and 1.9 us per cell at 2048, 4096 and 8192 cells
 # (median of 7), while its working set grows at about 950 B per cell
-# (tracemalloc peak of one ``SectorBlocks.ground_states`` call: 1.88, 3.72
+# (tracemalloc peak of one ``HamiltonianBlocks.ground_states`` call: 1.88, 3.72
 # and 7.26 MiB).  tests/test_sweep.py holds a chunk's working set to 4 MiB.
 CHUNK_CELLS = 4096
 
@@ -119,18 +119,17 @@ def _solve_chunks(
     """Ground states of every coupling row, solved in fixed-size chunks.
 
     The chunks are solved in order on the calling thread.  Each is solved
-    per symmetry sector (see ``SectorBlocks.ground_states``); ``kernel`` maps
+    per symmetry sector (see ``HamiltonianBlocks.ground_states``); ``kernel`` maps
     its ground vectors to a tuple of per-cell arrays.  Returns the gaps and
     the degenerate flags over all rows in order, the largest ground-pair
     residual of each chunk, and the kernel's arrays over all rows in order.
     A batched check that fails is raised as a SweepError that ``where``
     words for the first failing row.
     """
-    sectors = blocks.sectors
     chunks = []
     for start in range(0, len(couplings), CHUNK_CELLS):
         try:
-            _, gap, degenerate, vectors, residual = sectors.ground_states(
+            _, gap, degenerate, vectors, residual = blocks.ground_states(
                 couplings[start : start + CHUNK_CELLS]
             )
             chunks.append((gap, degenerate, residual.max(keepdims=True), *kernel(vectors)))

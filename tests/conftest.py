@@ -9,6 +9,7 @@ import pytest
 
 import dwmix
 from dwmix.config import RunConfig
+from dwmix.manybody import hamiltonian_terms
 from dwmix.model import build_context
 
 
@@ -56,29 +57,36 @@ def run_python():
     return run
 
 
-def doctored(sectors):
-    """Sector blocks whose last coupling term raises the strict upper triangle
-    of the first sector's block only.  The symmetry check reads the full H,
-    so it passes; the solver reads the lower triangle, so wherever that
+def doctored(blocks):
+    """Blocks whose last coupling term raises the strict upper triangle of
+    the first sector's block only.  The symmetry check reads the full H, so
+    it passes; the solver reads the lower triangle, so wherever that
     coupling is nonzero the ground pair's residual in the block is large."""
-    d = sectors.sectors[0].shape[1]
-    upper = sectors.n_defect + np.flatnonzero(np.triu(np.ones((d, d)), 1))
-    terms = sectors.terms.copy()
+    d = blocks.basis.sectors[0].shape[1]
+    upper = blocks.n_defect + np.flatnonzero(np.triu(np.ones((d, d)), 1))
+    terms = blocks.terms.copy()
     terms[-1, upper] += 1.0
-    return dataclasses.replace(sectors, terms=terms)
+    return dataclasses.replace(blocks, terms=terms)
 
 
-def full_matrix(blocks, params):
-    """h0 + sum_k c_k h_k composed in float64: the full H that src/dwmix never
-    builds, kept here as the reference for oracles."""
-    return (blocks.h0 + params.lambda_bb * blocks.h_bb + params.lambda_ff * blocks.h_ff
-            + params.lambda_bf * blocks.h_bf)
+def doctor_cached_blocks(context):
+    """Replace the blocks ``context`` caches with their doctored copy."""
+    context.__dict__["blocks"] = doctored(context.blocks)
+    return context.blocks
 
 
-def doctor_cached_projection(blocks):
-    """Replace the projection ``blocks.sectors`` caches with its doctored copy."""
-    blocks.__dict__["sectors"] = doctored(blocks.sectors)
-    return blocks
+def model_terms(context):
+    """h0, h_bb, h_ff and h_bf of a context's model as full dim x dim matrices,
+    the pieces its blocks project: the reference for oracles."""
+    return hamiltonian_terms(context.boson_modes, context.fermion_modes, context.overlaps,
+                             context.basis)
+
+
+def full_matrix(terms, params):
+    """h0 + sum_k c_k h_k composed in float64 from ``model_terms``: the full H
+    that src/dwmix never builds, kept here as the reference for oracles."""
+    h0, h_bb, h_ff, h_bf = terms
+    return h0 + params.lambda_bb * h_bb + params.lambda_ff * h_ff + params.lambda_bf * h_bf
 
 
 # Eigenvalues at or below this are rounding of weights that sum to 1 and

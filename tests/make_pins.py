@@ -42,7 +42,7 @@ from dwmix.model import build_context
 from dwmix.observables import ENTROPY_FLOOR
 
 sys.path.insert(0, str(Path(__file__).parent))
-from conftest import partial_trace_entropies  # noqa: E402
+from conftest import model_terms, partial_trace_entropies  # noqa: E402
 
 mpmath.mp.dps = 40
 
@@ -52,12 +52,13 @@ SMALL_ENTROPY_ATOL = 5.0e-15
 LINE_ENTROPY_ATOL = 1.0e-13
 
 
-def exact_hamiltonian(blocks, params: CouplingParams) -> mpmath.matrix:
-    """h0 + sum_k c_k h_k from the float64 blocks and couplings, composed and
-    symmetrized at 40 digits."""
-    terms = [(1.0, blocks.h0), (params.lambda_bb, blocks.h_bb),
-             (params.lambda_ff, blocks.h_ff), (params.lambda_bf, blocks.h_bf)]
-    n = blocks.basis.dim
+def exact_hamiltonian(context, params: CouplingParams) -> mpmath.matrix:
+    """h0 + sum_k c_k h_k from the context's float64 terms (``model_terms``)
+    and the couplings, composed and symmetrized at 40 digits."""
+    h0, h_bb, h_ff, h_bf = model_terms(context)
+    terms = [(1.0, h0), (params.lambda_bb, h_bb), (params.lambda_ff, h_ff),
+             (params.lambda_bf, h_bf)]
+    n = context.basis.dim
     h = mpmath.matrix(n, n)
     for i in range(n):
         for j in range(n):
@@ -82,7 +83,7 @@ def schmidt_entropy(coefficients, basis) -> mpmath.mpf:
 def propagation_pins() -> dict[str, list[float]]:
     context = build_context(RunConfig.default().replace_values(**{"grid.n_points": 801}))
     basis = context.basis
-    h = exact_hamiltonian(context.blocks, CouplingParams(9e-4, 3.2e-4, 9e-4))
+    h = exact_hamiltonian(context, CouplingParams(9e-4, 3.2e-4, 9e-4))
     energies, vectors = mpmath.eigsy(h)
     psi0 = initial_state_rr(basis).real
     a = vectors.T * mpmath.matrix([mpmath.mpf(c) for c in psi0])
@@ -132,7 +133,7 @@ def phase_maps_line_entropies() -> list[float]:
         **{"potential.separation": 1.65, "potential.smoothing": 0.12}))
     entropies = []
     for lambda_ff in np.linspace(0.0, 3.0e-4, 4):
-        h = exact_hamiltonian(context.blocks, CouplingParams(5.0e-4, float(lambda_ff), 5.0e-4))
+        h = exact_hamiltonian(context, CouplingParams(5.0e-4, float(lambda_ff), 5.0e-4))
         energies, vectors = mpmath.eigsy(h)
         ground = min(range(context.basis.dim), key=lambda n: energies[n])
         entropies.append(float(schmidt_entropy(vectors[:, ground], context.basis)))

@@ -13,7 +13,7 @@ from importlib import resources
 
 import numpy as np
 import pytest
-from conftest import full_matrix, partial_trace_entropies
+from conftest import full_matrix, model_terms, partial_trace_entropies
 from spatial_oracle import density_profile
 
 from dwmix.cli import EXIT_OK, _fidelity_spec, main
@@ -35,6 +35,7 @@ from dwmix.manybody import (
     enumerate_bases,
     ground_state,
     hamiltonian_blocks,
+    hamiltonian_terms,
 )
 from dwmix.model import build_context
 from dwmix.modes import DoubletModes
@@ -117,7 +118,7 @@ def test_criterion_1_noninteracting_return_law(default_context):
 
 def test_criterion_2_noninteracting_spectrum(default_context):
     context = default_context
-    energies = np.linalg.eigvalsh(full_matrix(context.blocks, CouplingParams(0.0, 0.0, 0.0)))
+    energies = np.linalg.eigvalsh(full_matrix(model_terms(context), CouplingParams(0.0, 0.0, 0.0)))
 
     eb = default_context.boson_modes.energies
     ef = default_context.fermion_modes.energies
@@ -137,7 +138,7 @@ def test_criterion_3_conservation_suite(default_context, rng):
     context = default_context
     params = CouplingParams(9.0e-4, 3.2e-4, 9.0e-4)
     h = context.blocks.compose(params)
-    matrix = full_matrix(context.blocks, params)
+    matrix = full_matrix(model_terms(context), params)
     hermiticity = float(np.max(np.abs(matrix - matrix.T)))
 
     psi0 = initial_state_rr(context.basis)
@@ -324,14 +325,15 @@ def test_criterion_9_eigenvector_sign_robustness(default_context):
             fb.psi_left, fb.psi_right, ff.psi_left, ff.psi_right, grid
         ),
     )
-    blocks = hamiltonian_blocks(fb, ff, overlaps, enumerate_bases(0, ANTISYMMETRIC))
+    basis = enumerate_bases(0, ANTISYMMETRIC)
+    blocks = hamiltonian_blocks(fb, ff, overlaps, basis)
 
     params = CouplingParams(9.0e-4, 3.2e-4, 9.0e-4)
     h_ref = context.blocks.compose(params)
     h_flip = blocks.compose(params)
     eig_shift = float(np.max(np.abs(
-        np.linalg.eigvalsh(full_matrix(context.blocks, params))
-        - np.linalg.eigvalsh(full_matrix(blocks, params))
+        np.linalg.eigvalsh(full_matrix(model_terms(context), params))
+        - np.linalg.eigvalsh(full_matrix(hamiltonian_terms(fb, ff, overlaps, basis), params))
     )))
 
     psi0 = initial_state_rr(context.basis)

@@ -3,7 +3,7 @@ from importlib import resources
 import numpy as np
 import pytest
 from scipy.signal import find_peaks
-from conftest import full_matrix, partial_trace_entropies
+from conftest import full_matrix, model_terms, partial_trace_entropies
 from spatial_oracle import density_profile
 
 from dwmix.config import ANTISYMMETRIC, parse_config
@@ -80,7 +80,7 @@ def test_norm_and_energy_are_conserved(free_run):
     params = CouplingParams(lambda_bb=9e-4, lambda_ff=3.2e-4, lambda_bf=9e-4)
     states = evolve(ctx.blocks.compose(params), psi0, times[::64])
     assert states.shape == (times[::64].size, ctx.basis.dim)
-    matrix = full_matrix(ctx.blocks, params)
+    matrix = full_matrix(model_terms(ctx), params)
     e0 = np.real(np.vdot(psi0, matrix @ psi0))
     for s in states:
         assert abs(np.linalg.norm(s) - 1.0) < 1e-10
@@ -127,7 +127,7 @@ def test_evolution_keeps_the_global_phase(free_run):
     # themselves against e^{-iH tau} from a full eigendecomposition of H.
     ctx, _, psi0, times = free_run
     params = CouplingParams(lambda_bb=9e-4, lambda_ff=3.2e-4, lambda_bf=9e-4)
-    energies, vectors = np.linalg.eigh(full_matrix(ctx.blocks, params))
+    energies, vectors = np.linalg.eigh(full_matrix(model_terms(ctx), params))
     exact = (vectors @ ((vectors.T @ psi0)[:, None] * np.exp(-1j * np.outer(energies, times)))).T
     assert np.max(np.abs(evolve(ctx.blocks.compose(params), psi0, times) - exact)) < 1e-10
 
@@ -137,7 +137,7 @@ def test_asymmetric_hamiltonian_is_refused():
     matrix = np.diag(np.arange(float(basis.dim)))
     matrix[0, 1] += 1e-9
     zero = np.zeros_like(matrix)
-    blocks = HamiltonianBlocks(basis=basis, h0=matrix, h_bb=zero, h_ff=zero, h_bf=zero)
+    blocks = HamiltonianBlocks.project(basis, matrix, (zero,) * 3)
     psi0 = initial_state_rr(basis)
     with pytest.raises(InvariantError, match="not symmetric"):
         evolve(blocks.compose(CouplingParams()), psi0, np.array([0.0, 1.0]))
@@ -167,7 +167,7 @@ def test_times_must_be_ascending_and_finite(free_run):
 
 
 class TestEvolveInput:
-    """evolve takes psi0 as a unit-norm coefficient vector over h.basis."""
+    """evolve takes psi0 as a unit-norm coefficient vector over h.blocks.basis."""
 
     def test_norm_enforced(self, free_run):
         _, h, _, times = free_run
@@ -353,16 +353,16 @@ def preset_run(request):
 
 def test_return_probability_matches_its_line_sum(preset_run):
     # H and psi0 are real, so with a = V^T psi0 over the eigenvectors V of
-    # SectorBlocks.eigenpairs and M the species' both-right mask,
+    # HamiltonianBlocks.eigenpairs and M the species' both-right mask,
     # P_RR(t) = sum_mn a_m a_n (v_m^T M v_n) cos((E_m - E_n) t): no sampling
     # of the trajectory, no complex phases.
     _, h, psi0, times = preset_run
     series = return_series(h, psi0, times)
-    energies, vectors = h.sectors.eigenpairs(h.couplings)
+    energies, vectors = h.blocks.eigenpairs(h.couplings)
     a = vectors.T @ psi0.real
     phases = np.cos(np.multiply.outer(times, energies[:, None] - energies[None, :]))
     for species, p_rr in ((BOSONS, series.p_rr_bosons), (FERMIONS, series.p_rr_fermions)):
-        mask = both_right_indices(h.basis, species)
+        mask = both_right_indices(h.blocks.basis, species)
         weights = np.outer(a, a) * (vectors[mask].T @ vectors[mask])
         lines = phases.reshape(times.size, -1) @ weights.ravel()
         np.testing.assert_allclose(p_rr, lines, rtol=0.0, atol=1.0e-13)
@@ -371,8 +371,9 @@ def test_return_probability_matches_its_line_sum(preset_run):
 def test_entropies_match_both_partial_traces(preset_run):
     _, h, psi0, times = preset_run
     states = evolve(h, psi0, times)
-    entropy = species_entropies(states, h.basis)
-    for reference in partial_trace_entropies(states, h.basis):
+    basis = h.blocks.basis
+    entropy = species_entropies(states, basis)
+    for reference in partial_trace_entropies(states, basis):
         np.testing.assert_allclose(entropy, reference, rtol=0.0, atol=1e-13)
 
 
@@ -395,4 +396,4 @@ SMALL_ENTROPY_SAMPLES = {
 def test_small_entropies_match_an_extended_precision_spectrum(preset_run):
     name, h, psi0, times = preset_run
     k, exact = SMALL_ENTROPY_SAMPLES[name]
-    assert abs(species_entropies(evolve(h, psi0, times), h.basis)[k] - exact) < 5.0e-15
+    assert abs(species_entropies(evolve(h, psi0, times), h.blocks.basis)[k] - exact) < 5.0e-15

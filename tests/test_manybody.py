@@ -3,7 +3,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from conftest import doctored, full_matrix
+from conftest import doctored, full_matrix, model_terms
 from dwmix import tridiagonal
 from dwmix.config import ANTISYMMETRIC, PAPER_FOUR_STATE
 from dwmix.errors import ConfigError, InvariantError, SweepError
@@ -13,12 +13,11 @@ from dwmix.manybody import (
     FERMIONS,
     CouplingParams,
     HamiltonianBlocks,
-    SectorBlocks,
     _fermion_contact,
     _involution,
     enumerate_bases,
     ground_state,
-    hamiltonian_blocks,
+    hamiltonian_terms,
     one_body_transition_matrix,
 )
 from dwmix.model import build_context
@@ -128,19 +127,14 @@ class TestAssembly:
     def test_single_particle_block_structure(self, coarse_context):
         # <LL, f| H0 |S, f> must equal -sqrt(2) J for the bosons.
         ctx = coarse_context
-        h0 = ctx.blocks.h0
+        h0 = model_terms(ctx)[0]
         i = ctx.basis.index_of("LL", "LLs")
         j = ctx.basis.index_of("S", "LLs")
         expected = -SQRT2 * ctx.boson_modes.tunneling_amplitude
         assert h0[i, j] == pytest.approx(expected, rel=1e-12)
 
     def test_blocks_are_symmetric(self, coarse_context):
-        for block in (
-            coarse_context.blocks.h0,
-            coarse_context.blocks.h_bb,
-            coarse_context.blocks.h_ff,
-            coarse_context.blocks.h_bf,
-        ):
+        for block in model_terms(coarse_context):
             assert np.max(np.abs(block - block.T)) < 1e-12
 
     def test_t0_sector_is_decoupled(self, coarse_context):
@@ -148,7 +142,7 @@ class TestAssembly:
         singlet ladder, at any coupling strengths."""
         ctx = coarse_context
         h = full_matrix(
-            ctx.blocks, CouplingParams(lambda_bb=1e-3, lambda_ff=1e-3, lambda_bf=9e-3)
+            model_terms(ctx), CouplingParams(lambda_bb=1e-3, lambda_ff=1e-3, lambda_bf=9e-3)
         )
         t0 = ctx.basis.fermion_labels.index("T0")
         t0_rows = [i * 4 + t0 for i in range(3)]
@@ -161,10 +155,10 @@ class TestAssembly:
         # contact interaction cannot touch them.
         ctx = coarse_context
         basis_up = enumerate_bases(1, ANTISYMMETRIC)
-        blocks = hamiltonian_blocks(
+        _, _, h_ff, _ = hamiltonian_terms(
             ctx.boson_modes, ctx.fermion_modes, ctx.overlaps, basis_up
         )
-        assert np.max(np.abs(blocks.h_ff)) == 0.0
+        assert np.max(np.abs(h_ff)) == 0.0
 
     def test_noninteracting_spectrum_is_sum_of_pairs(self, coarse_context):
         """Independent-particle oracle: at zero coupling the 12 eigenvalues
@@ -177,13 +171,13 @@ class TestAssembly:
         boson_pairs = [2 * (eps_b - j_b), 2 * eps_b, 2 * (eps_b + j_b)]
         fermion_pairs = [2 * (eps_f - j_f), 2 * eps_f, 2 * eps_f, 2 * (eps_f + j_f)]
         expected = np.sort([b + f for b in boson_pairs for f in fermion_pairs])
-        actual = np.linalg.eigvalsh(ctx.blocks.h0)
+        actual = np.linalg.eigvalsh(model_terms(ctx)[0])
         assert np.allclose(actual, expected, atol=1e-10)
 
 
 def _gap_and_flag(h):
     """Gap and degenerate flag of one Hamiltonian from the sector kernel."""
-    _, gap, degenerate, _, _ = h.sectors.ground_states(h.couplings[None])
+    _, gap, degenerate, _, _ = h.blocks.ground_states(h.couplings[None])
     return gap[0], degenerate[0]
 
 
@@ -199,8 +193,7 @@ class TestGroundState:
 
     def test_degenerate_flag(self, coarse_context):
         zero = np.zeros((12, 12))
-        blocks = HamiltonianBlocks(basis=coarse_context.basis, h0=zero, h_bb=zero,
-                                   h_ff=zero, h_bf=zero)
+        blocks = HamiltonianBlocks.project(coarse_context.basis, zero, (zero,) * 3)
         assert _gap_and_flag(blocks.compose(CouplingParams()))[1]
 
 
@@ -212,7 +205,8 @@ class TestMirror:
     def test_hamiltonian_commutes_with_mirror(self, coarse_context):
         m = _involution(coarse_context.basis, *_MIRROR)
         h = full_matrix(
-            coarse_context.blocks, CouplingParams(lambda_bb=1e-3, lambda_ff=5e-4, lambda_bf=2e-3)
+            model_terms(coarse_context),
+            CouplingParams(lambda_bb=1e-3, lambda_ff=5e-4, lambda_bf=2e-3),
         )
         assert np.max(np.abs(m @ h - h @ m)) < 1e-12
 
@@ -252,7 +246,8 @@ class TestSymmetrySectors:
 
     def test_hamiltonian_is_block_diagonal(self, coarse_context):
         h = full_matrix(
-            coarse_context.blocks, CouplingParams(lambda_bb=1e-3, lambda_ff=5e-4, lambda_bf=9e-3)
+            model_terms(coarse_context),
+            CouplingParams(lambda_bb=1e-3, lambda_ff=5e-4, lambda_bf=9e-3),
         )
         sectors = coarse_context.basis.sectors
         for a, qa in enumerate(sectors):
@@ -284,11 +279,10 @@ class TestSymmetrySectors:
         basis = enumerate_bases(0, ANTISYMMETRIC)
         zeros = np.zeros((12, 12))
         lopsided = np.diag(np.arange(12.0))
-        sectors = SectorBlocks.project(basis, lopsided, (zeros,))
+        blocks = HamiltonianBlocks.project(basis, lopsided, (zeros,) * 3)
         with pytest.raises(InvariantError, match="couples symmetry sectors") as info:
-            sectors.ground_states(np.zeros((3, 1)))
+            blocks.ground_states(np.zeros((3, 3)))
         assert info.value.index == 0
-        blocks = HamiltonianBlocks(basis=basis, h0=lopsided, h_bb=zeros, h_ff=zeros, h_bf=zeros)
         spec = SweepSpec(plane="ff_bf", x_axis=AxisSpec(0.0, 1.0e-3, 2),
                          y_axis=AxisSpec(0.0, 1.0e-3, 2), fixed={"lambda_bb": 0.0},
                          reference=CouplingParams(1.0e-4, 2.0e-4, 3.0e-4))
@@ -300,7 +294,7 @@ class TestSymmetrySectors:
     def test_ground_state_matches_full_diagonalization(self, coarse_context):
         params = CouplingParams(lambda_bb=1e-3, lambda_ff=5e-4, lambda_bf=9e-3)
         h = coarse_context.blocks.compose(params)
-        energies, vectors = np.linalg.eigh(full_matrix(coarse_context.blocks, params))
+        energies, vectors = np.linalg.eigh(full_matrix(model_terms(coarse_context), params))
         gs = ground_state(h)
         assert gs.energy == pytest.approx(energies[0], abs=1e-12)
         assert _gap_and_flag(h)[0] == pytest.approx(energies[1] - energies[0], abs=1e-12)
@@ -308,13 +302,13 @@ class TestSymmetrySectors:
             1.0, abs=1e-12)
 
     def test_sector_leak_names_the_row(self, coarse_context):
-        blocks = coarse_context.blocks
+        h0 = model_terms(coarse_context)[0]
         mirror_breaking = np.zeros((12, 12))
         mirror_breaking[0, 1] = mirror_breaking[1, 0] = 1.0
-        sectors = SectorBlocks.project(blocks.basis, blocks.h0, (mirror_breaking,))
-        sectors.ground_states(np.zeros((2, 1)))
+        blocks = HamiltonianBlocks.project(coarse_context.basis, h0, (mirror_breaking,))
+        blocks.ground_states(np.zeros((2, 1)))
         with pytest.raises(InvariantError, match="symmetry sectors") as info:
-            sectors.ground_states(np.array([[0.0], [0.0], [1e-3]]))
+            blocks.ground_states(np.array([[0.0], [0.0], [1e-3]]))
         assert info.value.index == 2
 
 
@@ -422,13 +416,13 @@ class TestSectorKernel:
 
     def test_single_row(self, coarse_context):
         blocks = coarse_context.blocks
-        sectors = blocks.sectors
         c = np.array([[1.0e-3, 5.0e-4, 9.0e-3]])
-        energy, gap, degenerate, vector, residual = sectors.ground_states(c)
-        values, oracle = np.linalg.eigh(full_matrix(blocks, CouplingParams(*c[0]))
-                                        - sectors.shift * np.eye(12))
+        energy, gap, degenerate, vector, residual = blocks.ground_states(c)
+        values, oracle = np.linalg.eigh(full_matrix(model_terms(coarse_context),
+                                                    CouplingParams(*c[0]))
+                                        - blocks.shift * np.eye(12))
         assert energy.shape == gap.shape == residual.shape == (1,)
-        assert energy[0] == pytest.approx(values[0] + sectors.shift, abs=1e-12)
+        assert energy[0] == pytest.approx(values[0] + blocks.shift, abs=1e-12)
         assert gap[0] == pytest.approx(values[1] - values[0], abs=1e-12)
         assert abs(vector[0] @ oracle[:, 0]) == pytest.approx(1.0, abs=1e-12)
         assert 0.0 <= residual[0] < 1e-16
@@ -437,30 +431,30 @@ class TestSectorKernel:
         # Raising every mirror-odd and every T0 state leaves the even singlet
         # sector alone at the bottom: its own second eigenvalue lies below the
         # lowest of every other sector, and gives the gap.
-        blocks = coarse_context.blocks
-        basis = blocks.basis
+        basis = coarse_context.basis
+        h0, _, _, h_bf = model_terms(coarse_context)
         spin_exchange, mirror = basis.symmetries
         odd = 0.5 * (np.eye(12) - mirror)
         t0 = np.diag((np.diag(spin_exchange) > 0.0).astype(float))
         raised = odd + t0 - odd @ t0
-        sectors = SectorBlocks.project(basis, blocks.h0, (blocks.h_bf, raised))
+        blocks = HamiltonianBlocks.project(basis, h0, (h_bf, raised))
         couplings = np.column_stack([np.linspace(0.0, 9.0e-3, 7), np.full(7, 0.1)])
-        _, gap, _, _, _ = sectors.ground_states(couplings)
+        _, gap, _, _, _ = blocks.ground_states(couplings)
         for row, (bf, lift) in enumerate(couplings):
-            h = blocks.h0 - sectors.shift * np.eye(12) + bf * blocks.h_bf + lift * raised
-            own, *others = [np.linalg.eigvalsh(q.T @ h @ q) for q in sectors.sectors]
+            h = h0 - blocks.shift * np.eye(12) + bf * h_bf + lift * raised
+            own, *others = [np.linalg.eigvalsh(q.T @ h @ q) for q in basis.sectors]
             assert own[1] < min(values[0] for values in others)
             values = np.linalg.eigvalsh(h)
             assert gap[row] == pytest.approx(values[1] - values[0], abs=1e-12)
 
     def test_residual_check_names_the_row(self, coarse_context):
-        sectors = doctored(coarse_context.blocks.sectors)
+        blocks = doctored(coarse_context.blocks)
         couplings = np.zeros((4, 3))
         couplings[2:, 2] = 1.0e-3
-        _, _, _, _, residual = sectors.ground_states(couplings[:2])
+        _, _, _, _, residual = blocks.ground_states(couplings[:2])
         assert np.all(residual < 1.0e-16)
         with pytest.raises(InvariantError, match="residual") as info:
-            sectors.ground_states(couplings)
+            blocks.ground_states(couplings)
         assert info.value.index == 2
 
     def test_laguerre_cap_names_the_row(self, monkeypatch):
@@ -476,20 +470,20 @@ class TestSectorKernel:
     def test_mixed_winners_match_per_cell_oracle(self, coarse_context):
         # Lowering every fermion-T0 state by c moves the ground state from the
         # largest (even singlet) sector into a T0 sector as c grows.
-        blocks = coarse_context.blocks
-        basis = blocks.basis
+        basis = coarse_context.basis
+        h0, _, _, h_bf = model_terms(coarse_context)
         t0 = [basis.index_of(b, "T0") for b in basis.boson_labels]
         p_t0 = np.zeros((basis.dim, basis.dim))
         p_t0[t0, t0] = -1.0
         couplings = np.column_stack([np.full(16, 1.0e-3), np.linspace(0.0, 3.0e-2, 16)])
-        sectors = SectorBlocks.project(basis, blocks.h0, (blocks.h_bf, p_t0))
-        energy, gap, degenerate, vectors, _ = sectors.ground_states(couplings)
+        blocks = HamiltonianBlocks.project(basis, h0, (h_bf, p_t0))
+        energy, gap, degenerate, vectors, _ = blocks.ground_states(couplings)
         in_t0 = np.abs(vectors[:, t0]).sum(axis=1) > 0.5
         assert in_t0.any() and not in_t0.all()
         for row, (bf, lowering) in enumerate(couplings):
-            h = blocks.h0 - sectors.shift * np.eye(basis.dim) + bf * blocks.h_bf + lowering * p_t0
+            h = h0 - blocks.shift * np.eye(basis.dim) + bf * h_bf + lowering * p_t0
             values, oracle = np.linalg.eigh(h)
-            assert energy[row] == pytest.approx(values[0] + sectors.shift, abs=1e-12)
+            assert energy[row] == pytest.approx(values[0] + blocks.shift, abs=1e-12)
             assert gap[row] == pytest.approx(values[1] - values[0], abs=1e-12)
             assert not degenerate[row]
             assert abs(vectors[row] @ oracle[:, 0]) == pytest.approx(1.0, abs=1e-12)
@@ -523,13 +517,13 @@ class TestSectorKernel:
     def test_loose_defect_bound_alone_does_not_raise(self, coarse_context):
         # Opposite mirror-breaking terms: the bound on the defect is 2 at
         # c = (1, 1), yet every defect entry cancels exactly.
-        blocks = coarse_context.blocks
+        h0 = model_terms(coarse_context)[0]
         mirror_breaking = np.zeros((12, 12))
         mirror_breaking[0, 1] = mirror_breaking[1, 0] = 1.0
-        sectors = SectorBlocks.project(
-            blocks.basis, blocks.h0, (mirror_breaking, -mirror_breaking))
-        cancelled = sectors.ground_states(np.ones((3, 2)))
-        plain = blocks.sectors.ground_states(np.zeros((3, 3)))
+        cancelling = HamiltonianBlocks.project(
+            coarse_context.basis, h0, (mirror_breaking, -mirror_breaking))
+        cancelled = cancelling.ground_states(np.ones((3, 2)))
+        plain = coarse_context.blocks.ground_states(np.zeros((3, 3)))
         for got, expected in zip(cancelled, plain):
             assert np.array_equal(got, expected)
 

@@ -8,7 +8,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from conftest import doctor_cached_projection, partial_trace_entropies
+from conftest import doctor_cached_blocks, model_terms, partial_trace_entropies
 from dwmix.cli import EXIT_CONFIG, EXIT_OK, _fidelity_spec, main
 from dwmix.config import ANTISYMMETRIC, RunConfig, parse_config
 from dwmix.errors import ConfigError, SweepError
@@ -35,7 +35,7 @@ def _broken_blocks():
     zeros = np.zeros((basis.dim, basis.dim))
     lopsided = zeros.copy()
     lopsided[0, 1] = 1.0
-    return HamiltonianBlocks(basis=basis, h0=zeros, h_bb=zeros, h_ff=lopsided, h_bf=zeros)
+    return HamiltonianBlocks.project(basis, zeros, (zeros, lopsided, zeros))
 
 
 def csv_digests_over_workers(tmp_path, command, config_text, artifact):
@@ -151,8 +151,7 @@ class TestFidelityMap:
     def test_degenerate_cells_flagged(self):
         basis = enumerate_bases(0, ANTISYMMETRIC)
         zeros = np.zeros((basis.dim, basis.dim))
-        flat = HamiltonianBlocks(basis=basis, h0=zeros, h_bb=zeros,
-                                 h_ff=zeros, h_bf=zeros)
+        flat = HamiltonianBlocks.project(basis, zeros, (zeros,) * 3)
         spec = plane_spec(AxisSpec(0.0, 1.0e-3, 2), AxisSpec(0.0, 1.0e-3, 2))
         surface = fidelity_map(flat, spec)
         assert surface.degenerate.all()
@@ -214,29 +213,32 @@ class TestEntropyScan:
             entropy_scan(_broken_blocks(), spec)
 
 
-def _spectrum(blocks, lambda_bb, lambda_ff, lambda_bf):
-    """Full eigh of H, taken on H - shift * I (shift = mean diagonal of h0) so
-    that its rounding scales with the spread of the spectrum, not its offset."""
-    shift = np.mean(np.diag(blocks.h0))
-    h = (blocks.h0 - shift * np.eye(blocks.basis.dim) + lambda_bb * blocks.h_bb
-         + lambda_ff * blocks.h_ff + lambda_bf * blocks.h_bf)
+def _spectrum(terms, lambda_bb, lambda_ff, lambda_bf):
+    """Full eigh of H from its full terms (h0, h_bb, h_ff, h_bf), taken on
+    H - shift * I (shift = mean diagonal of h0) so that its rounding scales
+    with the spread of the spectrum, not its offset."""
+    h0, h_bb, h_ff, h_bf = terms
+    shift = np.mean(np.diag(h0))
+    h = (h0 - shift * np.eye(len(h0)) + lambda_bb * h_bb
+         + lambda_ff * h_ff + lambda_bf * h_bf)
     energies, vectors = np.linalg.eigh(h)
     return energies + shift, vectors
 
 
-def _lowest_eigenpair(blocks, lambda_bb, lambda_ff, lambda_bf):
-    energies, vectors = _spectrum(blocks, lambda_bb, lambda_ff, lambda_bf)
+def _lowest_eigenpair(terms, lambda_bb, lambda_ff, lambda_bf):
+    energies, vectors = _spectrum(terms, lambda_bb, lambda_ff, lambda_bf)
     return energies[1] - energies[0] < 1.0e-12, vectors[:, 0]
 
 
-def _assert_plane_matches_oracle(blocks, spec):
-    """Fidelity, flags and gaps of every cell against a per-cell full eigh."""
+def _assert_plane_matches_oracle(blocks, terms, spec):
+    """Fidelity, flags and gaps of every cell of a map on ``blocks`` against a
+    per-cell full eigh of the terms they project."""
     surface = fidelity_map(blocks, spec)
-    _, ref = _lowest_eigenpair(blocks, *spec.reference.as_dict().values())
+    _, ref = _lowest_eigenpair(terms, *spec.reference.as_dict().values())
     for i, x in enumerate(surface.x_values):
         for j, y in enumerate(surface.y_values):
             p = spec.couplings_at(x, y)
-            energies, vectors = _spectrum(blocks, p.lambda_bb, p.lambda_ff, p.lambda_bf)
+            energies, vectors = _spectrum(terms, p.lambda_bb, p.lambda_ff, p.lambda_bf)
             gap = energies[1] - energies[0]
             assert surface.degenerate[i, j] == (gap < 1.0e-12)
             if gap >= 1.0e-12:  # a degenerate cell has no one ground vector
@@ -245,12 +247,13 @@ def _assert_plane_matches_oracle(blocks, spec):
             assert surface.gap[i, j] == pytest.approx(gap, abs=1.0e-12)
 
 
-def _assert_line_matches_oracle(blocks, spec):
-    """Entropies and flags of every point against a per-point full eigh."""
+def _assert_line_matches_oracle(blocks, terms, spec):
+    """Entropies and flags of every point of a line on ``blocks`` against a
+    per-point full eigh of the terms they project."""
     basis = blocks.basis
     curve = entropy_scan(blocks, spec)
     for k, x in enumerate(curve.lambda_ff):
-        degenerate, v = _lowest_eigenpair(blocks, spec.fixed["lambda_bb"], x,
+        degenerate, v = _lowest_eigenpair(terms, spec.fixed["lambda_bb"], x,
                                           spec.fixed["lambda_bf"])
         schmidt = np.linalg.svd(v.reshape(basis.boson_dim, basis.fermion_dim),
                                 compute_uv=False) ** 2
@@ -266,7 +269,7 @@ class TestAgainstPerCellOracle:
     def test_fidelity_plane(self, coarse_context):
         spec = plane_spec(AxisSpec(0.0, 2.0e-3, 121), AxisSpec(0.0, 3.0e-3, 71))
         assert 121 * 71 > 2 * CHUNK_CELLS
-        _assert_plane_matches_oracle(coarse_context.blocks, spec)
+        _assert_plane_matches_oracle(coarse_context.blocks, model_terms(coarse_context), spec)
 
     def test_entropy_line(self, coarse_context):
         spec = SweepSpec(
@@ -274,7 +277,7 @@ class TestAgainstPerCellOracle:
             x_axis=AxisSpec(0.0, 1.0e-2, CHUNK_CELLS + 77),
             fixed={"lambda_bb": 1.0e-3, "lambda_bf": 9.0e-3},
         )
-        _assert_line_matches_oracle(coarse_context.blocks, spec)
+        _assert_line_matches_oracle(coarse_context.blocks, model_terms(coarse_context), spec)
 
 
 # Ground-state entropies on the phase_maps geometry and line (bb = bf = 5e-4)
@@ -290,33 +293,32 @@ class TestSymmetrySectors:
     def test_ground_state_in_a_t0_sector(self, coarse_context):
         # Lowering every fermion-T0 state puts the ground state in a T0 sector,
         # not in the largest (even singlet) one.
-        blocks = coarse_context.blocks
-        basis = blocks.basis
+        basis = coarse_context.basis
+        h0, *couplings = model_terms(coarse_context)
         t0 = [basis.index_of(b, "T0") for b in basis.boson_labels]
         p_t0 = np.zeros((basis.dim, basis.dim))
         p_t0[t0, t0] = 1.0
-        lowered = HamiltonianBlocks(basis=basis, h0=blocks.h0 - 1.0e-2 * p_t0,
-                                    h_bb=blocks.h_bb, h_ff=blocks.h_ff, h_bf=blocks.h_bf)
+        terms = (h0 - 1.0e-2 * p_t0, *couplings)
+        lowered = HamiltonianBlocks.project(basis, terms[0], terms[1:])
         spec = plane_spec(AxisSpec(0.0, 2.0e-3, 9), AxisSpec(0.0, 3.0e-3, 7))
-        _assert_plane_matches_oracle(lowered, spec)
+        _assert_plane_matches_oracle(lowered, terms, spec)
 
         h = lowered.compose(CouplingParams(1.0e-3, 1.0e-3, 2.0e-3))
         gs = ground_state(h)
-        _, gap, _, _, _ = h.sectors.ground_states(h.couplings[None])
+        _, gap, _, _, _ = h.blocks.ground_states(h.couplings[None])
         others = np.setdiff1d(np.arange(basis.dim), t0)
         assert np.all(gs.vector[others] == 0.0)
-        energies, vectors = _spectrum(lowered, 1.0e-3, 1.0e-3, 2.0e-3)
+        energies, vectors = _spectrum(terms, 1.0e-3, 1.0e-3, 2.0e-3)
         assert gs.energy == pytest.approx(energies[0], abs=1.0e-12)
         assert gap[0] == pytest.approx(energies[1] - energies[0], abs=1.0e-12)
         assert abs(gs.vector @ vectors[:, 0]) == pytest.approx(1.0, abs=1.0e-12)
 
     def test_mirror_breaking_coupling_names_the_first_cell(self, coarse_context):
-        blocks = coarse_context.blocks
-        lopsided = blocks.h_bf.copy()
+        h0, h_bb, h_ff, h_bf = model_terms(coarse_context)
+        lopsided = h_bf.copy()
         lopsided[0, 1] += 1.0
         lopsided[1, 0] += 1.0
-        broken = HamiltonianBlocks(basis=blocks.basis, h0=blocks.h0, h_bb=blocks.h_bb,
-                                   h_ff=blocks.h_ff, h_bf=lopsided)
+        broken = HamiltonianBlocks.project(coarse_context.basis, h0, (h_bb, h_ff, lopsided))
         # The reference is solved on the same projection, so at lambda_bf > 0
         # it is refused first, named by its couplings; at lambda_bf = 0 the
         # cells are reached.
@@ -333,18 +335,19 @@ class TestSymmetrySectors:
         context = build_context(config_factory(**{
             "grid.n_points": 801, "model.fermion_basis": "paper_four_state"}))
         spec = plane_spec(AxisSpec(0.0, 2.0e-3, 11), AxisSpec(0.0, 3.0e-3, 9))
-        _assert_plane_matches_oracle(context.blocks, spec)
+        _assert_plane_matches_oracle(context.blocks, model_terms(context), spec)
 
 
     @pytest.mark.parametrize("spin_sector", [1, -1])
     def test_spin_polarized_sweeps_match_oracle(self, config_factory, spin_sector):
         # One LR fermion pair of parallel spins: sectors of 2 and 1 states.
-        blocks = build_context(config_factory(**{
-            "grid.n_points": 801, "model.spin_sector": spin_sector})).blocks
-        assert [q.shape[1] for q in blocks.sectors.sectors] == [2, 1]
+        context = build_context(config_factory(**{
+            "grid.n_points": 801, "model.spin_sector": spin_sector}))
+        blocks, terms = context.blocks, model_terms(context)
+        assert [q.shape[1] for q in blocks.basis.sectors] == [2, 1]
         spec = plane_spec(AxisSpec(0.0, 2.0e-3, 11), AxisSpec(0.0, 3.0e-3, 9))
-        _assert_plane_matches_oracle(blocks, spec)
-        _assert_line_matches_oracle(blocks, SweepSpec(
+        _assert_plane_matches_oracle(blocks, terms, spec)
+        _assert_line_matches_oracle(blocks, terms, SweepSpec(
             plane="line_ff", x_axis=AxisSpec(0.0, 1.0e-2, 21),
             fixed={"lambda_bb": 1.0e-3, "lambda_bf": 9.0e-3}))
 
@@ -367,15 +370,15 @@ class TestFidelitySusceptibility:
     reference eigendecomposition alone (Zanardi & Paunkovic, PRE 74, 031123)."""
 
     @pytest.fixture(scope="class")
-    def phase_maps_blocks(self, config_factory):
+    def phase_maps_context(self, config_factory):
         return build_context(config_factory(**{
-            "potential.separation": 1.65, "potential.smoothing": 0.12})).blocks
+            "potential.separation": 1.65, "potential.smoothing": 0.12}))
 
     @pytest.mark.parametrize("axis", ["lambda_ff", "lambda_bf"])
-    def test_one_minus_fidelity_matches_susceptibility(self, phase_maps_blocks, axis):
-        blocks = phase_maps_blocks
-        energies, vectors = _spectrum(blocks, REF.lambda_bb, REF.lambda_ff, REF.lambda_bf)
-        dh = {"lambda_ff": blocks.h_ff, "lambda_bf": blocks.h_bf}[axis]
+    def test_one_minus_fidelity_matches_susceptibility(self, phase_maps_context, axis):
+        blocks, terms = phase_maps_context.blocks, model_terms(phase_maps_context)
+        energies, vectors = _spectrum(terms, REF.lambda_bb, REF.lambda_ff, REF.lambda_bf)
+        dh = {"lambda_ff": terms[2], "lambda_bf": terms[3]}[axis]
         elements = vectors.T @ dh @ vectors[:, 0]
         chi = float(np.sum(elements[1:] ** 2 / (energies[1:] - energies[0]) ** 2))
         errors = []
@@ -394,22 +397,23 @@ def test_ground_energy_slopes_match_hellmann_feynman():
     # energies against the expectation of each coupling term in the kernel's
     # own ground vectors, at 8 seeded cells of the phase_maps cube.
     text = resources.files("dwmix").joinpath("presets/phase_maps.cfg").read_text()
-    blocks = build_context(parse_config(text)).blocks
+    context = build_context(parse_config(text))
+    blocks = context.blocks
     cells = np.random.default_rng(20261019).uniform(0.0, 1.0e-3, size=(8, 3))
-    _, _, degenerate, vectors, _ = blocks.sectors.ground_states(cells)
+    _, _, degenerate, vectors, _ = blocks.ground_states(cells)
     assert not degenerate.any()
     step = 1.0e-6
-    for k, term in enumerate((blocks.h_bb, blocks.h_ff, blocks.h_bf)):
+    for k, term in enumerate(model_terms(context)[1:]):
         shift = step * np.eye(3)[k]
-        slope = (blocks.sectors.ground_states(cells + shift)[0]
-                 - blocks.sectors.ground_states(cells - shift)[0]) / (2.0 * step)
+        slope = (blocks.ground_states(cells + shift)[0]
+                 - blocks.ground_states(cells - shift)[0]) / (2.0 * step)
         expectation = np.einsum("ni,ij,nj->n", vectors, term, vectors)
         np.testing.assert_allclose(slope, expectation, rtol=1.0e-6, atol=0.0)
 
 def test_unsolved_cell_is_named():
     # Builds its own context, so that it also runs under python -O below.
     context = build_context(RunConfig.default().replace_values(**{"grid.n_points": 801}))
-    blocks = doctor_cached_projection(context.blocks)
+    blocks = doctor_cached_blocks(context)
     spec = plane_spec(AxisSpec(0.0, 1.0e-3, 2), AxisSpec(0.0, 1.0e-3, 3))
     with pytest.raises(SweepError, match=r"cell \(0, 1\).*residual"):
         fidelity_map(blocks, spec)
@@ -441,10 +445,10 @@ def test_chunk_working_set_stays_in_budget():
         **{"sweep.x_count": side, "sweep.y_count": side})
     context = build_context(config)
     couplings = _fidelity_spec(config).coupling_rows()[:CHUNK_CELLS]
-    sectors = context.blocks.sectors
+    blocks = context.blocks
     tracemalloc.start()
     try:
-        sectors.ground_states(couplings)
+        blocks.ground_states(couplings)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
