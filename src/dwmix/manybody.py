@@ -181,8 +181,8 @@ class CompositeBasis:
         key = sum((2.0**k * o for k, o in enumerate(self.symmetries)),
                   np.zeros((self.dim, self.dim)))
         weights, vectors = np.linalg.eigh(key)
-        labels = np.rint(weights)
-        sectors = [vectors[:, labels == label] for label in np.unique(labels)]
+        labels = np.rint(weights)  # ascending, as eigh returns them
+        sectors = [vectors[:, labels == label] for label in dict.fromkeys(labels.tolist())]
         return tuple(sorted(sectors, key=lambda q: -q.shape[1]))
 
 

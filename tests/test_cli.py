@@ -467,3 +467,17 @@ def test_import_leaves_out(run_python, module):
     proc = run_python("-c", f"import sys, dwmix.cli; print({module!r} in sys.modules)")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_runs_leave_out_numpy_ma(run_python, tmp_path):
+    # numpy imports numpy.ma on the first np.unique or np.median call, 9-17 ms
+    # of a cold run; no sweep or trajectory needs it.
+    cfg = write_cfg(tmp_path, TestFidelityMap.SWEEP + "sweep.line_count = 5\n"
+                    "dynamics.n_samples = 64\n")
+    runs = [[command, "--config", cfg, "--out", str(tmp_path / command)]
+            for command in ("fidelity-map", "entropy-scan", "evolve")]
+    proc = run_python("-c", "import sys; from dwmix.cli import main; "
+                      f"codes = [main(args) for args in {runs!r}]; "
+                      "print(codes, 'numpy.ma' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[0, 0, 0] False"

@@ -218,6 +218,17 @@ class TestRegimeMetrics:
             assert m["period_estimate"] == pytest.approx(2 * np.pi / omega, rel=0.01)
             assert m["plateau_intervals"] == []
 
+    @pytest.mark.parametrize("periods", [3.0, 4.0])
+    def test_tapered_period_of_a_pure_tone(self, periods):
+        # A pure tone over a window of a few periods.  The Hann taper leaves
+        # the interpolated peak 1.2e-3 (three periods) and 3.8e-4 (four) off;
+        # a Hamming taper, whose sidelobes do not fall away, -4.2e-3 and -2.5e-3.
+        period = 1000.0
+        times = np.linspace(0.0, periods * period, 2048)
+        values = 0.5 + 0.5 * np.cos(2.0 * np.pi * times / period)
+        report = self.run(times, values, values)
+        assert report["bosons"]["period_estimate"] == pytest.approx(period, rel=2.0e-3)
+
     def test_damped_oscillation(self):
         omega, gamma = 0.01, 2e-4
         times = np.linspace(0.0, 3 * 2 * np.pi / omega, 4096)
