@@ -52,6 +52,11 @@ _SPIN_T0 = np.array([[0.0, _SQRT_HALF], [_SQRT_HALF, 0.0]])
 _SPIN_SINGLET = np.array([[0.0, _SQRT_HALF], [-_SQRT_HALF, 0.0]])
 _SPACE_ANTI = np.array([[0.0, _SQRT_HALF], [-_SQRT_HALF, 0.0]])
 
+# The fermion pair's S_z (hbar = 1) on the (m1, s1, m2, s2) product space,
+# spin 0 being up.
+_SZ_ONE = np.kron(np.eye(2), np.diag([0.5, -0.5]))
+_SPIN_Z = np.kron(_SZ_ONE, np.eye(4)) + np.kron(np.eye(4), _SZ_ONE)
+
 # Involutions of the boson (m1, m2) and fermion (m1, s1, m2, s2) product
 # spaces: the left-right mirror of every particle, and the exchange of the
 # two fermions' spins, (m1, s1, m2, s2) -> (m1, s2, m2, s1).
@@ -172,14 +177,21 @@ class CompositeBasis:
     @cached_property
     def sectors(self) -> tuple[np.ndarray, ...]:
         """Orthonormal column blocks, shape (dim, d_k), one per symmetry sector
-        of the basis: the joint eigenspaces of ``symmetries``.  Largest first.
+        of the basis: the joint eigenspaces of ``symmetries`` and of the
+        fermions' S_z.  Largest first.
 
-        Every Hamiltonian dwmix builds commutes with ``symmetries``, so it is
-        block-diagonal over them; ``HamiltonianBlocks`` checks that it is.
+        Every Hamiltonian dwmix builds commutes with ``symmetries`` and keeps
+        each fermion's spin, so it is block-diagonal over them;
+        ``HamiltonianBlocks`` checks that it is.
         """
-        # The eigenvalues of sum_k 2^k O_k, each O_k being +-1, label the sectors.
-        key = sum((2.0**k * o for k, o in enumerate(self.symmetries)),
-                  np.zeros((self.dim, self.dim)))
+        # Each fermion state of a basis has one S_z, of -1, 0 or 1, here
+        # counted from its lowest value, so that it is 0 in a basis of one
+        # S_z.  With every O_k being +-1, the eigenvalues of
+        # sum_k 2^k O_k + 2^(K+1) S_z, K = len(symmetries), label the sectors.
+        spin_z = np.rint(np.diag(self.fermion_vectors.T @ _SPIN_Z @ self.fermion_vectors))
+        spin_z = np.tile(2.0 ** (len(self.symmetries) + 1) * (spin_z - spin_z.min()),
+                         self.boson_dim)
+        key = sum((2.0**k * o for k, o in enumerate(self.symmetries)), np.diag(spin_z))
         weights, vectors = np.linalg.eigh(key)
         labels = np.rint(weights)  # ascending, as eigh returns them
         sectors = [vectors[:, labels == label] for label in dict.fromkeys(labels.tolist())]

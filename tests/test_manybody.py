@@ -255,12 +255,19 @@ class TestSymmetrySectors:
                 if a != b:
                     assert np.max(np.abs(qa.T @ h @ qb)) < 1e-12
 
-    def test_four_state_sectors_come_from_spin_exchange_alone(self, config_factory):
+    def test_four_state_sectors_split_by_spin_exchange_and_s_z(self, config_factory):
+        # The mirror does not close on the literal four-state basis.  The spin
+        # exchange parts the singlet As from the triplets, and S_z parts the
+        # triplets LLt (+1), St (0) and RRt (-1), which no term couples: each
+        # sector is one fermion state times the three boson states.
         context = build_context(config_factory(**{
             "grid.n_points": 801, "model.fermion_basis": PAPER_FOUR_STATE}))
         sectors = context.basis.sectors
-        assert [q.shape[1] for q in sectors] == [9, 3]
+        assert [q.shape[1] for q in sectors] == [3, 3, 3, 3]
         _assert_orthonormal_cover(sectors, 12)
+        weights = [np.sum(q.reshape(3, 4, 3) ** 2, axis=(0, 2)) for q in sectors]
+        np.testing.assert_allclose(sorted(weights, key=np.argmax), 3.0 * np.eye(4),
+                                   rtol=0.0, atol=1e-14)
 
     @pytest.mark.parametrize("spin_sector", [1, -1])
     def test_spin_polarized_sectors(self, spin_sector):

@@ -249,7 +249,8 @@ def _assert_plane_matches_oracle(blocks, terms, spec):
 
 def _assert_line_matches_oracle(blocks, terms, spec):
     """Entropies and flags of every point of a line on ``blocks`` against a
-    per-point full eigh of the terms they project."""
+    per-point full eigh of the terms they project; a degenerate point has no
+    one ground vector, so only its flag is checked."""
     basis = blocks.basis
     curve = entropy_scan(blocks, spec)
     for k, x in enumerate(curve.lambda_ff):
@@ -259,8 +260,9 @@ def _assert_line_matches_oracle(blocks, terms, spec):
                                 compute_uv=False) ** 2
         schmidt = schmidt[schmidt > 1.0e-14]
         expected = float(-np.sum(schmidt * np.log2(schmidt)))
-        assert curve.entropy[k] == pytest.approx(expected, abs=1.0e-12)
         assert curve.degenerate[k] == degenerate
+        if not degenerate:
+            assert curve.entropy[k] == pytest.approx(expected, abs=1.0e-12)
 
 
 class TestAgainstPerCellOracle:
@@ -336,6 +338,17 @@ class TestSymmetrySectors:
             "grid.n_points": 801, "model.fermion_basis": "paper_four_state"}))
         spec = plane_spec(AxisSpec(0.0, 2.0e-3, 11), AxisSpec(0.0, 3.0e-3, 9))
         _assert_plane_matches_oracle(context.blocks, model_terms(context), spec)
+
+    def test_four_state_line_matches_oracle(self, config_factory):
+        # No term moves a fermion between the four states, so each sector is
+        # one of them and every ground state a product; two points are
+        # degenerate (the mirror images LLt and RRt tie).
+        context = build_context(config_factory(**{
+            "grid.n_points": 801, "model.fermion_basis": "paper_four_state"}))
+        spec = SweepSpec(plane="line_ff", x_axis=AxisSpec(0.0, 1.0e-2, 41),
+                         fixed={"lambda_bb": 1.0e-3, "lambda_bf": 1.0e-3})
+        _assert_line_matches_oracle(context.blocks, model_terms(context), spec)
+        assert entropy_scan(context.blocks, spec).degenerate.sum() == 2
 
 
     @pytest.mark.parametrize("spin_sector", [1, -1])
