@@ -1,7 +1,7 @@
 """Lowest eigenpairs of stacks of small symmetric matrices, solved in numpy.
 
 A sweep needs, for each of thousands of cells, the lowest eigenpair of a few
-blocks of size 1 to 9 and one more eigenvalue.  LAPACK pays a fixed cost per
+blocks of size 1 to 5 and one more eigenvalue.  LAPACK pays a fixed cost per
 matrix that is far above the few hundred flops such a solve takes, so here
 each step runs once over the whole stack instead.  Stacks are laid out as
 (d, d, n): every matrix entry, and every entry of the tridiagonal form, is a

@@ -446,7 +446,7 @@ def test_failing_cell_is_named_under_optimize(run_python):
 
 # Bytes one chunk's solve may allocate at its peak.  CHUNK_CELLS was chosen
 # against this budget: tracemalloc reads about 950 B per cell (3.72 MiB at
-# 4096 cells, 1.88 MiB at 2048, 7.26 MiB at 8192), so a kernel change that
+# 4096 cells, 1.86 MiB at 2048, 7.26 MiB at 8192), so a kernel change that
 # grows the working set fails here before it shows in a run's peak RSS.
 CHUNK_WORKING_SET_BUDGET = 4 * 2**20
 
