@@ -75,18 +75,17 @@ def evolve(h: ManyBodyHamiltonian, psi0: np.ndarray, times) -> np.ndarray:
     sector solve serves every time; raises InvariantError if psi0's norm is
     not 1, or if h is not symmetric or couples its symmetry sectors.
     """
-    blocks = h.blocks
     c0 = np.asarray(psi0, dtype=complex)
-    if c0.shape != (blocks.basis.dim,):
+    if c0.shape != (h.blocks.basis.dim,):
         raise ConfigError(
-            f"state has {c0.shape} coefficients for a basis of dimension {blocks.basis.dim}"
+            f"state has {c0.shape} coefficients for a basis of dimension {h.blocks.basis.dim}"
         )
     _check_unit_norms(c0[None])
     t = _validate_times(times)
-    energies, vectors = blocks.eigenpairs(h.couplings)
+    energies, vectors = h.blocks.eigenpairs(h.couplings)
     phases = np.exp(-1j * np.outer(energies, t))
     rotated = (vectors @ ((vectors.T @ c0)[:, None] * phases)).T
-    return rotated * np.exp(-1j * blocks.shift * t)[:, None]
+    return rotated * np.exp(-1j * h.blocks.shift * t)[:, None]
 
 
 @dataclass(frozen=True, repr=False, eq=False)

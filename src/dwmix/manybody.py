@@ -9,12 +9,8 @@ vectors in those spaces, so every operator (mode transfer, contact
 interaction, mirror) is a small dense matrix sandwiched between basis
 vectors.  For two particles this is exactly equivalent to the
 second-quantized forms, including fermionic signs, and it keeps one code
-path for all basis variants.
-
-``hamiltonian_terms`` builds h0 and the three coupling terms as full
-matrices over the composite basis; ``HamiltonianBlocks.project`` projects
-them once onto the basis's symmetry sectors, and every solve of the model's
-H, at one coupling point or a sweep's chunk of them, reads that projection.
+path for all basis variants: ``hamiltonian_terms`` builds the full terms of
+H, and ``HamiltonianBlocks`` holds them projected onto the symmetry sectors.
 """
 
 from __future__ import annotations
@@ -52,10 +48,8 @@ _SPIN_T0 = np.array([[0.0, _SQRT_HALF], [_SQRT_HALF, 0.0]])
 _SPIN_SINGLET = np.array([[0.0, _SQRT_HALF], [-_SQRT_HALF, 0.0]])
 _SPACE_ANTI = np.array([[0.0, _SQRT_HALF], [-_SQRT_HALF, 0.0]])
 
-# The fermion pair's S_z (hbar = 1) on the (m1, s1, m2, s2) product space,
-# spin 0 being up.
-_SZ_ONE = np.kron(np.eye(2), np.diag([0.5, -0.5]))
-_SPIN_Z = np.kron(_SZ_ONE, np.eye(4)) + np.kron(np.eye(4), _SZ_ONE)
+# The fermion pair's S_z (hbar = 1) at each (m1, s1, m2, s2), spin 0 being up.
+_SPIN_Z = np.array([1.0 - s1 - s2 for _, s1, _, s2 in np.ndindex(2, 2, 2, 2)])
 
 # Involutions of the boson (m1, m2) and fermion (m1, s1, m2, s2) product
 # spaces: the left-right mirror of every particle, and the exchange of the
@@ -180,18 +174,16 @@ class CompositeBasis:
         of the basis: the joint eigenspaces of ``symmetries`` and of the
         fermions' S_z.  Largest first.
 
-        Every Hamiltonian dwmix builds commutes with ``symmetries`` and keeps
-        each fermion's spin, so it is block-diagonal over them;
-        ``HamiltonianBlocks`` checks that it is.
+        Every Hamiltonian dwmix builds commutes with them all, so it is
+        block-diagonal over them; ``HamiltonianBlocks`` checks that it is.
         """
-        # Each fermion state of a basis has one S_z, of -1, 0 or 1, here
-        # counted from its lowest value, so that it is 0 in a basis of one
-        # S_z.  With every O_k being +-1, the eigenvalues of
-        # sum_k 2^k O_k + 2^(K+1) S_z, K = len(symmetries), label the sectors.
-        spin_z = np.rint(np.diag(self.fermion_vectors.T @ _SPIN_Z @ self.fermion_vectors))
-        spin_z = np.tile(2.0 ** (len(self.symmetries) + 1) * (spin_z - spin_z.min()),
-                         self.boson_dim)
-        key = sum((2.0**k * o for k, o in enumerate(self.symmetries)), np.diag(spin_z))
+        # Each O_k is +-1, and S_z, one value per fermion state counted from
+        # the basis's lowest, is 0, 1 or 2; so sum_k 2^k O_k + 2^(K+1) S_z,
+        # K = len(symmetries), has one eigenvalue per sector.
+        spin_z = np.rint(_SPIN_Z @ self.fermion_vectors**2)
+        spin_z = 2.0 ** (len(self.symmetries) + 1) * (spin_z - spin_z.min())
+        key = sum((2.0**k * o for k, o in enumerate(self.symmetries)),
+                  np.diag(np.tile(spin_z, self.boson_dim)))
         weights, vectors = np.linalg.eigh(key)
         labels = np.rint(weights)  # ascending, as eigh returns them
         sectors = [vectors[:, labels == label] for label in dict.fromkeys(labels.tolist())]
@@ -353,14 +345,9 @@ class HamiltonianBlocks:
             return np.concatenate([(h - h.T)[upper], (r.T @ h @ r)[leak], *blocks])
 
         shift = float(np.mean(np.diag(h0)))
-        base = flatten(h0 - shift * np.eye(basis.dim))
-        return cls(
-            basis=basis,
-            base=base,
-            terms=np.array([flatten(h) for h in terms]),
-            n_defect=int(upper.sum() + leak.sum()),
-            shift=shift,
-        )
+        return cls(basis=basis, base=flatten(h0 - shift * np.eye(basis.dim)),
+                   terms=np.array([flatten(h) for h in terms]),
+                   n_defect=int(upper.sum() + leak.sum()), shift=shift)
 
     def compose(self, params: CouplingParams) -> ManyBodyHamiltonian:
         """H at one coupling point, on the shared projection."""
@@ -529,10 +516,9 @@ class GroundState:
 
 
 def ground_state(h: ManyBodyHamiltonian) -> GroundState:
-    """Lowest eigenpair of one Hamiltonian from :meth:`HamiltonianBlocks.eigenpairs`,
-    picked and signed as :meth:`HamiltonianBlocks.ground_states` picks and
-    signs a sweep cell's: the energies run by sector, so the first sector
-    wins a tie."""
+    """Lowest eigenpair of one H from its blocks' ``eigenpairs``, picked and
+    signed as ``ground_states`` picks and signs a sweep cell's: the energies
+    run by sector, so the first sector wins a tie."""
     energies, vectors = h.blocks.eigenpairs(h.couplings)
     k = int(np.argmin(energies))
     return GroundState(energy=float(energies[k] + h.blocks.shift),

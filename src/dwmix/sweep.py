@@ -2,15 +2,15 @@
 
 A sweep evaluates the interacting ground state over a coupling grid, against
 fixed single-particle inputs (modes and overlap tensors are computed once and
-shared read-only).  The Hamiltonian blocks come projected onto the basis's
-symmetry sectors (``HamiltonianBlocks``): 5, 4, 2 and 1 states in the
-default basis, four of 3 in the literal four-state one.  Cells are solved in
-chunks of CHUNK_CELLS: one product composes a chunk's sector blocks, and
-each step of the numpy solver in ``HamiltonianBlocks.ground_states``
-(Householder reduction, Laguerre's iteration for each sector's lowest
-eigenvalue, inverse iteration for the winning sector's vector) runs once
-over every cell of the chunk.  The chunks are solved one after another on the calling thread, and
-output order is row-major over the grid.
+shared read-only), on the model's ``HamiltonianBlocks``: its symmetry
+sectors hold 5, 4, 2 and 1 states in the default basis, 3 each in the
+four-state one.  Cells are solved in chunks of CHUNK_CELLS: one product
+composes a chunk's sector blocks, and each step of the numpy solver in
+``HamiltonianBlocks.ground_states`` (Householder reduction, Laguerre's
+iteration for each sector's lowest eigenvalue, inverse iteration for the
+winning sector's vector) runs once over every cell of the chunk.  The chunks
+are solved one after another on the calling thread, and output order is
+row-major over the grid.
 """
 
 from __future__ import annotations
@@ -25,13 +25,11 @@ from .errors import DwmixError, SweepError
 from .manybody import CouplingParams, HamiltonianBlocks, ground_state
 from .observables import species_entropies
 
-# Cells per batched solve, set by the working set and not by speed.  A
-# 256x256 phase_maps map (2-core Xeon, numpy 2.4.6) took 126-137, 102-108,
-# 91-96 and 93-103 ms at 2048, 4096, 8192 and 16384 cells (medians of 7, two
-# runs), while one ``HamiltonianBlocks.ground_states`` call peaks at about
-# 950 B per cell (tracemalloc: 1.86, 3.72, 7.26 and 14.51 MiB).
-# tests/test_sweep.py holds a chunk's working set to 4 MiB, and 4096 cells is
-# the largest power of two inside it.
+# Cells per batched solve: a power of two whose working set (950 B a cell,
+# tracemalloc peak of one ``HamiltonianBlocks.ground_states`` call) stays in
+# the 4 MiB that tests/test_sweep.py allows.  Speed does not set it: a 256x256
+# map (2-core Xeon, numpy 2.4.6) took 126-137, 102-108, 91-96 and 93-103 ms
+# at 2048, 4096, 8192 and 16384 cells (medians of 7, two runs).
 CHUNK_CELLS = 4096
 
 
