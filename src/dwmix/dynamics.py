@@ -188,8 +188,9 @@ def _damping_rate(times: np.ndarray, values: np.ndarray) -> float:
         peak_v = np.concatenate([[values[0]], peak_v])
     if peak_v.size < 2:
         return 0.0
+    # The later peaks' median, without np.median, whose first call imports numpy.ma.
     later = np.sort(peak_v[peak_v.size // 2 :])
-    tail = float(np.mean(later[(later.size - 1) // 2 : later.size // 2 + 1]))  # the median
+    tail = float(np.mean(later[(later.size - 1) // 2 : later.size // 2 + 1]))
     threshold = tail + 0.1 * (peak_v[0] - tail)
     below = np.nonzero(peak_v <= threshold)[0]
     stop = int(below[0]) if below.size and below[0] > 0 else peak_v.size - 1

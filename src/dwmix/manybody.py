@@ -177,9 +177,10 @@ class CompositeBasis:
         Every Hamiltonian dwmix builds commutes with them all, so it is
         block-diagonal over them; ``HamiltonianBlocks`` checks that it is.
         """
-        # Each O_k is +-1, and S_z, one value per fermion state counted from
-        # the basis's lowest, is 0, 1 or 2; so sum_k 2^k O_k + 2^(K+1) S_z,
-        # K = len(symmetries), has one eigenvalue per sector.
+        # Each O_k is +-1.  S_z, one value per fermion state, is counted from
+        # the basis's lowest (so 0, 1 or 2), which leaves the key of a basis of
+        # one S_z that of its symmetries alone.  Then sum_k 2^k O_k +
+        # 2^(K+1) S_z, K = len(symmetries), has one eigenvalue per sector.
         spin_z = np.rint(_SPIN_Z @ self.fermion_vectors**2)
         spin_z = 2.0 ** (len(self.symmetries) + 1) * (spin_z - spin_z.min())
         key = sum((2.0**k * o for k, o in enumerate(self.symmetries)),
