@@ -3,17 +3,21 @@
 Subcommands map one-to-one onto the library layers: ``solve-modes`` stops
 after the single-particle doublet, ``evolve`` runs a trajectory, the two
 sweep subcommands scan coupling space, and ``validate-config`` is their dry
-run: it checks every config rule (``RunConfig.validate`` checks every key for
-every subcommand) and builds the model up to its doublet modes and composite
-basis, but builds no overlap tensor or Hamiltonian block, solves nothing
-beyond the doublet, and writes nothing.  A run validates its config once,
-with the flags that override its keys applied.  A subcommand's own rule
-(``fidelity-map``'s two-axis plane, ``evolve``'s both-right start state) is
-checked before its build.
+run.  Every run goes through one lifecycle, ``_run``: it validates the config
+once, with the flags that override its keys applied; checks the subcommand's
+own rule (``fidelity-map``'s two-axis plane, ``evolve``'s both-right start
+state); makes the output directory; builds the model with the parts the
+subcommand reads, under the ``build`` timer; runs the subcommand's step
+under its own stage timer; writes the step's artifacts, the ``--plot``
+script and the manifest; and prints what it wrote.  ``validate-config``
+checks every config rule (``RunConfig.validate`` checks every key for every
+subcommand), stops after building the doublet modes and composite basis, and
+prints its report: it builds no overlap tensor or Hamiltonian block, solves
+nothing beyond the doublet, and writes nothing.
 
 Exit codes are a stable scripting contract: 0 success, 2 configuration
-error, 3 model-validity error (localization or gap failures), 4 internal
-invariant or sweep failure.
+error (an output directory that cannot be made included), 3 model-validity
+error (localization or gap failures), 4 internal invariant or sweep failure.
 """
 
 from __future__ import annotations
@@ -22,8 +26,10 @@ import argparse
 import functools
 import sys
 import time
+from collections.abc import Callable
 from importlib import resources
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -86,20 +92,25 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     )
 
 
-def _build(config: RunConfig, *reads: str) -> tuple[ModelContext, float]:
-    """The run's model with the parts it reads (``overlaps``, ``blocks``),
-    which a context builds on first read, and the seconds it took to build."""
-    started = time.perf_counter()
-    context = build_context(config)
-    for name in reads:
-        getattr(context, name)
-    return context, time.perf_counter() - started
-
-
-def _out_dir(config: RunConfig) -> Path:
+def _make_directory(config: RunConfig) -> Path:
     directory = Path(config.output.directory)
-    directory.mkdir(parents=True, exist_ok=True)
+    try:
+        directory.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(
+            f"output.directory = {directory} cannot be made: {exc.strerror}"
+        ) from None
     return directory
+
+
+def _evolve_rule(config: RunConfig) -> None:
+    m = config.model
+    if (m.fermion_basis, m.spin_sector) != (ANTISYMMETRIC, 0):  # the only basis with RR|RRs
+        raise ConfigError(
+            "evolve starts from the both-right state RR|RRs, which needs model.fermion_basis = "
+            f"{ANTISYMMETRIC} and model.spin_sector = 0 "
+            f"(got {m.fermion_basis} and {m.spin_sector})"
+        )
 
 
 def _fidelity_spec(config: RunConfig) -> SweepSpec:
@@ -141,105 +152,47 @@ def _sweep_health(sweep: FidelitySurface | EntropyCurve) -> tuple[int, float, li
             sweep.max_residual)
 
 
-def _finish(
-    context: ModelContext,
-    directory: Path,
-    outputs: dict[str, Path],
-    wall_times: dict[str, float],
-    results: dict,
-) -> None:
-    manifest = build_manifest(context, outputs, wall_times=wall_times, results=results)
-    manifest_path = write_manifest(directory / "manifest.json", manifest)
-    for path in outputs.values():
-        print(f"wrote {path}")
-    print(f"wrote {manifest_path}")
+# A subcommand's step computes, under its stage timer, and returns the artifacts to
+# write once the timer stops, each (file name, writer, data...), and its ``results``.
+_Step = Callable[[ModelContext, SweepSpec | None, argparse.Namespace], tuple[list[tuple], dict]]
 
 
-def _cmd_solve_modes(args: argparse.Namespace) -> int:
-    config = _resolve_config(args)
-    context, build_s = _build(config, "overlaps")
-    directory = _out_dir(config)
-    outputs = {
-        "modes_boson": write_modes_csv(
-            directory / "modes_boson.csv", context.boson_modes, context.grid
-        ),
-        "modes_fermion": write_modes_csv(
-            directory / "modes_fermion.csv", context.fermion_modes, context.grid
-        ),
-    }
-    if args.plot:
-        outputs["plot_script"] = _write_plot_script(directory, "modes")
-    _finish(context, directory, outputs, {"build": build_s}, results={})
-    print(
-        f"splitting: boson {context.boson_modes.splitting!r}, "
-        f"fermion {context.fermion_modes.splitting!r}"
-    )
-    return EXIT_OK
+def _cmd_solve_modes(context: ModelContext, spec: None, args: argparse.Namespace):
+    return [
+        ("modes_boson.csv", write_modes_csv, context.boson_modes, context.grid),
+        ("modes_fermion.csv", write_modes_csv, context.fermion_modes, context.grid),
+    ], {}
 
 
-def _cmd_evolve(args: argparse.Namespace) -> int:
-    config = _resolve_config(args)
-    m = config.model
-    if (m.fermion_basis, m.spin_sector) != (ANTISYMMETRIC, 0):  # the only basis with RR|RRs
-        raise ConfigError(
-            "evolve starts from the both-right state RR|RRs, which needs model.fermion_basis = "
-            f"{ANTISYMMETRIC} and model.spin_sector = 0 "
-            f"(got {m.fermion_basis} and {m.spin_sector})"
-        )
-    context, build_s = _build(config, "blocks")  # the sector projection included
-    started = time.perf_counter()
+def _cmd_evolve(context: ModelContext, spec: None, args: argparse.Namespace):
+    dynamics = context.config.dynamics
     h = context.hamiltonian()
     psi0 = initial_state_rr(context.basis)
     times = default_time_grid(
-        context.min_splitting,
-        periods=config.dynamics.periods,
-        n_samples=config.dynamics.n_samples,
+        context.min_splitting, periods=dynamics.periods, n_samples=dynamics.n_samples
     )
-    directory = _out_dir(config)
-    outputs: dict[str, Path] = {}
-    if config.dynamics.with_entropy:
+    artifacts = []
+    if dynamics.with_entropy:
         coefficients = evolve(h, psi0, times)
         series = TimeSeries(
             times=times,
             p_rr_bosons=return_probability(coefficients, context.basis, BOSONS),
             p_rr_fermions=return_probability(coefficients, context.basis, FERMIONS),
         )
-        outputs["entropy_t"] = write_entropy_timeseries_csv(
-            directory / "entropy_t.csv", times, species_entropies(coefficients, context.basis)
-        )
+        entropies = species_entropies(coefficients, context.basis)
+        artifacts.append(("entropy_t.csv", write_entropy_timeseries_csv, times, entropies))
     else:
         series = return_series(h, psi0, times)
     report = regime_metrics(series)
-    evolve_s = time.perf_counter() - started
-    outputs["p_rr"] = write_timeseries_csv(directory / "p_rr.csv", series)
-    outputs["regimes"] = write_regimes_json(directory / "regimes.json", report)
-    if args.plot:
-        outputs["plot_script"] = _write_plot_script(directory, "p_rr")
-    _finish(
-        context,
-        directory,
-        outputs,
-        {"build": build_s, "evolve": evolve_s},
-        results=report,
-    )
-    return EXIT_OK
+    artifacts += [("p_rr.csv", write_timeseries_csv, series),
+                  ("regimes.json", write_regimes_json, report)]
+    return artifacts, report
 
 
-def _cmd_fidelity_map(args: argparse.Namespace) -> int:
-    config = _resolve_config(args)
-    spec = _fidelity_spec(config)
-    context, build_s = _build(config, "blocks")
-    started = time.perf_counter()
+def _cmd_fidelity_map(context: ModelContext, spec: SweepSpec, args: argparse.Namespace):
     surface = fidelity_map(context.blocks, spec, workers=args.workers)
-    sweep_s = time.perf_counter() - started
-    directory = _out_dir(config)
-    outputs = {
-        "fidelity_map": write_fidelity_csv(directory / "fidelity_map.csv", surface)
-    }
-    if args.plot:
-        outputs["plot_script"] = _write_plot_script(directory, "fidelity")
     degenerate, min_gap, cell, max_residual = _sweep_health(surface)
-    results = {
+    return [("fidelity_map.csv", write_fidelity_csv, surface)], {
         "reference_energy": surface.reference_energy,
         "degenerate_cells": degenerate,
         "min_fidelity": float(surface.fidelity.min()),
@@ -247,25 +200,12 @@ def _cmd_fidelity_map(args: argparse.Namespace) -> int:
         "min_gap_cell": cell,
         "max_residual": max_residual,
     }
-    _finish(context, directory, outputs, {"build": build_s, "sweep": sweep_s}, results=results)
-    return EXIT_OK
 
 
-def _cmd_entropy_scan(args: argparse.Namespace) -> int:
-    config = _resolve_config(args)
-    spec = _entropy_spec(config)
-    context, build_s = _build(config, "blocks")
-    started = time.perf_counter()
+def _cmd_entropy_scan(context: ModelContext, spec: SweepSpec, args: argparse.Namespace):
     curve = entropy_scan(context.blocks, spec)
-    sweep_s = time.perf_counter() - started
-    directory = _out_dir(config)
-    outputs = {
-        "entropy_scan": write_entropy_csv(directory / "entropy_scan.csv", curve)
-    }
-    if args.plot:
-        outputs["plot_script"] = _write_plot_script(directory, "entropy")
     degenerate, min_gap, (point,), max_residual = _sweep_health(curve)
-    results = {
+    return [("entropy_scan.csv", write_entropy_csv, curve)], {
         "argmax_lambda_ff": curve.argmax_lambda,
         "max_s_bosons": float(curve.entropy.max()),
         "degenerate_cells": degenerate,
@@ -273,25 +213,27 @@ def _cmd_entropy_scan(args: argparse.Namespace) -> int:
         "min_gap_point": point,
         "max_residual": max_residual,
     }
-    _finish(context, directory, outputs, {"build": build_s, "sweep": sweep_s}, results=results)
-    return EXIT_OK
 
 
-def _cmd_validate_config(args: argparse.Namespace) -> int:
-    config = _resolve_config(args)
-    context, _ = _build(config)
+def _splittings(context: ModelContext) -> str:
     mb, mf = context.boson_modes, context.fermion_modes
-    print("config OK")
-    print(f"potential: {config.potential.shape}")
-    print(f"grid: n_points={context.grid.n_points} x_max={context.grid.x_max!r}")
-    print(f"boson   splitting={mb.splitting!r} gap_ratio={mb.gap_ratio:.1f} "
-          f"right_mass={mb.right_mass():.6f}")
-    print(f"fermion splitting={mf.splitting!r} gap_ratio={mf.gap_ratio:.1f} "
-          f"right_mass={mf.right_mass():.6f}")
-    print(f"couplings: bb={config.couplings.lambda_bb!r} "
-          f"ff={config.couplings.lambda_ff!r} bf={config.couplings.lambda_bf!r}")
-    print(f"basis: {context.basis.dim} states ({config.model.fermion_basis})")
-    return EXIT_OK
+    return f"splitting: boson {mb.splitting!r}, fermion {mf.splitting!r}"
+
+
+def _validation_report(context: ModelContext) -> str:
+    config, mb, mf = context.config, context.boson_modes, context.fermion_modes
+    return "\n".join((
+        "config OK",
+        f"potential: {config.potential.shape}",
+        f"grid: n_points={context.grid.n_points} x_max={context.grid.x_max!r}",
+        f"boson   splitting={mb.splitting!r} gap_ratio={mb.gap_ratio:.1f} "
+        f"right_mass={mb.right_mass():.6f}",
+        f"fermion splitting={mf.splitting!r} gap_ratio={mf.gap_ratio:.1f} "
+        f"right_mass={mf.right_mass():.6f}",
+        f"couplings: bb={config.couplings.lambda_bb!r} "
+        f"ff={config.couplings.lambda_ff!r} bf={config.couplings.lambda_bf!r}",
+        f"basis: {context.basis.dim} states ({config.model.fermion_basis})",
+    ))
 
 
 _PLOT_SCRIPTS = {
@@ -391,57 +333,95 @@ def _worker_count(text: str) -> int:
     return value
 
 
+class _Command(NamedTuple):
+    """What a subcommand adds to the lifecycle that every subcommand shares."""
+
+    help: str
+    step: _Step | None  # None: a dry run, which stops after the build
+    rule: Callable[[RunConfig], SweepSpec | None] | None = None  # checked before the build
+    reads: tuple[str, ...] = ()  # the model parts built, and timed, with it
+    stage: str | None = None  # the step's wall_time_s key; "sweep" takes --workers
+    plot: str = ""  # the --plot script's kind
+    report: Callable[[ModelContext], str] | None = None  # printed last
+
+
+_COMMANDS = {
+    "solve-modes": _Command(
+        "solve the doublet and write mode CSVs", _cmd_solve_modes,
+        reads=("overlaps",), plot="modes", report=_splittings,
+    ),
+    "evolve": _Command(
+        "propagate the both-right state", _cmd_evolve, rule=_evolve_rule,
+        reads=("blocks",), stage="evolve", plot="p_rr",  # the sector projection included
+    ),
+    "fidelity-map": _Command(
+        "ground-state fidelity over a coupling plane", _cmd_fidelity_map, rule=_fidelity_spec,
+        reads=("blocks",), stage="sweep", plot="fidelity",
+    ),
+    "entropy-scan": _Command(
+        "entanglement entropy along a coupling line", _cmd_entropy_scan, rule=_entropy_spec,
+        reads=("blocks",), stage="sweep", plot="entropy",
+    ),
+    "validate-config": _Command(
+        "check a config and report mode validity", None, report=_validation_report,
+    ),
+}
+
+
+def _run(args: argparse.Namespace) -> int:
+    """The lifecycle every subcommand shares, from its config to its ``wrote`` lines."""
+    command = _COMMANDS[args.command]
+    config = _resolve_config(args)
+    spec = command.rule(config) if command.rule is not None else None
+    directory = _make_directory(config) if command.step is not None else None
+    started = time.perf_counter()
+    context = build_context(config)
+    for name in command.reads:
+        getattr(context, name)
+    wall_times = {"build": time.perf_counter() - started}
+    if command.step is not None:
+        started = time.perf_counter()
+        artifacts, results = command.step(context, spec, args)
+        if command.stage is not None:
+            wall_times[command.stage] = time.perf_counter() - started
+        outputs = {}
+        for name, writer, *data in artifacts:
+            outputs[Path(name).stem] = writer(directory / name, *data)
+        if args.plot:
+            outputs["plot_script"] = _write_plot_script(directory, command.plot)
+        manifest = build_manifest(context, outputs, wall_times=wall_times, results=results)
+        manifest_path = write_manifest(directory / "manifest.json", manifest)
+        for path in (*outputs.values(), manifest_path):
+            print(f"wrote {path}")
+    if command.report is not None:
+        print(command.report(context))
+    return EXIT_OK
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dwmix",
         description="Two-mode double-well dynamics for a boson-fermion mixture.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p: argparse.ArgumentParser, workers: bool = False) -> None:
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
         p.add_argument(
             "--config",
             help="config file path, or a preset name "
             f"({', '.join(PRESET_NAMES)}); omit for defaults",
         )
         p.add_argument("--out", help="output directory (overrides output.directory)")
-        p.add_argument(
-            "--fermion-basis",
-            choices=FERMION_VARIANTS,
-            help="override model.fermion_basis",
-        )
-        p.add_argument(
-            "--plot",
-            action="store_true",
-            help="also emit a matplotlib script next to the CSVs (never executed)",
-        )
-        if workers:
+        p.add_argument("--fermion-basis", choices=FERMION_VARIANTS,
+                       help="override model.fermion_basis")
+        p.add_argument("--plot", action="store_true",
+                       help="also emit a matplotlib script next to the CSVs (never executed)")
+        if command.stage == "sweep":
             p.add_argument(
                 "--workers", type=_worker_count, default=1, metavar="N",
                 help="accepted for older scripts; the sweep runs on one thread and "
                 "its output does not depend on N (default 1)",
             )
-
-    p = sub.add_parser("solve-modes", help="solve the doublet and write mode CSVs")
-    add_common(p)
-    p.set_defaults(handler=_cmd_solve_modes)
-
-    p = sub.add_parser("evolve", help="propagate the both-right state")
-    add_common(p)
-    p.set_defaults(handler=_cmd_evolve)
-
-    p = sub.add_parser("fidelity-map", help="ground-state fidelity over a coupling plane")
-    add_common(p, workers=True)
-    p.set_defaults(handler=_cmd_fidelity_map)
-
-    p = sub.add_parser("entropy-scan", help="entanglement entropy along a coupling line")
-    add_common(p, workers=True)
-    p.set_defaults(handler=_cmd_entropy_scan)
-
-    p = sub.add_parser("validate-config", help="check a config and report mode validity")
-    add_common(p)
-    p.set_defaults(handler=_cmd_validate_config)
-
     return parser
 
 
@@ -454,7 +434,7 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.handler(args)
+        return _run(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -4,7 +4,10 @@ import dataclasses
 import hashlib
 import json
 import math
+import runpy
+import sys
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -184,6 +187,18 @@ class TestExitCodes:
                      "--fermion-basis", "paper_four_state"])
         assert code == EXIT_CONFIG
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["fidelity-map", "solve-modes"])
+    @pytest.mark.parametrize("under", ["file/sub", "file"])
+    def test_output_directory_that_cannot_be_made(self, tmp_path, monkeypatch, capsys,
+                                                  command, under):
+        # The directory is made before the build, so such a run solves nothing.
+        monkeypatch.setattr(cli, "build_context", lambda config: pytest.fail("built a model"))
+        (tmp_path / "file").write_text("")
+        out = tmp_path / under
+        cfg = write_cfg(tmp_path, TestFidelityMap.SWEEP)
+        assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+        assert f"config error: output.directory = {out} cannot be made" in capsys.readouterr().err
 
 
 class TestPresets:
@@ -481,3 +496,27 @@ def test_runs_leave_out_numpy_ma(run_python, tmp_path):
                       "print(codes, 'numpy.ma' in sys.modules)")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[0, 0, 0] False"
+
+
+@pytest.mark.parametrize("command, script, figures", [
+    ("solve-modes", "plot_modes.py", ["modes_boson.png", "modes_fermion.png"]),
+    ("evolve", "plot_p_rr.py", ["p_rr.png"]),
+    ("fidelity-map", "plot_fidelity.py", ["fidelity_map.png"]),
+    ("entropy-scan", "plot_entropy.py", ["entropy_scan.png"]),
+])
+def test_plot_scripts_read_their_artifacts(tmp_path, monkeypatch, command, script, figures):
+    # Each --plot script runs in its output directory against a stub pyplot
+    # (matplotlib is not a dependency): a column its CSV lacks is a KeyError.
+    cfg = write_cfg(tmp_path, TestFidelityMap.SWEEP + "sweep.line_count = 5\n"
+                    "dynamics.n_samples = 64\n")
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out), "--plot"]) == EXIT_OK
+    pyplot = mock.MagicMock()
+    fig, ax = mock.MagicMock(), mock.MagicMock()
+    pyplot.subplots.return_value = fig, ax
+    monkeypatch.setitem(sys.modules, "matplotlib", mock.MagicMock(pyplot=pyplot))
+    monkeypatch.setitem(sys.modules, "matplotlib.pyplot", pyplot)
+    monkeypatch.chdir(out)
+    runpy.run_path(str(out / script), run_name="__main__")
+    assert [c.args[0] for c in fig.savefig.call_args_list] == figures
+    assert ax.method_calls
