@@ -122,16 +122,13 @@ class Tridiagonal:
         for the next eigenvalue.  A row also ends, after its next step, once
         that step is at most STEP_TOL * eps * ||T|| times its ratio to the
         step before, so that the one after is smaller still at any rate of
-        convergence up to linear.  Once half the rows have ended they leave
-        the iteration, so that the last steps run on the few rows still
-        moving.  Raises InvariantError at the first row still moving after
-        LAGUERRE_ITERATIONS steps.
+        convergence up to linear.  Raises InvariantError at the first row
+        still moving after LAGUERRE_ITERATIONS steps.
         """
         if len(self.diag) == 1:
             return self.diag[0].copy()
         laguerre = _Laguerre(self.diag, self.off * self.off, self.norm)
         lowest = np.empty(self.norm.size)
-        index = np.arange(lowest.size)
         live = np.ones(lowest.size, dtype=bool)
         tol = STEP_TOL * EPS * self.norm
         x = np.min(self.diag - _reach(np.abs(self.off)), axis=0) - tol
@@ -140,20 +137,16 @@ class Tridiagonal:
             y = x + step
             positive, next_step = laguerre.evaluate(y)
             done = live & (~positive | (next_step * next_step <= tol * step))
-            lowest[index[done]] = np.where(positive, y + next_step, y)[done]
+            lowest[done] = np.where(positive, y + next_step, y)[done]
             live &= ~done
             if not live.any():
                 return lowest
-            if 2 * np.count_nonzero(live) <= live.size:
-                columns = np.flatnonzero(live)
-                laguerre, index, tol = laguerre.take(columns), index[columns], tol[columns]
-                y, next_step, live = y[columns], next_step[columns], live[columns]
             x, step = y, next_step
         k = int(np.flatnonzero(live)[0])
         raise InvariantError(
             f"Laguerre iteration for the lowest eigenvalue still moving after "
             f"{LAGUERRE_ITERATIONS} steps (last step {step[k]:.3e})",
-            index=int(index[k]),
+            index=k,
         )
 
     def vectors(self, lowest: np.ndarray) -> np.ndarray:
@@ -200,9 +193,6 @@ class _Laguerre:
         self.work = np.empty((7, norm.size))
         self.positive = np.empty(norm.size, dtype=bool)
         self.ok = np.empty(norm.size, dtype=bool)
-
-    def take(self, columns: np.ndarray) -> _Laguerre:
-        return _Laguerre(self.diag[:, columns], self.off2[:, columns], self.norm[columns])
 
     def evaluate(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Whether every pivot of T - x I is positive, and Laguerre's step from
