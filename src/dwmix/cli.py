@@ -4,16 +4,17 @@ Subcommands map one-to-one onto the library layers: ``solve-modes`` stops
 after the single-particle doublet, ``evolve`` runs a trajectory, the two
 sweep subcommands scan coupling space, and ``validate-config`` is their dry
 run.  Every run goes through one lifecycle, ``_run``: it validates the config
-once, with the flags that override its keys applied; checks the subcommand's
-own rule (``fidelity-map``'s two-axis plane, ``evolve``'s both-right start
-state); makes the output directory; builds the model with the parts the
-subcommand reads, under the ``build`` timer; runs the subcommand's step
-under its own stage timer; writes the step's artifacts, the ``--plot``
-script and the manifest; and prints what it wrote.  ``validate-config``
-checks every config rule (``RunConfig.validate`` checks every key for every
-subcommand), stops after building the doublet modes and composite basis, and
-prints its report: it builds no overlap tensor or Hamiltonian block, solves
-nothing beyond the doublet, and writes nothing.
+once, with ``--out`` (which overrides ``output.directory``) applied; checks
+the subcommand's own rule (``fidelity-map``'s two-axis plane, ``evolve``'s
+both-right start state); makes the output directory; builds the model with
+the parts the subcommand reads, under the ``build`` timer; runs the
+subcommand's step under its own stage timer; writes the step's artifacts,
+the ``--plot`` script and the manifest; and prints what it wrote.
+``validate-config`` checks every config rule (``RunConfig.validate`` checks
+every key for every subcommand), stops after building the doublet modes and
+composite basis, and prints its report: it builds no overlap tensor or
+Hamiltonian block, solves nothing beyond the doublet, and writes nothing, so
+it takes ``--config`` alone.
 
 Exit codes are a stable scripting contract: 0 success, 2 configuration
 error (an output directory that cannot be made included), 3 model-validity
@@ -33,7 +34,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .config import ANTISYMMETRIC, FERMION_VARIANTS, PLANE_AXES, RunConfig, load_config, parse_config
+from .config import PLANE_AXES, RunConfig, load_config, parse_config
 from .dynamics import (
     TimeSeries,
     default_time_grid,
@@ -69,12 +70,11 @@ EXIT_INTERNAL = 4
 
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
     """The config of --config (a file path or a shipped preset name), with
-    the flags that override its keys applied, validated once."""
+    --out, where the subcommand takes it, overriding ``output.directory``,
+    validated once."""
     overrides: dict[str, object] = {}
-    if args.out is not None:
+    if getattr(args, "out", None) is not None:
         overrides["output.directory"] = args.out
-    if getattr(args, "fermion_basis", None) is not None:
-        overrides["model.fermion_basis"] = args.fermion_basis
     if args.config is None:
         return parse_config("", overrides)
     if Path(args.config).is_file():
@@ -104,12 +104,10 @@ def _make_directory(config: RunConfig) -> Path:
 
 
 def _evolve_rule(config: RunConfig) -> None:
-    m = config.model
-    if (m.fermion_basis, m.spin_sector) != (ANTISYMMETRIC, 0):  # the only basis with RR|RRs
+    if config.model.spin_sector != 0:  # the only sector with RR|RRs
         raise ConfigError(
-            "evolve starts from the both-right state RR|RRs, which needs model.fermion_basis = "
-            f"{ANTISYMMETRIC} and model.spin_sector = 0 "
-            f"(got {m.fermion_basis} and {m.spin_sector})"
+            "evolve starts from the both-right state RR|RRs, which needs "
+            f"model.spin_sector = 0 (got {config.model.spin_sector})"
         )
 
 
@@ -232,7 +230,7 @@ def _validation_report(context: ModelContext) -> str:
         f"right_mass={mf.right_mass():.6f}",
         f"couplings: bb={config.couplings.lambda_bb!r} "
         f"ff={config.couplings.lambda_ff!r} bf={config.couplings.lambda_bf!r}",
-        f"basis: {context.basis.dim} states ({config.model.fermion_basis})",
+        f"basis: {context.basis.dim} states (antisymmetric)",
     ))
 
 
@@ -337,7 +335,7 @@ class _Command(NamedTuple):
     """What a subcommand adds to the lifecycle that every subcommand shares."""
 
     help: str
-    step: _Step | None  # None: a dry run, which stops after the build
+    step: _Step | None  # None: a dry run, which stops after the build (no --out, no --plot)
     rule: Callable[[RunConfig], SweepSpec | None] | None = None  # checked before the build
     reads: tuple[str, ...] = ()  # the model parts built, and timed, with it
     stage: str | None = None  # the step's wall_time_s key; "sweep" takes --workers
@@ -411,11 +409,10 @@ def build_parser() -> argparse.ArgumentParser:
             help="config file path, or a preset name "
             f"({', '.join(PRESET_NAMES)}); omit for defaults",
         )
-        p.add_argument("--out", help="output directory (overrides output.directory)")
-        p.add_argument("--fermion-basis", choices=FERMION_VARIANTS,
-                       help="override model.fermion_basis")
-        p.add_argument("--plot", action="store_true",
-                       help="also emit a matplotlib script next to the CSVs (never executed)")
+        if command.step is not None:
+            p.add_argument("--out", help="output directory (overrides output.directory)")
+            p.add_argument("--plot", action="store_true",
+                           help="also emit a matplotlib script next to the CSVs (never executed)")
         if command.stage == "sweep":
             p.add_argument(
                 "--workers", type=_worker_count, default=1, metavar="N",

@@ -8,7 +8,7 @@ with ``#`` or ``;``, no interpolation, no nesting.  Unknown keys are errors
 a key's type is the type of its default, and the table's order is the
 manifest's key order.  Every rule on a key's value lives in
 ``RunConfig.validate``, next to the tables it reads (the coupling bound, the
-fermion variants, the sweep planes), so this module imports no other dwmix
+potential shapes, the sweep planes), so this module imports no other dwmix
 module but ``errors``.
 """
 
@@ -22,10 +22,6 @@ from .errors import ConfigError
 
 COUPLING_MAX = 0.1
 COUPLING_NAMES = ("lambda_bb", "lambda_ff", "lambda_bf")
-
-ANTISYMMETRIC = "antisymmetric"
-PAPER_FOUR_STATE = "paper_four_state"
-FERMION_VARIANTS = (ANTISYMMETRIC, PAPER_FOUR_STATE)
 
 # plane tag -> (x axis coupling, y axis coupling, fixed couplings)
 PLANE_AXES: dict[str, tuple[str, str | None, tuple[str, ...]]] = {
@@ -69,7 +65,6 @@ DEFAULTS: dict[str, object] = {
     "sweep.reference_bb": 5.0e-4,
     "sweep.reference_ff": 5.0e-4,
     "sweep.reference_bf": 5.0e-4,
-    "model.fermion_basis": ANTISYMMETRIC,
     "model.spin_sector": 0,
     "model.min_gap_ratio": 10.0,
     "output.directory": ".",
@@ -187,16 +182,8 @@ class RunConfig:
             raise ConfigError(
                 f"sweep.plane must be one of {tuple(PLANE_AXES)}, got {sweep.plane!r}"
             )
-        if model.fermion_basis not in FERMION_VARIANTS:
-            raise ConfigError(
-                f"model.fermion_basis must be one of {FERMION_VARIANTS}, "
-                f"got {model.fermion_basis!r}"
-            )
         if model.spin_sector not in (-1, 0, 1):
             raise ConfigError("model.spin_sector must be -1, 0, or +1")
-        if model.fermion_basis == PAPER_FOUR_STATE and model.spin_sector != 0:
-            raise ConfigError(f"model.spin_sector must be 0 with model.fermion_basis = "
-                              f"{PAPER_FOUR_STATE} (got {model.spin_sector})")
         _check_masses(self.species)
         for key in _COUPLING_KEYS:
             value = self._flat[key]

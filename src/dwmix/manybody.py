@@ -9,7 +9,7 @@ vectors in those spaces, so every operator (mode transfer, contact
 interaction, mirror) is a small dense matrix sandwiched between basis
 vectors.  For two particles this is exactly equivalent to the
 second-quantized forms, including fermionic signs, and it keeps one code
-path for all basis variants: ``hamiltonian_terms`` builds the full terms of
+path for every spin sector: ``hamiltonian_terms`` builds the full terms of
 H, and ``HamiltonianBlocks`` holds them projected onto the symmetry sectors.
 """
 
@@ -21,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .config import COUPLING_NAMES, PAPER_FOUR_STATE
+from .config import COUPLING_NAMES
 from .errors import ConfigError, InvariantError
 from .modes import DoubletModes
 from .overlaps import OverlapTensor
@@ -42,15 +42,6 @@ _B_LL = np.array([[1.0, 0.0], [0.0, 0.0]])
 _B_SYM = np.array([[0.0, _SQRT_HALF], [_SQRT_HALF, 0.0]])
 _B_RR = np.array([[0.0, 0.0], [0.0, 1.0]])
 
-_SPIN_UU = np.array([[1.0, 0.0], [0.0, 0.0]])
-_SPIN_DD = np.array([[0.0, 0.0], [0.0, 1.0]])
-_SPIN_T0 = np.array([[0.0, _SQRT_HALF], [_SQRT_HALF, 0.0]])
-_SPIN_SINGLET = np.array([[0.0, _SQRT_HALF], [-_SQRT_HALF, 0.0]])
-_SPACE_ANTI = np.array([[0.0, _SQRT_HALF], [-_SQRT_HALF, 0.0]])
-
-# The fermion pair's S_z (hbar = 1) at each (m1, s1, m2, s2), spin 0 being up.
-_SPIN_Z = np.array([1.0 - s1 - s2 for _, s1, _, s2 in np.ndindex(2, 2, 2, 2)])
-
 # Involutions of the boson (m1, m2) and fermion (m1, s1, m2, s2) product
 # spaces: the left-right mirror of every particle, and the exchange of the
 # two fermions' spins, (m1, s1, m2, s2) -> (m1, s2, m2, s1).
@@ -62,11 +53,6 @@ _SPIN_EXCHANGE = (
 )
 
 
-def _product_vector(spatial: np.ndarray, spin: np.ndarray) -> np.ndarray:
-    """16-vector for a (spatial 2x2) x (spin 2x2) two-fermion product."""
-    return np.einsum("ik,jl->ijkl", spatial, spin).reshape(16)
-
-
 def _det_vector(o1: int, o2: int) -> np.ndarray:
     """Normalized Slater determinant |o1 o2> with o1 < o2."""
     v = np.zeros(16)
@@ -75,25 +61,14 @@ def _det_vector(o1: int, o2: int) -> np.ndarray:
     return v
 
 
-def _boson_basis() -> tuple[list[str], np.ndarray]:
+def _boson_states() -> tuple[list[str], np.ndarray]:
     vectors = np.column_stack(
         [_B_LL.reshape(4), _B_SYM.reshape(4), _B_RR.reshape(4)]
     )
     return ["LL", "S", "RR"], vectors
 
 
-def _fermion_basis(sector: int, variant: str) -> tuple[list[str], np.ndarray]:
-    if variant == PAPER_FOUR_STATE:
-        labels = ["As", "LLt", "St", "RRt"]
-        vectors = np.column_stack(
-            [
-                _product_vector(_SPACE_ANTI, _SPIN_SINGLET),
-                _product_vector(_B_LL, _SPIN_UU),
-                _product_vector(_B_SYM, _SPIN_T0),
-                _product_vector(_B_RR, _SPIN_DD),
-            ]
-        )
-        return labels, vectors
+def _fermion_states(sector: int) -> tuple[list[str], np.ndarray]:
     if sector == 0:
         d03 = _det_vector(0, 3)
         d12 = _det_vector(1, 2)
@@ -160,41 +135,31 @@ class CompositeBasis:
         return np.reshape(coefficients, shape)
 
     @cached_property
-    def symmetries(self) -> tuple[np.ndarray, ...]:
+    def symmetries(self) -> tuple[np.ndarray, np.ndarray]:
         """The fermion spin exchange and the left-right mirror, as matrices
-        over this basis, each kept where the basis span is closed under it:
-        the spin exchange always, the mirror in every basis but the literal
-        four-state one."""
-        operators = (_involution(self, *_SPIN_EXCHANGE), _involution(self, *_MIRROR))
-        return tuple(o for o in operators if o is not None)
+        over this basis (every spin sector's span is closed under both)."""
+        return _involution(self, *_SPIN_EXCHANGE), _involution(self, *_MIRROR)
 
     @cached_property
     def sectors(self) -> tuple[np.ndarray, ...]:
         """Orthonormal column blocks, shape (dim, d_k), one per symmetry sector
-        of the basis: the joint eigenspaces of ``symmetries`` and of the
-        fermions' S_z.  Largest first.
+        of the basis: the joint eigenspaces of ``symmetries``.  Largest first.
 
         Every Hamiltonian dwmix builds commutes with them all, so it is
         block-diagonal over them; ``HamiltonianBlocks`` checks that it is.
         """
-        # Each O_k is +-1.  S_z, one value per fermion state, is counted from
-        # the basis's lowest (so 0, 1 or 2), which leaves the key of a basis of
-        # one S_z that of its symmetries alone.  Then sum_k 2^k O_k +
-        # 2^(K+1) S_z, K = len(symmetries), has one eigenvalue per sector.
-        spin_z = np.rint(_SPIN_Z @ self.fermion_vectors**2)
-        spin_z = 2.0 ** (len(self.symmetries) + 1) * (spin_z - spin_z.min())
-        key = sum((2.0**k * o for k, o in enumerate(self.symmetries)),
-                  np.diag(np.tile(spin_z, self.boson_dim)))
+        # Each O_k is +-1, so sum_k 2^k O_k has one eigenvalue per sector.
+        key = sum(2.0**k * o for k, o in enumerate(self.symmetries))
         weights, vectors = np.linalg.eigh(key)
         labels = np.rint(weights)  # ascending, as eigh returns them
         sectors = [vectors[:, labels == label] for label in dict.fromkeys(labels.tolist())]
         return tuple(sorted(sectors, key=lambda q: -q.shape[1]))
 
 
-def enumerate_bases(sector: int, fermion_variant: str) -> CompositeBasis:
+def enumerate_bases(sector: int) -> CompositeBasis:
     """Deterministic labeled composite basis for the given spin sector."""
-    b_labels, b_vecs = _boson_basis()
-    f_labels, f_vecs = _fermion_basis(sector, fermion_variant)
+    b_labels, b_vecs = _boson_states()
+    f_labels, f_vecs = _fermion_states(sector)
     return CompositeBasis(
         boson_labels=b_labels,
         fermion_labels=f_labels,
@@ -528,14 +493,20 @@ def ground_state(h: ManyBodyHamiltonian) -> GroundState:
 
 def _involution(
     basis: CompositeBasis, p_boson: np.ndarray, p_fermion: np.ndarray
-) -> np.ndarray | None:
-    """p_boson x p_fermion in the composite basis, or None if the basis span
-    is not closed under it."""
+) -> np.ndarray:
+    """p_boson x p_fermion in the composite basis.
+
+    Raises InvariantError if the basis span is not closed under it: the
+    projected operator is then not orthogonal, and the sectors it would key
+    would not block-diagonalize H.
+    """
     m = np.kron(
         basis.boson_vectors.T @ p_boson @ basis.boson_vectors,
         basis.fermion_vectors.T @ p_fermion @ basis.fermion_vectors,
     )
-    if np.max(np.abs(m @ m.T - np.eye(basis.dim))) > 1.0e-10:
-        return None
+    residue = np.max(np.abs(m @ m.T - np.eye(basis.dim)))
+    if not residue < 1.0e-10:
+        raise InvariantError(
+            f"basis span is not closed under an involution (residue {residue:.3e})")
     return m
 

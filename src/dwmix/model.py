@@ -160,9 +160,7 @@ def build_context(config: RunConfig) -> ModelContext:
     for name, modes in (("boson", boson_modes), ("fermion", fermion_modes)):
         _check_normalized(modes.psi_left, grid, f"{name} left")
         _check_normalized(modes.psi_right, grid, f"{name} right")
-    basis = enumerate_bases(
-        sector=config.model.spin_sector, fermion_variant=config.model.fermion_basis
-    )
+    basis = enumerate_bases(config.model.spin_sector)
     return ModelContext(
         config=config,
         species=species,

@@ -6,12 +6,11 @@ Run from anywhere:
     python tests/compare_artifacts.py PARENT CHANGE --config map.cfg fidelity-map
 
 PARENT and CHANGE are checkout roots, each holding ``src/dwmix``.  Every
-shipped preset runs through all five subcommands with ``--plot``; the
-phase_maps preset also runs ``fidelity-map``, ``entropy-scan`` and
-``evolve`` (which refuses it) with ``--fermion-basis paper_four_state``, the
-basis no preset uses; and so does each extra ``--config FILE SUBCOMMAND``
-pair.  Each run is ``python -m dwmix.cli`` in a fresh interpreter with the
-checkout's ``src`` first on PYTHONPATH.
+shipped preset runs through all five subcommands (20 runs), and each extra
+``--config FILE SUBCOMMAND`` pair adds one run.  A subcommand that writes gets
+``--out`` and ``--plot``; ``validate-config``, which writes nothing, gets
+``--config`` alone.  Each run is ``python -m dwmix.cli`` in a fresh
+interpreter with the checkout's ``src`` first on PYTHONPATH.
 For each run it compares:
 
 - stdout, with the run's output directory masked;
@@ -38,17 +37,15 @@ from pathlib import Path
 
 PRESETS = ("region1", "region2", "region3", "phase_maps")
 SUBCOMMANDS = ("solve-modes", "evolve", "fidelity-map", "entropy-scan", "validate-config")
-FOUR_STATE = ("--fermion-basis", "paper_four_state")
 MANIFEST = "manifest.json"
 
 
-def run(checkout: Path, config: str, command: str, flags: tuple[str, ...],
-        out: Path) -> dict[str, object]:
+def run(checkout: Path, config: str, command: str, out: Path) -> dict[str, object]:
     """One CLI run's masked streams, exit code and output files."""
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
+    flags = () if command == "validate-config" else ("--out", str(out), "--plot")
     done = subprocess.run(
-        [sys.executable, "-m", "dwmix.cli", command, "--config", config, *flags,
-         "--out", str(out), "--plot"],
+        [sys.executable, "-m", "dwmix.cli", command, "--config", config, *flags],
         cwd=out.parent, env=env, capture_output=True, text=True, check=False,
     )
 
@@ -92,21 +89,19 @@ def main(argv: list[str] | None = None) -> int:
     for root in checkouts.values():
         if not (root / "src" / "dwmix" / "cli.py").is_file():
             parser.error(f"{root} holds no src/dwmix/cli.py")
-    runs = [(preset, command, ()) for preset in PRESETS for command in SUBCOMMANDS]
-    runs += [("phase_maps", command, FOUR_STATE)
-             for command in ("fidelity-map", "entropy-scan", "evolve")]
-    runs += [(str(Path(config).resolve()), command, ()) for config, command in args.config]
+    runs = [(preset, command) for preset in PRESETS for command in SUBCOMMANDS]
+    runs += [(str(Path(config).resolve()), command) for config, command in args.config]
     failures = 0
     with tempfile.TemporaryDirectory() as scratch:
-        for k, (config, command, flags) in enumerate(runs):
+        for k, (config, command) in enumerate(runs):
             results = {}
             for side, root in checkouts.items():
                 out = Path(scratch, side, str(k))
                 out.parent.mkdir(parents=True, exist_ok=True)
-                results[side] = run(root, config, command, flags, out)
+                results[side] = run(root, config, command, out)
             found = differences(results["parent"], results["change"])
             status = "; ".join(found) if found else "identical"
-            print(f"{' '.join((command, '--config', config, *flags))} "
+            print(f"{command} --config {config} "
                   f"(exit {results['change']['exit code']}, "
                   f"{len(results['change']['files'])} files): {status}")
             failures += bool(found)

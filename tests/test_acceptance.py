@@ -17,7 +17,7 @@ from conftest import full_matrix, model_terms, partial_trace_entropies
 from spatial_oracle import density_profile
 
 from dwmix.cli import EXIT_OK, _fidelity_spec, main
-from dwmix.config import ANTISYMMETRIC, parse_config
+from dwmix.config import parse_config
 from dwmix.dynamics import (
     default_time_grid,
     evolve,
@@ -325,7 +325,7 @@ def test_criterion_9_eigenvector_sign_robustness(default_context):
             fb.psi_left, fb.psi_right, ff.psi_left, ff.psi_right, grid
         ),
     )
-    basis = enumerate_bases(0, ANTISYMMETRIC)
+    basis = enumerate_bases(0)
     blocks = hamiltonian_blocks(fb, ff, overlaps, basis)
 
     params = CouplingParams(9.0e-4, 3.2e-4, 9.0e-4)

@@ -15,7 +15,7 @@ import pytest
 from conftest import doctor_cached_blocks, full_matrix, model_terms
 from dwmix import cli, dynamics, model
 from dwmix.cli import EXIT_CONFIG, EXIT_INTERNAL, EXIT_MODEL, EXIT_OK, PRESET_NAMES, build_parser, main
-from dwmix.config import FERMION_VARIANTS, PLANE_AXES, RunConfig
+from dwmix.config import PLANE_AXES, RunConfig
 from dwmix.manybody import CouplingParams, HamiltonianBlocks
 
 COARSE = "grid.n_points = 801\n"
@@ -25,6 +25,11 @@ def write_cfg(tmp_path, text, name="run.cfg"):
     path = tmp_path / name
     path.write_text(text)
     return str(path)
+
+
+def out_flag(command, out):
+    """``--out out`` for a subcommand that writes; ``validate-config`` takes no --out."""
+    return [] if command == "validate-config" else ["--out", str(out)]
 
 
 def read_csv(path):
@@ -69,6 +74,15 @@ class TestExitCodes:
         assert main(["validate-config", "--config", cfg]) == EXIT_CONFIG
         assert "did you mean" in capsys.readouterr().err
 
+    def test_retired_basis_key_is_unknown(self, tmp_path, capsys):
+        # The fermion basis is no longer a choice; a config that names it is
+        # refused as any unknown key is, with no table of retired keys.
+        cfg = write_cfg(tmp_path, "model.fermion_basis = antisymmetric\n")
+        assert main(["validate-config", "--config", cfg]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "config error: line 1: unknown config key 'model.fermion_basis' "
+            "(did you mean 'model.min_gap_ratio'?)\n")
+
     def test_negative_coupling(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, COARSE + "couplings.lambda_bb = -1.0\n")
         assert main(["validate-config", "--config", cfg]) == EXIT_CONFIG
@@ -103,13 +117,8 @@ class TestExitCodes:
          "sweep.x_max = 0.0 is below sweep.x_min = 0.001"),
         ("validate-config", "sweep.x_max = 0.5", "sweep.x_max = 0.5 exceeds 0.1"),
         ("validate-config", "dynamics.periods = 2.0", "dynamics.periods must be at least 3"),
-        ("validate-config", "model.fermion_basis = paper_four_state\nmodel.spin_sector = 1",
-         "model.spin_sector must be 0 with model.fermion_basis = paper_four_state (got 1)"),
         ("fidelity-map", "sweep.plane = line_ff", "set sweep.plane to one of ff_bf"),
-        ("evolve --fermion-basis paper_four_state", "",
-         "needs model.fermion_basis = antisymmetric and model.spin_sector = 0 "
-         "(got paper_four_state and 0)"),
-        ("evolve", "model.spin_sector = 1", "(got antisymmetric and 1)"),
+        ("evolve", "model.spin_sector = 1", "needs model.spin_sector = 0 (got 1)"),
         # Every key is checked whatever the subcommand reads.
         ("entropy-scan", "sweep.y_min = 5e-3", "sweep.y_max = 0.001 is below sweep.y_min"),
         ("fidelity-map", "dynamics.periods = 2", "dynamics.periods must be at least 3"),
@@ -127,7 +136,7 @@ class TestExitCodes:
         base = "" if line.startswith("grid.n_points") else COARSE
         cfg = write_cfg(tmp_path, base + "dynamics.n_samples = 64\n" + line + "\n")
         out = tmp_path / "out"
-        assert main([*command.split(), "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+        assert main([command, "--config", cfg, *out_flag(command, out)]) == EXIT_CONFIG
         assert message in capsys.readouterr().err
         assert not out.exists()
         assert solves == []
@@ -179,14 +188,6 @@ class TestExitCodes:
         code = main(["solve-modes", "--config", "nosuch", "--out", str(out)])
         assert code == EXIT_CONFIG
         assert "nosuch" in capsys.readouterr().err
-
-    def test_four_state_basis_has_no_doubly_occupied_start(self, tmp_path, capsys):
-        cfg = write_cfg(tmp_path, COARSE)
-        out = tmp_path / "out"
-        code = main(["evolve", "--config", cfg, "--out", str(out),
-                     "--fermion-basis", "paper_four_state"])
-        assert code == EXIT_CONFIG
-        assert "config error" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["fidelity-map", "solve-modes"])
     @pytest.mark.parametrize("under", ["file/sub", "file"])
@@ -408,7 +409,7 @@ def test_broken_invariant_exits_internal(tmp_path, monkeypatch, capsys, command,
     monkeypatch.setattr(module, name,
                         lambda *args, **kwargs: doctor(original(*args, **kwargs)))
     cfg = write_cfg(tmp_path, COARSE + "dynamics.n_samples = 64\n")
-    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_INTERNAL
+    assert main([command, "--config", cfg, *out_flag(command, tmp_path / "out")]) == EXIT_INTERNAL
     err = capsys.readouterr().err
     assert "internal error" in err and message in err
 
@@ -429,7 +430,7 @@ def test_each_model_is_projected_at_most_once(tmp_path, monkeypatch, command, pr
     monkeypatch.setattr(HamiltonianBlocks, "project", classmethod(counted))
     cfg = write_cfg(tmp_path, TestFidelityMap.SWEEP + "sweep.line_count = 9\n"
                     "dynamics.n_samples = 64\n")
-    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_OK
+    assert main([command, "--config", cfg, *out_flag(command, tmp_path / "out")]) == EXIT_OK
     assert len(calls) == projections
 
 
@@ -449,7 +450,7 @@ def test_each_model_builds_only_what_its_run_reads(tmp_path, monkeypatch, comman
                             **kwargs: calls.append(_name) or _original(*args, **kwargs))
     cfg = write_cfg(tmp_path, TestFidelityMap.SWEEP + "sweep.line_count = 9\n"
                     "dynamics.n_samples = 64\n")
-    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_OK
+    assert main([command, "--config", cfg, *out_flag(command, tmp_path / "out")]) == EXIT_OK
     assert [calls.count(name) for name in names] == [2 * overlaps, overlaps, blocks]
 
 
@@ -457,22 +458,34 @@ def test_each_model_builds_only_what_its_run_reads(tmp_path, monkeypatch, comman
     "validate-config", "solve-modes", "evolve", "fidelity-map", "entropy-scan",
 ])
 def test_config_is_validated_once_per_run(tmp_path, monkeypatch, command):
-    # Once both flags that override a key are applied, where the config is final.
+    # Once --out, where the subcommand takes it, is applied: the config is then final.
     calls = []
     validate = RunConfig.validate
     monkeypatch.setattr(RunConfig, "validate", lambda self: calls.append(1) or validate(self))
     cfg = write_cfg(tmp_path, TestFidelityMap.SWEEP + "sweep.line_count = 9\n"
                     "dynamics.n_samples = 64\n")
-    assert main([command, "--config", cfg, "--out", str(tmp_path / "out"),
-                 "--fermion-basis", "antisymmetric"]) == EXIT_OK
+    assert main([command, "--config", cfg, *out_flag(command, tmp_path / "out")]) == EXIT_OK
     assert len(calls) == 1
 
 
-def test_fermion_basis_choices_are_the_variant_table():
+def test_each_subcommand_takes_only_the_options_it_uses(capsys):
+    # A subcommand that writes takes --out and --plot, a sweep --workers too;
+    # the dry run validate-config writes nothing and takes --config alone.
+    writes = {"--help", "-h", "--config", "--out", "--plot"}
     commands = build_parser()._subparsers._group_actions[0].choices
-    for command in commands.values():
-        (option,) = [a for a in command._actions if a.dest == "fermion_basis"]
-        assert tuple(option.choices) == FERMION_VARIANTS
+    options = {name: {flag for action in command._actions for flag in action.option_strings}
+               for name, command in commands.items()}
+    assert options == {
+        "solve-modes": writes,
+        "evolve": writes,
+        "fidelity-map": writes | {"--workers"},
+        "entropy-scan": writes | {"--workers"},
+        "validate-config": {"--help", "-h", "--config"},
+    }
+    with pytest.raises(SystemExit) as exit_info:
+        main(["validate-config", "--plot"])
+    assert exit_info.value.code == EXIT_CONFIG
+    assert "unrecognized arguments: --plot" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("module", ["scipy.signal", "scipy.linalg", "numpy.f2py",

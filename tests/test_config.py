@@ -30,7 +30,6 @@ class TestDefaults:
         assert cfg.couplings.lambda_bb == 0.0
         assert cfg.couplings.lambda_ff == 0.0
         assert cfg.couplings.lambda_bf == 0.0
-        assert cfg.model.fermion_basis == "antisymmetric"
         assert cfg.model.spin_sector == 0
 
     def test_empty_text_gives_defaults(self):
@@ -146,7 +145,6 @@ class TestValidate:
             ("potential.shape", "cubic", "potential.shape must be one of"),
             ("grid.x_max", -2.0, "grid.x_max must be positive"),
             ("sweep.plane", "bf_bb", "sweep.plane must be one of"),
-            ("model.fermion_basis", "symmetric", "model.fermion_basis must be"),
             ("model.spin_sector", 2, "spin_sector must be -1, 0, or"),
             ("model.min_gap_ratio", 0.0, "min_gap_ratio must be positive"),
             ("dynamics.periods", 0.0, "periods must be at least 3"),

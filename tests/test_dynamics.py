@@ -6,7 +6,7 @@ from scipy.signal import find_peaks
 from conftest import full_matrix, model_terms, partial_trace_entropies
 from spatial_oracle import density_profile
 
-from dwmix.config import ANTISYMMETRIC, parse_config
+from dwmix.config import parse_config
 from dwmix.errors import ConfigError, InvariantError
 from dwmix.dynamics import (
     TimeSeries,
@@ -133,7 +133,7 @@ def test_evolution_keeps_the_global_phase(free_run):
 
 
 def test_asymmetric_hamiltonian_is_refused():
-    basis = enumerate_bases(0, ANTISYMMETRIC)
+    basis = enumerate_bases(0)
     matrix = np.diag(np.arange(float(basis.dim)))
     matrix[0, 1] += 1e-9
     zero = np.zeros_like(matrix)

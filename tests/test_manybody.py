@@ -5,12 +5,12 @@ import pytest
 
 from conftest import doctored, full_matrix, model_terms
 from dwmix import tridiagonal
-from dwmix.config import ANTISYMMETRIC, PAPER_FOUR_STATE
 from dwmix.errors import ConfigError, InvariantError, SweepError
 from dwmix.manybody import (
     _MIRROR,
     BOSONS,
     FERMIONS,
+    CompositeBasis,
     CouplingParams,
     HamiltonianBlocks,
     _fermion_contact,
@@ -20,7 +20,6 @@ from dwmix.manybody import (
     hamiltonian_terms,
     one_body_transition_matrix,
 )
-from dwmix.model import build_context
 from dwmix.sweep import AxisSpec, SweepSpec, fidelity_map
 from dwmix.tridiagonal import EPS, Tridiagonal, checked_residuals
 
@@ -29,7 +28,7 @@ SQRT2 = np.sqrt(2.0)
 
 class TestBases:
     def test_dimensions(self):
-        basis = enumerate_bases(0, ANTISYMMETRIC)
+        basis = enumerate_bases(0)
         assert basis.boson_dim == 3
         assert basis.fermion_dim == 4
         assert basis.dim == 12
@@ -37,36 +36,24 @@ class TestBases:
         assert basis.fermion_labels == ["LLs", "Ss", "RRs", "T0"]
 
     def test_labels_are_boson_major(self):
-        basis = enumerate_bases(0, ANTISYMMETRIC)
+        basis = enumerate_bases(0)
         assert basis.labels[0] == "LL|LLs"
         assert basis.labels[4] == "S|LLs"
         assert basis.index_of("RR", "RRs") == 2 * 4 + 2
 
     def test_basis_vectors_are_orthonormal(self):
-        basis = enumerate_bases(0, ANTISYMMETRIC)
+        basis = enumerate_bases(0)
         gram_b = basis.boson_vectors.T @ basis.boson_vectors
         gram_f = basis.fermion_vectors.T @ basis.fermion_vectors
         assert np.allclose(gram_b, np.eye(3), atol=1e-14)
         assert np.allclose(gram_f, np.eye(4), atol=1e-14)
 
     def test_polarized_sectors_have_one_state(self):
-        assert enumerate_bases(1, ANTISYMMETRIC).fermion_labels == ["LRuu"]
-        assert enumerate_bases(-1, ANTISYMMETRIC).fermion_labels == ["LRdd"]
-
-    def test_four_state_variant(self, config_factory):
-        basis = enumerate_bases(0, PAPER_FOUR_STATE)
-        assert basis.fermion_labels == ["As", "LLt", "St", "RRt"]
-        gram = basis.fermion_vectors.T @ basis.fermion_vectors
-        assert np.allclose(gram, np.eye(4), atol=1e-14)
-        with pytest.raises(ConfigError, match="model.spin_sector must be 0 with model.fermion_basis"):
-            config_factory(**{"model.fermion_basis": PAPER_FOUR_STATE, "model.spin_sector": 1})
-
-    def test_unknown_variant_rejected(self, config_factory):
-        with pytest.raises(ConfigError, match="model.fermion_basis must be one of"):
-            config_factory(**{"model.fermion_basis": "bogus"})
+        assert enumerate_bases(1).fermion_labels == ["LRuu"]
+        assert enumerate_bases(-1).fermion_labels == ["LRdd"]
 
     def test_missing_label_lookup(self):
-        basis = enumerate_bases(0, ANTISYMMETRIC)
+        basis = enumerate_bases(0)
         with pytest.raises(ConfigError, match="available"):
             basis.index_of("RR", "nope")
 
@@ -75,7 +62,7 @@ class TestOneBodyOperators:
     def test_bosonic_enhancement_factor(self):
         # Moving one particle between a doubly occupied mode and the shared
         # state carries a sqrt(2) occupancy factor.
-        basis = enumerate_bases(0, ANTISYMMETRIC)
+        basis = enumerate_bases(0)
         d = one_body_transition_matrix(basis, BOSONS)
         ll, s, rr = 0, 1, 2
         left, right = 0, 1
@@ -84,7 +71,7 @@ class TestOneBodyOperators:
         assert d[ll, rr, left, right] == 0.0
 
     def test_fermion_transfer_between_paired_states(self):
-        basis = enumerate_bases(0, ANTISYMMETRIC)
+        basis = enumerate_bases(0)
         d = one_body_transition_matrix(basis, FERMIONS)
         lls, ss, rrs, t0 = 0, 1, 2, 3
         left, right = 0, 1
@@ -95,7 +82,7 @@ class TestOneBodyOperators:
 
     def test_unknown_species_rejected(self):
         with pytest.raises(ConfigError):
-            one_body_transition_matrix(enumerate_bases(0, ANTISYMMETRIC), "anyons")
+            one_body_transition_matrix(enumerate_bases(0), "anyons")
 
 
 class TestCouplingParams:
@@ -154,7 +141,7 @@ class TestAssembly:
         # Two same-spin fermions share an antisymmetric spatial state, so a
         # contact interaction cannot touch them.
         ctx = coarse_context
-        basis_up = enumerate_bases(1, ANTISYMMETRIC)
+        basis_up = enumerate_bases(1)
         _, _, h_ff, _ = hamiltonian_terms(
             ctx.boson_modes, ctx.fermion_modes, ctx.overlaps, basis_up
         )
@@ -210,11 +197,53 @@ class TestMirror:
         )
         assert np.max(np.abs(m @ h - h @ m)) < 1e-12
 
-    def test_four_state_variant_is_not_mirror_closed(self):
-        basis = enumerate_bases(0, PAPER_FOUR_STATE)
-        assert _involution(basis, *_MIRROR) is None
-        (spin_exchange,) = basis.symmetries
-        assert np.allclose(spin_exchange @ spin_exchange, np.eye(12), atol=1e-12)
+    def test_literal_four_state_basis_is_not_a_fermion_pair_basis(self, coarse_context):
+        # The four fermion states As, LLt, St and RRt, each a spatial x spin
+        # product over (m1, s1, m2, s2), spin 0 being up.  All four are even
+        # under the exchange of the two fermions, and no term of H couples
+        # them: every ground state is one of them times a boson state, a
+        # product with entropy 0.  The mirror images LLt and RRt tie at every
+        # coupling, and the basis span is not closed under the mirror.
+        def pair(space, spin):
+            return np.einsum("ik,jl->ijkl", space, spin).reshape(16)
+
+        odd = np.array([[0.0, 1.0], [-1.0, 0.0]]) / SQRT2
+        even = np.array([[0.0, 1.0], [1.0, 0.0]]) / SQRT2
+        first, second = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])  # L or up, R or down
+        vectors = np.column_stack([pair(odd, odd), pair(first, first),
+                                   pair(even, even), pair(second, second)])
+        antisymmetric = coarse_context.basis
+        basis = CompositeBasis(antisymmetric.boson_labels, ["As", "LLt", "St", "RRt"],
+                               antisymmetric.boson_vectors, vectors)
+        exchange = np.eye(16).reshape(4, 4, 16).transpose(1, 0, 2).reshape(16, 16)
+        assert np.array_equal(exchange @ vectors, vectors)
+        assert np.array_equal(exchange @ antisymmetric.fermion_vectors,
+                              -antisymmetric.fermion_vectors)
+
+        h0, h_bb, h_ff, h_bf = hamiltonian_terms(
+            coarse_context.boson_modes, coarse_context.fermion_modes,
+            coarse_context.overlaps, basis)
+        for h in (h0, h_bb, h_ff, h_bf):
+            blocks = h.reshape(3, 4, 3, 4).transpose(1, 3, 0, 2)  # [f, f', b, b']
+            for f, g in product(range(4), repeat=2):
+                if f != g:
+                    assert not blocks[f, g].any()
+        lt, rt = 1, 3
+        for h in (h0, h_bb, h_ff):
+            blocks = h.reshape(3, 4, 3, 4)
+            assert np.array_equal(blocks[:, lt, :, lt], blocks[:, rt, :, rt])
+        # The boson-fermion contact sees which well the pair is in, so the
+        # two blocks of h_bf are each other's boson mirror image (LL <-> RR).
+        blocks = h_bf.reshape(3, 4, 3, 4)
+        assert not np.allclose(blocks[:, lt, :, lt], blocks[:, rt, :, rt])
+        np.testing.assert_allclose(blocks[:, lt, :, lt], blocks[::-1, rt, ::-1, rt],
+                                   rtol=0.0, atol=1e-14)
+        h = full_matrix((h0, h_bb, h_ff, h_bf), CouplingParams(1e-3, 5e-4, 2e-3))
+        h = h.reshape(3, 4, 3, 4)
+        np.testing.assert_allclose(np.linalg.eigvalsh(h[:, lt, :, lt]),
+                                   np.linalg.eigvalsh(h[:, rt, :, rt]), rtol=0.0, atol=1e-12)
+        with pytest.raises(InvariantError, match="not closed under an involution"):
+            _involution(basis, *_MIRROR)
 
 
 def _assert_orthonormal_cover(sectors, dim):
@@ -240,7 +269,7 @@ class TestSymmetrySectors:
                         or np.allclose(image, -q, atol=1e-14))
 
     def test_spin_exchange_separates_singlets_from_t0(self):
-        basis = enumerate_bases(0, ANTISYMMETRIC)
+        basis = enumerate_bases(0)
         signs = np.diag(basis.symmetries[0]).reshape(3, 4)
         assert np.allclose(signs, [[-1.0, -1.0, -1.0, 1.0]] * 3, atol=1e-14)
 
@@ -255,25 +284,11 @@ class TestSymmetrySectors:
                 if a != b:
                     assert np.max(np.abs(qa.T @ h @ qb)) < 1e-12
 
-    def test_four_state_sectors_split_by_spin_exchange_and_s_z(self, config_factory):
-        # The mirror does not close on the literal four-state basis.  The spin
-        # exchange parts the singlet As from the triplets, and S_z parts the
-        # triplets LLt (+1), St (0) and RRt (-1), which no term couples: each
-        # sector is one fermion state times the three boson states.
-        context = build_context(config_factory(**{
-            "grid.n_points": 801, "model.fermion_basis": PAPER_FOUR_STATE}))
-        sectors = context.basis.sectors
-        assert [q.shape[1] for q in sectors] == [3, 3, 3, 3]
-        _assert_orthonormal_cover(sectors, 12)
-        weights = [np.sum(q.reshape(3, 4, 3) ** 2, axis=(0, 2)) for q in sectors]
-        np.testing.assert_allclose(sorted(weights, key=np.argmax), 3.0 * np.eye(4),
-                                   rtol=0.0, atol=1e-14)
-
     @pytest.mark.parametrize("spin_sector", [1, -1])
     def test_spin_polarized_sectors(self, spin_sector):
         # One LR fermion pair: the mirror splits the three boson states into
         # two sectors, the spin exchange is +1 on all of them.
-        basis = enumerate_bases(spin_sector, ANTISYMMETRIC)
+        basis = enumerate_bases(spin_sector)
         assert len(basis.symmetries) == 2
         assert [q.shape[1] for q in basis.sectors] == [2, 1]
         _assert_orthonormal_cover(basis.sectors, 3)
@@ -283,7 +298,7 @@ class TestSymmetrySectors:
         # mirror.  The sectors come from the basis, so the leak is refused
         # before any solve, not absorbed into fewer, larger sectors.  Builds
         # its own blocks, so that it also runs under python -O below.
-        basis = enumerate_bases(0, ANTISYMMETRIC)
+        basis = enumerate_bases(0)
         zeros = np.zeros((12, 12))
         lopsided = np.diag(np.arange(12.0))
         blocks = HamiltonianBlocks.project(basis, lopsided, (zeros,) * 3)
@@ -546,8 +561,3 @@ def test_fermion_contact_matches_its_element_loop(rng):
         if s1 == t1 and s2 == t2:
             loop[4 * o1 + o2, 4 * p1 + p2] = u[m1, n1, m2, n2]
     assert np.array_equal(_fermion_contact(u), loop)
-
-
-def test_variant_constants():
-    assert ANTISYMMETRIC == "antisymmetric"
-    assert PAPER_FOUR_STATE == "paper_four_state"

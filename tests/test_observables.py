@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 from conftest import partial_trace_entropies
 
-from dwmix.config import ANTISYMMETRIC
 from dwmix.manybody import enumerate_bases
 from dwmix.observables import species_entropies
 
@@ -27,7 +26,7 @@ def equal_weights(basis, pairs):
 
 @pytest.fixture(scope="module")
 def basis():
-    return enumerate_bases(0, ANTISYMMETRIC)
+    return enumerate_bases(0)
 
 
 class TestReduce:

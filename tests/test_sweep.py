@@ -10,7 +10,7 @@ import pytest
 
 from conftest import doctor_cached_blocks, model_terms, partial_trace_entropies
 from dwmix.cli import EXIT_CONFIG, EXIT_OK, _fidelity_spec, main
-from dwmix.config import ANTISYMMETRIC, RunConfig, parse_config
+from dwmix.config import RunConfig, parse_config
 from dwmix.errors import ConfigError, SweepError
 from dwmix.manybody import (
     CouplingParams,
@@ -31,7 +31,7 @@ def _broken_blocks():
     reference solve alive while every swept cell raises.  Their h0 (zero)
     keeps every symmetry of the basis, so the reference is not refused.
     """
-    basis = enumerate_bases(0, ANTISYMMETRIC)
+    basis = enumerate_bases(0)
     zeros = np.zeros((basis.dim, basis.dim))
     lopsided = zeros.copy()
     lopsided[0, 1] = 1.0
@@ -149,7 +149,7 @@ class TestFidelityMap:
             fidelity_map(_broken_blocks(), spec)
 
     def test_degenerate_cells_flagged(self):
-        basis = enumerate_bases(0, ANTISYMMETRIC)
+        basis = enumerate_bases(0)
         zeros = np.zeros((basis.dim, basis.dim))
         flat = HamiltonianBlocks.project(basis, zeros, (zeros,) * 3)
         spec = plane_spec(AxisSpec(0.0, 1.0e-3, 2), AxisSpec(0.0, 1.0e-3, 2))
@@ -332,24 +332,6 @@ class TestSymmetrySectors:
         spec = plane_spec(*axes, reference=CouplingParams(5.0e-4, 5.0e-4, 0.0))
         with pytest.raises(SweepError, match=r"cell \(0, 1\), x=0\.0, y=0\.0005"):
             fidelity_map(broken, spec)
-
-    def test_four_state_plane_matches_oracle(self, config_factory):
-        context = build_context(config_factory(**{
-            "grid.n_points": 801, "model.fermion_basis": "paper_four_state"}))
-        spec = plane_spec(AxisSpec(0.0, 2.0e-3, 11), AxisSpec(0.0, 3.0e-3, 9))
-        _assert_plane_matches_oracle(context.blocks, model_terms(context), spec)
-
-    def test_four_state_line_matches_oracle(self, config_factory):
-        # No term moves a fermion between the four states, so each sector is
-        # one of them and every ground state a product; two points are
-        # degenerate (the mirror images LLt and RRt tie).
-        context = build_context(config_factory(**{
-            "grid.n_points": 801, "model.fermion_basis": "paper_four_state"}))
-        spec = SweepSpec(plane="line_ff", x_axis=AxisSpec(0.0, 1.0e-2, 41),
-                         fixed={"lambda_bb": 1.0e-3, "lambda_bf": 1.0e-3})
-        _assert_line_matches_oracle(context.blocks, model_terms(context), spec)
-        assert entropy_scan(context.blocks, spec).degenerate.sum() == 2
-
 
     @pytest.mark.parametrize("spin_sector", [1, -1])
     def test_spin_polarized_sweeps_match_oracle(self, config_factory, spin_sector):
