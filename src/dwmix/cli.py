@@ -416,8 +416,9 @@ def build_parser() -> argparse.ArgumentParser:
         if command.stage == "sweep":
             p.add_argument(
                 "--workers", type=_worker_count, default=1, metavar="N",
-                help="accepted for older scripts; the sweep runs on one thread and "
-                "its output does not depend on N (default 1)",
+                help="accepted for older scripts and ignored: a sweep of more than "
+                "one chunk uses two processes where two CPUs are free, and its "
+                "output does not depend on N (default 1)",
             )
     return parser
 

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import shutil
+import tempfile
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -18,7 +20,7 @@ import numpy as np
 from . import __version__
 from .dynamics import TimeSeries
 from .model import ModelContext
-from .sweep import EntropyCurve, FidelitySurface
+from .sweep import EntropyCurve, FidelitySurface, halves, in_two_processes
 from .units import ATOMIC_MASS_KG, ENERGY_J, HBAR_JS, LENGTH_M, PLANCK_H_JS, TIME_S
 
 MODES_HEADER = "x_um,psi_s,psi_a,psi_L,psi_R"
@@ -61,20 +63,36 @@ def write_timeseries_csv(path: str | Path, series: TimeSeries) -> Path:
 
 def write_fidelity_csv(path: str | Path, surface: FidelitySurface) -> Path:
     # Per x value, one list holds each row's three pieces ("x,y,", the
-    # fidelity, ",flag\n") and is joined once.  Each axis value is formatted once.
+    # fidelity, ",flag\n") and is joined once.  Each axis value is formatted
+    # once.  A map that the sweep splits is written in two halves of its x
+    # rows: a forked child formats the second into an unlinked file beside
+    # ``path``, which is appended once the first half is written.
     path = Path(path)
     ys = [f"{y}," for y in _floats(surface.y_values)]
-    pieces = [""] * (3 * len(ys))
-    with path.open("w", encoding="utf-8") as fh:
-        fh.write(FIDELITY_HEADER + "\n")
-        for x, fidelity, degenerate in zip(
-            _floats(surface.x_values), surface.fidelity, surface.degenerate, strict=True
-        ):
+    rows = list(zip(_floats(surface.x_values), surface.fidelity, surface.degenerate,
+                    strict=True))
+
+    def write_rows(part: tuple) -> None:
+        fh, rows = part
+        pieces = [""] * (3 * len(ys))
+        for x, fidelity, degenerate in rows:
             prefix = x + ","
             pieces[0::3] = [prefix + y for y in ys]
             pieces[1::3] = _floats(fidelity)
             pieces[2::3] = [",1\n" if flag else ",0\n" for flag in degenerate.tolist()]
             fh.write("".join(pieces))
+        fh.flush()  # a forked child leaves without flushing
+
+    first, second = halves(rows, surface.fidelity.size)
+    with path.open("w", encoding="utf-8") as fh:
+        fh.write(FIDELITY_HEADER + "\n")
+        if second:
+            with tempfile.TemporaryFile("w+", encoding="utf-8", dir=path.parent) as tail:
+                in_two_processes(write_rows, (fh, first), (tail, second))
+                tail.seek(0)
+                shutil.copyfileobj(tail, fh)
+        else:
+            write_rows((fh, first))
     return path
 
 

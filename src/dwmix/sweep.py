@@ -3,25 +3,33 @@
 A sweep evaluates the interacting ground state over a coupling grid, against
 fixed single-particle inputs (modes and overlap tensors are computed once and
 shared read-only), on the model's ``HamiltonianBlocks``: its symmetry
-sectors hold 5, 4, 2 and 1 states in the default basis, 3 each in the
-four-state one.  Cells are solved in chunks of CHUNK_CELLS: one product
-composes a chunk's sector blocks, and each step of the numpy solver in
-``HamiltonianBlocks.ground_states`` (Householder reduction, Laguerre's
-iteration for each sector's lowest eigenvalue, inverse iteration for the
-winning sector's vector) runs once over every cell of the chunk.  The chunks
-are solved one after another on the calling thread, and output order is
-row-major over the grid.
+sectors hold 5, 4, 2 and 1 states.  Cells are solved in chunks of
+CHUNK_CELLS: one product composes a chunk's sector blocks, and each step of
+the numpy solver in ``HamiltonianBlocks.ground_states`` (Householder
+reduction, Laguerre's iteration for each sector's lowest eigenvalue, inverse
+iteration for the winning sector's vector) runs once over every cell of the
+chunk.  A sweep of more than one chunk is solved in two processes (see
+``in_two_processes``): a forked child solves the second half of the chunk
+list while the caller solves the first.  Chunk boundaries do not depend on
+the split, and output order is row-major over the grid.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
+import contextlib
+import gc
+import os
+import pickle
+import signal
+import warnings
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
+from typing import Any
 
 import numpy as np
 
 from .config import COUPLING_NAMES, PLANE_AXES
-from .errors import DwmixError, SweepError
+from .errors import DwmixError, InvariantError, SweepError
 from .manybody import CouplingParams, HamiltonianBlocks, ground_state
 from .observables import species_entropies
 
@@ -31,6 +39,128 @@ from .observables import species_entropies
 # map (2-core Xeon, numpy 2.4.6) took 126-137, 102-108, 91-96 and 93-103 ms
 # at 2048, 4096, 8192 and 16384 cells (medians of 7, two runs).
 CHUNK_CELLS = 4096
+
+
+def halves(items: Sequence, cells: int) -> tuple[Sequence, Sequence]:
+    """A job's two parts for ``in_two_processes``: ``items`` split in the
+    middle (the caller's part the larger) when the job spans more than
+    CHUNK_CELLS cells, else whole and empty."""
+    if cells <= CHUNK_CELLS:
+        return items, items[:0]
+    middle = (len(items) + 1) // 2
+    return items[:middle], items[middle:]
+
+
+def in_two_processes(fn: Callable[[Any], Any], first: Sequence, second: Sequence) -> tuple:
+    """``(fn(first), fn(second))``, with ``fn(second)`` run in a forked child.
+
+    The fork is taken only when ``second`` is non-empty and this process may
+    run on at least 2 CPUs; otherwise, or if the fork fails, both calls run
+    here, in order.  The child runs on those CPUs except the caller's.  The
+    child sends back its result, or the exception it raised (its message and
+    ``index`` kept), together with the warnings it recorded, which are
+    re-emitted here in order.  If ``fn(first)`` raises, the child is killed
+    and that error is raised: it covers the earlier part.  A child that dies
+    without a result, or whose exception cannot be pickled, raises
+    InvariantError.  The child is reaped on every path.
+
+    Safe to fork: no other Python thread is alive (``modes`` joins its
+    bisection thread inside ``build_context``), and OpenBLAS quiesces its
+    thread pool in its own atfork handler.  Python 3.12 still warns
+    (DeprecationWarning) on any fork from a process with other OS threads,
+    which that pool is; the warning is left to the caller's filters.  The
+    child imports nothing (``pickle`` is imported above, and a child that
+    imported could deadlock on an import lock another thread held at the
+    fork), runs no ``atexit`` handler and flushes no inherited buffer: it
+    leaves through ``os._exit``.
+    """
+    cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else ()
+    if not second or len(cpus) < 2:
+        return fn(first), fn(second)
+    # A forked child starts on its parent's CPU, and where a cpuset turns load
+    # balancing off the kernel leaves it there: the two halves would share one
+    # CPU.  So the child runs on the others.
+    others = cpus - {_current_cpu()}
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:  # out of processes or memory: the same work, in order, here
+        os.close(read_fd)
+        os.close(write_fd)
+        return fn(first), fn(second)
+    if pid == 0:
+        _child(fn, second, read_fd, write_fd, others)
+    os.close(write_fd)
+    reaped = False
+    try:
+        mine = fn(first)
+        with os.fdopen(read_fd, "rb") as pipe:
+            read_fd = None
+            payload = pipe.read()
+        _, status = os.waitpid(pid, 0)
+        reaped = True
+    finally:
+        if read_fd is not None:
+            os.close(read_fd)
+        if not reaped:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    if os.WIFSIGNALED(status):
+        raise InvariantError(
+            "the process of the second half died of "
+            f"{signal.Signals(os.WTERMSIG(status)).name} without a result")
+    if os.waitstatus_to_exitcode(status) != 0:
+        raise InvariantError(
+            "the process of the second half exited with code "
+            f"{os.waitstatus_to_exitcode(status)} without a result")
+    outcome, value, caught = pickle.loads(payload)
+    for message, category, filename, lineno in caught:
+        warnings.warn_explicit(message, category, filename, lineno)
+    if outcome == "raised":
+        raise value
+    if outcome == "unpicklable":
+        raise InvariantError(f"the process of the second half raised {value}")
+    return mine, value
+
+
+def _current_cpu() -> int | None:
+    """The CPU this process last ran on, from ``/proc/self/stat``; None where
+    that cannot be read."""
+    try:
+        with open("/proc/self/stat", "rb") as fh:
+            return int(fh.read().rsplit(b")", 1)[1].split()[36])
+    except (OSError, IndexError, ValueError):
+        return None
+
+
+def _child(fn: Callable, part, read_fd: int, write_fd: int, cpus: set[int]) -> None:
+    """The forked side of ``in_two_processes``, run on ``cpus``: never returns."""
+    code = 1
+    try:
+        with contextlib.suppress(OSError):  # a mask changed since: stay put
+            os.sched_setaffinity(0, cpus)
+        # The caller's garbage is the caller's: a finalizer run here could
+        # flush a buffer that the caller flushes too.
+        gc.disable()
+        os.close(read_fd)
+        with warnings.catch_warnings(record=True) as caught:
+            try:
+                outcome = ("returned", fn(part))
+            except BaseException as exc:  # relayed to the caller
+                outcome = ("raised", exc)
+        relayed = [(w.message, w.category, w.filename, w.lineno) for w in caught]
+        try:
+            payload = pickle.dumps((*outcome, relayed), pickle.HIGHEST_PROTOCOL)
+        except Exception as exc:  # an outcome that cannot be pickled is named
+            kind, value = outcome
+            text = (f"{type(value).__name__}: {value}" if kind == "raised"
+                    else f"a result that cannot be pickled ({type(exc).__name__}: {exc})")
+            payload = pickle.dumps(("unpicklable", text, []))
+        with os.fdopen(write_fd, "wb") as pipe:
+            pipe.write(payload)
+        code = 0
+    finally:
+        os._exit(code)
 
 
 @dataclass(frozen=True, repr=False, eq=False)
@@ -119,28 +249,36 @@ def _solve_chunks(
 ) -> list[np.ndarray]:
     """Ground states of every coupling row, solved in fixed-size chunks.
 
-    The chunks are solved in order on the calling thread.  Each is solved
-    per symmetry sector (see ``HamiltonianBlocks.ground_states``); ``kernel`` maps
-    its ground vectors to a tuple of per-cell arrays.  Returns the gaps and
-    the degenerate flags over all rows in order, the largest ground-pair
-    residual of each chunk, and the kernel's arrays over all rows in order.
-    A batched check that fails is raised as a SweepError that ``where``
-    words for the first failing row.
+    Each chunk is solved per symmetry sector (see
+    ``HamiltonianBlocks.ground_states``); ``kernel`` maps its ground vectors
+    to a tuple of per-cell arrays.  With more than one chunk, a forked child
+    solves the second half of the chunk list (``in_two_processes``).  Returns
+    the gaps and the degenerate flags over all rows in order, the largest
+    ground-pair residual of each chunk, and the kernel's arrays over all rows
+    in order.  A batched check that fails is raised as a SweepError that
+    ``where`` words for the first failing row; a failure in the first half
+    is raised before one in the second.
     """
-    chunks = []
-    for start in range(0, len(couplings), CHUNK_CELLS):
-        try:
-            _, gap, degenerate, vectors, residual = blocks.ground_states(
-                couplings[start : start + CHUNK_CELLS]
-            )
-            chunks.append((gap, degenerate, residual.max(keepdims=True), *kernel(vectors)))
-        except DwmixError as exc:
-            if exc.index is None:
-                raise
-            raise SweepError(
-                f"{where(start + exc.index)}: {type(exc).__name__}: {exc}"
-            ) from exc
-    return [np.concatenate(parts) for parts in zip(*chunks)]
+    def solve(starts: range) -> list[tuple]:
+        chunks = []
+        for start in starts:
+            try:
+                _, gap, degenerate, vectors, residual = blocks.ground_states(
+                    couplings[start : start + CHUNK_CELLS]
+                )
+                chunks.append((gap, degenerate, residual.max(keepdims=True),
+                               *kernel(vectors)))
+            except DwmixError as exc:
+                if exc.index is None:
+                    raise
+                raise SweepError(
+                    f"{where(start + exc.index)}: {type(exc).__name__}: {exc}"
+                ) from exc
+        return chunks
+
+    starts = range(0, len(couplings), CHUNK_CELLS)
+    first, second = in_two_processes(solve, *halves(starts, len(couplings)))
+    return [np.concatenate(parts) for parts in zip(*first, *second)]
 
 
 def fidelity_map(
@@ -150,10 +288,12 @@ def fidelity_map(
 
     The reference (by ``manybody.ground_state``) and the cells are solved on
     the blocks' one sector projection, and a failure at either is raised as
-    a SweepError that names its couplings.  ``workers`` changes nothing: the CLI
-    passes its ``--workers`` value only so that ``perfbench/tracing.py``,
-    which names a map's span after this keyword, can tell its 1- and 2-worker
-    ops apart.
+    a SweepError that names its couplings.  A plane of more than CHUNK_CELLS
+    cells uses two processes where two CPUs are free (see ``_solve_chunks``),
+    with the same bytes as one.  ``workers`` changes nothing: the CLI passes
+    its ``--workers`` value only so that ``perfbench/tracing.py``, which
+    names a map's span after this keyword, can tell its 1- and 2-worker ops
+    apart.
     """
     try:
         ref_gs = ground_state(blocks.compose(spec.reference))

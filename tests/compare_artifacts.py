@@ -6,8 +6,10 @@ Run from anywhere:
     python tests/compare_artifacts.py PARENT CHANGE --config map.cfg fidelity-map
 
 PARENT and CHANGE are checkout roots, each holding ``src/dwmix``.  Every
-shipped preset runs through all five subcommands (20 runs), and each extra
-``--config FILE SUBCOMMAND`` pair adds one run.  A subcommand that writes gets
+shipped preset runs through all five subcommands, and ``fidelity-map`` runs
+once more on the phase_maps geometry at 128x128, a plane of four sweep
+chunks that is solved and written in two processes where two CPUs are free
+(21 runs); each extra ``--config FILE SUBCOMMAND`` pair adds one run.  A subcommand that writes gets
 ``--out`` and ``--plot``; ``validate-config``, which writes nothing, gets
 ``--config`` alone.  Each run is ``python -m dwmix.cli`` in a fresh
 interpreter with the checkout's ``src`` first on PYTHONPATH.
@@ -19,7 +21,8 @@ For each run it compares:
 - every file in the output directory, by its bytes, except that
   ``manifest.json`` is compared without ``created_utc``, the values of
   ``wall_time_s`` (its stage names are compared) and
-  ``config.output.directory``.
+  ``config.output.directory``, and a differing manifest is reported by the
+  dotted keys that differ (``results.min_gap``).
 
 Each difference is printed; the exit code is 1 if there is any, else 0.
 pytest does not collect this file.
@@ -38,6 +41,24 @@ from pathlib import Path
 PRESETS = ("region1", "region2", "region3", "phase_maps")
 SUBCOMMANDS = ("solve-modes", "evolve", "fidelity-map", "entropy-scan", "validate-config")
 MANIFEST = "manifest.json"
+# The phase_maps preset at 128x128: four chunks of dwmix.sweep.CHUNK_CELLS.
+MULTI_CHUNK_MAP = """\
+potential.separation = 1.65
+potential.smoothing = 0.12
+couplings.lambda_bb = 5.0e-4
+couplings.lambda_ff = 5.0e-4
+couplings.lambda_bf = 5.0e-4
+sweep.plane = ff_bf
+sweep.x_min = 0.0
+sweep.x_max = 1.0e-3
+sweep.x_count = 128
+sweep.y_min = 0.0
+sweep.y_max = 1.0e-3
+sweep.y_count = 128
+sweep.reference_bb = 5.0e-4
+sweep.reference_ff = 5.0e-4
+sweep.reference_bf = 5.0e-4
+"""
 
 
 def run(checkout: Path, config: str, command: str, out: Path) -> dict[str, object]:
@@ -59,11 +80,21 @@ def run(checkout: Path, config: str, command: str, out: Path) -> dict[str, objec
             manifest.pop("created_utc", None)
             manifest["wall_time_s"] = list(manifest.get("wall_time_s", {}))
             manifest.get("config", {}).pop("output.directory", None)
-            files[path.name] = json.dumps(manifest, indent=2).encode()
+            files[path.name] = manifest
         else:
             files[path.name] = path.read_bytes()
     return {"exit code": done.returncode, "stdout": masked(done.stdout),
             "stderr": masked(done.stderr), "files": files}
+
+
+def dotted(value: object, prefix: str = "") -> dict[str, object]:
+    """A JSON object's leaves by dotted key; a list or an empty object is a leaf."""
+    if not isinstance(value, dict) or not value:
+        return {prefix: value}
+    leaves = {}
+    for key, item in value.items():
+        leaves.update(dotted(item, f"{prefix}.{key}" if prefix else key))
+    return leaves
 
 
 def differences(parent: dict[str, object], change: dict[str, object]) -> list[str]:
@@ -73,6 +104,12 @@ def differences(parent: dict[str, object], change: dict[str, object]) -> list[st
     for name in sorted(set(before) | set(after)):
         if name not in before or name not in after:
             found.append(f"{name} written by one checkout only")
+        elif name == MANIFEST:
+            old, new = dotted(before[name]), dotted(after[name])
+            keys = sorted(key for key in old.keys() | new.keys()
+                          if key not in old or key not in new or old[key] != new[key])
+            if keys:
+                found.append(f"{name} differs at {', '.join(keys)}")
         elif before[name] != after[name]:
             found.append(f"{name} differs")
     return found
@@ -90,9 +127,12 @@ def main(argv: list[str] | None = None) -> int:
         if not (root / "src" / "dwmix" / "cli.py").is_file():
             parser.error(f"{root} holds no src/dwmix/cli.py")
     runs = [(preset, command) for preset in PRESETS for command in SUBCOMMANDS]
-    runs += [(str(Path(config).resolve()), command) for config, command in args.config]
     failures = 0
     with tempfile.TemporaryDirectory() as scratch:
+        multi_chunk = Path(scratch, "phase_maps_128.cfg")
+        multi_chunk.write_text(MULTI_CHUNK_MAP, encoding="utf-8")
+        runs.append((str(multi_chunk), "fidelity-map"))
+        runs += [(str(Path(config).resolve()), command) for config, command in args.config]
         for k, (config, command) in enumerate(runs):
             results = {}
             for side, root in checkouts.items():

@@ -1,17 +1,22 @@
 """Coupling-plane sweeps: spec validation, determinism, and flag plumbing."""
 
 import hashlib
+import json
 import math
+import os
+import signal
 import tracemalloc
+import warnings
 from importlib import resources
 
 import numpy as np
 import pytest
 
-from conftest import doctor_cached_blocks, model_terms, partial_trace_entropies
-from dwmix.cli import EXIT_CONFIG, EXIT_OK, _fidelity_spec, main
-from dwmix.config import RunConfig, parse_config
-from dwmix.errors import ConfigError, SweepError
+from conftest import doctor_cached_blocks, doctored, model_terms, partial_trace_entropies
+from dwmix import manifest
+from dwmix.cli import EXIT_CONFIG, EXIT_INTERNAL, EXIT_OK, _fidelity_spec, main
+from dwmix.config import COUPLING_NAMES, PLANE_AXES, RunConfig, parse_config
+from dwmix.errors import ConfigError, InvariantError, SweepError
 from dwmix.manybody import (
     CouplingParams,
     HamiltonianBlocks,
@@ -369,18 +374,28 @@ class TestFidelitySusceptibility:
         return build_context(config_factory(**{
             "potential.separation": 1.65, "potential.smoothing": 0.12}))
 
-    @pytest.mark.parametrize("axis", ["lambda_ff", "lambda_bf"])
+    @pytest.mark.parametrize("axis", COUPLING_NAMES)
     def test_one_minus_fidelity_matches_susceptibility(self, phase_maps_context, axis):
         blocks, terms = phase_maps_context.blocks, model_terms(phase_maps_context)
         energies, vectors = _spectrum(terms, REF.lambda_bb, REF.lambda_ff, REF.lambda_bf)
-        dh = {"lambda_ff": terms[2], "lambda_bf": terms[3]}[axis]
+        dh = terms[1 + COUPLING_NAMES.index(axis)]
         elements = vectors.T @ dh @ vectors[:, 0]
         chi = float(np.sum(elements[1:] ** 2 / (energies[1:] - energies[0]) ** 2))
+        # lambda_bb is swept on the bb_bf plane, the others on ff_bf.
+        plane = "bb_bf" if axis == "lambda_bb" else "ff_bf"
+        x_name, y_name, (fixed_name,) = PLANE_AXES[plane]
         errors = []
         for delta in (1.0e-5, 3.0e-5):
-            x = REF.lambda_ff + (delta if axis == "lambda_ff" else 0.0)
-            y = REF.lambda_bf + (delta if axis == "lambda_bf" else 0.0)
-            surface = fidelity_map(blocks, plane_spec(AxisSpec(x, x, 1), AxisSpec(y, y, 1)))
+            cell = REF.as_dict()
+            cell[axis] += delta
+            spec = SweepSpec(
+                plane=plane,
+                x_axis=AxisSpec(cell[x_name], cell[x_name], 1),
+                y_axis=AxisSpec(cell[y_name], cell[y_name], 1),
+                fixed={fixed_name: cell[fixed_name]},
+                reference=REF,
+            )
+            surface = fidelity_map(blocks, spec)
             predicted = 0.5 * chi * delta**2
             errors.append(abs((1.0 - surface.fidelity[0, 0]) - predicted) / predicted)
         assert errors[0] < 0.02
@@ -424,6 +439,160 @@ def test_failing_cell_is_named_under_optimize(run_python):
     proc = run_python("-O", "-c", "from test_sweep import TestFidelityMap; "
                       "TestFidelityMap().test_failing_cell_is_named()")
     assert proc.returncode == 0, proc.stderr
+
+
+# A plane of three chunks, an odd count: the caller solves the first two
+# and a forked child the last, of SPLIT_LAST_ROWS cells.
+SPLIT_SIDE = 91
+SPLIT_LAST_ROWS = SPLIT_SIDE**2 % CHUNK_CELLS
+
+
+class TestTwoProcessSplit:
+    """A plane of more than one chunk is solved, and written, in two processes
+    where two CPUs are free, and in one otherwise, with the same bytes."""
+
+    @pytest.fixture(autouse=True)
+    def leaves_nothing(self, tmp_path):
+        yield
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)  # every forked child was reaped
+        for out in tmp_path.glob("out-*"):
+            assert {p.name for p in out.iterdir()} <= {"fidelity_map.csv", "manifest.json"}
+
+    @pytest.fixture
+    def run(self, tmp_path, monkeypatch, capsys):
+        """fidelity-map over the split plane on ``cpus`` CPUs: its exit code,
+        stderr, output directory and number of forks."""
+        cfg = tmp_path / "split.cfg"
+        cfg.write_text("grid.n_points = 801\nsweep.plane = ff_bf\nsweep.y_min = 0.0\n"
+                       f"sweep.x_count = {SPLIT_SIDE}\nsweep.y_count = {SPLIT_SIDE}\n")
+        fork = os.fork
+        forks = []
+
+        def counted_fork():
+            forks.append(os.getpid())
+            return fork()
+
+        monkeypatch.setattr(os, "fork", counted_fork)
+
+        def run(cpus):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+            out = tmp_path / f"out-{len(list(tmp_path.glob('out-*')))}"
+            forks.clear()
+            code = main(["fidelity-map", "--config", str(cfg), "--out", str(out)])
+            return code, capsys.readouterr().err, out, len(forks)
+
+        return run
+
+    @pytest.fixture
+    def in_child(self, monkeypatch):
+        """Replace ``HamiltonianBlocks.ground_states`` so that on the plane's
+        last chunk (on every chunk with ``everywhere``) it runs
+        ``action(blocks, couplings)`` first, and solves on the blocks that
+        returns, if any."""
+        solve = HamiltonianBlocks.ground_states
+
+        def install(action, everywhere=False):
+            def ground_states(blocks, couplings):
+                if everywhere or len(couplings) == SPLIT_LAST_ROWS:
+                    blocks = action(blocks, couplings) or blocks
+                return solve(blocks, couplings)
+
+            monkeypatch.setattr(HamiltonianBlocks, "ground_states", ground_states)
+
+        return install
+
+    def test_inline_and_forked_runs_match(self, run):
+        assert math.ceil(SPLIT_SIDE**2 / CHUNK_CELLS) == 3
+        forked, inline = run(2), run(1)
+        assert forked[0] == inline[0] == EXIT_OK
+        assert (forked[3], inline[3]) == (2, 0)  # the sweep's fork and the writer's
+        csv, manifests = [], []
+        for _, _, out, _ in (forked, inline):
+            csv.append((out / "fidelity_map.csv").read_bytes())
+            manifests.append(json.loads((out / "manifest.json").read_text())["results"])
+        assert csv[0] == csv[1]
+        assert manifests[0] == manifests[1]
+        assert csv[0].count(b"\n") == SPLIT_SIDE**2 + 1
+
+    def test_failed_fork_runs_inline(self, run, monkeypatch):
+        forked = run(2)
+
+        def no_fork():
+            raise BlockingIOError("Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        unforked = run(2)
+        assert forked[0] == unforked[0] == EXIT_OK
+        assert ((forked[2] / "fidelity_map.csv").read_bytes()
+                == (unforked[2] / "fidelity_map.csv").read_bytes())
+
+    def test_failing_cell_in_child_is_named_as_inline(self, run, in_child):
+        # The doctored blocks fail wherever lambda_bf, the y axis, is nonzero:
+        # first at the last chunk's first row (y index 2).
+        in_child(lambda blocks, couplings: doctored(blocks))
+        forked, inline = run(2), run(1)
+        i, j = divmod(2 * CHUNK_CELLS, SPLIT_SIDE)
+        assert forked[0] == inline[0] == EXIT_INTERNAL
+        assert forked[1] == inline[1]
+        assert f"fidelity sweep failed at cell ({i}, {j}), x=" in forked[1]
+        assert "InvariantError" in forked[1] and "residual" in forked[1]
+
+    def test_caller_error_comes_first(self, run, in_child):
+        # Every chunk fails, so the child is killed while the caller raises
+        # for the first failing cell, (0, 1), as the inline run does.
+        in_child(lambda blocks, couplings: doctored(blocks), everywhere=True)
+        forked, inline = run(2), run(1)
+        assert forked[0] == inline[0] == EXIT_INTERNAL
+        assert forked[1] == inline[1]
+        assert "fidelity sweep failed at cell (0, 1), x=0.0, y=" in forked[1]
+
+    def test_killed_sweep_child_raises(self, run, in_child):
+        parent = os.getpid()
+        in_child(lambda blocks, couplings:
+                 os.getpid() != parent and os.kill(os.getpid(), signal.SIGKILL))
+        code, err, out, forks = run(2)
+        assert (code, forks) == (EXIT_INTERNAL, 1)
+        assert "died of SIGKILL without a result" in err
+        assert not any(out.iterdir())
+
+    def test_killed_writer_child_raises(self, run, monkeypatch):
+        parent = os.getpid()
+        floats = manifest._floats
+
+        def dying_floats(values):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return floats(values)
+
+        monkeypatch.setattr(manifest, "_floats", dying_floats)
+        code, err, out, forks = run(2)
+        assert (code, forks) == (EXIT_INTERNAL, 2)
+        assert "died of SIGKILL without a result" in err
+
+    def test_child_warning_reaches_caller(self, coarse_context, in_child, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        in_child(lambda blocks, couplings: warnings.warn(
+            f"last chunk solved in process {os.getpid()}", UserWarning, stacklevel=1))
+        axis = AxisSpec(0.0, 1.0e-3, SPLIT_SIDE)
+        with pytest.warns(UserWarning, match="last chunk solved in process") as caught:
+            fidelity_map(coarse_context.blocks, plane_spec(axis, axis))
+        assert len(caught) == 1
+        assert str(caught[0].message) != f"last chunk solved in process {os.getpid()}"
+
+    def test_unpicklable_child_error_is_an_invariant_error(self, coarse_context, in_child,
+                                                          monkeypatch):
+        class Local(Exception):
+            pass
+
+        def fail(blocks, couplings):
+            raise Local("not importable")
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        in_child(fail)
+        axis = AxisSpec(0.0, 1.0e-3, SPLIT_SIDE)
+        with pytest.raises(InvariantError, match="raised Local: not importable"):
+            fidelity_map(coarse_context.blocks, plane_spec(axis, axis))
 
 
 # Bytes one chunk's solve may allocate at its peak.  CHUNK_CELLS was chosen
