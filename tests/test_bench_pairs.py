@@ -1,4 +1,4 @@
-"""The pairs driver's summary, from synthetic benchmark records."""
+"""The summary that tests/bench_pairs.py writes, from synthetic benchmark records."""
 
 import json
 
