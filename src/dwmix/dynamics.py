@@ -144,10 +144,8 @@ def _dominant_period(times: np.ndarray, values: np.ndarray) -> float:
     else:
         shift = 0.0
     df = freqs[1] - freqs[0]
-    f_peak = freqs[k] + shift * df
-    if f_peak <= 0.0:
-        raise ConfigError("series has no resolvable oscillation frequency")
-    return float(1.0 / f_peak)
+    # k >= 1 and |shift| <= 1/2, so the peak lies at df / 2 > 0 or above.
+    return float(1.0 / (freqs[k] + shift * df))
 
 
 def _local_maxima(values: np.ndarray) -> np.ndarray:
@@ -224,14 +222,14 @@ def regime_metrics(series: TimeSeries) -> dict:
     ``period_estimate``, ``damping_estimate``, ``plateau_intervals`` (a list
     of [start, end] pairs).
 
-    The series must lie on a uniform grid and should span at least three
-    periods of the slower species' bare oscillation; ``RunConfig.validate``
-    holds ``dynamics.periods`` to three.
+    The series must lie on a uniform ascending grid and should span at least
+    three periods of the slower species' bare oscillation;
+    ``RunConfig.validate`` holds ``dynamics.periods`` to three.
     """
     t = series.times
     steps = np.diff(t)
-    if not np.allclose(steps, steps[0], rtol=1.0e-9, atol=0.0):
-        raise InvariantError("regime metrics require a uniform time grid")
+    if not (steps[0] > 0.0 and np.allclose(steps, steps[0], rtol=1.0e-9, atol=0.0)):
+        raise InvariantError("regime metrics require a uniform ascending time grid")
     return {
         species: {
             "period_estimate": _dominant_period(t, values),

@@ -143,8 +143,8 @@ def build_context(config: RunConfig) -> ModelContext:
     grid = Grid(x_max=resolve_x_max(config, potential), n_points=config.grid.n_points)
     v = sample_on_grid(potential, grid)
 
-    # Both species are bisected at once; the rest of each solve, and all of
-    # its checks, runs here in order, the bosons' first.
+    # Both species are bisected at once where a second CPU is free; the rest
+    # of each solve, and all of its checks, runs here in order, bosons first.
     boson_bisection, fermion_bisection = bisect_lowest(
         [build_sp_hamiltonian(kappa, v, grid)
          for kappa in (species.kappa_boson, species.kappa_fermion)]

@@ -24,13 +24,15 @@ the whole package and its array-API layer, which costs more than half of a
 cold CLI run.  ``gtsv`` is called through its f2py wrapper.  ``stebz`` is
 called through the pointer to the Fortran routine that its wrapper carries
 and calls, with the wrapper's own arguments, so its output is the same to
-the byte; that call releases the GIL, which lets :func:`bisect_lowest`
-bisect both species' Hamiltonians at once, one in a second thread.
+the byte; that call releases the GIL, so :func:`bisect_lowest` bisects both
+species at once where :func:`other_cpus` names a CPU, moving a thread there.
 """
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
+import os
 import threading
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -221,12 +223,21 @@ def _sector_ground_state(
     return u, rayleigh
 
 
+def other_cpus() -> set[int]:
+    """The CPUs the calling thread may use besides the one it is on (libc's
+    ``sched_getcpu``), or none where ``os.sched_getaffinity`` allows fewer
+    than two or is missing: a helper started beside its caller moves there,
+    since a kernel that does not balance load would leave it on that CPU."""
+    cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else set()
+    return cpus - {ctypes.CDLL(None).sched_getcpu()} if len(cpus) > 1 else set()
+
+
 def bisect_lowest(
     hamiltonians: Sequence[tuple[np.ndarray, np.ndarray]],
 ) -> list[Bisection]:
     """Bisect each (diagonal, off-diagonal) pair for its _N_LOW_STATES lowest
-    eigenvalues, the first in this thread and the rest at the same time in
-    one more.
+    eigenvalues, the first in this thread and the rest at once in one more
+    on :func:`other_cpus`, or where that is empty all here, in order.
 
     Raises :class:`SolverError` before any LAPACK call when a matrix has
     fewer rows than the states solved for (LAPACK would print its
@@ -263,20 +274,24 @@ def bisect_lowest(
             work.ctypes.data_as(_DOUBLE), iwork.ctypes.data_as(_INT), ctypes.byref(info),
         ))
         outputs.append((diag, off, found, energies, info))
-    if len(calls) > 1:
-        others = threading.Thread(target=_stebz_each, args=(calls[1:],))
+    cpus = other_cpus() if len(calls) > 1 else set()
+    if cpus:
+        others = threading.Thread(target=_stebz_each, args=(calls[1:], cpus))
         others.start()
         try:
             _STEBZ(*calls[0])
         finally:
             others.join()
     else:
-        _stebz_each(calls)
+        _stebz_each(calls, cpus)
     return [Bisection(diag, off, found.value, energies, info.value)
             for diag, off, found, energies, info in outputs]
 
 
-def _stebz_each(calls) -> None:
+def _stebz_each(calls, cpus: set[int]) -> None:
+    if cpus:
+        with contextlib.suppress(OSError):  # a mask changed since: stay put
+            os.sched_setaffinity(0, cpus)
     for args in calls:
         _STEBZ(*args)
 

@@ -69,11 +69,9 @@ def _require_even(v: np.ndarray, x: np.ndarray) -> None:
 
 
 def sample_on_grid(potential: Callable[[np.ndarray], np.ndarray], grid: Grid) -> np.ndarray:
-    """Evaluate ``potential`` on ``grid`` and enforce evenness."""
+    """Evaluate ``potential`` (elementwise in x) on ``grid``; enforce evenness."""
     x = grid.points()
     v = np.asarray(potential(x), dtype=float)
-    if v.shape != x.shape:
-        raise ConfigError("potential must return one value per grid node")
     if not np.all(np.isfinite(v)):
         raise ConfigError("potential evaluated to a non-finite value")
     _require_even(v, x)

@@ -31,13 +31,16 @@ import numpy as np
 from .config import COUPLING_NAMES, PLANE_AXES
 from .errors import DwmixError, InvariantError, SweepError
 from .manybody import CouplingParams, HamiltonianBlocks, ground_state
+from .modes import other_cpus
 from .observables import species_entropies
 
 # Cells per batched solve: a power of two whose working set (950 B a cell,
 # tracemalloc peak of one ``HamiltonianBlocks.ground_states`` call) stays in
 # the 4 MiB that tests/test_sweep.py allows.  Speed does not set it: a 256x256
 # map (2-core Xeon, numpy 2.4.6) took 126-137, 102-108, 91-96 and 93-103 ms
-# at 2048, 4096, 8192 and 16384 cells (medians of 7, two runs).
+# at 2048, 4096, 8192 and 16384 cells (medians of 7, two runs), in one process;
+# in two, 140-196 ms at 8192, 42-63 ms at 4096, and 44-55 ms at 8192 with
+# OPENBLAS_NUM_THREADS=1, as OpenBLAS's own threads then share each process's CPU.
 CHUNK_CELLS = 4096
 
 
@@ -54,9 +57,9 @@ def halves(items: Sequence, cells: int) -> tuple[Sequence, Sequence]:
 def in_two_processes(fn: Callable[[Any], Any], first: Sequence, second: Sequence) -> tuple:
     """``(fn(first), fn(second))``, with ``fn(second)`` run in a forked child.
 
-    The fork is taken only when ``second`` is non-empty and this process may
-    run on at least 2 CPUs; otherwise, or if the fork fails, both calls run
-    here, in order.  The child runs on those CPUs except the caller's.  The
+    The fork is taken only when ``second`` is non-empty and
+    ``modes.other_cpus`` names a CPU, and the child moves itself there;
+    otherwise, or if the fork fails, both calls run here, in order.  The
     child sends back its result, or the exception it raised (its message and
     ``index`` kept), together with the warnings it recorded, which are
     re-emitted here in order.  If ``fn(first)`` raises, the child is killed
@@ -74,13 +77,9 @@ def in_two_processes(fn: Callable[[Any], Any], first: Sequence, second: Sequence
     fork), runs no ``atexit`` handler and flushes no inherited buffer: it
     leaves through ``os._exit``.
     """
-    cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else ()
-    if not second or len(cpus) < 2:
+    cpus = other_cpus() if second else set()
+    if not cpus:
         return fn(first), fn(second)
-    # A forked child starts on its parent's CPU, and where a cpuset turns load
-    # balancing off the kernel leaves it there: the two halves would share one
-    # CPU.  So the child runs on the others.
-    others = cpus - {_current_cpu()}
     read_fd, write_fd = os.pipe()
     try:
         pid = os.fork()
@@ -89,7 +88,7 @@ def in_two_processes(fn: Callable[[Any], Any], first: Sequence, second: Sequence
         os.close(write_fd)
         return fn(first), fn(second)
     if pid == 0:
-        _child(fn, second, read_fd, write_fd, others)
+        _child(fn, second, read_fd, write_fd, cpus)
     os.close(write_fd)
     reaped = False
     try:
@@ -121,16 +120,6 @@ def in_two_processes(fn: Callable[[Any], Any], first: Sequence, second: Sequence
     if outcome == "unpicklable":
         raise InvariantError(f"the process of the second half raised {value}")
     return mine, value
-
-
-def _current_cpu() -> int | None:
-    """The CPU this process last ran on, from ``/proc/self/stat``; None where
-    that cannot be read."""
-    try:
-        with open("/proc/self/stat", "rb") as fh:
-            return int(fh.read().rsplit(b")", 1)[1].split()[36])
-    except (OSError, IndexError, ValueError):
-        return None
 
 
 def _child(fn: Callable, part, read_fd: int, write_fd: int, cpus: set[int]) -> None:

@@ -298,6 +298,9 @@ class TestRegimeMetrics:
         values = np.full_like(times, 0.5)
         with pytest.raises(InvariantError, match="uniform"):
             self.run(times, values, values)
+        # A descending grid would give a negative frequency step, and period.
+        with pytest.raises(InvariantError, match="uniform ascending"):
+            self.run(times[-2::-1], values[1:], values[1:])
 
     def test_rejects_short_window(self, config_factory):
         # evolve's window is dynamics.periods bare periods long, and the

@@ -1,3 +1,4 @@
+import os
 import re
 import threading
 from importlib import resources
@@ -330,6 +331,77 @@ def test_concurrent_bisections_match_scipy_linalg_bitwise(rng):
 def test_off_diagonal_length_is_checked():
     with pytest.raises(ValueError, match="10 diagonal entries need 9 off-diagonals, not 10"):
         bisect_lowest([(np.ones(10), np.ones(10))])
+
+
+@pytest.fixture
+def pinned():
+    """Pin this thread to its lowest allowed CPU for the test (skipped where
+    the affinity mask holds one CPU); yield that CPU and the next one."""
+    if len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2:
+        pytest.skip("needs an affinity mask of at least 2 CPUs")
+    allowed = os.sched_getaffinity(0)
+    here, other = sorted(allowed)[:2]
+    os.sched_setaffinity(0, {here})
+    try:
+        yield here, other
+    finally:
+        os.sched_setaffinity(0, allowed)
+
+
+@pytest.fixture
+def stebz_calls(monkeypatch):
+    """Each stebz call's thread, that thread's affinity and the matrix size,
+    in call order."""
+    stebz, affinity, calls = modes_module._STEBZ, os.sched_getaffinity, []
+
+    def recorded(*args):
+        calls.append((threading.get_ident(), affinity(0), args[2]._obj.value))
+        return stebz(*args)
+
+    monkeypatch.setattr(modes_module, "_STEBZ", recorded)
+    return calls
+
+
+def test_other_cpus_leave_out_the_callers(pinned, monkeypatch):
+    here, other = pinned
+    assert modes_module.other_cpus() == set()  # the real mask, pinned to one CPU
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {here, other})
+    assert modes_module.other_cpus() == {other}
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {here})
+    assert modes_module.other_cpus() == set()
+
+
+def test_second_thread_leaves_the_callers_cpu(pinned, stebz_calls, monkeypatch, rng):
+    here, other = pinned
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {here, other})
+    bisect_lowest([(rng.normal(size=n), rng.normal(size=n - 1)) for n in (2000, 3000)])
+    # The two threads' calls may come in either order.
+    calls = {ident: cpus for ident, cpus, _ in stebz_calls}
+    assert calls.pop(threading.get_ident()) == {here}
+    assert list(calls.values()) == [{other}]
+
+
+def test_one_cpu_bisects_in_the_caller_in_order(pinned, stebz_calls, monkeypatch, rng):
+    # The same bytes as the two-thread bisection, from no thread at all.
+    here, other = pinned
+    hamiltonians = [(rng.normal(size=n) * 100.0, rng.normal(size=n - 1)) for n in (3000, 2000)]
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {here, other})
+    threaded = bisect_lowest(hamiltonians)
+    assert len({ident for ident, _, _ in stebz_calls}) == 2
+
+    def no_thread(*args, **kwargs):
+        raise AssertionError("bisect_lowest started a thread on one CPU")
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {here})
+    monkeypatch.setattr(modes_module.threading, "Thread", no_thread)
+    stebz_calls.clear()
+    inline = bisect_lowest(hamiltonians)
+    caller = threading.get_ident()
+    assert [(ident, n) for ident, _, n in stebz_calls] == [(caller, 3000), (caller, 2000)]
+    for one, two in zip(inline, threaded, strict=True):
+        assert (one.found, one.info) == (two.found, two.info) == (4, 0)
+        assert one.energies[:4].tobytes() == two.energies[:4].tobytes()
+    assert inline[0].energies[:4].tobytes() != inline[1].energies[:4].tobytes()
 
 
 def test_build_context_solves_each_species_in_the_calling_thread(monkeypatch, config_factory):
