@@ -225,9 +225,9 @@ def _sector_ground_state(
 
 def other_cpus() -> set[int]:
     """The CPUs the calling thread may use besides the one it is on (libc's
-    ``sched_getcpu``), or none where ``os.sched_getaffinity`` allows fewer
-    than two or is missing: a helper started beside its caller moves there,
-    since a kernel that does not balance load would leave it on that CPU."""
+    ``int sched_getcpu(void)``, ctypes' default prototype), or none where
+    ``os.sched_getaffinity`` allows fewer than two or is missing.  A helper moves
+    there, since a kernel that does not balance load leaves it on its creator's CPU."""
     cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else set()
     return cpus - {ctypes.CDLL(None).sched_getcpu()} if len(cpus) > 1 else set()
 
