@@ -14,11 +14,9 @@ matrix, ``CompositeBasis.coefficient_matrices``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import ConfigError, InvariantError
+from .errors import ConfigError, InvariantError, Record
 from .manybody import (
     BOSONS,
     FERMIONS,
@@ -88,8 +86,7 @@ def evolve(h: ManyBodyHamiltonian, psi0: np.ndarray, times) -> np.ndarray:
     return rotated * np.exp(-1j * h.blocks.shift * t)[:, None]
 
 
-@dataclass(frozen=True, repr=False, eq=False)
-class TimeSeries:
+class TimeSeries(Record):
     """Return probabilities for both species on a common time grid."""
 
     times: np.ndarray

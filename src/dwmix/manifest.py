@@ -90,7 +90,8 @@ def write_fidelity_csv(path: str | Path, surface: FidelitySurface) -> Path:
             with tempfile.TemporaryFile("w+", encoding="utf-8", dir=path.parent) as tail:
                 in_two_processes(write_rows, (fh, first), (tail, second))
                 tail.seek(0)
-                shutil.copyfileobj(tail, fh)
+                fh.flush()
+                shutil.copyfileobj(tail.buffer, fh.buffer)  # bytes, not decoded text
         else:
             write_rows((fh, first))
     return path

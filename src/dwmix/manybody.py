@@ -16,13 +16,12 @@ H, and ``HamiltonianBlocks`` holds them projected onto the symmetry sectors.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .config import COUPLING_NAMES
-from .errors import ConfigError, InvariantError
+from .errors import ConfigError, InvariantError, Record
 from .modes import DoubletModes
 from .overlaps import OverlapTensor
 from .tridiagonal import Tridiagonal, checked_residuals
@@ -86,8 +85,7 @@ def _fermion_states(sector: int) -> tuple[list[str], np.ndarray]:
     return [label], _det_vector(*orbitals).reshape(16, 1)
 
 
-@dataclass(frozen=True, repr=False, eq=False)
-class CompositeBasis:
+class CompositeBasis(Record):
     """Labeled product basis: boson pair states x fermion pair states.
 
     Composite ordering is boson-major, so :meth:`coefficient_matrices` views
@@ -225,8 +223,7 @@ def one_body_transition_matrix(basis: CompositeBasis, species: str) -> np.ndarra
     return np.array(d).transpose(2, 3, 0, 1)
 
 
-@dataclass(frozen=True, repr=False, eq=False)
-class CouplingParams:
+class CouplingParams(Record):
     """Contact coupling strengths, all repulsive (non-negative).  They come
     from config values ``RunConfig.validate`` checked, so only the
     strong-coupling warning is raised here."""
@@ -241,15 +238,14 @@ class CouplingParams:
                 warnings.warn(
                     f"{name} = {value} is above {COUPLING_WARN}; two-mode "
                     "truncation accuracy degrades at this strength",
-                    stacklevel=3,  # past the generated __init__, to its caller
+                    stacklevel=3,  # past Record.__init__, to its caller
                 )
 
     def as_dict(self) -> dict[str, float]:
         return {name: getattr(self, name) for name in COUPLING_NAMES}
 
 
-@dataclass(frozen=True, repr=False, eq=False)
-class OverlapSet:
+class OverlapSet(Record):
     """The three contact tensors feeding assembly."""
 
     boson: OverlapTensor
@@ -257,8 +253,7 @@ class OverlapSet:
     cross: OverlapTensor
 
 
-@dataclass(frozen=True, repr=False, eq=False)
-class ManyBodyHamiltonian:
+class ManyBodyHamiltonian(Record):
     """H at one coupling point: its model's blocks and its row of couplings,
     ordered as COUPLING_NAMES.  No full matrix is composed."""
 
@@ -266,8 +261,7 @@ class ManyBodyHamiltonian:
     couplings: np.ndarray
 
 
-@dataclass(frozen=True, repr=False, eq=False)
-class HamiltonianBlocks:
+class HamiltonianBlocks(Record):
     """H(c) = h0 + sum_k c_k h_k, projected once onto the symmetry sectors of
     the basis (``basis.sectors``), with c = (lambda_bb, lambda_ff, lambda_bf).
 
@@ -473,8 +467,7 @@ def _oriented(v: np.ndarray) -> np.ndarray:
     return v
 
 
-@dataclass(frozen=True, repr=False, eq=False)
-class GroundState:
+class GroundState(Record):
     """``vector`` holds the real ground-state coefficients over the basis."""
 
     energy: float

@@ -9,13 +9,12 @@ Hamiltonian blocks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .config import RunConfig
-from .errors import ConfigError, InvariantError
+from .errors import ConfigError, InvariantError, Record
 from .manybody import (
     CompositeBasis,
     CouplingParams,
@@ -90,8 +89,7 @@ def _check_normalized(mode: np.ndarray, grid: Grid, name: str) -> None:
         raise InvariantError(f"{name} mode is not normalized (<phi|phi> = {norm:.12f})")
 
 
-@dataclass(frozen=True, repr=False, eq=False)
-class ModelContext:
+class ModelContext(Record):
     """One model: grid, doublet modes and composite basis, built with it.
 
     The overlap tensors and the Hamiltonian blocks are built on first read

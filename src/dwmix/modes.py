@@ -35,7 +35,6 @@ import ctypes
 import os
 import threading
 from collections.abc import Sequence
-from dataclasses import dataclass
 from importlib.machinery import EXTENSION_SUFFIXES
 from importlib.util import find_spec, module_from_spec, spec_from_file_location
 from pathlib import Path
@@ -43,7 +42,7 @@ from types import ModuleType
 
 import numpy as np
 
-from .errors import SolverError
+from .errors import Record, SolverError
 from .potential import Grid
 
 # The doublet splitting must exceed the bisection error bound by this factor.
@@ -118,8 +117,7 @@ _STEBZ = _compiled_routine(_flapack.dstebz, ctypes.CFUNCTYPE(
     _DOUBLE, _DOUBLE, _INT, _INT, _DOUBLE, _INT, _INT, _DOUBLE, _INT, _INT))
 
 
-@dataclass(frozen=True, repr=False, eq=False)
-class Bisection:
+class Bisection(Record):
     """A tridiagonal Hamiltonian and what ``stebz`` returned for its lowest
     _N_LOW_STATES eigenvalues: ``found`` of them (LAPACK's m) at the head of
     ``energies``, in ascending order, and LAPACK's ``info``."""
@@ -131,8 +129,7 @@ class Bisection:
     info: int
 
 
-@dataclass(frozen=True, repr=False, eq=False)
-class DoubletModes:
+class DoubletModes(Record):
     """Lowest doublet of the trap plus derived localized modes.
 
     Attributes

@@ -18,16 +18,15 @@ labels differ, so only the within-pair swaps share a key: 9 distinct values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
 
+from .errors import Record
 from .potential import Grid
 
 
-@dataclass(frozen=True, repr=False, eq=False)
-class OverlapTensor:
+class OverlapTensor(Record):
     """A (2, 2, 2, 2) contact tensor plus a quadrature error estimate.
 
     Index 0 is the left mode, index 1 the right mode.  ``distinct`` maps each

@@ -7,19 +7,17 @@ eigenvectors and the left/right mode mirror identity hold to the last bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, Record
 
 EVENNESS_TOL = 1.0e-12
 
 
-@dataclass(frozen=True)
-class Grid:
+class Grid(Record):
     """Uniform symmetric grid on [-x_max, x_max] with an odd point count.
 
     ``n_points`` must be odd so that x = 0 is a grid node; mirror symmetry
@@ -34,6 +32,9 @@ class Grid:
             raise ConfigError("grid half-width x_max must be positive")
         if self.n_points < 3 or self.n_points % 2 == 0:
             raise ConfigError("n_points must be an odd integer >= 3")
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, Grid) and vars(self) == vars(other)
 
     @property
     def spacing(self) -> float:
@@ -84,8 +85,7 @@ def _cos_ramp(t: np.ndarray) -> np.ndarray:
     return 0.5 * (1.0 - np.cos(np.pi * tc))
 
 
-@dataclass(frozen=True, repr=False, eq=False)
-class DoubleSquareWell:
+class DoubleSquareWell(Record):
     """Two square wells of width ``well_width`` separated (centre-to-centre)
     by ``separation``, depth ``depth`` below the outside level, with edges
     smoothed over ``smoothing`` so the finite-difference solver converges at
@@ -125,8 +125,7 @@ class DoubleSquareWell:
         return self.depth * (1.0 - down + up)
 
 
-@dataclass(frozen=True, repr=False, eq=False)
-class QuarticDoubleWell:
+class QuarticDoubleWell(Record):
     """Smooth double well V(x) = barrier * ((x/x0)^2 - 1)^2.
 
     Minima at x = +-x0 with V = 0, barrier height ``barrier`` at x = 0;
@@ -142,8 +141,7 @@ class QuarticDoubleWell:
         return self.barrier * (r - 1.0) ** 2
 
 
-@dataclass(frozen=True, repr=False, eq=False)
-class TabulatedPotential:
+class TabulatedPotential(Record):
     """Potential sampled from a table, linearly interpolated.
 
     The table must cover the requested grid (``model.resolve_x_max`` holds
@@ -161,8 +159,7 @@ class TabulatedPotential:
             raise ConfigError("tabulated potential needs matching 1-d x and V columns")
         if not np.all(np.diff(x) > 0.0):
             raise ConfigError("tabulated x values must be strictly increasing")
-        object.__setattr__(self, "x_table", x)
-        object.__setattr__(self, "v_table", v)
+        self.__dict__.update(x_table=x, v_table=v)
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "TabulatedPotential":

@@ -23,13 +23,12 @@ import pickle
 import signal
 import warnings
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
 
 from .config import COUPLING_NAMES, PLANE_AXES
-from .errors import DwmixError, InvariantError, SweepError
+from .errors import DwmixError, InvariantError, Record, SweepError
 from .manybody import CouplingParams, HamiltonianBlocks, ground_state
 from .modes import other_cpus
 from .observables import species_entropies
@@ -152,8 +151,7 @@ def _child(fn: Callable, part, read_fd: int, write_fd: int, cpus: set[int]) -> N
         os._exit(code)
 
 
-@dataclass(frozen=True, repr=False, eq=False)
-class AxisSpec:
+class AxisSpec(Record):
     """One linearly spaced sweep axis; ``RunConfig.validate`` checks its values."""
 
     start: float
@@ -166,8 +164,7 @@ class AxisSpec:
         return np.linspace(self.start, self.stop, self.count)
 
 
-@dataclass(frozen=True, repr=False, eq=False)
-class SweepSpec:
+class SweepSpec(Record):
     """Which plane to scan, over what ranges, with what held fixed (the
     couplings of ``PLANE_AXES[plane]`` that no axis sets)."""
 
@@ -206,8 +203,7 @@ class SweepSpec:
         return np.column_stack([columns[name] for name in COUPLING_NAMES])
 
 
-@dataclass(frozen=True, repr=False, eq=False)
-class FidelitySurface:
+class FidelitySurface(Record):
     x_values: np.ndarray
     y_values: np.ndarray
     fidelity: np.ndarray  # shape (len(x), len(y))
@@ -217,8 +213,7 @@ class FidelitySurface:
     reference_energy: float
 
 
-@dataclass(frozen=True, repr=False, eq=False)
-class EntropyCurve:
+class EntropyCurve(Record):
     lambda_ff: np.ndarray
     entropy: np.ndarray  # both species' entropy: the ground states are pure
     degenerate: np.ndarray

@@ -19,11 +19,9 @@ a zero T).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import InvariantError
+from .errors import InvariantError, Record
 
 EPS = np.finfo(float).eps
 SPLIT_TOL = 8.0  # off-diagonals at or below this are set to zero
@@ -33,8 +31,7 @@ PIVOT_FLOOR = EPS  # times eps * ||T||: a pivot this small counts as negative
 RESIDUAL_TOL = 64.0  # times eps * ||A||_F
 
 
-@dataclass(frozen=True, repr=False, eq=False)
-class Tridiagonal:
+class Tridiagonal(Record):
     """Householder reductions Q^T A Q = T of a (d, d, n) stack of symmetric
     matrices, read from the lower triangle as ``eigh`` reads it.
 

@@ -13,7 +13,7 @@ units of ``l_ref`` and V, E in units of ``xi_ref``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from .errors import Record
 
 # CODATA 2018 values, pinned so results are reproducible across environments.
 HBAR_JS = 1.054571817e-34
@@ -31,8 +31,7 @@ def kinetic_prefactor(mass_kg: float) -> float:
     return HBAR_JS**2 / (2.0 * mass_kg * LENGTH_M**2 * ENERGY_J)
 
 
-@dataclass(frozen=True, repr=False, eq=False)
-class SpeciesConstants:
+class SpeciesConstants(Record):
     """Kinetic prefactors for the boson/fermion pair."""
 
     kappa_boson: float

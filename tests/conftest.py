@@ -1,4 +1,3 @@
-import dataclasses
 import os
 import subprocess
 import sys
@@ -9,7 +8,7 @@ import pytest
 
 import dwmix
 from dwmix.config import RunConfig
-from dwmix.manybody import hamiltonian_terms
+from dwmix.manybody import HamiltonianBlocks, hamiltonian_terms
 from dwmix.model import build_context
 
 
@@ -66,7 +65,7 @@ def doctored(blocks):
     upper = blocks.n_defect + np.flatnonzero(np.triu(np.ones((d, d)), 1))
     terms = blocks.terms.copy()
     terms[-1, upper] += 1.0
-    return dataclasses.replace(blocks, terms=terms)
+    return HamiltonianBlocks(blocks.basis, blocks.base, terms, blocks.n_defect, blocks.shift)
 
 
 def doctor_cached_blocks(context):

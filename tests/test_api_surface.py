@@ -1,5 +1,5 @@
 """Every public function, class and method in src/dwmix has a caller outside
-tests, every dataclass field a reader, and every optional parameter a caller
+tests, every record field a reader, and every optional parameter a caller
 that sets it.
 
 A name counts as used when it appears elsewhere in src/ or perfbench/ as an
@@ -13,7 +13,6 @@ by keyword, is a constant in disguise: it becomes one.
 """
 
 import ast
-import dataclasses
 import importlib
 import io
 import pkgutil
@@ -22,6 +21,7 @@ from collections import Counter
 from pathlib import Path
 
 import dwmix
+from dwmix.errors import Record
 from dwmix.potential import Grid
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -40,16 +40,20 @@ def _public_definitions(path):
             yield node.name, node.lineno
 
 
-def _dataclass_fields(path):
-    """(class, field, line) of each field of the module's dataclasses."""
+def _records(path):
+    """The module's classes that name ``Record`` as a base."""
     for node in ast.parse(path.read_text(encoding="utf-8")).body:
         if isinstance(node, ast.ClassDef) and any(
-            getattr(d.func if isinstance(d, ast.Call) else d, "id", None) == "dataclass"
-            for d in node.decorator_list
-        ):
-            for item in node.body:
-                if isinstance(item, ast.AnnAssign):
-                    yield node.name, item.target.id, item.lineno
+                getattr(base, "id", None) == "Record" for base in node.bases):
+            yield node
+
+
+def _record_fields(path):
+    """(class, field, line) of each field of the module's records."""
+    for node in _records(path):
+        for item in node.body:
+            if isinstance(item, ast.AnnAssign):
+                yield node.name, item.target.id, item.lineno
 
 
 def _attribute_reads(paths):
@@ -112,9 +116,9 @@ def test_every_dataclass_field_is_read():
     reads = _attribute_reads(sources + bench)
     unread = [f"{cls}.{name} ({path.relative_to(ROOT)}:{line})"
               for path in sources
-              for cls, name, line in _dataclass_fields(path)
+              for cls, name, line in _record_fields(path)
               if name not in reads]
-    assert not unread, "dataclass fields nothing reads: " + ", ".join(unread)
+    assert not unread, "record fields nothing reads: " + ", ".join(unread)
 
 
 def _defaulted_parameters(path):
@@ -206,17 +210,22 @@ def test_every_defaulted_parameter_is_passed():
 
 
 def test_records_have_no_generated_comparison_or_repr():
-    # Nothing compares or prints a record, so none pays at import for the
-    # methods a dataclass generates; only Grid (the spatial oracle compares
-    # grids) keeps them.  A config is no dataclass: it compares by value.
+    # Nothing compares or prints a record, so none defines __eq__ or
+    # __repr__; only Grid (the spatial oracle compares grids) compares by
+    # value.  A config is no record: it compares by value.
     records = {
         obj
         for info in pkgutil.iter_modules(dwmix.__path__)
         for obj in vars(importlib.import_module(f"dwmix.{info.name}")).values()
-        if isinstance(obj, type) and dataclasses.is_dataclass(obj)
+        if isinstance(obj, type) and issubclass(obj, Record) and obj is not Record
         and obj.__module__ == f"dwmix.{info.name}"
     }
-    generated = {cls for cls in records
-                 if cls.__eq__ is not object.__eq__ or "__repr__" in vars(cls)}
-    assert generated == {Grid}, "records with a generated __eq__ or __repr__: " + ", ".join(
-        sorted(cls.__name__ for cls in generated - {Grid}))
+    # The field rule above finds records by their written base; it must see
+    # every record, an indirect subclass of Record included.
+    sources, _ = _sources()
+    assert {cls.__name__ for cls in records} == {
+        node.name for path in sources for node in _records(path)}
+    compared = {cls for cls in records
+                if cls.__eq__ is not object.__eq__ or cls.__repr__ is not object.__repr__}
+    assert compared == {Grid}, "records with their own __eq__ or __repr__: " + ", ".join(
+        sorted(cls.__name__ for cls in compared - {Grid}))

@@ -1,6 +1,5 @@
 """End-to-end command-line runs, exercised in process through main()."""
 
-import dataclasses
 import hashlib
 import json
 import math
@@ -17,6 +16,7 @@ from dwmix import cli, dynamics, model
 from dwmix.cli import EXIT_CONFIG, EXIT_INTERNAL, EXIT_MODEL, EXIT_OK, PRESET_NAMES, build_parser, main
 from dwmix.config import PLANE_AXES, RunConfig
 from dwmix.manybody import CouplingParams, HamiltonianBlocks
+from dwmix.modes import DoubletModes
 
 COARSE = "grid.n_points = 801\n"
 
@@ -390,7 +390,8 @@ def _last_dropped(p):
 
 
 def _left_mode_scaled(modes):
-    return dataclasses.replace(modes, psi_left=1.001 * modes.psi_left)
+    return DoubletModes(modes.grid, modes.energies, modes.psi_s, modes.psi_a,
+                        1.001 * modes.psi_left, modes.psi_right)
 
 
 @pytest.mark.parametrize("command, module, name, doctor, message", [
@@ -489,7 +490,7 @@ def test_each_subcommand_takes_only_the_options_it_uses(capsys):
 
 
 @pytest.mark.parametrize("module", ["scipy.signal", "scipy.linalg", "numpy.f2py",
-                                    "concurrent.futures"])
+                                    "concurrent.futures", "dataclasses"])
 def test_import_leaves_out(run_python, module):
     # dwmix needs none of these, and each one adds to every cold start.
     proc = run_python("-c", f"import sys, dwmix.cli; print({module!r} in sys.modules)")
