@@ -76,17 +76,17 @@ def measure(roots: dict[str, Path], pairs: int, run=wait4_run) -> dict:
     timed = commands()
     wall, rss, runs = [], [], []
     for k in range(pairs):
-        records = {side: ({}, {}) for side in SIDES}
+        wall_s, rss_mb = {side: {} for side in SIDES}, {side: {} for side in SIDES}
         order = SIDES if k % 2 == 0 else SIDES[::-1]
         for label, args in timed.items():
             for side in order:
                 with tempfile.TemporaryDirectory() as cwd:
                     seconds, mb = run([sys.executable, *args], envs[side], cwd)
-                records[side][0][label], records[side][1][label] = seconds, mb
+                wall_s[side][label], rss_mb[side][label] = seconds, mb
                 runs.append({"pair": k, "side": side, "command": label,
                              "wall_s": seconds, "peak_rss_mb": mb})
-        wall.append(tuple({"metrics": records[side][0]} for side in SIDES))
-        rss.append(tuple({"metrics": records[side][1]} for side in SIDES))
+        wall.append(tuple({"metrics": wall_s[side]} for side in SIDES))
+        rss.append(tuple({"metrics": rss_mb[side]} for side in SIDES))
     better = dict.fromkeys(timed, "lower")
     return {"wall_s": summarize(wall, better), "peak_rss_mb": summarize(rss, better),
             "runs": runs}
