@@ -11,7 +11,8 @@ iteration for the winning sector's vector) runs once over every cell of the
 chunk.  A sweep of more than one chunk is solved in two processes (see
 ``in_two_processes``): a forked child solves the second half of the chunk
 list while the caller solves the first.  Chunk boundaries do not depend on
-the split, and output order is row-major over the grid.
+the split, and output order is row-major over the grid.  The sweep is the
+only part of dwmix that forks; its CSV is written by the caller alone.
 """
 
 from __future__ import annotations
@@ -43,28 +44,19 @@ from .observables import species_entropies
 CHUNK_CELLS = 4096
 
 
-def halves(items: Sequence, cells: int) -> tuple[Sequence, Sequence]:
-    """A job's two parts for ``in_two_processes``: ``items`` split in the
-    middle (the caller's part the larger) when the job spans more than
-    CHUNK_CELLS cells, else whole and empty."""
-    if cells <= CHUNK_CELLS:
-        return items, items[:0]
-    middle = (len(items) + 1) // 2
-    return items[:middle], items[middle:]
-
-
 def in_two_processes(fn: Callable[[Any], Any], first: Sequence, second: Sequence) -> tuple:
     """``(fn(first), fn(second))``, with ``fn(second)`` run in a forked child.
 
-    The fork is taken only when ``second`` is non-empty and
-    ``modes.other_cpus`` names a CPU, and the child moves itself there;
-    otherwise, or if the fork fails, both calls run here, in order.  The
-    child sends back its result, or the exception it raised (its message and
-    ``index`` kept), together with the warnings it recorded, which are
-    re-emitted here in order.  If ``fn(first)`` raises, the child is killed
-    and that error is raised: it covers the earlier part.  A child that dies
-    without a result, or whose exception cannot be pickled, raises
-    InvariantError.  The child is reaped on every path.
+    Its one caller is ``_solve_chunks``: only the sweep forks.  The fork is
+    taken only when ``second`` is non-empty and ``modes.other_cpus`` names a
+    CPU, and the child moves itself there; otherwise, or if the fork fails,
+    both calls run here, in order.  The child sends back its result, or the
+    exception it raised (its message and ``index`` kept), together with the
+    warnings it recorded, which are re-emitted here in order.  If
+    ``fn(first)`` raises, the child is killed and that error is raised: it
+    covers the earlier part.  A child that dies without a result, or whose
+    exception cannot be pickled, raises InvariantError.  The child is reaped
+    on every path.
 
     Safe to fork: no other Python thread is alive (``modes`` joins its
     bisection thread inside ``build_context``), and OpenBLAS quiesces its
@@ -261,7 +253,8 @@ def _solve_chunks(
         return chunks
 
     starts = range(0, len(couplings), CHUNK_CELLS)
-    first, second = in_two_processes(solve, *halves(starts, len(couplings)))
+    middle = (len(starts) + 1) // 2  # the caller's part the larger; one chunk, no fork
+    first, second = in_two_processes(solve, starts[:middle], starts[middle:])
     return [np.concatenate(parts) for parts in zip(*first, *second)]
 
 

@@ -7,9 +7,11 @@ Run from anywhere:
 
 PARENT and CHANGE are checkout roots, each holding ``src/dwmix``.  Every
 shipped preset runs through all five subcommands, and ``fidelity-map`` runs
-once more on the phase_maps geometry at 128x128, a plane of four sweep
-chunks that is solved and written in two processes where two CPUs are free
-(21 runs); each extra ``--config FILE SUBCOMMAND`` pair adds one run.  A subcommand that writes gets
+four times more on the phase_maps geometry: at 128x128, a plane of four
+sweep chunks that is solved in two processes where two CPUs are free, and on
+each of the three planes at 256x256, the maps of the benchmark's
+``sweep_large`` workload (65536 cells each).  That makes 24 runs; each extra
+``--config FILE SUBCOMMAND`` pair adds one run.  A subcommand that writes gets
 ``--out`` and ``--plot``; ``validate-config``, which writes nothing, gets
 ``--config`` alone.  Each run is ``python -m dwmix.cli`` in a fresh
 interpreter with the checkout's ``src`` first on PYTHONPATH.
@@ -41,24 +43,28 @@ from pathlib import Path
 PRESETS = ("region1", "region2", "region3", "phase_maps")
 SUBCOMMANDS = ("solve-modes", "evolve", "fidelity-map", "entropy-scan", "validate-config")
 MANIFEST = "manifest.json"
-# The phase_maps preset at 128x128: four chunks of dwmix.sweep.CHUNK_CELLS.
-MULTI_CHUNK_MAP = """\
+# A plane through the phase_maps reference point, as perfbench/workloads.py
+# map_config writes it.
+MAP = """\
 potential.separation = 1.65
 potential.smoothing = 0.12
 couplings.lambda_bb = 5.0e-4
 couplings.lambda_ff = 5.0e-4
 couplings.lambda_bf = 5.0e-4
-sweep.plane = ff_bf
+sweep.plane = {plane}
 sweep.x_min = 0.0
 sweep.x_max = 1.0e-3
-sweep.x_count = 128
+sweep.x_count = {count}
 sweep.y_min = 0.0
 sweep.y_max = 1.0e-3
-sweep.y_count = 128
+sweep.y_count = {count}
 sweep.reference_bb = 5.0e-4
 sweep.reference_ff = 5.0e-4
 sweep.reference_bf = 5.0e-4
 """
+# At 128x128 a plane is four chunks of dwmix.sweep.CHUNK_CELLS; at 256x256,
+# sixteen.
+MAPS = (("ff_bf", 128), ("ff_bf", 256), ("bb_bf", 256), ("bb_ff", 256))
 
 
 def run(checkout: Path, config: str, command: str, out: Path) -> dict[str, object]:
@@ -129,9 +135,10 @@ def main(argv: list[str] | None = None) -> int:
     runs = [(preset, command) for preset in PRESETS for command in SUBCOMMANDS]
     failures = 0
     with tempfile.TemporaryDirectory() as scratch:
-        multi_chunk = Path(scratch, "phase_maps_128.cfg")
-        multi_chunk.write_text(MULTI_CHUNK_MAP, encoding="utf-8")
-        runs.append((str(multi_chunk), "fidelity-map"))
+        for plane, count in MAPS:
+            config = Path(scratch, f"{plane}_{count}.cfg")
+            config.write_text(MAP.format(plane=plane, count=count), encoding="utf-8")
+            runs.append((str(config), "fidelity-map"))
         runs += [(str(Path(config).resolve()), command) for config, command in args.config]
         for k, (config, command) in enumerate(runs):
             results = {}

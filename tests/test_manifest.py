@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -15,6 +16,9 @@ from dwmix.manifest import (
     FIDELITY_HEADER,
     MODES_HEADER,
     TIMESERIES_HEADER,
+    WRITE_BLOCK_CELLS,
+    _repr_bytes,
+    _repr_digits,
     build_manifest,
     sha256_of,
     write_entropy_csv,
@@ -196,6 +200,31 @@ class TestCsvBytes:
         assert path.read_bytes() == expected.encode("utf-8")
         assert path.read_bytes().count(b",1\n") == 1
 
+    def test_fidelity_over_blocks(self, tmp_path):
+        # A map of several write blocks, the last one partial, whose block
+        # edges fall inside x rows; its fidelities mix every kind of value.
+        x = np.linspace(0.0, 1.0e-3, 70)
+        y = np.linspace(-2.0e-3, 5.0e-3, 71)
+        rng = np.random.default_rng(3)
+        fidelity = 1.0 - rng.uniform(0.0, 0.1, x.size * y.size)
+        fidelity[::97] = np.resize(SPECIAL, fidelity[::97].size)
+        degenerate = rng.uniform(size=fidelity.size) < 0.1
+        surface = SimpleNamespace(x_values=x, y_values=y,
+                                  fidelity=fidelity.reshape(70, 71),
+                                  degenerate=degenerate.reshape(70, 71))
+        assert fidelity.size % WRITE_BLOCK_CELLS and fidelity.size > WRITE_BLOCK_CELLS
+        expected = _reference_csv(FIDELITY_HEADER, (
+            (_fmt(x[k // 71]), _fmt(y[k % 71]), _fmt(fidelity[k]), str(int(degenerate[k])))
+            for k in range(fidelity.size)))
+        path = write_fidelity_csv(tmp_path / "f.csv", surface)
+        assert path.read_text(encoding="utf-8") == expected
+
+    def test_fidelity_shape_must_match_axes(self, tmp_path):
+        surface = SimpleNamespace(x_values=SPECIAL[:4], y_values=SPECIAL[4:7],
+                                  fidelity=np.ones((4, 3)), degenerate=np.zeros((3, 4), bool))
+        with pytest.raises(ValueError, match="do not span the 4x3 axes"):
+            write_fidelity_csv(tmp_path / "f.csv", surface)
+
     def test_entropy(self, tmp_path):
         curve = SimpleNamespace(lambda_ff=SPECIAL, entropy=SPECIAL[::-1], degenerate=FLAGS)
         expected = _reference_csv(ENTROPY_HEADER, (
@@ -215,6 +244,73 @@ class TestCsvBytes:
         curve = SimpleNamespace(lambda_ff=SPECIAL, entropy=SPECIAL[:-1], degenerate=FLAGS)
         with pytest.raises(ValueError):
             write_entropy_csv(tmp_path / "e.csv", curve)
+
+
+def _repr_texts(values) -> list[str]:
+    """What ``_repr_bytes`` writes for each value, its NULs dropped."""
+    rows = _repr_bytes(values)
+    newline = np.full((rows.shape[0], 1), ord("\n"), dtype=np.uint8)
+    text = np.concatenate((rows, newline), axis=1).tobytes().translate(None, b"\0")
+    return text.decode("ascii").splitlines()
+
+
+def _assert_reprs(values):
+    values = np.asarray(values, dtype=float)
+    for start in range(0, values.size, 1 << 16):  # small working sets
+        part = values[start:start + (1 << 16)]
+        got, want = _repr_texts(part), [repr(v) for v in part.tolist()]
+        bad = [(g, w) for g, w in zip(got, want, strict=True) if g != w]
+        assert not bad, f"{len(bad)} mismatches, first {bad[:3]}"
+
+
+def _around(edge, ulps=1000):
+    """Every float64 within ``ulps`` ulps of ``edge``."""
+    return (np.float64(edge).view(np.int64) + np.arange(-ulps, ulps + 1)).view(np.float64)
+
+
+# The binade edges of the formatter's domain (1/16, 1) and its one decade edge.
+EDGES = (0.0625, 0.125, 0.25, 0.5, 1.0, 0.1)
+
+
+class TestReprDigits:
+    """The numpy formatter of the fidelity column against ``repr``."""
+
+    def test_seeded_values(self):
+        # Log-uniform over the domain: each of its four binades equally.
+        values = 2.0 ** -np.random.default_rng(11).uniform(0.0, 4.0, 2**20)
+        _assert_reprs(values)
+        settled = np.concatenate([_repr_digits(values[k:k + 4096])[1]
+                                  for k in range(0, values.size, 4096)])
+        assert np.count_nonzero(~settled) <= 1e-3 * values.size
+
+    def test_map_like_values(self):
+        # Fidelities close below 1, where the map's values lie.
+        _assert_reprs(1.0 - np.random.default_rng(12).uniform(0.0, 0.05, 2**18))
+
+    @pytest.mark.parametrize("edge", EDGES)
+    def test_values_around_edges(self, edge):
+        _assert_reprs(_around(edge))
+
+    def test_short_and_tied_values(self):
+        rng = np.random.default_rng(13)
+        short = np.concatenate([np.round(rng.uniform(0.0625, 1.0, 4000), digits)
+                                for digits in range(1, 16)])
+        _assert_reprs(short)
+        # k / 2**17, k odd: x * 10**17 ends in ...5 exactly, a tie between two
+        # multiples of 10 that only repr may settle.
+        dyadic = np.arange(2**16 + 1, 2**17, 2) / 2**17
+        _assert_reprs(dyadic)
+        assert not _repr_digits(dyadic)[1].all()
+
+    def test_values_it_leaves(self):
+        leaves = np.concatenate([SPECIAL[SPECIAL != 0.1],
+                                 [0.0, 1.0, -0.75, 0.5, 0.25, 0.125, 0.0625, 2.0, 0.0624,
+                                  1e-5, 2.2250738585072014e-308, -np.inf, 1.0000000000000002]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            chars, settled = _repr_digits(leaves)
+            _assert_reprs(leaves)
+        assert not settled.any() and not chars.any()
 
 
 class TestHashing:

@@ -24,7 +24,14 @@ from dwmix.manybody import (
     ground_state,
 )
 from dwmix.model import build_context
-from dwmix.sweep import CHUNK_CELLS, AxisSpec, SweepSpec, entropy_scan, fidelity_map
+from dwmix.sweep import (
+    CHUNK_CELLS,
+    AxisSpec,
+    FidelitySurface,
+    SweepSpec,
+    entropy_scan,
+    fidelity_map,
+)
 
 REF = CouplingParams(lambda_bb=5.0e-4, lambda_ff=5.0e-4, lambda_bf=5.0e-4)
 
@@ -448,8 +455,9 @@ SPLIT_LAST_ROWS = SPLIT_SIDE**2 % CHUNK_CELLS
 
 
 class TestTwoProcessSplit:
-    """A plane of more than one chunk is solved, and written, in two processes
-    where two CPUs are free, and in one otherwise, with the same bytes."""
+    """A plane of more than one chunk is solved in two processes where two
+    CPUs are free, and in one otherwise, with the same bytes.  Only the sweep
+    forks: the CSV is written by the caller alone."""
 
     @pytest.fixture(autouse=True)
     def leaves_nothing(self, tmp_path):
@@ -506,7 +514,7 @@ class TestTwoProcessSplit:
         assert math.ceil(SPLIT_SIDE**2 / CHUNK_CELLS) == 3
         forked, inline = run(2), run(1)
         assert forked[0] == inline[0] == EXIT_OK
-        assert (forked[3], inline[3]) == (2, 0)  # the sweep's fork and the writer's
+        assert (forked[3], inline[3]) == (1, 0)  # the sweep's fork alone
         csv, manifests = [], []
         for _, _, out, _ in (forked, inline):
             csv.append((out / "fidelity_map.csv").read_bytes())
@@ -556,19 +564,23 @@ class TestTwoProcessSplit:
         assert "died of SIGKILL without a result" in err
         assert not any(out.iterdir())
 
-    def test_killed_writer_child_raises(self, run, monkeypatch):
-        parent = os.getpid()
-        floats = manifest._floats
+    def test_three_chunk_map_forks_once(self, coarse_context, tmp_path, monkeypatch):
+        # One fork solves the last chunk; writing the map's CSV forks none.
+        fork = os.fork
+        forks = []
 
-        def dying_floats(values):
-            if os.getpid() != parent:
-                os.kill(os.getpid(), signal.SIGKILL)
-            return floats(values)
+        def counted_fork():
+            forks.append(os.getpid())
+            return fork()
 
-        monkeypatch.setattr(manifest, "_floats", dying_floats)
-        code, err, out, forks = run(2)
-        assert (code, forks) == (EXIT_INTERNAL, 2)
-        assert "died of SIGKILL without a result" in err
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(os, "fork", counted_fork)
+        axis = AxisSpec(0.0, 1.0e-3, SPLIT_SIDE)
+        surface = fidelity_map(coarse_context.blocks, plane_spec(axis, axis))
+        assert len(forks) == 1
+        path = manifest.write_fidelity_csv(tmp_path / "fidelity_map.csv", surface)
+        assert len(forks) == 1
+        assert path.read_bytes().count(b"\n") == SPLIT_SIDE**2 + 1
 
     def test_child_warning_reaches_caller(self, coarse_context, in_child, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
@@ -618,3 +630,30 @@ def test_chunk_working_set_stays_in_budget():
         tracemalloc.stop()
     assert peak <= CHUNK_WORKING_SET_BUDGET, (
         f"{CHUNK_CELLS} cells peaked at {peak} B, budget {CHUNK_WORKING_SET_BUDGET} B")
+
+
+# Bytes that writing a 256x256 map's CSV may allocate at its peak.  The
+# writer holds one block of manifest.WRITE_BLOCK_CELLS rows at a time
+# (tracemalloc reads 0.73 MB; the per-value repr writer read 0.25 MB), so a
+# change that holds the whole map fails here before it shows in a run's peak
+# RSS.
+WRITE_BUDGET = 2 * 2**20
+
+
+def test_map_write_stays_in_budget(tmp_path):
+    axis = AxisSpec(0.0, 1.0e-3, 256).values()
+    rng = np.random.default_rng(7)
+    fidelity = 1.0 - rng.uniform(0.0, 0.04, (256, 256))
+    fidelity[0, 0] = 1.0
+    surface = FidelitySurface(
+        x_values=axis, y_values=axis, fidelity=fidelity,
+        degenerate=np.zeros((256, 256), dtype=bool), gap=fidelity,
+        max_residual=0.0, reference_energy=0.0)
+    tracemalloc.start()
+    try:
+        manifest.write_fidelity_csv(tmp_path / "fidelity_map.csv", surface)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= WRITE_BUDGET, (
+        f"a 256x256 map's write peaked at {peak} B, budget {WRITE_BUDGET} B")
