@@ -92,10 +92,10 @@ def _digit_table() -> np.ndarray:
     """ASCII words: 0000-9999; the same with trailing zeros as NUL (0 all
     NUL); then "0.0" to "0.9", each with a NUL."""
     digits = np.indices((10, 10, 10, 10), dtype=np.uint8).reshape(4, -1).T
-    ascii = digits + 48
+    text = digits + 48
     kept = np.logical_or.accumulate(digits[:, ::-1] > 0, axis=1)[:, ::-1]
     lead = np.array([[48, 46, 48 + d, 0] for d in range(10)], dtype=np.uint8)
-    return np.concatenate([ascii, ascii * kept, lead]).view(np.uint32).ravel()
+    return np.concatenate([text, text * kept, lead]).view(np.uint32).ravel()
 
 
 def _scaled(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
