@@ -71,7 +71,8 @@ def evolve(h: ManyBodyHamiltonian, psi0: np.ndarray, times) -> np.ndarray:
 
     psi0 is a unit-norm coefficient vector over ``h.blocks.basis``.  One
     sector solve serves every time; raises InvariantError if psi0's norm is
-    not 1, or if h is not symmetric or couples its symmetry sectors.
+    not 1.  h needs no check here: ``HamiltonianBlocks.project`` refused any
+    piece of it that is not symmetric or couples its symmetry sectors.
     """
     c0 = np.asarray(psi0, dtype=complex)
     if c0.shape != (h.blocks.basis.dim,):

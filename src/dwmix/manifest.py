@@ -10,7 +10,6 @@ that a rerun can be compared hash for hash.
 from __future__ import annotations
 
 import functools
-import json
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -233,6 +232,7 @@ def write_entropy_timeseries_csv(path: str | Path, times, entropy) -> Path:
 
 
 def write_regimes_json(path: str | Path, report: dict) -> Path:
+    import json  # here, not at module load: validate-config writes no file
     path = Path(path)
     path.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
     return path
@@ -306,6 +306,7 @@ def build_manifest(
 
 
 def write_manifest(path: str | Path, manifest: dict) -> Path:
+    import json  # here, not at module load: validate-config writes no file
     path = Path(path)
     path.write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
     return path

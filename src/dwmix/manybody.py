@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import warnings
 from functools import cached_property
+from itertools import product
 
 import numpy as np
 
@@ -29,7 +30,6 @@ from .tridiagonal import Tridiagonal, checked_residuals
 BOSONS = "bosons"
 FERMIONS = "fermions"
 
-HERMITICITY_TOL = 1.0e-12
 NORM_TOL = 1.0e-10
 DEGENERACY_GAP = 1.0e-12
 COUPLING_WARN = 0.01
@@ -52,11 +52,12 @@ _SPIN_EXCHANGE = (
 )
 
 
-def _det_vector(o1: int, o2: int) -> np.ndarray:
-    """Normalized Slater determinant |o1 o2> with o1 < o2."""
+def _det_pattern(o1: int, o2: int) -> np.ndarray:
+    """Slater determinant |o1 o2>, o1 < o2, unnormalized: entries 0 and +-1,
+    so a pair vector built from these and scaled once is exact or rounded once."""
     v = np.zeros(16)
-    v[4 * o1 + o2] = _SQRT_HALF
-    v[4 * o2 + o1] = -_SQRT_HALF
+    v[4 * o1 + o2] = 1.0
+    v[4 * o2 + o1] = -1.0
     return v
 
 
@@ -69,20 +70,20 @@ def _boson_states() -> tuple[list[str], np.ndarray]:
 
 def _fermion_states(sector: int) -> tuple[list[str], np.ndarray]:
     if sector == 0:
-        d03 = _det_vector(0, 3)
-        d12 = _det_vector(1, 2)
+        p03 = _det_pattern(0, 3)
+        p12 = _det_pattern(1, 2)
         labels = ["LLs", "Ss", "RRs", "T0"]
         vectors = np.column_stack(
             [
-                _det_vector(0, 1),
-                _SQRT_HALF * (d03 - d12),
-                _det_vector(2, 3),
-                _SQRT_HALF * (d03 + d12),
+                _SQRT_HALF * _det_pattern(0, 1),
+                0.5 * (p03 - p12),
+                _SQRT_HALF * _det_pattern(2, 3),
+                0.5 * (p03 + p12),
             ]
         )
         return labels, vectors
     label, orbitals = {1: ("LRuu", (0, 2)), -1: ("LRdd", (1, 3))}[sector]
-    return [label], _det_vector(*orbitals).reshape(16, 1)
+    return [label], _SQRT_HALF * _det_pattern(*orbitals).reshape(16, 1)
 
 
 class CompositeBasis(Record):
@@ -143,15 +144,20 @@ class CompositeBasis(Record):
         """Orthonormal column blocks, shape (dim, d_k), one per symmetry sector
         of the basis: the joint eigenspaces of ``symmetries``.  Largest first.
 
-        Every Hamiltonian dwmix builds commutes with them all, so it is
-        block-diagonal over them; ``HamiltonianBlocks`` checks that it is.
+        Each column is an orbit sum (I + s_1 O_1)(I + s_2 O_2) e_i, exact in
+        integers, kept at the orbit's first state and normalized once: entries
+        0, +-1, +-0.5 or one rounding of 1/sqrt(2), the same on every CPU.
+        Every Hamiltonian dwmix builds commutes with the symmetries
+        (``HamiltonianBlocks.project`` checks it), so it is block-diagonal.
         """
-        # Each O_k is +-1, so sum_k 2^k O_k has one eigenvalue per sector.
-        key = sum(2.0**k * o for k, o in enumerate(self.symmetries))
-        weights, vectors = np.linalg.eigh(key)
-        labels = np.rint(weights)  # ascending, as eigh returns them
-        sectors = [vectors[:, labels == label] for label in dict.fromkeys(labels.tolist())]
-        return tuple(sorted(sectors, key=lambda q: -q.shape[1]))
+        eye = np.eye(self.dim)
+        exchange, mirror = self.symmetries
+        sectors = []
+        for s_mirror, s_exchange in product((-1.0, 1.0), repeat=2):
+            p = (eye + s_exchange * exchange) @ (eye + s_mirror * mirror)
+            q = p[:, [i for i in range(self.dim) if p[i, i] and not p[:i, i].any()]]
+            sectors.append(np.sign(q) * np.sqrt(1.0 / np.count_nonzero(q, axis=0)))
+        return tuple(sorted((q for q in sectors if q.size), key=lambda q: -q.shape[1]))
 
 
 def enumerate_bases(sector: int) -> CompositeBasis:
@@ -266,48 +272,45 @@ class HamiltonianBlocks(Record):
     the basis (``basis.sectors``), with c = (lambda_bb, lambda_ff, lambda_bf).
 
     ``base`` and each row of ``terms`` are flat rows, so H(c) is
-    ``base + c @ terms``.  A flat row starts with the n_defect entries that
-    vanish when H is symmetric and does not couple sectors: those of
-    H - H^T, and those of R^T H R outside the diagonal sector blocks,
-    R = [Q_1 ... Q_m].  Then come the sector blocks Q_k^T H Q_k, row-major,
-    in the order of ``basis.sectors``.  Every entry is linear in c, so a
-    sweep never builds a cell's full H, and it composes only the sector-block
-    columns once one bound clears the defect columns of a whole chunk.  The
-    blocks hold H - shift * I, shift being the mean diagonal of h0, so that
-    their rounding scales with the spread of the spectrum, not its offset.
+    ``base + c @ terms``.  A flat row holds the sector blocks Q_k^T H Q_k,
+    row-major, in the order of ``basis.sectors``.  Every entry is linear in
+    c, so a sweep never builds a cell's full H.  The blocks hold
+    H - shift * I, shift being the mean diagonal of h0, so that their
+    rounding scales with the spread of the spectrum, not its offset.
 
     Every solve of a model's H reads its one projection: a single H takes
     every eigenpair of each block from LAPACK (:meth:`eigenpairs`), a sweep
     only each cell's ground pair and gap from the numpy solver of
-    :mod:`dwmix.tridiagonal` (:meth:`ground_states`).  So does the one check
-    (not an ``assert``) that H is symmetric and does not couple its sectors.
+    :mod:`dwmix.tridiagonal` (:meth:`ground_states`).  :meth:`project`
+    refuses a piece that is not symmetric or does not commute with the
+    symmetries, so no H built from the blocks couples its sectors.
     """
 
     basis: CompositeBasis
     base: np.ndarray
     terms: np.ndarray
-    n_defect: int
     shift: float
 
     @classmethod
     def project(cls, basis: CompositeBasis, h0: np.ndarray, terms) -> HamiltonianBlocks:
-        """Project h0 and each coupling term, full matrices over the basis,
-        onto its symmetry sectors.  A piece that couples them is not refused
-        here: its leak lands in the defect entries, which every solve checks."""
-        sectors = basis.sectors
-        r = np.hstack(sectors)
-        label = np.repeat(np.arange(len(sectors)), [q.shape[1] for q in sectors])
-        upper = np.triu(np.ones((basis.dim, basis.dim), dtype=bool), 1)
-        leak = upper & (label[:, None] != label[None, :])
+        """Project h0 and each coupling term (ordered as COUPLING_NAMES), full
+        matrices over the basis, onto its symmetry sectors.  Raises
+        InvariantError, naming the piece, unless each equals its transpose and
+        commutes with both ``basis.symmetries`` bit for bit: those are signed
+        permutations, so O h O^T rounds nothing, on any CPU."""
+        names = ("h0", *COUPLING_NAMES)
+        for k, h in enumerate((h0, *terms)):
+            if not (np.array_equal(h, h.T)
+                    and all(np.array_equal(o @ h @ o.T, h) for o in basis.symmetries)):
+                raise InvariantError(f"{names[k]} is not symmetric or does not commute "
+                                     "with the basis symmetries")
 
         def flatten(h: np.ndarray) -> np.ndarray:
-            blocks = [(q.T @ h @ q).ravel() for q in sectors]
-            return np.concatenate([(h - h.T)[upper], (r.T @ h @ r)[leak], *blocks])
+            return np.concatenate([(q.T @ h @ q).ravel() for q in basis.sectors])
 
         shift = float(np.mean(np.diag(h0)))
         return cls(basis=basis, base=flatten(h0 - shift * np.eye(basis.dim)),
-                   terms=np.array([flatten(h) for h in terms]),
-                   n_defect=int(upper.sum() + leak.sum()), shift=shift)
+                   terms=np.array([flatten(h) for h in terms]), shift=shift)
 
     def compose(self, params: CouplingParams) -> ManyBodyHamiltonian:
         """H at one coupling point, on the shared projection."""
@@ -317,29 +320,9 @@ class HamiltonianBlocks(Record):
     def _sector_stacks(self, couplings: np.ndarray) -> list[np.ndarray]:
         """The sector blocks of H - shift * I at each row of couplings (ordered
         as ``terms``), one (d, d, n) stack per sector: entry (i, j) of a block
-        is a contiguous row over the n couplings.
-
-        Raises InvariantError at the first row whose residue, the largest
-        defect entry, is not below HERMITICITY_TOL.  Each defect entry is
-        linear in c, so one bound clears every row of a batch; the per-row
-        residues are computed only when it does not.
-        """
-        couplings = np.asarray(couplings, dtype=float)
-        nd = self.n_defect
-        bound = np.abs(self.base[:nd]) + np.max(
-            np.abs(couplings), axis=0, initial=0.0) @ np.abs(self.terms[:, :nd])
-        if not np.max(bound, initial=0.0) < HERMITICITY_TOL:
-            residue = np.max(np.abs(self.base[:nd] + couplings @ self.terms[:, :nd]), axis=1)
-            bad = np.flatnonzero(~(residue < HERMITICITY_TOL))
-            if bad.size:
-                k = int(bad[0])
-                raise InvariantError(
-                    "Hamiltonian is not symmetric or couples symmetry sectors "
-                    f"(residue {residue[k]:.3e})",
-                    index=k,
-                )
-        flat = self.terms[:, nd:].T @ couplings.T
-        flat += self.base[nd:, None]
+        is a contiguous row over the n couplings."""
+        flat = self.terms.T @ np.asarray(couplings, dtype=float).T
+        flat += self.base[:, None]
         stacks, start = [], 0
         for q in self.basis.sectors:
             d = q.shape[1]
@@ -373,10 +356,10 @@ class HamiltonianBlocks(Record):
         below it; only those rows take the winner's own second eigenvalue,
         from ``eigvalsh``.  The vectors are signed by :func:`_oriented`.
 
-        Raises InvariantError as :meth:`_sector_stacks` does, for a Laguerre
-        row still moving after ``tridiagonal.LAGUERRE_ITERATIONS`` steps, and
-        for a residual above ``tridiagonal.RESIDUAL_TOL`` * eps * ||A||_F,
-        each naming its first row.
+        Raises InvariantError for a Laguerre row still moving after
+        ``tridiagonal.LAGUERRE_ITERATIONS`` steps, and for a residual above
+        ``tridiagonal.RESIDUAL_TOL`` * eps * ||A||_F, each naming its first
+        row.
         """
         stacks = self._sector_stacks(couplings)
         n = stacks[0].shape[-1]
@@ -487,19 +470,19 @@ def ground_state(h: ManyBodyHamiltonian) -> GroundState:
 def _involution(
     basis: CompositeBasis, p_boson: np.ndarray, p_fermion: np.ndarray
 ) -> np.ndarray:
-    """p_boson x p_fermion in the composite basis.
+    """p_boson x p_fermion in the composite basis: a signed permutation.
 
-    Raises InvariantError if the basis span is not closed under it: the
-    projected operator is then not orthogonal, and the sectors it would key
-    would not block-diagonalize H.
+    Raises InvariantError unless the projected operator lies within 1e-10 of
+    one: otherwise the basis span is not closed under it, and the sectors it
+    would key would not block-diagonalize H.
     """
     m = np.kron(
         basis.boson_vectors.T @ p_boson @ basis.boson_vectors,
         basis.fermion_vectors.T @ p_fermion @ basis.fermion_vectors,
     )
-    residue = np.max(np.abs(m @ m.T - np.eye(basis.dim)))
-    if not residue < 1.0e-10:
-        raise InvariantError(
-            f"basis span is not closed under an involution (residue {residue:.3e})")
-    return m
-
+    signed = np.rint(m)  # integer entries, so signed @ signed.T is exact
+    if not (np.max(np.abs(m - signed)) < 1.0e-10
+            and np.array_equal(signed @ signed.T, np.eye(basis.dim))):
+        raise InvariantError("basis span is not closed under an involution: "
+                             "its projection is not a signed permutation")
+    return signed

@@ -14,6 +14,9 @@ symmetries hold to the last bit.  An intra-species tensor passes one pair
 twice, so its key is the sorted index multiset: 5 distinct values.  The
 cross-species tensor passes the boson pair, then the fermion pair, whose
 labels differ, so only the within-pair swaps share a key: 9 distinct values.
+``psi_left`` is ``psi_right[::-1]`` on a mirror-symmetric grid, so a key and
+its L <-> R mirror are one integral, computed once: 3 and 5 quadratures, and
+U[a, b, c, d] == U[1-a, 1-b, 1-c, 1-d] holds bitwise.
 """
 
 from __future__ import annotations
@@ -24,6 +27,8 @@ import numpy as np
 
 from .errors import Record
 from .potential import Grid
+
+_MIRROR = str.maketrans("LR", "RL")
 
 
 class OverlapTensor(Record):
@@ -58,8 +63,9 @@ def _contact_tensor(
     """U[a, b, c, d] over modes (a, b) of ``first`` and (c, d) of ``second``.
 
     Each pair maps its (left, right) labels, which end in L and R, to mode
-    values.  An entry is keyed by its four labels sorted, and the product is
-    taken in that order; ``error_integrand`` is the entry whose quadrature
+    values, the left mode the grid mirror of the right.  An entry is keyed by
+    its four labels sorted, and the product is taken in that order, unless
+    the key's mirror was; ``error_integrand`` is the entry whose quadrature
     error is estimated.
     """
     slots = (tuple(first), tuple(first), tuple(second), tuple(second))
@@ -70,8 +76,10 @@ def _contact_tensor(
     for idx in product(range(2), repeat=4):
         key = tuple(sorted(labels[i] for labels, i in zip(slots, idx)))
         if key not in cache:
+            mirror = tuple(sorted(label.translate(_MIRROR) for label in key))
             m = [modes[label] for label in key]
-            cache[key] = float(np.dot(w, m[0] * m[1] * m[2] * m[3]))
+            cache[key] = cache[mirror] if mirror in cache else float(
+                np.dot(w, m[0] * m[1] * m[2] * m[3]))
         values[idx] = cache[key]
     distinct = {"".join(label[-1] for label in key): v for key, v in cache.items()}
     return OverlapTensor(
@@ -84,8 +92,9 @@ def _contact_tensor(
 def overlap_tensor(
     psi_left: np.ndarray, psi_right: np.ndarray, grid: Grid
 ) -> OverlapTensor:
-    """Intra-species contact tensor over one pair of localized modes: 16
-    entries that are copies of 5 quadratures, fully permutation symmetric."""
+    """Intra-species contact tensor over one pair of localized modes, psi_left
+    the grid mirror of psi_right: 16 entries that are copies of 5 values,
+    fully permutation and mirror symmetric, from 3 quadratures."""
     pair = {"L": np.asarray(psi_left, dtype=float), "R": np.asarray(psi_right, dtype=float)}
     return _contact_tensor(pair, pair, pair["R"] ** 4, grid)
 
@@ -99,9 +108,9 @@ def cross_species_tensor(
 ) -> OverlapTensor:
     """Cross-species tensor U[a,b,c,d]: (a,b) boson modes, (c,d) fermion modes.
 
-    Symmetric under a <-> b and c <-> d separately; the pairs are not
-    exchangeable because the species have different masses, so 9 distinct
-    quadratures are performed.
+    Symmetric under a <-> b and c <-> d separately, and under the mirror;
+    the pairs are not exchangeable because the species have different masses,
+    so the tensor holds 9 distinct values, from 5 quadratures.
     """
     bosons = {"bL": np.asarray(boson_left, dtype=float),
               "bR": np.asarray(boson_right, dtype=float)}

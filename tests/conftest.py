@@ -1,13 +1,15 @@
 import os
 import subprocess
 import sys
+from functools import lru_cache
+from importlib import resources
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import dwmix
-from dwmix.config import RunConfig
+from dwmix.config import RunConfig, parse_config
 from dwmix.manybody import HamiltonianBlocks, hamiltonian_terms
 from dwmix.model import build_context
 
@@ -56,16 +58,27 @@ def run_python():
     return run
 
 
-def doctored(blocks):
-    """Blocks whose last coupling term raises the strict upper triangle of
-    the first sector's block only.  The symmetry check reads the full H, so
-    it passes; the solver reads the lower triangle, so wherever that
-    coupling is nonzero the ground pair's residual in the block is large."""
+PRESETS = ("region1", "region2", "region3", "phase_maps")
+
+
+@lru_cache(maxsize=None)
+def preset_context(name, spin_sector):
+    """The full-resolution model of a shipped preset in one spin sector."""
+    text = resources.files("dwmix").joinpath(f"presets/{name}.cfg").read_text()
+    return build_context(parse_config(text, {"model.spin_sector": spin_sector}))
+
+
+def doctored(blocks, term=-1):
+    """Blocks whose coupling term ``term`` (the last by default) raises the
+    strict upper triangle of the first sector's block only.  They are built
+    from projected blocks, so they have passed ``project``'s symmetry check;
+    the solver reads the lower triangle, so wherever that coupling is nonzero
+    the ground pair's residual in the block is large."""
     d = blocks.basis.sectors[0].shape[1]
-    upper = blocks.n_defect + np.flatnonzero(np.triu(np.ones((d, d)), 1))
+    upper = np.flatnonzero(np.triu(np.ones((d, d)), 1))
     terms = blocks.terms.copy()
-    terms[-1, upper] += 1.0
-    return HamiltonianBlocks(blocks.basis, blocks.base, terms, blocks.n_defect, blocks.shift)
+    terms[term, upper] += 1.0
+    return HamiltonianBlocks(blocks.basis, blocks.base, terms, blocks.shift)
 
 
 def doctor_cached_blocks(context):

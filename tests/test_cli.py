@@ -490,7 +490,8 @@ def test_each_subcommand_takes_only_the_options_it_uses(capsys):
 
 
 @pytest.mark.parametrize("module", ["scipy.signal", "scipy.linalg", "numpy.f2py",
-                                    "concurrent.futures", "dataclasses", "hashlib"])
+                                    "concurrent.futures", "dataclasses", "hashlib",
+                                    "json"])
 def test_import_leaves_out(run_python, module):
     # dwmix needs none of these, and each one adds to every cold start.
     proc = run_python("-c", f"import sys, dwmix.cli; print({module!r} in sys.modules)")

@@ -3,9 +3,10 @@ from itertools import product
 import numpy as np
 import pytest
 
-from conftest import doctored, full_matrix, model_terms
+from conftest import PRESETS, doctored, full_matrix, model_terms, preset_context
 from dwmix import tridiagonal
-from dwmix.errors import ConfigError, InvariantError, SweepError
+from dwmix.config import COUPLING_NAMES
+from dwmix.errors import ConfigError, InvariantError
 from dwmix.manybody import (
     _MIRROR,
     BOSONS,
@@ -20,7 +21,6 @@ from dwmix.manybody import (
     hamiltonian_terms,
     one_body_transition_matrix,
 )
-from dwmix.sweep import AxisSpec, SweepSpec, fidelity_map
 from dwmix.tridiagonal import EPS, Tridiagonal, checked_residuals
 
 SQRT2 = np.sqrt(2.0)
@@ -207,11 +207,12 @@ class TestMirror:
         def pair(space, spin):
             return np.einsum("ik,jl->ijkl", space, spin).reshape(16)
 
-        odd = np.array([[0.0, 1.0], [-1.0, 0.0]]) / SQRT2
-        even = np.array([[0.0, 1.0], [1.0, 0.0]]) / SQRT2
+        # Integer patterns, scaled once: every entry is exactly 0, +-0.5 or 1.
+        odd = np.array([[0.0, 1.0], [-1.0, 0.0]])
+        even = np.array([[0.0, 1.0], [1.0, 0.0]])
         first, second = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])  # L or up, R or down
-        vectors = np.column_stack([pair(odd, odd), pair(first, first),
-                                   pair(even, even), pair(second, second)])
+        vectors = np.column_stack([0.5 * pair(odd, odd), pair(first, first),
+                                   0.5 * pair(even, even), pair(second, second)])
         antisymmetric = coarse_context.basis
         basis = CompositeBasis(antisymmetric.boson_labels, ["As", "LLt", "St", "RRt"],
                                antisymmetric.boson_vectors, vectors)
@@ -265,8 +266,23 @@ class TestSymmetrySectors:
         for q in basis.sectors:
             for op in basis.symmetries:
                 image = op @ q
-                assert (np.allclose(image, q, atol=1e-14)
-                        or np.allclose(image, -q, atol=1e-14))
+                assert np.array_equal(image, q) or np.array_equal(image, -q)
+
+    @pytest.mark.parametrize("spin_sector", [0, 1, -1])
+    def test_sector_entries_are_exact(self, spin_sector):
+        # Orbit sums normalized once: no entry is a rotation's rounding.
+        exact = [0.0, 0.5, np.sqrt(0.5), 1.0]
+        for q in enumerate_bases(spin_sector).sectors:
+            assert np.isin(np.abs(q), exact).all()
+
+    @pytest.mark.parametrize("spin_sector", [0, 1, -1])
+    @pytest.mark.parametrize("preset", PRESETS)
+    def test_every_piece_keeps_its_symmetries_exactly(self, preset, spin_sector):
+        context = preset_context(preset, spin_sector)
+        for h in model_terms(context):
+            assert np.array_equal(h, h.T)
+            for op in context.basis.symmetries:
+                assert np.array_equal(op @ h @ op.T, h)
 
     def test_spin_exchange_separates_singlets_from_t0(self):
         basis = enumerate_bases(0)
@@ -295,23 +311,36 @@ class TestSymmetrySectors:
 
     def test_h0_that_breaks_a_symmetry_is_refused(self):
         # A diagonal h0 commutes with the (diagonal) spin exchange but not the
-        # mirror.  The sectors come from the basis, so the leak is refused
-        # before any solve, not absorbed into fewer, larger sectors.  Builds
-        # its own blocks, so that it also runs under python -O below.
+        # mirror.  The sectors come from the basis, so the leak is refused at
+        # projection, before any solve, not absorbed into fewer, larger
+        # sectors.  Builds its own basis, so that it also runs under python -O
+        # below.
         basis = enumerate_bases(0)
         zeros = np.zeros((12, 12))
         lopsided = np.diag(np.arange(12.0))
-        blocks = HamiltonianBlocks.project(basis, lopsided, (zeros,) * 3)
-        with pytest.raises(InvariantError, match="couples symmetry sectors") as info:
-            blocks.ground_states(np.zeros((3, 3)))
-        assert info.value.index == 0
-        spec = SweepSpec(plane="ff_bf", x_axis=AxisSpec(0.0, 1.0e-3, 2),
-                         y_axis=AxisSpec(0.0, 1.0e-3, 2), fixed={"lambda_bb": 0.0},
-                         reference=CouplingParams(1.0e-4, 2.0e-4, 3.0e-4))
-        with pytest.raises(SweepError, match=(
-                r"fidelity reference failed at lambda_bb=0\.0001, lambda_ff=0\.0002, "
-                r"lambda_bf=0\.0003: InvariantError: .*couples symmetry sectors")):
-            fidelity_map(blocks, spec)
+        with pytest.raises(InvariantError, match="^h0 is not symmetric or does not commute"):
+            HamiltonianBlocks.project(basis, lopsided, (zeros,) * 3)
+
+    @pytest.mark.parametrize("fault", ["asymmetric", "mirror_breaking"])
+    @pytest.mark.parametrize("piece", ["h0", *COUPLING_NAMES])
+    def test_projection_names_a_broken_piece(self, coarse_context, piece, fault):
+        # Index 0 is LL|LLs and 1 is LL|Ss, both odd under the spin exchange;
+        # the mirror takes them to RR|RRs and RR|Ss.  One ulp of asymmetry is
+        # refused, and so is an exactly symmetric entry without its mirror
+        # image: the check rounds nothing.
+        pieces = list(model_terms(coarse_context))
+        k = ["h0", *COUPLING_NAMES].index(piece)
+        broken = pieces[k].copy()
+        if fault == "asymmetric":
+            broken[0, 1] = np.nextafter(broken[0, 1], 1.0)
+        else:
+            broken[0, 1] += 1.0e-3
+            broken[1, 0] += 1.0e-3
+            assert np.array_equal(broken, broken.T)
+        pieces[k] = broken
+        with pytest.raises(InvariantError, match=f"^{piece} is not symmetric or does not "
+                                                 "commute with the basis symmetries"):
+            HamiltonianBlocks.project(coarse_context.basis, pieces[0], pieces[1:])
 
     def test_ground_state_matches_full_diagonalization(self, coarse_context):
         params = CouplingParams(lambda_bb=1e-3, lambda_ff=5e-4, lambda_bf=9e-3)
@@ -322,16 +351,6 @@ class TestSymmetrySectors:
         assert _gap_and_flag(h)[0] == pytest.approx(energies[1] - energies[0], abs=1e-12)
         assert abs(np.vdot(gs.vector, vectors[:, 0])) == pytest.approx(
             1.0, abs=1e-12)
-
-    def test_sector_leak_names_the_row(self, coarse_context):
-        h0 = model_terms(coarse_context)[0]
-        mirror_breaking = np.zeros((12, 12))
-        mirror_breaking[0, 1] = mirror_breaking[1, 0] = 1.0
-        blocks = HamiltonianBlocks.project(coarse_context.basis, h0, (mirror_breaking,))
-        blocks.ground_states(np.zeros((2, 1)))
-        with pytest.raises(InvariantError, match="symmetry sectors") as info:
-            blocks.ground_states(np.array([[0.0], [0.0], [1e-3]]))
-        assert info.value.index == 2
 
 
 def _lowest_pair(matrices):
@@ -535,19 +554,6 @@ class TestSectorKernel:
         residual = checked_residuals(stack, np.ascontiguousarray(vectors[:, :, 0].T),
                                      values[:, 0], rows)
         assert np.all(residual <= 16 * EPS * norms)
-
-    def test_loose_defect_bound_alone_does_not_raise(self, coarse_context):
-        # Opposite mirror-breaking terms: the bound on the defect is 2 at
-        # c = (1, 1), yet every defect entry cancels exactly.
-        h0 = model_terms(coarse_context)[0]
-        mirror_breaking = np.zeros((12, 12))
-        mirror_breaking[0, 1] = mirror_breaking[1, 0] = 1.0
-        cancelling = HamiltonianBlocks.project(
-            coarse_context.basis, h0, (mirror_breaking, -mirror_breaking))
-        cancelled = cancelling.ground_states(np.ones((3, 2)))
-        plain = coarse_context.blocks.ground_states(np.zeros((3, 3)))
-        for got, expected in zip(cancelled, plain):
-            assert np.array_equal(got, expected)
 
 
 def test_fermion_contact_matches_its_element_loop(rng):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import PRESETS, preset_context
 from dwmix.overlaps import _quadrature_error_estimate, cross_species_tensor, overlap_tensor
 from dwmix.potential import Grid
 
@@ -43,6 +44,15 @@ def test_full_permutation_symmetry_is_exact(gaussian_pair):
     # Copies of one quadrature per index multiset, so equality is bitwise.
     assert v[0, 0, 1, 1] == v[0, 1, 0, 1] == v[1, 1, 0, 0] == v[1, 0, 1, 0]
     assert v[0, 1, 1, 1] == v[1, 0, 1, 1] == v[1, 1, 0, 1] == v[1, 1, 1, 0]
+
+
+@pytest.mark.parametrize("preset", PRESETS)
+def test_mirror_symmetry_is_exact(preset):
+    # psi_left is psi_right[::-1] and the trapezoid weights are symmetric, so
+    # a key and its L <-> R mirror are one integral, computed once.
+    overlaps = preset_context(preset, 0).overlaps
+    for tensor in (overlaps.boson, overlaps.fermion, overlaps.cross):
+        assert np.array_equal(tensor.values, tensor.values[::-1, ::-1, ::-1, ::-1])
 
 
 def test_cross_tensor_pairwise_symmetry(gaussian_pair):
