@@ -61,11 +61,16 @@ def run_python():
 PRESETS = ("region1", "region2", "region3", "phase_maps")
 
 
-@lru_cache(maxsize=None)
-def preset_context(name, spin_sector):
-    """The full-resolution model of a shipped preset in one spin sector."""
+def preset_config(name, overrides=None):
+    """A shipped preset's validated config, with flat key overrides."""
     text = resources.files("dwmix").joinpath(f"presets/{name}.cfg").read_text()
-    return build_context(parse_config(text, {"model.spin_sector": spin_sector}))
+    return parse_config(text, overrides)
+
+
+@lru_cache(maxsize=None)
+def preset_context(name, spin_sector=0):
+    """The full-resolution model of a shipped preset in one spin sector."""
+    return build_context(preset_config(name, {"model.spin_sector": spin_sector}))
 
 
 def doctored(blocks, term=-1):

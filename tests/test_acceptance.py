@@ -9,15 +9,13 @@ than a loosened bar.  The README walks through the analysis.
 
 import hashlib
 import time
-from importlib import resources
 
 import numpy as np
 import pytest
-from conftest import full_matrix, model_terms, partial_trace_entropies
+from conftest import full_matrix, model_terms, partial_trace_entropies, preset_config
 from spatial_oracle import density_profile
 
 from dwmix.cli import EXIT_OK, _fidelity_spec, main
-from dwmix.config import parse_config
 from dwmix.dynamics import (
     default_time_grid,
     evolve,
@@ -50,11 +48,6 @@ def sha256(path):
 
 def report(criterion, passed, detail):
     print(f"criterion {criterion}: {'PASS' if passed else 'FAIL'} ({detail})")
-
-
-def preset_config(name):
-    text = resources.files("dwmix").joinpath(f"presets/{name}.cfg").read_text()
-    return parse_config(text)
 
 
 ENTROPY_LINE = SweepSpec(

@@ -6,7 +6,7 @@ import pytest
 from conftest import PRESETS, doctored, full_matrix, model_terms, preset_context
 from dwmix import tridiagonal
 from dwmix.config import COUPLING_NAMES
-from dwmix.errors import ConfigError, InvariantError
+from dwmix.errors import ConfigError, InvariantError, SolverError
 from dwmix.manybody import (
     _MIRROR,
     BOSONS,
@@ -21,6 +21,7 @@ from dwmix.manybody import (
     hamiltonian_terms,
     one_body_transition_matrix,
 )
+from dwmix.model import build_context
 from dwmix.tridiagonal import EPS, Tridiagonal, checked_residuals
 
 SQRT2 = np.sqrt(2.0)
@@ -283,6 +284,39 @@ class TestSymmetrySectors:
             assert np.array_equal(h, h.T)
             for op in context.basis.symmetries:
                 assert np.array_equal(op @ h @ op.T, h)
+
+    def test_projection_accepts_models_across_the_config_ranges(self, config_factory):
+        # A piece's mirror-partner entries sum the same products in another
+        # order (BLAS products, an einsum), so the exact check is held here on
+        # seeded wells, masses, odd grid sizes and spin sectors, not only on
+        # the presets.  Draws whose doublet is not isolated raise SolverError
+        # before any projection and are passed over.
+        rng = np.random.default_rng(20261021)
+        projected = 0
+        for _ in range(300):
+            if rng.random() < 0.75:
+                width = rng.uniform(0.3, 2.0)
+                separation = width + rng.uniform(0.05, 1.5)
+                limit = min(width, separation - width) / 2.0
+                flat = {"potential.separation": separation, "potential.well_width": width,
+                        "potential.depth": rng.uniform(5.0, 60.0),
+                        "potential.smoothing": rng.uniform(0.0, 0.9) * limit}
+            else:
+                flat = {"potential.shape": "quartic",
+                        "potential.minimum_pos": rng.uniform(0.5, 2.0),
+                        "potential.barrier": rng.uniform(2.0, 30.0)}
+            boson_mass = rng.uniform(1.0, 250.0)
+            flat.update({"grid.n_points": int(2 * rng.integers(20, 600) + 1),
+                         "species.boson_mass_amu": boson_mass,
+                         "species.fermion_mass_amu": boson_mass * rng.uniform(1.0, 1.5),
+                         "model.spin_sector": int(rng.integers(-1, 2))})
+            try:
+                context = build_context(config_factory(**flat))
+            except SolverError:
+                continue
+            assert isinstance(context.blocks, HamiltonianBlocks)  # project raises if not exact
+            projected += 1
+        assert projected >= 150
 
     def test_spin_exchange_separates_singlets_from_t0(self):
         basis = enumerate_bases(0)

@@ -1,17 +1,16 @@
 import os
 import re
 import threading
-from importlib import resources
 from unittest import mock
 
 import numpy as np
 import pytest
 import scipy
+from conftest import preset_config
 from scipy.linalg import eigh_tridiagonal, lapack
 
 from dwmix import model
 from dwmix import modes as modes_module
-from dwmix.config import parse_config
 from dwmix.errors import SolverError
 from dwmix.model import build_potential, resolve_x_max
 from dwmix.modes import bisect_lowest, build_sp_hamiltonian, lowest_doublet, solve_doublet
@@ -266,7 +265,7 @@ def test_rayleigh_quotient_guard_under_optimize(run_python):
 @pytest.fixture(scope="module")
 def region2_trap():
     """(species constants, sampled potential, grid) of the region2 preset."""
-    config = parse_config(resources.files("dwmix").joinpath("presets/region2.cfg").read_text())
+    config = preset_config("region2")
     potential = build_potential(config)
     grid = Grid(x_max=resolve_x_max(config, potential), n_points=config.grid.n_points)
     species = SpeciesConstants.from_amu(boson_mass_amu=config.species.boson_mass_amu,

@@ -7,15 +7,15 @@ import os
 import signal
 import tracemalloc
 import warnings
-from importlib import resources
 
 import numpy as np
 import pytest
 
-from conftest import doctor_cached_blocks, doctored, model_terms, partial_trace_entropies
+from conftest import (doctor_cached_blocks, doctored, model_terms, partial_trace_entropies,
+                      preset_config, preset_context)
 from dwmix import manifest
 from dwmix.cli import EXIT_CONFIG, EXIT_INTERNAL, EXIT_OK, _fidelity_spec, main
-from dwmix.config import COUPLING_NAMES, PLANE_AXES, RunConfig, parse_config
+from dwmix.config import COUPLING_NAMES, PLANE_AXES, RunConfig
 from dwmix.errors import ConfigError, InvariantError, SweepError
 from dwmix.manybody import (
     CouplingParams,
@@ -392,8 +392,7 @@ def test_ground_energy_slopes_match_hellmann_feynman():
     # dE0/dlambda_k = <0|h_k|0>: central differences of the sweep kernel's
     # energies against the expectation of each coupling term in the kernel's
     # own ground vectors, at 8 seeded cells of the phase_maps cube.
-    text = resources.files("dwmix").joinpath("presets/phase_maps.cfg").read_text()
-    context = build_context(parse_config(text))
+    context = preset_context("phase_maps")
     blocks = context.blocks
     cells = np.random.default_rng(20261019).uniform(0.0, 1.0e-3, size=(8, 3))
     _, _, degenerate, vectors, _ = blocks.ground_states(cells)
@@ -594,10 +593,8 @@ CHUNK_WORKING_SET_BUDGET = 4 * 2**20
 
 
 def test_chunk_working_set_stays_in_budget():
-    text = resources.files("dwmix").joinpath("presets/phase_maps.cfg").read_text()
     side = math.isqrt(CHUNK_CELLS - 1) + 1
-    config = parse_config(text).replace_values(
-        **{"sweep.x_count": side, "sweep.y_count": side})
+    config = preset_config("phase_maps", {"sweep.x_count": side, "sweep.y_count": side})
     context = build_context(config)
     couplings = _fidelity_spec(config).coupling_rows()[:CHUNK_CELLS]
     blocks = context.blocks
