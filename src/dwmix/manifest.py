@@ -2,9 +2,9 @@
 
 All floats are written as ``repr`` writes them, which round-trips in IEEE
 double and keeps output bytes independent of locale and numpy print options.
-The fidelity column's digits are computed in numpy (``_repr_digits``), with
-the same bytes.  The manifest lists every emitted file with its SHA-256 so
-that a rerun can be compared hash for hash.
+Every float column's digits are computed in numpy (``_repr_digits``), with
+the same bytes, where it settles a value.  The manifest lists every emitted
+file with its SHA-256 so that a rerun can be compared hash for hash.
 """
 
 from __future__ import annotations
@@ -28,38 +28,7 @@ ENTROPY_HEADER = "lambda_ff,s_bosons,s_fermions,degenerate_flag"
 ENTROPY_T_HEADER = "tau,s_bosons,s_fermions"
 
 
-def _floats(values) -> list[str]:
-    """repr of each value as a Python float, in row-major order."""
-    return list(map(repr, np.asarray(values, dtype=float).ravel().tolist()))
-
-
-def _flags(values) -> list[str]:
-    return ["1" if flag else "0" for flag in np.asarray(values, dtype=bool).ravel().tolist()]
-
-
-def _write_columns(path: str | Path, header: str, columns) -> Path:
-    """Write a CSV from a tuple of formatted columns of equal length."""
-    path = Path(path)
-    with path.open("w", encoding="utf-8") as fh:
-        fh.write(header + "\n")
-        fh.write("".join(f"{','.join(row)}\n" for row in zip(*columns, strict=True)))
-    return path
-
-
-def write_modes_csv(path: str | Path, modes, grid) -> Path:
-    return _write_columns(path, MODES_HEADER, (
-        _floats(grid.points()), _floats(modes.psi_s), _floats(modes.psi_a),
-        _floats(modes.psi_left), _floats(modes.psi_right),
-    ))
-
-
-def write_timeseries_csv(path: str | Path, series: TimeSeries) -> Path:
-    return _write_columns(path, TIMESERIES_HEADER, (
-        _floats(series.times), _floats(series.p_rr_bosons), _floats(series.p_rr_fermions),
-    ))
-
-
-# The fidelity column's digits, computed in numpy.  For x in (1/16, 1), let
+# Float digits, computed in numpy.  For x in (1/16, 1), let
 # v = x * 10**17.  A 17-place decimal N / 10**17 reads back as x exactly
 # when |N - v| < h, half the gap between x and its neighbours scaled by
 # 10**17 (5.55 on (1/2, 1), 0.69 on (1/16, 1/8)); no integer N lies on that
@@ -165,10 +134,10 @@ def _repr_digits(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return chars, settled
 
 
-def _ascii_rows(texts: list[str]) -> np.ndarray:
-    """Each text as a row of ASCII bytes, NUL-padded to the longest."""
-    return np.array([text.encode("ascii") for text in texts]).view(np.uint8).reshape(
-        len(texts), -1)
+def _repr_rows(values) -> np.ndarray:
+    """repr of each value as a Python float, in row-major order, as NUL-padded ASCII rows."""
+    texts = list(map(repr, np.asarray(values, dtype=float).ravel().tolist()))
+    return np.array(texts, dtype="S").view(np.uint8).reshape(len(texts), -1)
 
 
 def _repr_bytes(values) -> np.ndarray:
@@ -176,59 +145,88 @@ def _repr_bytes(values) -> np.ndarray:
     values = np.asarray(values, dtype=float).ravel()
     chars, settled = _repr_digits(values)
     rest = np.flatnonzero(~settled)
+    if rest.size == values.size:
+        return _repr_rows(values)
     if rest.size:
-        texts = _ascii_rows(_floats(values[rest]))
+        texts = _repr_rows(values[rest])
         chars = np.pad(chars, ((0, 0), (0, max(0, texts.shape[1] - chars.shape[1]))))
         chars[rest, :texts.shape[1]] = texts
     return chars
 
 
-# Cells per block of rows.  A block's rows are one uint8 matrix, about 70
-# bytes a cell, so a map's write peaks under 1 MB however large the map.
+# Rows per block.  A block's rows are one uint8 matrix, about 70 bytes a row
+# for a map, so a write peaks under 1 MB however long the file.
 WRITE_BLOCK_CELLS = 4096
-_FLAG_BYTES = np.frombuffer(b",0\n,1\n", dtype=np.uint8).reshape(2, 3)
+_FLAG_ROWS = np.frombuffer(b"01", dtype=np.uint8).reshape(2, 1)
+
+
+def _write_blocks(path: str | Path, header: str, columns) -> Path:
+    """Write a CSV a block of rows at a time.
+
+    A column is a float array, which ``_repr_bytes`` formats a block at a
+    time (once a block if it is named twice), or a pair (table, index) of
+    ASCII rows and a function from a block's slice of row numbers to its
+    table rows.  The float arrays must agree on the row count.
+    """
+    arrays = {id(column): np.asarray(column, dtype=float).ravel()
+              for column in columns if not isinstance(column, tuple)}
+    sizes = {array.size for array in arrays.values()}
+    if len(sizes) != 1:
+        raise ValueError(f"{header}: columns of {sorted(sizes)} rows")
+    (size,) = sizes
+    with open(path, "wb") as fh:
+        fh.write(header.encode("ascii") + b"\n")
+        for start in range(0, size, WRITE_BLOCK_CELLS):
+            rows = slice(start, min(start + WRITE_BLOCK_CELLS, size))
+            texts = {key: _repr_bytes(array[rows]) for key, array in arrays.items()}
+            # The pieces side by side, a comma between and a newline after,
+            # in one expression so that each is freed once it is joined; the
+            # NULs are dropped as the block is written.
+            ends = np.full((rows.stop - start, 2), (ord(","), ord("\n")), np.uint8)
+            fh.write(np.concatenate([part for column in columns for part in (
+                texts[id(column)] if id(column) in texts
+                else column[0].take(column[1](rows), axis=0), ends[:, :1],
+            )][:-1] + [ends[:, 1:]], axis=1).tobytes().translate(None, b"\0"))
+    return Path(path)
+
+
+def write_modes_csv(path: str | Path, modes, grid) -> Path:
+    return _write_blocks(path, MODES_HEADER, (
+        grid.points(), modes.psi_s, modes.psi_a, modes.psi_left, modes.psi_right))
+
+
+def write_timeseries_csv(path: str | Path, series: TimeSeries) -> Path:
+    return _write_blocks(path, TIMESERIES_HEADER, (
+        series.times, series.p_rr_bosons, series.p_rr_fermions))
 
 
 def write_fidelity_csv(path: str | Path, surface: FidelitySurface) -> Path:
-    # Each row's pieces, "x,", "y,", the fidelity and ",flag\n", are columns
-    # of NUL-padded ASCII, put side by side for a block of cells at a time;
-    # the NULs are dropped as the block is written.  Each axis value is
-    # formatted once.
-    path = Path(path)
-    xs = _ascii_rows([f"{x}," for x in _floats(surface.x_values)])
-    ys = _ascii_rows([f"{y}," for y in _floats(surface.y_values)])
+    # Each axis value is formatted once; a block's cells index the axes.
+    xs, ys = _repr_rows(surface.x_values), _repr_rows(surface.y_values)
     fidelity = np.asarray(surface.fidelity, dtype=float)
     degenerate = np.asarray(surface.degenerate, dtype=bool)
     if not fidelity.shape == degenerate.shape == (len(xs), len(ys)):
         raise ValueError(f"fidelity {fidelity.shape} and flags {degenerate.shape} "
                          f"do not span the {len(xs)}x{len(ys)} axes")
-    fidelity, degenerate = fidelity.ravel(), degenerate.ravel()
-    with path.open("wb") as fh:
-        fh.write(FIDELITY_HEADER.encode("ascii") + b"\n")
-        for start in range(0, fidelity.size, WRITE_BLOCK_CELLS):
-            block = slice(start, min(start + WRITE_BLOCK_CELLS, fidelity.size))
-            digits = _repr_bytes(fidelity[block])
-            x_index, y_index = np.divmod(np.arange(block.start, block.stop), len(ys))
-            # One expression, so that each piece is freed once it is used.
-            fh.write(np.concatenate((
-                xs.take(x_index, axis=0), ys.take(y_index, axis=0), digits,
-                _FLAG_BYTES.take(degenerate[block], axis=0),
-            ), axis=1).tobytes().translate(None, b"\0"))
-    return path
+    return _write_blocks(path, FIDELITY_HEADER, (
+        (xs, lambda rows: np.arange(rows.start, rows.stop) // len(ys)),
+        (ys, lambda rows: np.arange(rows.start, rows.stop) % len(ys)),
+        fidelity, (_FLAG_ROWS, lambda rows: degenerate.flat[rows]),
+    ))
 
 
 # A pure state's one entropy is written, formatted once, as both the
 # s_bosons and the s_fermions column.
 def write_entropy_csv(path: str | Path, curve: EntropyCurve) -> Path:
-    entropy = _floats(curve.entropy)
-    return _write_columns(path, ENTROPY_HEADER, (
-        _floats(curve.lambda_ff), entropy, entropy, _flags(curve.degenerate),
-    ))
+    degenerate = np.asarray(curve.degenerate, dtype=bool).ravel()
+    if degenerate.size != np.size(curve.lambda_ff):
+        raise ValueError(f"{degenerate.size} flags for {np.size(curve.lambda_ff)} rows")
+    return _write_blocks(path, ENTROPY_HEADER, (
+        curve.lambda_ff, curve.entropy, curve.entropy, (_FLAG_ROWS, lambda rows: degenerate[rows])))
 
 
 def write_entropy_timeseries_csv(path: str | Path, times, entropy) -> Path:
-    entropy = _floats(entropy)
-    return _write_columns(path, ENTROPY_T_HEADER, (_floats(times), entropy, entropy))
+    return _write_blocks(path, ENTROPY_T_HEADER, (times, entropy, entropy))
 
 
 def write_regimes_json(path: str | Path, report: dict) -> Path:

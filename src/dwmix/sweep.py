@@ -151,8 +151,6 @@ class AxisSpec(Record):
     count: int
 
     def values(self) -> np.ndarray:
-        if self.count == 1:
-            return np.array([self.start], dtype=float)
         return np.linspace(self.start, self.stop, self.count)
 
 
