@@ -164,12 +164,12 @@ def _write_blocks(path: str | Path, header: str, columns) -> Path:
     """Write a CSV a block of rows at a time.
 
     A column is a float array, which ``_repr_bytes`` formats a block at a
-    time (once a block if it is named twice), or a pair (table, index) of
-    ASCII rows and a function from a block's slice of row numbers to its
-    table rows.  The float arrays must agree on the row count.
+    time (once a block if it is named twice), or a function from a block's
+    slice of row numbers to its rows of NUL-padded ASCII, taken from a table
+    formatted once.  The float arrays must agree on the row count.
     """
     arrays = {id(column): np.asarray(column, dtype=float).ravel()
-              for column in columns if not isinstance(column, tuple)}
+              for column in columns if not callable(column)}
     sizes = {array.size for array in arrays.values()}
     if len(sizes) != 1:
         raise ValueError(f"{header}: columns of {sorted(sizes)} rows")
@@ -182,11 +182,10 @@ def _write_blocks(path: str | Path, header: str, columns) -> Path:
             # The pieces side by side, a comma between and a newline after,
             # in one expression so that each is freed once it is joined; the
             # NULs are dropped as the block is written.
-            ends = np.full((rows.stop - start, 2), (ord(","), ord("\n")), np.uint8)
+            comma, newline = (np.full((rows.stop - start, 1), ord(c), np.uint8) for c in ",\n")
             fh.write(np.concatenate([part for column in columns for part in (
-                texts[id(column)] if id(column) in texts
-                else column[0].take(column[1](rows), axis=0), ends[:, :1],
-            )][:-1] + [ends[:, 1:]], axis=1).tobytes().translate(None, b"\0"))
+                column(rows) if callable(column) else texts[id(column)], comma,
+            )][:-1] + [newline], axis=1).tobytes().translate(None, b"\0"))
     return Path(path)
 
 
@@ -209,9 +208,9 @@ def write_fidelity_csv(path: str | Path, surface: FidelitySurface) -> Path:
         raise ValueError(f"fidelity {fidelity.shape} and flags {degenerate.shape} "
                          f"do not span the {len(xs)}x{len(ys)} axes")
     return _write_blocks(path, FIDELITY_HEADER, (
-        (xs, lambda rows: np.arange(rows.start, rows.stop) // len(ys)),
-        (ys, lambda rows: np.arange(rows.start, rows.stop) % len(ys)),
-        fidelity, (_FLAG_ROWS, lambda rows: degenerate.flat[rows]),
+        lambda rows: xs.take(np.arange(rows.start, rows.stop) // len(ys), axis=0),
+        lambda rows: ys.take(np.arange(rows.start, rows.stop) % len(ys), axis=0),
+        fidelity, lambda rows: _FLAG_ROWS.take(degenerate.ravel()[rows], axis=0),
     ))
 
 
@@ -222,7 +221,8 @@ def write_entropy_csv(path: str | Path, curve: EntropyCurve) -> Path:
     if degenerate.size != np.size(curve.lambda_ff):
         raise ValueError(f"{degenerate.size} flags for {np.size(curve.lambda_ff)} rows")
     return _write_blocks(path, ENTROPY_HEADER, (
-        curve.lambda_ff, curve.entropy, curve.entropy, (_FLAG_ROWS, lambda rows: degenerate[rows])))
+        curve.lambda_ff, curve.entropy, curve.entropy,
+        lambda rows: _FLAG_ROWS.take(degenerate[rows], axis=0)))
 
 
 def write_entropy_timeseries_csv(path: str | Path, times, entropy) -> Path:

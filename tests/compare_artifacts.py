@@ -10,11 +10,15 @@ shipped preset runs through all five subcommands, and ``fidelity-map`` runs
 four times more on the phase_maps geometry: at 128x128, a plane of four
 sweep chunks that is solved in two processes where two CPUs are free, and on
 each of the three planes at 256x256, the maps of the benchmark's
-``sweep_large`` workload (65536 cells each).  That makes 24 runs; each extra
-``--config FILE SUBCOMMAND`` pair adds one run.  A subcommand that writes gets
-``--out`` and ``--plot``; ``validate-config``, which writes nothing, gets
-``--config`` alone.  Each run is ``python -m dwmix.cli`` in a fresh
-interpreter with the checkout's ``src`` first on PYTHONPATH.
+``sweep_large`` workload (65536 cells each).  Three more runs write the other
+CSVs over more than one write block (``dwmix.manifest.WRITE_BLOCK_CELLS``
+rows): ``solve-modes`` at 8001 grid points, ``evolve`` with 9000 samples and
+the entropy track, and ``entropy-scan`` over 4500 points.  That makes 27
+runs; each extra ``--config FILE SUBCOMMAND`` pair adds one run.  A
+subcommand that writes gets ``--out`` and ``--plot``; ``validate-config``,
+which writes nothing, gets ``--config`` alone.  Each run is ``python -m
+dwmix.cli`` in a fresh interpreter with the checkout's ``src`` first on
+PYTHONPATH.
 For each run it compares:
 
 - stdout, with the run's output directory masked;
@@ -24,7 +28,9 @@ For each run it compares:
   ``manifest.json`` is compared without ``created_utc``, the values of
   ``wall_time_s`` (its stage names are compared) and
   ``config.output.directory``, and a differing manifest is reported by the
-  dotted keys that differ (``results.min_gap``).
+  dotted keys that differ (``results.min_gap``), and a differing CSV by
+  each column's largest move: absolute, relative (to the larger magnitude)
+  and in ulps, the count of doubles between the two values.
 
 Each difference is printed; the exit code is 1 if there is any, else 0.
 pytest does not collect this file.
@@ -33,12 +39,15 @@ pytest does not collect this file.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 PRESETS = ("region1", "region2", "region3", "phase_maps")
 SUBCOMMANDS = ("solve-modes", "evolve", "fidelity-map", "entropy-scan", "validate-config")
@@ -65,6 +74,10 @@ sweep.reference_bf = 5.0e-4
 # At 128x128 a plane is four chunks of dwmix.sweep.CHUNK_CELLS; at 256x256,
 # sixteen.
 MAPS = (("ff_bf", 128), ("ff_bf", 256), ("bb_bf", 256), ("bb_ff", 256))
+# Writers whose preset files fit in one write block, each over three blocks.
+BLOCKS = (("modes", "solve-modes", "grid.n_points = 8001\n"),
+          ("entropy_t", "evolve", "dynamics.n_samples = 9000\ndynamics.with_entropy = true\n"),
+          ("line", "entropy-scan", "sweep.line_count = 4500\n"))
 
 
 def run(checkout: Path, config: str, command: str, out: Path) -> dict[str, object]:
@@ -103,6 +116,38 @@ def dotted(value: object, prefix: str = "") -> dict[str, object]:
     return leaves
 
 
+def ulps_apart(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """How many doubles lie from each a to its b, counting b; -0.0 and 0.0
+    are one."""
+    def place(x):  # each double's place in the order of all doubles
+        bits = x.view(np.int64)
+        return np.where(bits < 0, np.iinfo(np.int64).min - bits, bits)
+
+    low, high = np.minimum(place(a), place(b)), np.maximum(place(a), place(b))
+    return high.view(np.uint64) - low.view(np.uint64)  # exact, in modular arithmetic
+
+
+def column_moves(before: bytes, after: bytes) -> str:
+    """Each column's largest move between two CSVs of one layout, or why
+    they cannot be compared so."""
+    (header, *rows), (new_header, *new_rows) = before.splitlines(), after.splitlines()
+    if header != new_header or len(rows) != len(new_rows):
+        return f"header or row count differs ({len(rows)} -> {len(new_rows)} rows)"
+    old, new = (np.loadtxt(io.BytesIO(text), delimiter=",", skiprows=1, ndmin=2)
+                for text in (before, after))
+    moves = []
+    for name, a, b in zip(header.decode().split(","), old.T, new.T):
+        moved = (a != b) & ~(np.isnan(a) & np.isnan(b))
+        if moved.any():
+            a, b = a[moved], b[moved]
+            with np.errstate(invalid="ignore"):  # inf against inf or nan
+                move = np.abs(b - a)
+                relative = move / np.maximum(np.abs(a), np.abs(b))
+            moves.append(f"{name} by {move.max():.2g} ({relative.max():.2g} relative, "
+                         f"{ulps_apart(a, b).max()} ulps)")
+    return ", ".join(moves) or "bytes differ, values equal"
+
+
 def differences(parent: dict[str, object], change: dict[str, object]) -> list[str]:
     found = [f"{name} differs" for name in ("exit code", "stdout", "stderr")
              if parent[name] != change[name]]
@@ -117,7 +162,8 @@ def differences(parent: dict[str, object], change: dict[str, object]) -> list[st
             if keys:
                 found.append(f"{name} differs at {', '.join(keys)}")
         elif before[name] != after[name]:
-            found.append(f"{name} differs")
+            moves = column_moves(before[name], after[name]) if name.endswith(".csv") else ""
+            found.append(f"{name} differs" + (f": {moves}" if moves else ""))
     return found
 
 
@@ -139,6 +185,10 @@ def main(argv: list[str] | None = None) -> int:
             config = Path(scratch, f"{plane}_{count}.cfg")
             config.write_text(MAP.format(plane=plane, count=count), encoding="utf-8")
             runs.append((str(config), "fidelity-map"))
+        for label, command, text in BLOCKS:
+            config = Path(scratch, f"{label}_blocks.cfg")
+            config.write_text(text, encoding="utf-8")
+            runs.append((str(config), command))
         runs += [(str(Path(config).resolve()), command) for config, command in args.config]
         for k, (config, command) in enumerate(runs):
             results = {}

@@ -148,28 +148,48 @@ def _fmt(x):
     return repr(float(x))
 
 
+def _over_blocks():
+    """Rows over three write blocks, the last partial: numpy settles every
+    value of the first block, SPECIAL is mixed into the second, and the
+    third is left mostly to repr."""
+    block = WRITE_BLOCK_CELLS
+    values = 1.0 - np.random.default_rng(5).uniform(0.0, 0.9, 2 * block + 123)
+    values[block::5] = np.resize(SPECIAL, values[block::5].size)
+    values[2 * block:] = np.resize(SPECIAL, 123)
+    assert values.size % WRITE_BLOCK_CELLS and values.size > WRITE_BLOCK_CELLS
+    return values
+
+
+# The column writers' inputs: the hard values alone, and the same among
+# rows over several write blocks.  Each column test writes both.
+COLUMN_INPUTS = (SPECIAL, _over_blocks())
+
+
 class TestCsvBytes:
     """The column writers against per-value formatting, byte for byte."""
 
     def test_modes(self, tmp_path):
-        grid = SimpleNamespace(points=lambda: SPECIAL[::-1].copy())
-        modes = SimpleNamespace(psi_s=SPECIAL, psi_a=-SPECIAL, psi_left=SPECIAL * 3.0,
-                                psi_right=np.arange(8))
-        x = grid.points()
-        expected = _reference_csv(MODES_HEADER, (
-            (_fmt(x[k]), _fmt(modes.psi_s[k]), _fmt(modes.psi_a[k]),
-             _fmt(modes.psi_left[k]), _fmt(modes.psi_right[k])) for k in range(8)))
-        path = write_modes_csv(tmp_path / "m.csv", modes, grid)
-        assert path.read_text(encoding="utf-8") == expected
+        for values in COLUMN_INPUTS:
+            grid = SimpleNamespace(points=lambda: values[::-1].copy())
+            modes = SimpleNamespace(psi_s=values, psi_a=-values, psi_left=values * 3.0,
+                                    psi_right=np.arange(values.size))
+            x = grid.points()
+            expected = _reference_csv(MODES_HEADER, (
+                (_fmt(x[k]), _fmt(modes.psi_s[k]), _fmt(modes.psi_a[k]),
+                 _fmt(modes.psi_left[k]), _fmt(modes.psi_right[k])) for k in range(values.size)))
+            path = write_modes_csv(tmp_path / "m.csv", modes, grid)
+            assert path.read_text(encoding="utf-8") == expected
 
     def test_timeseries(self, tmp_path):
-        series = SimpleNamespace(times=SPECIAL, p_rr_bosons=SPECIAL[::-1],
-                                 p_rr_fermions=np.linspace(0.0, 1.0, 8, dtype=np.float32))
-        expected = _reference_csv(TIMESERIES_HEADER, (
-            (_fmt(series.times[k]), _fmt(series.p_rr_bosons[k]),
-             _fmt(series.p_rr_fermions[k])) for k in range(8)))
-        path = write_timeseries_csv(tmp_path / "t.csv", series)
-        assert path.read_text(encoding="utf-8") == expected
+        for values in COLUMN_INPUTS:
+            series = SimpleNamespace(times=values, p_rr_bosons=values[::-1],
+                                     p_rr_fermions=np.linspace(0.0, 1.0, values.size,
+                                                               dtype=np.float32))
+            expected = _reference_csv(TIMESERIES_HEADER, (
+                (_fmt(series.times[k]), _fmt(series.p_rr_bosons[k]),
+                 _fmt(series.p_rr_fermions[k])) for k in range(values.size)))
+            path = write_timeseries_csv(tmp_path / "t.csv", series)
+            assert path.read_text(encoding="utf-8") == expected
 
     def test_fidelity(self, tmp_path):
         surface = SimpleNamespace(x_values=SPECIAL[:4], y_values=SPECIAL[4:7],
@@ -226,19 +246,23 @@ class TestCsvBytes:
             write_fidelity_csv(tmp_path / "f.csv", surface)
 
     def test_entropy(self, tmp_path):
-        curve = SimpleNamespace(lambda_ff=SPECIAL, entropy=SPECIAL[::-1], degenerate=FLAGS)
-        expected = _reference_csv(ENTROPY_HEADER, (
-            (_fmt(curve.lambda_ff[k]), _fmt(curve.entropy[k]),
-             _fmt(curve.entropy[k]), str(int(curve.degenerate[k]))) for k in range(8)))
-        path = write_entropy_csv(tmp_path / "e.csv", curve)
-        assert path.read_text(encoding="utf-8") == expected
+        for values in COLUMN_INPUTS:
+            curve = SimpleNamespace(lambda_ff=values, entropy=values[::-1],
+                                    degenerate=np.resize(FLAGS, values.size))
+            expected = _reference_csv(ENTROPY_HEADER, (
+                (_fmt(curve.lambda_ff[k]), _fmt(curve.entropy[k]),
+                 _fmt(curve.entropy[k]), str(int(curve.degenerate[k])))
+                for k in range(values.size)))
+            path = write_entropy_csv(tmp_path / "e.csv", curve)
+            assert path.read_text(encoding="utf-8") == expected
 
     def test_entropy_timeseries_from_lists(self, tmp_path):
-        values = SPECIAL.tolist()
-        expected = _reference_csv(ENTROPY_T_HEADER, (
-            (_fmt(values[k]), _fmt(values[-1 - k]), _fmt(values[-1 - k])) for k in range(8)))
-        path = write_entropy_timeseries_csv(tmp_path / "s.csv", values, values[::-1])
-        assert path.read_text(encoding="utf-8") == expected
+        for values in map(np.ndarray.tolist, COLUMN_INPUTS):
+            expected = _reference_csv(ENTROPY_T_HEADER, (
+                (_fmt(values[k]), _fmt(values[-1 - k]), _fmt(values[-1 - k]))
+                for k in range(len(values))))
+            path = write_entropy_timeseries_csv(tmp_path / "s.csv", values, values[::-1])
+            assert path.read_text(encoding="utf-8") == expected
 
     def test_column_lengths_must_agree(self, tmp_path):
         curve = SimpleNamespace(lambda_ff=SPECIAL, entropy=SPECIAL[:-1], degenerate=FLAGS)

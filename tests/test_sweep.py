@@ -610,9 +610,9 @@ def test_chunk_working_set_stays_in_budget():
 
 # Bytes that writing a 256x256 map's CSV may allocate at its peak.  The
 # writer holds one block of manifest.WRITE_BLOCK_CELLS rows at a time
-# (tracemalloc reads 0.73 MB; the per-value repr writer read 0.25 MB), so a
-# change that holds the whole map fails here before it shows in a run's peak
-# RSS.
+# (tracemalloc reads 0.68 MB, 0.76 MB when the write first builds the digit
+# table), so a change that holds the whole map fails here before it shows in
+# a run's peak RSS.
 WRITE_BUDGET = 2 * 2**20
 
 
