@@ -55,7 +55,7 @@ def _split(a):
 _SCALE_HIGH, _SCALE_LOW = _split(_SCALE)
 
 
-@functools.cache  # built on the first fidelity write, not at import
+@functools.cache  # built on the first CSV write, not at import
 def _digit_table() -> np.ndarray:
     """ASCII words: 0000-9999; the same with trailing zeros as NUL (0 all
     NUL); then "0.0" to "0.9", each with a NUL."""

@@ -297,7 +297,7 @@ EDGES = (0.0625, 0.125, 0.25, 0.5, 1.0, 0.1)
 
 
 class TestReprDigits:
-    """The numpy formatter of the fidelity column against ``repr``."""
+    """The numpy formatter of the float columns against ``repr``."""
 
     def test_seeded_values(self):
         # Log-uniform over the domain: each of its four binades equally.
