@@ -134,10 +134,7 @@ def _entropy_spec(config: RunConfig) -> SweepSpec:
     return SweepSpec(
         plane="line_ff",
         x_axis=AxisSpec(s.line_min, s.line_max, s.line_count),
-        fixed={
-            "lambda_bb": config.couplings.lambda_bb,
-            "lambda_bf": config.couplings.lambda_bf,
-        },
+        fixed={name: getattr(config.couplings, name) for name in PLANE_AXES["line_ff"][2]},
     )
 
 

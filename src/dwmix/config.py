@@ -88,39 +88,29 @@ _BOOL_WORDS = {
 }
 
 
-def _as_float(raw: str, key: str) -> float:
+# a default's type -> (the cast of a value's text, what a malformed one names)
+_CASTS = {
+    float: (float, "a number"),
+    int: (int, "an integer"),
+    bool: (lambda raw: _BOOL_WORDS[raw.lower()], "true/false"),
+    str: (str, ""),
+}
+
+
+def _cast(key: str, raw: str) -> object:
+    """The stripped text ``raw`` of ``key``'s value, as the type of its default."""
+    cast, expected = _CASTS[type(DEFAULTS[key])]
     try:
-        return float(raw)
-    except ValueError as exc:
-        raise ConfigError(f"{key}: expected a number, got {raw!r}") from exc
-
-
-def _as_int(raw: str, key: str) -> int:
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"{key}: expected an integer, got {raw!r}") from exc
-
-
-def _as_bool(raw: str, key: str) -> bool:
-    try:
-        return _BOOL_WORDS[raw.strip().lower()]
-    except KeyError as exc:
-        raise ConfigError(f"{key}: expected true/false, got {raw!r}") from exc
-
-
-def _as_str(raw: str, key: str) -> str:
-    return raw.strip()
-
-
-_CASTERS = {float: _as_float, int: _as_int, bool: _as_bool, str: _as_str}
+        return cast(raw)
+    except (ValueError, KeyError) as exc:
+        raise ConfigError(f"{key}: expected {expected}, got {raw!r}") from exc
 
 
 class RunConfig:
     """Everything one run needs: a value for every key of ``DEFAULTS``.
 
-    Each section reads as a record (``config.grid.n_points``).  A config
-    compares by value and is read-only; ``replace_values`` makes a changed copy.
+    Each section reads as a record (``config.grid.n_points``).  A config is
+    read-only; ``replace_values`` makes a changed copy.
     """
 
     __slots__ = ("_flat", *_RECORDS)
@@ -133,11 +123,6 @@ class RunConfig:
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"a RunConfig is read-only; replace_values sets {name!r}")
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, RunConfig):
-            return NotImplemented
-        return self._flat == other._flat
 
     @classmethod
     def default(cls) -> "RunConfig":
@@ -288,7 +273,7 @@ def parse_config(text: str, overrides: dict[str, object] | None = None) -> RunCo
             raise ConfigError(f"line {lineno}: {_unknown_key_message(key)}")
         if key in values:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        values[key] = _CASTERS[type(DEFAULTS[key])](raw_value.strip(), key)
+        values[key] = _cast(key, raw_value.strip())
     config = RunConfig.default().replace_values(**{**values, **(overrides or {})})
     config.validate()
     return config

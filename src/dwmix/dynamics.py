@@ -146,6 +146,12 @@ def _dominant_period(times: np.ndarray, values: np.ndarray) -> float:
     return float(1.0 / (freqs[k] + shift * df))
 
 
+def _runs(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """First and last index of each run of equal values in a non-empty 1-d series."""
+    starts = np.flatnonzero(np.r_[True, values[1:] != values[:-1]])
+    return starts, np.r_[starts[1:], values.size] - 1
+
+
 def _local_maxima(values: np.ndarray) -> np.ndarray:
     """Indices of the strict local maxima of a 1-d series.
 
@@ -156,8 +162,7 @@ def _local_maxima(values: np.ndarray) -> np.ndarray:
     """
     if values.size < 3:
         return np.zeros(0, dtype=np.intp)
-    starts = np.flatnonzero(np.r_[True, values[1:] != values[:-1]])
-    ends = np.r_[starts[1:], values.size] - 1
+    starts, ends = _runs(values)
     level = values[starts]
     peak = np.zeros(starts.size, dtype=bool)
     peak[1:-1] = (level[1:-1] > level[:-2]) & (level[1:-1] > level[2:])
@@ -201,17 +206,10 @@ def _plateaus(times: np.ndarray, values: np.ndarray) -> list[list[float]]:
     low, high = PLATEAU_BAND
     slope = np.gradient(values, times)
     ok = (np.abs(slope) < PLATEAU_SLOPE_THRESHOLD) & (values >= low) & (values <= high)
-    intervals: list[tuple[float, float]] = []
-    start = None
-    for k, flag in enumerate(ok):
-        if flag and start is None:
-            start = k
-        elif not flag and start is not None:
-            intervals.append((float(times[start]), float(times[k - 1])))
-            start = None
-    if start is not None:
-        intervals.append((float(times[start]), float(times[-1])))
-    return [[a, b] for a, b in intervals if b - a >= PLATEAU_MIN_LENGTH]
+    starts, ends = _runs(ok)
+    flat = ok[starts]
+    return [[a, b] for a, b in zip(times[starts[flat]].tolist(), times[ends[flat]].tolist())
+            if b - a >= PLATEAU_MIN_LENGTH]
 
 
 def regime_metrics(series: TimeSeries) -> dict:

@@ -143,16 +143,12 @@ def build_context(config: RunConfig) -> ModelContext:
 
     # Both species are bisected at once where a second CPU is free; the rest
     # of each solve, and all of its checks, runs here in order, bosons first.
-    boson_bisection, fermion_bisection = bisect_lowest(
-        [build_sp_hamiltonian(kappa, v, grid)
-         for kappa in (species.kappa_boson, species.kappa_fermion)]
-    )
-    boson_modes = solve_doublet(
-        boson_bisection, grid, min_gap_ratio=config.model.min_gap_ratio
-    )
-    fermion_modes = solve_doublet(
-        fermion_bisection, grid, min_gap_ratio=config.model.min_gap_ratio
-    )
+    hamiltonians = [build_sp_hamiltonian(kappa, v, grid)
+                    for kappa in (species.kappa_boson, species.kappa_fermion)]
+    boson_modes, fermion_modes = [
+        solve_doublet(bisection, grid, min_gap_ratio=config.model.min_gap_ratio)
+        for bisection in bisect_lowest(hamiltonians)
+    ]
     # The modes' norm is an invariant of every model, checked here once: the
     # overlap tensors built from these modes do not check it again.
     for name, modes in (("boson", boson_modes), ("fermion", fermion_modes)):

@@ -174,8 +174,12 @@ class DoubletModes(Record):
         return float((self.energies[2] - self.energies[1]) / self.splitting)
 
     def right_mass(self) -> float:
-        """Probability weight of psi_right on x > 0 (half the node at 0)."""
-        return float(np.dot(_right_weights(self.grid), self.psi_right**2))
+        """Probability weight of psi_right on x > 0 (half the node at 0).
+
+        The factors 0, 1/2 and 1 are exact, so each product is rounded as
+        with the weights of the right half alone."""
+        right_half = np.heaviside(self.grid.points(), 0.5)
+        return self.grid.integral(right_half * self.psi_right**2)
 
 
 def build_sp_hamiltonian(
@@ -190,15 +194,6 @@ def build_sp_hamiltonian(
 
 def _normalize(u: np.ndarray, grid: Grid) -> np.ndarray:
     return u / np.sqrt(grid.inner(u, u))
-
-
-def _right_weights(grid: Grid) -> np.ndarray:
-    """Trapezoid weights on x > 0, with half the weight of the node at x = 0."""
-    w = grid.trapezoid_weights()
-    mid = grid.n_points // 2
-    w[:mid] = 0.0
-    w[mid] *= 0.5
-    return w
 
 
 def _sector_ground_state(

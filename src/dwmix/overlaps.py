@@ -6,9 +6,9 @@ to a 1-d quadrature of a product of four mode functions,
     U[a, b, c, d] = integral phi_a phi_b phi_c phi_d dx,
 
 with indices running over (left, right) = (0, 1): (a, b) over one pair of
-modes and (c, d) over another.  The quadrature is the grid's trapezoid
-rule, the inner product the modes are normalized in (``Grid.inner``).  Every
-entry is keyed by the sorted labels of the four mode functions it
+modes and (c, d) over another.  The quadrature is ``Grid.integral``, the
+trapezoid rule the modes are normalized in (``Grid.inner``).  Every entry
+is keyed by the sorted labels of the four mode functions it
 multiplies, and each distinct key is integrated once and copied, so the
 symmetries hold to the last bit.  An intra-species tensor passes one pair
 twice, so its key is the sorted index multiset: 5 distinct values.  The
@@ -43,14 +43,14 @@ class OverlapTensor(Record):
     quadrature_error_estimate: float
 
 
-def _quadrature_error_estimate(integrand: np.ndarray, w: np.ndarray) -> float:
-    """The trapezoid rule of weights ``w`` on every node against the same rule
-    on every second node, spacing 2h, whose weights are 2 w[::2].  The
+def _quadrature_error_estimate(integrand: np.ndarray, grid: Grid) -> float:
+    """The grid's trapezoid rule, weights w, on every node against the same
+    rule on every second node, spacing 2h, whose weights are 2 w[::2].  The
     difference, scaled by 1/3 for a second-order rule, estimates the
     fine-grid quadrature error of the integrand as sampled; it says nothing
     of the modes' own O(h^2) discretization error."""
-    fine = float(np.dot(w, integrand))
-    coarse = float(np.dot(2.0 * w[::2], integrand[::2]))
+    fine = grid.integral(integrand)
+    coarse = float(np.dot(2.0 * grid.weights[::2], integrand[::2]))
     return abs(fine - coarse) / 3.0
 
 
@@ -70,7 +70,6 @@ def _contact_tensor(
     """
     slots = (tuple(first), tuple(first), tuple(second), tuple(second))
     modes = {**first, **second}
-    w = grid.trapezoid_weights()
     cache: dict[tuple[str, ...], float] = {}
     values = np.empty((2, 2, 2, 2))
     for idx in product(range(2), repeat=4):
@@ -78,14 +77,14 @@ def _contact_tensor(
         if key not in cache:
             mirror = tuple(sorted(label.translate(_MIRROR) for label in key))
             m = [modes[label] for label in key]
-            cache[key] = cache[mirror] if mirror in cache else float(
-                np.dot(w, m[0] * m[1] * m[2] * m[3]))
+            cache[key] = cache[mirror] if mirror in cache else grid.integral(
+                m[0] * m[1] * m[2] * m[3])
         values[idx] = cache[key]
     distinct = {"".join(label[-1] for label in key): v for key, v in cache.items()}
     return OverlapTensor(
         values=values,
         distinct=dict(sorted(distinct.items())),
-        quadrature_error_estimate=_quadrature_error_estimate(error_integrand, w),
+        quadrature_error_estimate=_quadrature_error_estimate(error_integrand, grid),
     )
 
 

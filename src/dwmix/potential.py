@@ -7,6 +7,7 @@ eigenvectors and the left/right mode mirror identity hold to the last bit.
 
 from __future__ import annotations
 
+from functools import cached_property
 from pathlib import Path
 from typing import Callable
 
@@ -33,9 +34,6 @@ class Grid(Record):
         if self.n_points < 3 or self.n_points % 2 == 0:
             raise ConfigError("n_points must be an odd integer >= 3")
 
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Grid) and vars(self) == vars(other)
-
     @property
     def spacing(self) -> float:
         return 2.0 * self.x_max / (self.n_points - 1)
@@ -46,10 +44,18 @@ class Grid(Record):
         right = np.linspace(0.0, self.x_max, half + 1)
         return np.concatenate([-right[:0:-1], right])
 
-    def trapezoid_weights(self) -> np.ndarray:
+    @cached_property
+    def weights(self) -> np.ndarray:
+        """Trapezoid weights, built on first read and read-only."""
         w = np.full(self.n_points, self.spacing)
         w[0] = w[-1] = 0.5 * self.spacing
+        w.flags.writeable = False
         return w
+
+    def integral(self, values: np.ndarray) -> float:
+        """Trapezoid integral of ``values`` sampled on the nodes: one dot over
+        the weights, which every integral over the whole grid goes through."""
+        return float(np.dot(self.weights, values))
 
     def inner(self, f: np.ndarray, g: np.ndarray) -> float:
         """Trapezoid inner product <f|g> on the grid.
@@ -58,7 +64,7 @@ class Grid(Record):
         no-op for them and the rule collapses to h * sum(f * g); that exact
         discrete form is what normalization and orthogonality tests rely on.
         """
-        return float(np.dot(self.trapezoid_weights(), np.asarray(f) * np.asarray(g)))
+        return self.integral(np.asarray(f) * np.asarray(g))
 
 
 def _require_even(v: np.ndarray, x: np.ndarray) -> None:

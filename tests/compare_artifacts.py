@@ -13,12 +13,15 @@ each of the three planes at 256x256, the maps of the benchmark's
 ``sweep_large`` workload (65536 cells each).  Three more runs write the other
 CSVs over more than one write block (``dwmix.manifest.WRITE_BLOCK_CELLS``
 rows): ``solve-modes`` at 8001 grid points, ``evolve`` with 9000 samples and
-the entropy track, and ``entropy-scan`` over 4500 points.  That makes 27
-runs; each extra ``--config FILE SUBCOMMAND`` pair adds one run.  A
-subcommand that writes gets ``--out`` and ``--plot``; ``validate-config``,
-which writes nothing, gets ``--config`` alone.  Each run is ``python -m
-dwmix.cli`` in a fresh interpreter with the checkout's ``src`` first on
-PYTHONPATH.
+the entropy track, and ``entropy-scan`` over 4500 points.  The presets all
+build spin sector 0, so the phase_maps geometry runs once more in each
+polarized sector (``model.spin_sector`` = 1 and -1) through
+``fidelity-map``, ``entropy-scan`` and ``evolve``, which refuses it with
+exit code 2.  That makes 33 runs; each extra ``--config FILE SUBCOMMAND``
+pair adds one run.  A subcommand that writes gets ``--out`` and
+``--plot``; ``validate-config``, which writes nothing, gets ``--config``
+alone.  Each run is ``python -m dwmix.cli`` in a fresh interpreter with the
+checkout's ``src`` first on PYTHONPATH.
 For each run it compares:
 
 - stdout, with the run's output directory masked;
@@ -78,6 +81,10 @@ MAPS = (("ff_bf", 128), ("ff_bf", 256), ("bb_bf", 256), ("bb_ff", 256))
 BLOCKS = (("modes", "solve-modes", "grid.n_points = 8001\n"),
           ("entropy_t", "evolve", "dynamics.n_samples = 9000\ndynamics.with_entropy = true\n"),
           ("line", "entropy-scan", "sweep.line_count = 4500\n"))
+
+# The phase_maps preset in each polarized spin sector, and what runs it.
+SECTORS = (1, -1)
+SECTOR_COMMANDS = ("fidelity-map", "entropy-scan", "evolve")
 
 
 def run(checkout: Path, config: str, command: str, out: Path) -> dict[str, object]:
@@ -189,6 +196,11 @@ def main(argv: list[str] | None = None) -> int:
             config = Path(scratch, f"{label}_blocks.cfg")
             config.write_text(text, encoding="utf-8")
             runs.append((str(config), command))
+        for sector in SECTORS:
+            config = Path(scratch, f"phase_maps_sector{sector}.cfg")
+            config.write_text(MAP.format(plane="ff_bf", count=64)
+                              + f"model.spin_sector = {sector}\n", encoding="utf-8")
+            runs += [(str(config), command) for command in SECTOR_COMMANDS]
         runs += [(str(Path(config).resolve()), command) for config, command in args.config]
         for k, (config, command) in enumerate(runs):
             results = {}

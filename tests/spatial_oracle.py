@@ -60,7 +60,7 @@ def density_profile(
     divide the grid's interval count.  A boson basis vector is a coefficient
     matrix over the modes (m1, m2), a fermion one a tensor over (m1, s1, m2, s2).
     """
-    if modes_b.grid != modes_f.grid:
+    if modes_b.grid is not modes_f.grid:
         raise ConfigError("species modes live on different grids")
     grid = modes_b.grid
     if stride < 1 or (grid.n_points - 1) % stride != 0:

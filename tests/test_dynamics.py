@@ -6,8 +6,12 @@ from spatial_oracle import density_profile
 
 from dwmix.errors import ConfigError, InvariantError
 from dwmix.dynamics import (
+    PLATEAU_BAND,
+    PLATEAU_MIN_LENGTH,
+    PLATEAU_SLOPE_THRESHOLD,
     TimeSeries,
     _local_maxima,
+    _plateaus,
     default_time_grid,
     evolve,
     initial_state_rr,
@@ -197,6 +201,51 @@ def test_local_maxima_match_find_peaks_on_random_plateaus(rng):
     for _ in range(2000):
         values = rng.integers(0, 4, size=rng.integers(0, 30)).astype(float)
         np.testing.assert_array_equal(_local_maxima(values), find_peaks(values)[0])
+
+
+def plateaus_by_loop(times, values):
+    """Plateau intervals found one sample at a time: the reference for
+    ``_plateaus``, which reads the same runs off ``_runs``."""
+    low, high = PLATEAU_BAND
+    slope = np.gradient(values, times)
+    ok = (np.abs(slope) < PLATEAU_SLOPE_THRESHOLD) & (values >= low) & (values <= high)
+    intervals, start = [], None
+    for k, flag in enumerate(ok):
+        if flag and start is None:
+            start = k
+        elif not flag and start is not None:
+            intervals.append((float(times[start]), float(times[k - 1])))
+            start = None
+    if start is not None:
+        intervals.append((float(times[start]), float(times[-1])))
+    return [[a, b] for a, b in intervals if b - a >= PLATEAU_MIN_LENGTH]
+
+
+def steps(levels_and_lengths, dt=1.0):
+    """A piecewise-constant series: each level held for its count of samples."""
+    values = np.concatenate([np.full(n, level) for level, n in levels_and_lengths])
+    return dt * np.arange(values.size), values
+
+
+def random_steps(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 12))
+    return steps(zip(rng.choice([0.1, 0.2, 0.5, 0.5 + 1e-5, 0.8, 0.9], n),
+                     rng.integers(2, 140, n)), dt=float(rng.uniform(0.5, 1.5)))
+
+
+@pytest.mark.parametrize("series", [
+    steps([(0.5, 80), (0.9, 30), (0.4, 90)]),  # runs touching either end
+    steps([(0.5, 52), (0.9, 5), (0.5, 51), (0.3, 3), (0.6, 50), (0.1, 4), (0.7, 20)]),
+    steps([(0.1, 100), (0.2, 60), (0.95, 100), (0.8, 70), (0.85, 60)]),  # band edges
+    steps([(0.5, 200)]),
+    steps([(0.97, 200)]),
+    *(random_steps(seed) for seed in range(40)),
+], ids=["ends", "short", "outside_band", "all_flat", "all_flat_above",
+        *(f"random{seed}" for seed in range(40))])
+def test_plateaus_match_a_per_sample_loop(series):
+    times, values = series
+    assert _plateaus(times, values) == plateaus_by_loop(times, values)
 
 
 class TestRegimeMetrics:

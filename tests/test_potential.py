@@ -40,6 +40,33 @@ class TestGrid:
         u = u / np.sqrt(g.inner(u, u))
         assert g.inner(u, u) == pytest.approx(1.0, abs=1e-14)
 
+    def test_weights_built_once_and_read_only(self):
+        g = Grid(x_max=1.0, n_points=5)
+        assert g.weights is g.weights
+        np.testing.assert_array_equal(g.weights, [0.25, 0.5, 0.5, 0.5, 0.25])
+        with pytest.raises(ValueError, match="read-only"):
+            g.weights[0] = 1.0
+
+    @pytest.mark.parametrize("n_points", [5, 401, 4001])
+    def test_inner_is_the_integral_of_the_product(self, n_points, rng):
+        g = Grid(x_max=2.0, n_points=n_points)
+        f, h = rng.standard_normal((2, n_points))
+        assert g.inner(f, h) == g.integral(f * h)
+
+    @pytest.mark.parametrize("n_points", [5, 401, 4001, 8001])
+    def test_right_half_integral_matches_right_half_weights(self, n_points, rng):
+        # Factors 0, 1/2 and 1 are exact, so each product rounds as it does
+        # against trapezoid weights zeroed left of x = 0 and halved at it.
+        g = Grid(x_max=2.0, n_points=n_points)
+        mid = n_points // 2
+        right_weights = g.weights.copy()
+        right_weights[:mid] = 0.0
+        right_weights[mid] *= 0.5
+        right_half = np.heaviside(g.points(), 0.5)
+        for _ in range(20):
+            p = rng.standard_normal(n_points) ** 2
+            assert g.integral(right_half * p) == float(np.dot(right_weights, p))
+
 
 class TestDoubleSquareWell:
     def test_profile_levels(self):
