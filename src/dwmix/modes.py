@@ -178,7 +178,8 @@ class DoubletModes(Record):
 
         The factors 0, 1/2 and 1 are exact, so each product is rounded as
         with the weights of the right half alone."""
-        right_half = np.heaviside(self.grid.points(), 0.5)
+        mid = self.grid.n_points // 2
+        right_half = np.concatenate([np.zeros(mid), [0.5], np.ones(mid)])
         return self.grid.integral(right_half * self.psi_right**2)
 
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from dwmix.errors import ConfigError
+from dwmix.modes import DoubletModes
 from dwmix.potential import (
     DoubleSquareWell,
     Grid,
@@ -55,18 +56,19 @@ class TestGrid:
 
     @pytest.mark.parametrize("n_points", [5, 401, 4001, 8001])
     def test_right_half_integral_matches_right_half_weights(self, n_points, rng):
-        # Factors 0, 1/2 and 1 are exact, so each product rounds as it does
+        # right_mass integrates psi_right**2 against factors 0, 1/2 and 1 by
+        # the sign of x.  They are exact, so each product rounds as it does
         # against trapezoid weights zeroed left of x = 0 and halved at it.
         g = Grid(x_max=2.0, n_points=n_points)
         mid = n_points // 2
         right_weights = g.weights.copy()
         right_weights[:mid] = 0.0
         right_weights[mid] *= 0.5
-        right_half = np.heaviside(g.points(), 0.5)
+        np.testing.assert_array_equal(right_weights, np.heaviside(g.points(), 0.5) * g.weights)
         for _ in range(20):
-            p = rng.standard_normal(n_points) ** 2
-            assert g.integral(right_half * p) == float(np.dot(right_weights, p))
-
+            psi = rng.standard_normal(n_points)
+            modes = DoubletModes(g, np.zeros(4), psi, psi, psi[::-1], psi)
+            assert modes.right_mass() == float(np.dot(right_weights, psi**2))
 
 class TestDoubleSquareWell:
     def test_profile_levels(self):
