@@ -236,6 +236,7 @@ def random_steps(seed):
 
 @pytest.mark.parametrize("series", [
     steps([(0.5, 80), (0.9, 30), (0.4, 90)]),  # runs touching either end
+    # Flats 50, 49 and 48 long, one kept at PLATEAU_MIN_LENGTH, then one short.
     steps([(0.5, 52), (0.9, 5), (0.5, 51), (0.3, 3), (0.6, 50), (0.1, 4), (0.7, 20)]),
     steps([(0.1, 100), (0.2, 60), (0.95, 100), (0.8, 70), (0.85, 60)]),  # band edges
     steps([(0.5, 200)]),
